@@ -442,7 +442,7 @@ fn checkpoint_overhead_gate(records: usize) -> bool {
     use symple_core::uda::Uda;
     use symple_mapreduce::segment::split_into_segments;
     use symple_mapreduce::{
-        run_symple, run_symple_checkpointed, CheckpointCtx, DiskCheckpointStore, GroupBy,
+        run_symple, CheckpointCtx, ChunkStore, DiskCheckpointStore, GroupBy, SympleJob,
     };
 
     struct GateGroup;
@@ -521,7 +521,8 @@ fn checkpoint_overhead_gate(records: usize) -> bool {
             }
         }
         let ctx = CheckpointCtx::new(&store, format!("gate-round-{round}"));
-        match run_symple_checkpointed(&GateGroup, &GateUda, &segments, &job, &ctx) {
+        let checkpointed = SympleJob::new(job).with_store(ChunkStore::Checkpoint(&ctx));
+        match checkpointed.run(&GateGroup, &GateUda, &segments) {
             Ok(run) => {
                 // Paranoia: a round that silently hit checkpoints would
                 // be measuring the read path, not the write path.
@@ -594,7 +595,7 @@ fn summary_cache_gates(records: usize, warm_fraction: f64) -> bool {
     use symple_core::types::{sym_int::SymInt, sym_pred::SymPred};
     use symple_core::uda::Uda;
     use symple_mapreduce::{
-        run_symple, run_symple_cached, Dataset, DiskSummaryCache, GroupBy, SummaryCacheCtx,
+        run_symple, ChunkStore, Dataset, DiskSummaryCache, GroupBy, SummaryCacheCtx, SympleJob,
     };
 
     struct GateGroup;
@@ -729,7 +730,8 @@ fn summary_cache_gates(records: usize, warm_fraction: f64) -> bool {
             }
         };
         let ctx = SummaryCacheCtx::new(&cache);
-        match run_symple_cached(&GateGroup, &GateUda, &segments, &job, &ctx) {
+        let cached = SympleJob::new(job).with_store(ChunkStore::Cache(&ctx));
+        match cached.run(&GateGroup, &GateUda, &segments) {
             Ok(run) => {
                 if run.metrics.cache_misses != segments.len() as u64 {
                     eprintln!("symple-bench: cache gate cold round was not all-miss");
@@ -746,7 +748,7 @@ fn summary_cache_gates(records: usize, warm_fraction: f64) -> bool {
         // Grow the log ~1% and resweep warm against the same cache.
         data.append(appended.iter().copied());
         let grown = data.segments();
-        match run_symple_cached(&GateGroup, &GateUda, &grown, &job, &ctx) {
+        match cached.run(&GateGroup, &GateUda, &grown) {
             Ok(run) => {
                 if run.metrics.cache_hits == 0 {
                     eprintln!("symple-bench: cache gate warm round had no hits");

@@ -80,6 +80,19 @@ pub struct ExploreStats {
     pub max_live_paths: usize,
 }
 
+impl ExploreStats {
+    /// Folds another chunk's counters into this one: every field adds,
+    /// except the `max_live_paths` peak, which takes the maximum.
+    pub fn absorb(&mut self, other: ExploreStats) {
+        self.records += other.records;
+        self.runs += other.runs;
+        self.forks += other.forks;
+        self.merges += other.merges;
+        self.restarts += other.restarts;
+        self.max_live_paths = self.max_live_paths.max(other.max_live_paths);
+    }
+}
+
 /// Symbolically executes a UDA over one chunk, producing a
 /// [`SummaryChain`].
 ///
@@ -393,6 +406,26 @@ mod tests {
         fn result(&self, s: &MaxState, _ctx: &mut SymCtx) -> i64 {
             s.max.concrete_value().expect("final state concrete")
         }
+    }
+
+    #[test]
+    fn explore_stats_absorb_adds_counters_and_maxes_the_peak() {
+        let mut total = ExploreStats::default();
+        total.absorb(ExploreStats {
+            records: 5,
+            runs: 9,
+            max_live_paths: 3,
+            ..Default::default()
+        });
+        total.absorb(ExploreStats {
+            records: 2,
+            runs: 2,
+            max_live_paths: 2,
+            ..Default::default()
+        });
+        assert_eq!(total.records, 7);
+        assert_eq!(total.runs, 11);
+        assert_eq!(total.max_live_paths, 3);
     }
 
     #[test]

@@ -11,18 +11,8 @@ use symple_core::uda::{run_sequential, Uda};
 use symple_core::wire::Wire;
 
 use crate::groupby::{group_segment, GroupBy};
-use crate::job::{JobConfig, JobOutput};
-use crate::metrics::JobMetrics;
-use crate::scheduler::run_scheduled;
+use crate::job::{run_phases, Emit, JobConfig, JobOutput, MapTally};
 use crate::segment::Segment;
-use crate::shuffle::partition_to_reducers;
-
-/// Per-mapper shuffle byte accounting, folded inside the map task.
-#[derive(Debug, Clone, Copy, Default)]
-struct Tally {
-    bytes: u64,
-    records: u64,
-}
 
 /// Runs a groupby-aggregate job the baseline way: UDA in the reducers.
 pub fn run_baseline<G, U>(
@@ -36,89 +26,37 @@ where
     U: Uda<Event = G::Event>,
     U::Output: Send,
 {
-    let mut metrics = JobMetrics {
-        input_records: segments.iter().map(|s| s.len() as u64).sum(),
-        input_bytes: segments.iter().map(|s| s.raw_bytes).sum(),
-        ..JobMetrics::default()
-    };
-
-    // Map phase: groupby + field projection; events encoded for shuffle.
-    // Shuffle accounting (keys + encoded event lists) is tallied inside
-    // each map task at emit time, not re-walked on the main thread.
-    let map_span = symple_obs::span("baseline.map_phase");
-    type MapOut<K> = Vec<(K, Vec<u8>)>;
-    let seg_refs: Vec<&Segment<G::Record>> = segments.iter().collect();
-    let map_run = run_scheduled(
-        &seg_refs,
-        cfg.map_workers,
-        &cfg.scheduler,
+    run_phases(
+        segments,
+        cfg,
         None,
-        |_, seg| {
-            let groups = group_segment(g, &seg.records);
-            let mut tally = Tally::default();
-            let out: MapOut<G::Key> = groups
+        // Map: groupby + field projection; each key's event list is
+        // encoded for the shuffle and tallied at emit time.
+        |seg| {
+            let mut tally = MapTally::default();
+            let emits = group_segment(g, &seg.records)
                 .into_iter()
                 .map(|(k, events)| {
                     let payload = events.to_wire();
-                    tally.bytes += (k.wire_len() + payload.len()) as u64;
-                    tally.records += 1;
+                    tally.push(k.wire_len(), payload.len());
                     (k, payload)
                 })
                 .collect();
-            (out, tally)
+            Ok((emits, tally))
         },
-    )?;
-    drop(map_span);
-    metrics.map_cpu = map_run.timing.cpu;
-    metrics.map_wall = map_run.timing.wall;
-    metrics.map_max_task = map_run.timing.max_task;
-    metrics.absorb_scheduler(&map_run.stats);
-
-    let mut mapper_outputs: Vec<MapOut<G::Key>> = Vec::with_capacity(map_run.results.len());
-    for (out, tally) in map_run.results {
-        metrics.shuffle_bytes += tally.bytes;
-        metrics.shuffle_records += tally.records;
-        mapper_outputs.push(out);
-    }
-    symple_obs::counter_add("shuffle.bytes", metrics.shuffle_bytes);
-    symple_obs::counter_add("shuffle.records", metrics.shuffle_records);
-
-    // Reduce phase: decode, stitch in mapper order, run the UDA.
-    let reduce_span = symple_obs::span("baseline.reduce_phase");
-    let reducer_inputs = partition_to_reducers(mapper_outputs, cfg.num_reducers);
-    let reduce_run = run_scheduled(
-        &reducer_inputs,
-        cfg.reduce_workers,
-        &cfg.scheduler,
-        None,
-        |_, input| {
-            let mut out: Vec<(G::Key, U::Output)> = Vec::new();
-            for (key, chunks) in input {
-                let mut events: Vec<G::Event> = Vec::new();
-                for (_mapper, payload) in chunks {
-                    let mut rd = &payload[..];
-                    let decoded = Vec::<G::Event>::decode(&mut rd).map_err(Error::Wire)?;
-                    events.extend(decoded);
-                }
-                let result = run_sequential(uda, events.iter())?;
-                out.push((key.clone(), result));
+        // Nothing to commit beyond the shuffle volume the driver charges
+        // (`summary_bytes` stays zero: event lists are not summaries).
+        |_, out| out,
+        // Reduce: decode, stitch in mapper order, run the UDA.
+        |chunks| {
+            let mut events: Vec<G::Event> = Vec::new();
+            for (_mapper, payload) in chunks {
+                let mut rd = &payload[..];
+                events.extend(Vec::<G::Event>::decode(&mut rd).map_err(Error::Wire)?);
             }
-            Ok::<_, Error>(out)
+            run_sequential(uda, events.iter())
         },
-    )?;
-    drop(reduce_span);
-    metrics.reduce_cpu = reduce_run.timing.cpu;
-    metrics.reduce_wall = reduce_run.timing.wall;
-    metrics.reduce_max_task = reduce_run.timing.max_task;
-    metrics.absorb_scheduler(&reduce_run.stats);
-
-    let mut results = Vec::new();
-    for r in reduce_run.results {
-        results.extend(r?);
-    }
-    results.sort_by(|a, b| a.0.cmp(&b.0));
-    metrics.groups = results.len() as u64;
-    Ok(JobOutput { results, metrics })
+    )
 }
 
 /// Runs a groupby-aggregate job the way §6.2's **Local MapReduce**
@@ -141,84 +79,41 @@ where
     U: Uda<Event = G::Event>,
     U::Output: Send,
 {
-    let mut metrics = JobMetrics {
-        input_records: segments.iter().map(|s| s.len() as u64).sum(),
-        input_bytes: segments.iter().map(|s| s.raw_bytes).sum(),
-        ..JobMetrics::default()
-    };
-
-    // Map phase: one (key, encoded event) pair per record, sorted by key;
-    // shuffle bytes tallied at emit time inside the task.
-    type MapOut<K> = Vec<(K, Vec<u8>)>;
-    let seg_refs: Vec<&Segment<G::Record>> = segments.iter().collect();
-    let map_run = run_scheduled(
-        &seg_refs,
-        cfg.map_workers,
-        &cfg.scheduler,
+    run_phases(
+        segments,
+        cfg,
         None,
-        |_, seg| {
+        // Map: one (key, encoded event) pair per record, sorted by key.
+        |seg| {
             let mut pairs = Vec::new();
-            let mut out: MapOut<G::Key> = Vec::with_capacity(seg.records.len());
-            let mut tally = Tally::default();
+            let mut emits: Vec<Emit<G::Key>> = Vec::with_capacity(seg.records.len());
+            let mut tally = MapTally::default();
             for r in &seg.records {
                 pairs.clear();
                 g.extract_all(r, &mut pairs);
-                out.extend(pairs.drain(..).map(|(k, e)| {
+                emits.extend(pairs.drain(..).map(|(k, e)| {
                     let payload = e.to_wire();
-                    tally.bytes += (k.wire_len() + payload.len()) as u64;
-                    tally.records += 1;
+                    tally.push(k.wire_len(), payload.len());
                     (k, payload)
                 }));
             }
             // Stable sort keeps the per-key record order intact.
-            out.sort_by(|a, b| a.0.cmp(&b.0));
-            (out, tally)
+            emits.sort_by(|a, b| a.0.cmp(&b.0));
+            Ok((emits, tally))
         },
-    )?;
-    metrics.map_cpu = map_run.timing.cpu;
-    metrics.map_wall = map_run.timing.wall;
-    metrics.map_max_task = map_run.timing.max_task;
-    metrics.absorb_scheduler(&map_run.stats);
-
-    let mut mapper_outputs: Vec<MapOut<G::Key>> = Vec::with_capacity(map_run.results.len());
-    for (out, tally) in map_run.results {
-        metrics.shuffle_bytes += tally.bytes;
-        metrics.shuffle_records += tally.records;
-        mapper_outputs.push(out);
-    }
-
-    // Reduce: merge per-key event streams in mapper order, run the UDA.
-    let reducer_inputs = partition_to_reducers(mapper_outputs, cfg.num_reducers);
-    let reduce_run = run_scheduled(
-        &reducer_inputs,
-        cfg.reduce_workers,
-        &cfg.scheduler,
-        None,
-        |_, input| {
-            let mut out: Vec<(G::Key, U::Output)> = Vec::new();
-            for (key, chunks) in input {
-                let mut events: Vec<G::Event> = Vec::with_capacity(chunks.len());
-                for (_mapper, payload) in chunks {
-                    let mut rd = &payload[..];
-                    events.push(G::Event::decode(&mut rd).map_err(Error::Wire)?);
-                }
-                out.push((key.clone(), run_sequential(uda, events.iter())?));
+        // Nothing to commit beyond the shuffle volume the driver charges
+        // (`summary_bytes` stays zero: event lists are not summaries).
+        |_, out| out,
+        // Reduce: merge per-key event streams in mapper order, run the UDA.
+        |chunks| {
+            let mut events: Vec<G::Event> = Vec::with_capacity(chunks.len());
+            for (_mapper, payload) in chunks {
+                let mut rd = &payload[..];
+                events.push(G::Event::decode(&mut rd).map_err(Error::Wire)?);
             }
-            Ok::<_, Error>(out)
+            run_sequential(uda, events.iter())
         },
-    )?;
-    metrics.reduce_cpu = reduce_run.timing.cpu;
-    metrics.reduce_wall = reduce_run.timing.wall;
-    metrics.reduce_max_task = reduce_run.timing.max_task;
-    metrics.absorb_scheduler(&reduce_run.stats);
-
-    let mut results = Vec::new();
-    for r in reduce_run.results {
-        results.extend(r?);
-    }
-    results.sort_by(|a, b| a.0.cmp(&b.0));
-    metrics.groups = results.len() as u64;
-    Ok(JobOutput { results, metrics })
+    )
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ use symple_core::frame::{
     decode_frame, decode_frame_unchecked, encode_frame, fnv1a, fnv1a_extend, FrameCheck, FrameMeta,
 };
 
-use crate::checkpoint::config_fingerprint;
+use crate::checkpoint::{config_fingerprint, ChunkLookup};
 use crate::job::{JobConfig, ReduceStrategy};
 use crate::store_io::{IoCounts, RetryPolicy, StoreEngine, StoreIo};
 
@@ -70,19 +70,6 @@ pub trait SummaryCache: Send + Sync {
     fn io_counts(&self) -> Option<IoCounts> {
         None
     }
-}
-
-/// How one chunk's cache lookup resolved — mirrors the
-/// `cache_hits/misses/corrupt` metrics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum CacheLookup {
-    /// A valid frame: the payload may replace recomputation.
-    Hit(Vec<u8>),
-    /// No frame stored under this key.
-    Miss,
-    /// A frame existed but failed validation; it has been quarantined and
-    /// the chunk must be recomputed.
-    Corrupt,
 }
 
 /// Binds a job run to a summary cache.
@@ -149,7 +136,7 @@ pub(crate) fn chunk_cache_digest(input_digest: u64, runs_concrete: bool) -> u64 
 /// The frame metadata recorded for (and expected of) a cache entry: the
 /// addressing key restated inside the CRC-protected frame, so moving a
 /// frame under a different key is detectable on load.
-fn cache_meta(config_hash: u64, digest: u64) -> FrameMeta {
+pub(crate) fn cache_meta(config_hash: u64, digest: u64) -> FrameMeta {
     FrameMeta {
         chunk_index: digest,
         config_hash,
@@ -162,33 +149,33 @@ pub(crate) fn lookup_summary(
     ctx: &SummaryCacheCtx<'_>,
     config_hash: u64,
     digest: u64,
-) -> CacheLookup {
+) -> ChunkLookup {
     let bytes = match ctx.cache.load(config_hash, digest) {
         Ok(Some(bytes)) => bytes,
-        Ok(None) => return CacheLookup::Miss,
+        Ok(None) => return ChunkLookup::Miss,
         // A load error resolves to a miss (recompute) — but only after
         // the cache's retry policy ran and its ledger counted it; it is
         // never conflated with absence.
         Err(_) => {
             symple_obs::counter_add("cache.load_errors", 1);
-            return CacheLookup::Miss;
+            return ChunkLookup::Miss;
         }
     };
     if ctx.trust_frame_meta {
         // Sabotage bypass: integrity still checked, meaning is not.
         return match decode_frame_unchecked(&bytes) {
-            Ok((_, _, payload)) => CacheLookup::Hit(payload),
+            Ok((_, _, payload)) => ChunkLookup::Hit(payload),
             Err(reason) => {
                 ctx.cache.quarantine(config_hash, digest, &reason);
-                CacheLookup::Corrupt
+                ChunkLookup::Corrupt
             }
         };
     }
     match decode_frame(&bytes, &cache_meta(config_hash, digest)) {
-        FrameCheck::Valid(payload) => CacheLookup::Hit(payload),
+        FrameCheck::Valid(payload) => ChunkLookup::Hit(payload),
         FrameCheck::Corrupt(reason) | FrameCheck::Stale(reason) => {
             ctx.cache.quarantine(config_hash, digest, &reason);
-            CacheLookup::Corrupt
+            ChunkLookup::Corrupt
         }
     }
 }
@@ -547,25 +534,25 @@ mod tests {
     fn mem_cache_round_trip_and_quarantine() {
         let cache = MemSummaryCache::new();
         let c = ctx(&cache);
-        assert_eq!(lookup_summary(&c, CFG, DIG), CacheLookup::Miss);
+        assert_eq!(lookup_summary(&c, CFG, DIG), ChunkLookup::Miss);
 
         save_summary(&c, CFG, DIG, b"payload");
         assert_eq!(
             lookup_summary(&c, CFG, DIG),
-            CacheLookup::Hit(b"payload".to_vec())
+            ChunkLookup::Hit(b"payload".to_vec())
         );
         assert_eq!(cache.entry_count(), 1);
 
         // A different config hash or digest never sees the entry.
-        assert_eq!(lookup_summary(&c, CFG + 1, DIG), CacheLookup::Miss);
-        assert_eq!(lookup_summary(&c, CFG, DIG + 1), CacheLookup::Miss);
+        assert_eq!(lookup_summary(&c, CFG + 1, DIG), ChunkLookup::Miss);
+        assert_eq!(lookup_summary(&c, CFG, DIG + 1), ChunkLookup::Miss);
 
         // A forged key — frame recorded for DIG, served under DIG+1 — is
         // caught by the digest comparison and quarantined, bytes retained.
         let frame = cache.raw_frame(CFG, DIG).unwrap();
         cache.insert_raw(CFG, DIG + 1, frame);
-        assert_eq!(lookup_summary(&c, CFG, DIG + 1), CacheLookup::Corrupt);
-        assert_eq!(lookup_summary(&c, CFG, DIG + 1), CacheLookup::Miss);
+        assert_eq!(lookup_summary(&c, CFG, DIG + 1), ChunkLookup::Corrupt);
+        assert_eq!(lookup_summary(&c, CFG, DIG + 1), ChunkLookup::Miss);
         let q = cache.quarantined();
         assert_eq!(q.len(), 1);
         assert_eq!((q[0].0, q[0].1), (CFG, DIG + 1));
@@ -573,7 +560,7 @@ mod tests {
         // The genuine entry is untouched.
         assert_eq!(
             lookup_summary(&c, CFG, DIG),
-            CacheLookup::Hit(b"payload".to_vec())
+            ChunkLookup::Hit(b"payload".to_vec())
         );
     }
 
@@ -594,7 +581,7 @@ mod tests {
         };
         assert_eq!(
             lookup_summary(&trusting, CFG, DIG + 1),
-            CacheLookup::Hit(b"payload".to_vec())
+            ChunkLookup::Hit(b"payload".to_vec())
         );
     }
 
@@ -604,13 +591,13 @@ mod tests {
         let c = ctx(&cache);
         save_summary(&c, CFG, DIG, b"payload");
         assert!(cache.tamper(CFG, DIG, |b| b[6] ^= 0x40));
-        assert_eq!(lookup_summary(&c, CFG, DIG), CacheLookup::Corrupt);
+        assert_eq!(lookup_summary(&c, CFG, DIG), ChunkLookup::Corrupt);
         assert_eq!(cache.quarantined().len(), 1);
 
         save_summary(&c, CFG, DIG, b"payload");
         assert!(cache.evict(CFG, DIG));
         assert!(!cache.evict(CFG, DIG));
-        assert_eq!(lookup_summary(&c, CFG, DIG), CacheLookup::Miss);
+        assert_eq!(lookup_summary(&c, CFG, DIG), ChunkLookup::Miss);
         assert_eq!(cache.quarantined().len(), 1, "eviction is not quarantine");
     }
 
@@ -625,15 +612,15 @@ mod tests {
         assert!(cache.entry_path(CFG, DIG).exists());
         assert_eq!(
             lookup_summary(&c, CFG, DIG),
-            CacheLookup::Hit(b"disk payload".to_vec())
+            ChunkLookup::Hit(b"disk payload".to_vec())
         );
 
         // Version-bumped frame (valid CRC): corrupt, quarantined by
         // rename, reason recorded, bytes still on disk.
         let bad = encode_frame_with_version(FRAME_VERSION + 1, &cache_meta(CFG, DIG), b"x");
         cache.save(CFG, DIG, &bad).unwrap();
-        assert_eq!(lookup_summary(&c, CFG, DIG), CacheLookup::Corrupt);
-        assert_eq!(lookup_summary(&c, CFG, DIG), CacheLookup::Miss);
+        assert_eq!(lookup_summary(&c, CFG, DIG), ChunkLookup::Corrupt);
+        assert_eq!(lookup_summary(&c, CFG, DIG), ChunkLookup::Miss);
         let q = cache.quarantined();
         assert_eq!(q.len(), 1);
         assert_eq!((q[0].0, q[0].1), (CFG, DIG));
@@ -641,7 +628,7 @@ mod tests {
 
         // A second quarantine of the same key keeps both evidence files.
         cache.save(CFG, DIG, &bad).unwrap();
-        assert_eq!(lookup_summary(&c, CFG, DIG), CacheLookup::Corrupt);
+        assert_eq!(lookup_summary(&c, CFG, DIG), ChunkLookup::Corrupt);
         assert_eq!(cache.quarantined().len(), 2);
 
         let _ = fs::remove_dir_all(&dir);

@@ -90,12 +90,7 @@ pub fn fold_metrics(first: JobMetrics, second: JobMetrics) -> JobMetrics {
         store_demoted: first.store_demoted + second.store_demoted,
         explore: {
             let mut e = first.explore;
-            e.records += second.explore.records;
-            e.runs += second.explore.runs;
-            e.forks += second.explore.forks;
-            e.merges += second.explore.merges;
-            e.restarts += second.explore.restarts;
-            e.max_live_paths = e.max_live_paths.max(second.explore.max_live_paths);
+            e.absorb(second.explore);
             e
         },
     }

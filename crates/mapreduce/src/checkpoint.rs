@@ -65,13 +65,13 @@ pub trait CheckpointStore: Send + Sync {
     }
 }
 
-/// How one chunk's checkpoint lookup resolved — mirrors the
-/// `checkpoint_hits/misses/corrupt` metrics.
+/// How one chunk's lookup resolved, in either store — mirrors the
+/// `checkpoint_*` / `cache_*` hits, misses and corrupt metrics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ChunkLookup {
     /// A valid frame: the payload may replace recomputation.
     Hit(Vec<u8>),
-    /// No frame stored for this chunk.
+    /// No frame stored under this chunk's key.
     Miss,
     /// A frame existed but failed validation; it has been quarantined and
     /// the chunk must be recomputed.

@@ -19,14 +19,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use symple_core::error::Result;
-use symple_core::uda::Uda;
-
-use crate::groupby::GroupBy;
-use crate::job::{JobConfig, JobOutput};
 use crate::scheduler::TaskFaults;
-use crate::segment::Segment;
-use crate::symple_job::run_symple_inner;
 
 /// Declares which map attempts fail.
 ///
@@ -192,119 +185,17 @@ impl TaskFaults for SegmentFaults<'_> {
     }
 }
 
-/// Runs the SYMPLE job with injected map-task failures.
-///
-/// Output is guaranteed identical to the failure-free [`crate::run_symple`]
-/// — the property the tests pin down.
-pub fn run_symple_with_faults<G, U>(
-    g: &G,
-    uda: &U,
-    segments: &[Segment<G::Record>],
-    cfg: &JobConfig,
-    injector: &FaultInjector,
-) -> Result<JobOutput<G::Key, U::Output>>
-where
-    G: GroupBy,
-    U: Uda<Event = G::Event>,
-    U::Output: Send,
-{
-    run_symple_inner(g, uda, segments, cfg, Some(injector), None, None)
-}
-
-/// Runs the SYMPLE job with fault injection *and* a checkpoint store —
-/// the full crash-drill entrypoint. The canonical drill: run with
-/// [`FaultPlan::kill_after_n_tasks`] until [`Error::JobKilled`] surfaces,
-/// then rerun the same job id against the same store with no faults and
-/// assert byte-identity to an uninterrupted run with `checkpoint_hits`
-/// covering the committed chunks.
-///
-/// [`Error::JobKilled`]: symple_core::error::Error::JobKilled
-pub fn run_symple_checkpointed_with_faults<G, U>(
-    g: &G,
-    uda: &U,
-    segments: &[Segment<G::Record>],
-    cfg: &JobConfig,
-    injector: &FaultInjector,
-    ckpt: &crate::checkpoint::CheckpointCtx<'_>,
-) -> Result<JobOutput<G::Key, U::Output>>
-where
-    G: GroupBy,
-    U: Uda<Event = G::Event>,
-    U::Output: Send,
-{
-    run_symple_inner(g, uda, segments, cfg, Some(injector), Some(ckpt), None)
-}
-
-/// Side-by-side outcome of a clean run and a fault-injected re-run of the
-/// same SYMPLE job: the raw material for determinism checks.
-///
-/// Hadoop-style fault tolerance is only sound when a re-executed map
-/// attempt reproduces its predecessor exactly — same results *and* same
-/// shuffle bytes. This probe runs the job twice (without and with the
-/// [`FaultPlan`]) and exposes both outputs plus the retry count, so
-/// harnesses like `symple-oracle` can assert byte-level determinism
-/// instead of trusting it.
-#[derive(Debug)]
-pub struct FaultProbe<K, O> {
-    /// Output of the failure-free run.
-    pub clean: JobOutput<K, O>,
-    /// Output of the run with injected crashes.
-    pub faulty: JobOutput<K, O>,
-    /// Re-executions the plan actually triggered.
-    pub retries: u64,
-}
-
-impl<K: PartialEq, O: PartialEq> FaultProbe<K, O> {
-    /// Whether both runs produced identical per-key results.
-    pub fn results_match(&self) -> bool {
-        self.clean.results == self.faulty.results
-    }
-
-    /// Whether re-executed attempts pushed byte-identical data through the
-    /// shuffle (counts and byte totals both match).
-    pub fn shuffle_deterministic(&self) -> bool {
-        self.clean.metrics.shuffle_bytes == self.faulty.metrics.shuffle_bytes
-            && self.clean.metrics.shuffle_records == self.faulty.metrics.shuffle_records
-    }
-
-    /// The full determinism claim the fault-tolerance story rests on.
-    pub fn is_deterministic(&self) -> bool {
-        self.results_match() && self.shuffle_deterministic()
-    }
-}
-
-/// Runs the job twice — clean, then with `plan`'s crashes injected — and
-/// returns both outputs for comparison.
-pub fn probe_fault_determinism<G, U>(
-    g: &G,
-    uda: &U,
-    segments: &[Segment<G::Record>],
-    cfg: &JobConfig,
-    plan: FaultPlan,
-) -> Result<FaultProbe<G::Key, U::Output>>
-where
-    G: GroupBy,
-    U: Uda<Event = G::Event>,
-    U::Output: Send,
-{
-    let clean = run_symple_inner(g, uda, segments, cfg, None, None, None)?;
-    let injector = FaultInjector::new(plan);
-    let faulty = run_symple_with_faults(g, uda, segments, cfg, &injector)?;
-    Ok(FaultProbe {
-        clean,
-        faulty,
-        retries: injector.retries(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::groupby::GroupBy;
+    use crate::job::JobConfig;
     use crate::segment::split_into_segments;
-    use crate::symple_job::run_symple;
+    use crate::symple_job::{run_symple, SympleJob};
     use symple_core::ctx::SymCtx;
     use symple_core::impl_sym_state;
     use symple_core::types::{sym_int::SymInt, sym_vector::SymVector};
+    use symple_core::uda::Uda;
 
     struct ByMod;
     impl GroupBy for ByMod {
@@ -356,7 +247,10 @@ mod tests {
         let clean = run_symple(&ByMod, &SumsUda, &segments, &cfg).unwrap();
 
         let injector = FaultInjector::new(FaultPlan::fail_once([0, 2, 5]));
-        let faulty = run_symple_with_faults(&ByMod, &SumsUda, &segments, &cfg, &injector).unwrap();
+        let faulty = SympleJob::new(cfg)
+            .with_faults(&injector)
+            .run(&ByMod, &SumsUda, &segments)
+            .unwrap();
         assert_eq!(injector.retries(), 3);
         assert_eq!(clean.results, faulty.results);
         assert_eq!(clean.metrics.shuffle_bytes, faulty.metrics.shuffle_bytes);
@@ -377,27 +271,12 @@ mod tests {
             ..Default::default()
         };
         let injector = FaultInjector::new(plan);
-        let faulty = run_symple_with_faults(&ByMod, &SumsUda, &segments, &cfg, &injector).unwrap();
+        let faulty = SympleJob::new(cfg)
+            .with_faults(&injector)
+            .run(&ByMod, &SumsUda, &segments)
+            .unwrap();
         assert_eq!(injector.retries(), 2);
         assert_eq!(clean.results, faulty.results);
-    }
-
-    #[test]
-    fn probe_reports_determinism() {
-        let records: Vec<i64> = (0..1_200).map(|i| (i * 29 + 11) % 83).collect();
-        let segments = split_into_segments(&records, 5, 64);
-        let probe = probe_fault_determinism(
-            &ByMod,
-            &SumsUda,
-            &segments,
-            &JobConfig::default(),
-            FaultPlan::fail_once([1, 3]),
-        )
-        .unwrap();
-        assert_eq!(probe.retries, 2);
-        assert!(probe.results_match());
-        assert!(probe.shuffle_deterministic());
-        assert!(probe.is_deterministic());
     }
 
     #[test]

@@ -1,9 +1,33 @@
-//! Job configuration and output.
+//! Job configuration and output, and the one phase driver every
+//! map→shuffle→reduce job runs through.
+//!
+//! # The map-barrier contract
+//!
+//! `run_phases` is the only place a job's skeleton is written down:
+//!
+//! 1. **Parallel extraction.** Map tasks run under the fault-tolerant
+//!    scheduler ([`run_scheduled`]): retried, speculated, panic-isolated.
+//!    A task may touch only its own segment and whatever its closure
+//!    captured by shared reference.
+//! 2. **Barrier.** Every map result is collected. The first task error in
+//!    input order fails the job *before* anything is committed — a killed
+//!    or failed map phase leaves no driver-side effects behind.
+//! 3. **Sequential commits.** The driver alone folds the results, in input
+//!    order, through the job's `commit` closure: metrics are tallied and
+//!    deferred store writes happen here, single-threaded.
+//! 4. **Shuffle, reduce, sort.** Emits are partitioned by stable key hash
+//!    keeping mapper order per key, reduce tasks run under the same
+//!    scheduler, and results are sorted by key.
 
 use symple_core::engine::EngineConfig;
+use symple_core::error::{Error, Result};
 
+use crate::fault::{FaultInjector, SegmentFaults};
+use crate::groupby::Key;
 use crate::metrics::JobMetrics;
-use crate::scheduler::SchedulerConfig;
+use crate::scheduler::{run_scheduled, SchedulerConfig, TaskFaults};
+use crate::segment::Segment;
+use crate::shuffle::partition_to_reducers;
 
 /// How a SYMPLE reducer combines a key's summary chains (§3.6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,6 +115,122 @@ pub struct JobOutput<K, O> {
     pub results: Vec<(K, O)>,
     /// Phase metrics.
     pub metrics: JobMetrics,
+}
+
+/// One mapper's emission for one key: the encoded shuffle payload.
+pub(crate) type Emit<K> = (K, Vec<u8>);
+
+/// Byte accounting folded inside each map task at emit time, so the
+/// driver does not re-walk every emit after the map barrier.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MapTally {
+    /// Shuffle bytes this mapper emitted (keys + payloads, encoded).
+    pub shuffle_bytes: u64,
+    /// Shuffle records this mapper emitted.
+    pub shuffle_records: u64,
+    /// Payload bytes alone (the summary-compactness axis).
+    pub payload_bytes: u64,
+}
+
+impl MapTally {
+    /// Charges one `(key, payload)` emission.
+    pub fn push(&mut self, key_len: usize, payload_len: usize) {
+        self.shuffle_bytes += (key_len + payload_len) as u64;
+        self.shuffle_records += 1;
+        self.payload_bytes += payload_len as u64;
+    }
+}
+
+/// Runs one job through the map-barrier contract (see the module docs).
+///
+/// `map` is a segment's task; `commit` folds whatever else one task's
+/// output carries into the metrics and hands its emits and their tally to
+/// the shuffle (the driver charges the shuffle volume itself); `reduce`
+/// turns one key's mapper-ordered payloads into its output. With `faults` attached, the
+/// plan's crashes, panics and stragglers are injected into map attempts,
+/// and once its kill budget is spent every further map task dies with
+/// [`Error::JobKilled`] instead of running.
+pub(crate) fn run_phases<R, M, K, O>(
+    segments: &[Segment<R>],
+    cfg: &JobConfig,
+    faults: Option<&FaultInjector>,
+    map: impl Fn(&Segment<R>) -> Result<M> + Sync,
+    mut commit: impl FnMut(&mut JobMetrics, M) -> (Vec<Emit<K>>, MapTally),
+    reduce: impl Fn(&[(usize, Vec<u8>)]) -> Result<O> + Sync,
+) -> Result<JobOutput<K, O>>
+where
+    R: Sync,
+    M: Send,
+    K: Key,
+    O: Send,
+{
+    let mut metrics = JobMetrics {
+        input_records: segments.iter().map(|s| s.len() as u64).sum(),
+        input_bytes: segments.iter().map(|s| s.raw_bytes).sum(),
+        ..JobMetrics::default()
+    };
+
+    let map_span = symple_obs::span("job.map_phase");
+    let adapter = faults.map(|f| SegmentFaults::new(f, segments.iter().map(|s| s.id).collect()));
+    let hook = adapter.as_ref().map(|a| a as &dyn TaskFaults);
+    let map_run = run_scheduled(segments, cfg.map_workers, &cfg.scheduler, hook, |_, seg| {
+        let Some(f) = faults else {
+            return map(seg);
+        };
+        if let Some(done) = f.kill_check() {
+            return Err(Error::JobKilled { after_tasks: done });
+        }
+        let out = map(seg)?;
+        // Counted only after `map` returned, so whatever the task persisted
+        // itself is already durable when the kill budget sees it.
+        f.note_task_completed();
+        Ok(out)
+    })?;
+    drop(map_span);
+    metrics.map_cpu = map_run.timing.cpu;
+    metrics.map_wall = map_run.timing.wall;
+    metrics.map_max_task = map_run.timing.max_task;
+    metrics.absorb_scheduler(&map_run.stats);
+
+    let map_outputs = map_run.results.into_iter().collect::<Result<Vec<M>>>()?;
+    let mut mapper_emits: Vec<Vec<Emit<K>>> = Vec::with_capacity(map_outputs.len());
+    for out in map_outputs {
+        let (emits, tally) = commit(&mut metrics, out);
+        metrics.shuffle_bytes += tally.shuffle_bytes;
+        metrics.shuffle_records += tally.shuffle_records;
+        mapper_emits.push(emits);
+    }
+    symple_obs::counter_add("shuffle.bytes", metrics.shuffle_bytes);
+    symple_obs::counter_add("shuffle.records", metrics.shuffle_records);
+
+    let reduce_span = symple_obs::span("job.reduce_phase");
+    let reducer_inputs = partition_to_reducers(mapper_emits, cfg.num_reducers);
+    let reduce_run = run_scheduled(
+        &reducer_inputs,
+        cfg.reduce_workers,
+        &cfg.scheduler,
+        None,
+        |_, input| {
+            let mut out: Vec<(K, O)> = Vec::with_capacity(input.len());
+            for (key, chunks) in input {
+                out.push((key.clone(), reduce(chunks)?));
+            }
+            Ok::<_, Error>(out)
+        },
+    )?;
+    drop(reduce_span);
+    metrics.reduce_cpu = reduce_run.timing.cpu;
+    metrics.reduce_wall = reduce_run.timing.wall;
+    metrics.reduce_max_task = reduce_run.timing.max_task;
+    metrics.absorb_scheduler(&reduce_run.stats);
+
+    let mut results = Vec::new();
+    for r in reduce_run.results {
+        results.extend(r?);
+    }
+    results.sort_by(|a, b| a.0.cmp(&b.0));
+    metrics.groups = results.len() as u64;
+    Ok(JobOutput { results, metrics })
 }
 
 #[cfg(test)]

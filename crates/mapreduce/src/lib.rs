@@ -82,7 +82,6 @@ pub mod segment;
 pub mod sequential;
 pub mod shuffle;
 pub mod store_io;
-pub mod streaming;
 pub mod symple_job;
 
 pub use baseline::{run_baseline, run_baseline_sorted};
@@ -94,10 +93,7 @@ pub use checkpoint::{
     config_fingerprint, CheckpointCtx, CheckpointStore, DiskCheckpointStore, MemCheckpointStore,
 };
 pub use dataset::Dataset;
-pub use fault::{
-    probe_fault_determinism, run_symple_checkpointed_with_faults, run_symple_with_faults,
-    FaultInjector, FaultPlan, FaultProbe, SegmentFaults,
-};
+pub use fault::{FaultInjector, FaultPlan, SegmentFaults};
 pub use groupby::{GroupBy, Key};
 pub use job::{JobConfig, JobOutput, ReduceStrategy};
 pub use metrics::JobMetrics;
@@ -111,5 +107,4 @@ pub use store_io::{
     FaultIo, IoCounts, IoLedger, RealIo, RetryPolicy, StorageFaultKind, StorageFaultPlan,
     StoreEngine, StoreIo, DEFAULT_FAILURE_BUDGET,
 };
-pub use streaming::run_symple_streaming;
-pub use symple_job::{run_symple, run_symple_cached, run_symple_checkpointed};
+pub use symple_job::{run_symple, run_symple_streaming, ChunkStore, SympleJob};

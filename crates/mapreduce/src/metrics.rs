@@ -158,16 +158,6 @@ impl JobMetrics {
         self.io_errors += c.io_errors;
         self.store_demoted += c.store_demoted;
     }
-
-    /// Accumulates exploration stats from one map task.
-    pub fn absorb_explore(&mut self, s: ExploreStats) {
-        self.explore.records += s.records;
-        self.explore.runs += s.runs;
-        self.explore.forks += s.forks;
-        self.explore.merges += s.merges;
-        self.explore.restarts += s.restarts;
-        self.explore.max_live_paths = self.explore.max_live_paths.max(s.max_live_paths);
-    }
 }
 
 #[cfg(test)]
@@ -193,25 +183,5 @@ mod tests {
     fn throughput_zero_wall() {
         let m = JobMetrics::default();
         assert_eq!(m.throughput_mb_s(), 0.0);
-    }
-
-    #[test]
-    fn absorb_explore_accumulates() {
-        let mut m = JobMetrics::default();
-        m.absorb_explore(ExploreStats {
-            records: 5,
-            runs: 9,
-            max_live_paths: 3,
-            ..Default::default()
-        });
-        m.absorb_explore(ExploreStats {
-            records: 2,
-            runs: 2,
-            max_live_paths: 2,
-            ..Default::default()
-        });
-        assert_eq!(m.explore.records, 7);
-        assert_eq!(m.explore.runs, 11);
-        assert_eq!(m.explore.max_live_paths, 3);
     }
 }

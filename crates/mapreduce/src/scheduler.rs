@@ -2,8 +2,8 @@
 //!
 //! The paper inherits Hadoop's fault-tolerance story (§5.4): a crashed map
 //! attempt is simply re-executed, which is sound *because* SYMPLE tasks
-//! are deterministic — the property [`crate::fault::FaultProbe`] pins
-//! down. This module is the runtime half of that story. It replaces the
+//! are deterministic — the property the fault matrix and the oracle's
+//! fault probe pin down. This module is the runtime half of that story. It replaces the
 //! bare worker pool's "run each task exactly once and pray" model with
 //! per-task **attempt records** and three production behaviors:
 //!

@@ -8,18 +8,22 @@
 //! apply them in order to the UDA's initial state — the data-parallel
 //! reduction that matches the sequential semantics exactly.
 //!
-//! Two robustness layers ride on the same shuffle:
+//! There is one job description, [`SympleJob`], and one way to run it;
+//! [`run_symple`] is its store-less, fault-less spelling. Two robustness
+//! layers ride on the same shuffle:
 //!
 //! * **Degraded completion** — a chunk whose engine *refuses* (path
 //!   explosion, predicate window, symbolic overflow) ships its raw events
 //!   tagged `PAYLOAD_EVENTS` instead of failing the job; the in-order
 //!   reducer re-executes them concretely once the prefix state is resolved
 //!   and keeps composing symbolically ([`JobConfig::salvage_refused_chunks`]).
-//! * **Checkpointing** — with a [`CheckpointCtx`] attached
-//!   ([`run_symple_checkpointed`]), each completed chunk's emits are
-//!   persisted as a CRC-framed record; a resumed job loads valid frames
-//!   instead of recomputing and quarantines anything corrupt or stale
-//!   (see [`crate::checkpoint`]).
+//! * **A chunk store** ([`ChunkStore`]) — each completed chunk's emits are
+//!   persisted as a CRC-framed record and a later run loads valid frames
+//!   instead of recomputing, quarantining anything corrupt or stale. A
+//!   checkpoint store ([`crate::checkpoint`]) files chunks under a job id
+//!   and is written *inside* the map task, so it survives a mid-map kill;
+//!   the summary cache ([`crate::cache`]) files them under their content
+//!   and is written by the driver after the map barrier, in chunk order.
 
 use symple_core::compose::{apply_chain, apply_summary, tree_collapse};
 use symple_core::ctx::SymCtx;
@@ -32,35 +36,52 @@ use symple_core::uda::{extract_result, run_concrete_state, Uda};
 use symple_core::wire::{get_bytes, get_len, get_uvarint, put_uvarint, Wire, WireError};
 
 use crate::cache::{
-    cache_config_fingerprint, chunk_cache_digest, lookup_summary, save_summary, CacheLookup,
+    cache_config_fingerprint, cache_meta, chunk_cache_digest, lookup_summary, save_summary,
     SummaryCacheCtx,
 };
 use crate::checkpoint::{config_fingerprint, lookup_chunk, save_chunk, CheckpointCtx, ChunkLookup};
-use crate::fault::SegmentFaults;
+use crate::fault::FaultInjector;
 use crate::groupby::{group_segment, GroupBy, Key};
-use crate::job::{JobConfig, JobOutput, ReduceStrategy};
+use crate::job::{run_phases, Emit, JobConfig, JobOutput, MapTally, ReduceStrategy};
 use crate::metrics::JobMetrics;
-use crate::scheduler::run_scheduled;
 use crate::segment::Segment;
-use crate::shuffle::partition_to_reducers;
+use crate::store_io::IoCounts;
 
 /// Shuffle payload tag: the remaining bytes encode a [`SummaryChain`].
-pub(crate) const PAYLOAD_CHAIN: u8 = 0;
+const PAYLOAD_CHAIN: u8 = 0;
 
 /// Shuffle payload tag: the engine refused this `(key, chunk)` cell, so
 /// the remaining bytes encode its raw events (`NeedsConcrete`) for
 /// in-order concrete re-execution at the reducer.
-pub(crate) const PAYLOAD_EVENTS: u8 = 1;
+const PAYLOAD_EVENTS: u8 = 1;
 
-/// One mapper's emission for one key: the tagged, encoded payload.
-type MapEmit<K> = (K, Vec<u8>);
+/// The durable store a job's map chunks are looked up in and persisted to.
+///
+/// A job has at most one: attaching both a checkpoint store and a summary
+/// cache is not expressible.
+#[derive(Clone, Copy)]
+pub enum ChunkStore<'a> {
+    /// No store: every chunk is computed, nothing is hashed or persisted.
+    None,
+    /// Per-job checkpoints keyed by `(job id, chunk position)`. Each chunk
+    /// is saved inside its map task, so a rerun of the same job id after a
+    /// mid-map kill resumes from the committed chunks. [`JobMetrics`]
+    /// reports `checkpoint_hits + checkpoint_misses + checkpoint_corrupt
+    /// ==` chunk count.
+    Checkpoint(&'a CheckpointCtx<'a>),
+    /// The cross-job summary cache keyed by `(config fingerprint, chunk
+    /// content digest)`, so a warm resweep after an append or edit
+    /// recomputes only the dirty chunks. Dirty chunks compute in parallel;
+    /// the driver commits them sequentially, in chunk order, after the map
+    /// barrier. [`JobMetrics`] reports `cache_hits + cache_misses +
+    /// cache_corrupt ==` chunk count.
+    Cache(&'a SummaryCacheCtx<'a>),
+}
 
-/// How a map task's checkpoint lookup resolved (feeds the
-/// `checkpoint_hits/misses/corrupt` metrics).
+/// How a map task's store lookup resolved (feeds the
+/// `checkpoint_*` / `cache_*` hit, miss and corrupt metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CkptStatus {
-    /// No checkpoint store attached to this run.
-    Absent,
+enum ChunkStatus {
     /// Valid frame loaded; the chunk was not recomputed.
     Hit,
     /// No frame stored; computed and saved.
@@ -69,84 +90,229 @@ pub(crate) enum CkptStatus {
     Corrupt,
 }
 
-/// Everything a map task hands back.
-pub(crate) struct MapTaskOutput<K> {
-    /// Per-key tagged payloads, sorted by key.
-    emits: Vec<MapEmit<K>>,
-    /// Engine exploration stats (restored verbatim on a checkpoint hit).
-    stats: ExploreStats,
-    /// Byte accounting for the emits.
-    tally: MapTally,
-    /// `(key, chunk)` cells salvaged as `NeedsConcrete` events.
-    salvaged: u64,
-    /// How the checkpoint lookup resolved.
-    ckpt: CkptStatus,
-    /// How the summary-cache lookup resolved (cached runs only).
-    cache: CkptStatus,
-    /// A freshly computed chunk's `(content digest, payload)` awaiting its
-    /// cache commit. Tasks compute in parallel but the driver commits
-    /// these *sequentially, in chunk order*, after the map barrier — the
-    /// shire discipline (parallel extraction, sequential inserts) that
-    /// keeps a crashed run's cache a clean prefix of the input.
-    cache_save: Option<(u64, Vec<u8>)>,
-    /// Raw input bytes a cache hit saved from recomputation.
-    cache_bytes_saved: u64,
-}
+impl ChunkStore<'_> {
+    /// The frame metadata a chunk is filed under, or `None` without a
+    /// store. `input_digest` is only called when a store needs it: the
+    /// store-less path never hashes its events.
+    fn key(
+        &self,
+        seg_id: usize,
+        cfg: &JobConfig,
+        input_digest: impl FnOnce() -> u64,
+    ) -> Option<FrameMeta> {
+        match self {
+            ChunkStore::None => None,
+            ChunkStore::Checkpoint(_) => Some(FrameMeta {
+                chunk_index: seg_id as u64,
+                config_hash: config_fingerprint(cfg),
+                input_digest: input_digest(),
+            }),
+            ChunkStore::Cache(_) => Some(cache_meta(
+                cache_config_fingerprint(cfg),
+                chunk_cache_digest(input_digest(), seg_id == 0 && cfg.first_segment_concrete),
+            )),
+        }
+    }
 
-impl<K> MapTaskOutput<K> {
-    /// Output of a plain computed chunk: no store interaction.
-    fn computed(emits: Vec<MapEmit<K>>, stats: ExploreStats, salvaged: u64) -> MapTaskOutput<K>
-    where
-        K: Wire,
-    {
-        MapTaskOutput {
-            tally: tally_emits(&emits),
-            emits,
-            stats,
-            salvaged,
-            ckpt: CkptStatus::Absent,
-            cache: CkptStatus::Absent,
-            cache_save: None,
-            cache_bytes_saved: 0,
+    /// Resolves a chunk against the store, quarantining anything invalid.
+    fn lookup(&self, key: &FrameMeta) -> ChunkLookup {
+        match self {
+            ChunkStore::None => ChunkLookup::Miss,
+            ChunkStore::Checkpoint(ctx) => lookup_chunk(ctx, key),
+            ChunkStore::Cache(ctx) => lookup_summary(ctx, key.config_hash, key.input_digest),
+        }
+    }
+
+    /// Moves a frame that passed the CRC and metadata checks but whose
+    /// payload does not parse out of the serving path — never trusted,
+    /// never silently deleted.
+    fn quarantine(&self, key: &FrameMeta, reason: &str) {
+        match self {
+            ChunkStore::None => {}
+            ChunkStore::Checkpoint(ctx) => {
+                ctx.store.quarantine(&ctx.job_id, key.chunk_index, reason)
+            }
+            ChunkStore::Cache(ctx) => {
+                ctx.cache
+                    .quarantine(key.config_hash, key.input_digest, reason)
+            }
+        }
+    }
+
+    /// Frames and stores a computed chunk (non-fatal on write failure).
+    fn save(&self, key: &FrameMeta, payload: &[u8]) {
+        match self {
+            ChunkStore::None => {}
+            ChunkStore::Checkpoint(ctx) => save_chunk(ctx, key, payload),
+            ChunkStore::Cache(ctx) => save_summary(ctx, key.config_hash, key.input_digest, payload),
+        }
+    }
+
+    /// A snapshot of the store's I/O ledger, if it keeps one.
+    fn io_counts(&self) -> Option<IoCounts> {
+        match self {
+            ChunkStore::None => None,
+            ChunkStore::Checkpoint(ctx) => ctx.store.io_counts(),
+            ChunkStore::Cache(ctx) => ctx.cache.io_counts(),
+        }
+    }
+
+    /// Charges one chunk's lookup outcome to this store's metrics.
+    fn count(&self, metrics: &mut JobMetrics, status: ChunkStatus, raw_bytes: u64) {
+        let (hits, misses, corrupt) = match self {
+            ChunkStore::None => return,
+            ChunkStore::Checkpoint(_) => (
+                &mut metrics.checkpoint_hits,
+                &mut metrics.checkpoint_misses,
+                &mut metrics.checkpoint_corrupt,
+            ),
+            ChunkStore::Cache(_) => {
+                if status == ChunkStatus::Hit {
+                    metrics.cache_bytes_saved += raw_bytes;
+                }
+                (
+                    &mut metrics.cache_hits,
+                    &mut metrics.cache_misses,
+                    &mut metrics.cache_corrupt,
+                )
+            }
+        };
+        match status {
+            ChunkStatus::Hit => *hits += 1,
+            ChunkStatus::Miss => *misses += 1,
+            ChunkStatus::Corrupt => *corrupt += 1,
         }
     }
 }
 
-/// Byte accounting folded inside each map task at emit time, so the main
-/// thread does not re-walk every emit after the map barrier.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MapTally {
-    /// Shuffle bytes this mapper emitted (keys + payloads, encoded).
-    pub shuffle_bytes: u64,
-    /// Shuffle records this mapper emitted.
-    pub shuffle_records: u64,
-    /// Payload bytes alone (the summary-compactness axis).
-    pub summary_bytes: u64,
+/// One SYMPLE job: configuration, at most one chunk store, optional fault
+/// injection. Every way of running the SYMPLE backend is a value of this
+/// type handed to [`SympleJob::run`].
+#[derive(Clone, Copy)]
+pub struct SympleJob<'a> {
+    /// Parallelism, engine, reduce-strategy and scheduler knobs.
+    pub cfg: JobConfig,
+    /// Where completed map chunks are looked up and persisted.
+    pub store: ChunkStore<'a>,
+    /// Injected map-attempt crashes, panics, stragglers and the simulated
+    /// process kill — the drills that prove re-execution and resume are
+    /// byte-identical to a clean run.
+    pub faults: Option<&'a FaultInjector>,
 }
 
-impl MapTally {
-    /// Charges one `(key, payload)` emission.
-    pub fn push(&mut self, key_len: usize, payload_len: usize) {
-        self.shuffle_bytes += (key_len + payload_len) as u64;
-        self.shuffle_records += 1;
-        self.summary_bytes += payload_len as u64;
+impl<'a> SympleJob<'a> {
+    /// A job with no store and no faults.
+    pub fn new(cfg: JobConfig) -> SympleJob<'a> {
+        SympleJob {
+            cfg,
+            store: ChunkStore::None,
+            faults: None,
+        }
+    }
+
+    /// The same job with `store` attached.
+    pub fn with_store(mut self, store: ChunkStore<'a>) -> SympleJob<'a> {
+        self.store = store;
+        self
+    }
+
+    /// The same job with the injector's fault plan applied to its map phase.
+    pub fn with_faults(mut self, faults: &'a FaultInjector) -> SympleJob<'a> {
+        self.faults = Some(faults);
+        self
+    }
+
+    /// Runs the job: symbolic UDA in mappers, summary composition in
+    /// reducers. Output is byte-identical to [`run_symple`] under the same
+    /// config whatever the store held and whichever attempts were faulted.
+    pub fn run<G, U>(
+        &self,
+        g: &G,
+        uda: &U,
+        segments: &[Segment<G::Record>],
+    ) -> Result<JobOutput<G::Key, U::Output>>
+    where
+        G: GroupBy,
+        U: Uda<Event = G::Event>,
+        U::Output: Send,
+    {
+        let _job_span = symple_obs::span("symple.job");
+        let (cfg, store) = (&self.cfg, self.store);
+        // Stores outlive jobs, so I/O outcomes are attributed to this run
+        // as a ledger *delta*: snapshot now, diff at the end.
+        let io_start = store.io_counts();
+        let template = uda.init();
+
+        let mut out = run_phases(
+            segments,
+            cfg,
+            self.faults,
+            |seg| {
+                let _task_span = symple_obs::span("symple.map_task");
+                map_task::<G, U>(g, uda, seg, cfg, store)
+            },
+            |metrics, task: MapTaskOutput<G::Key>| {
+                metrics.explore.absorb(task.stats);
+                metrics.summary_bytes += task.tally.payload_bytes;
+                metrics.chunks_salvaged_concrete += task.salvaged;
+                if let Some(status) = task.status {
+                    store.count(metrics, status, task.raw_bytes);
+                }
+                if let Some((key, payload)) = &task.deferred_save {
+                    store.save(key, payload);
+                }
+                (task.emits, task.tally)
+            },
+            |chunks| {
+                let payloads: Vec<&[u8]> = chunks.iter().map(|(_m, p)| p.as_slice()).collect();
+                let state = compose_payloads(uda, &template, &payloads, cfg.reduce_strategy)?;
+                extract_result(uda, &state)
+            },
+        )?;
+
+        let metrics = &mut out.metrics;
+        if let (Some(start), Some(end)) = (io_start, store.io_counts()) {
+            metrics.absorb_io(&end.since(&start));
+        }
+        symple_obs::counter_add("summary.bytes", metrics.summary_bytes);
+        symple_obs::counter_add("checkpoint.hits", metrics.checkpoint_hits);
+        symple_obs::counter_add("checkpoint.corrupt", metrics.checkpoint_corrupt);
+        symple_obs::counter_add("cache.hits", metrics.cache_hits);
+        symple_obs::counter_add("cache.corrupt", metrics.cache_corrupt);
+        symple_obs::counter_add("cache.bytes_saved", metrics.cache_bytes_saved);
+        symple_obs::counter_add("salvage.chunks", metrics.chunks_salvaged_concrete);
+        symple_obs::counter_add("job.io_retries", metrics.io_retries);
+        symple_obs::counter_add("job.io_gave_up", metrics.io_gave_up);
+        symple_obs::counter_add("job.store_demoted", metrics.store_demoted);
+        Ok(out)
     }
 }
 
-/// Recomputes the tally from a task's emits (used when emits are restored
-/// from a checkpoint, so resumed metrics match the uninterrupted run).
-fn tally_emits<K: Wire>(emits: &[MapEmit<K>]) -> MapTally {
-    let mut t = MapTally::default();
-    for (k, p) in emits {
-        t.push(k.wire_len(), p.len());
-    }
-    t
+/// Everything a map task hands back.
+struct MapTaskOutput<K> {
+    /// Per-key tagged payloads, sorted by key.
+    emits: Vec<Emit<K>>,
+    /// Byte accounting for the emits.
+    tally: MapTally,
+    /// Engine exploration stats (restored verbatim on a store hit).
+    stats: ExploreStats,
+    /// `(key, chunk)` cells salvaged as `NeedsConcrete` events.
+    salvaged: u64,
+    /// Raw input bytes of the segment (what a cache hit saved).
+    raw_bytes: u64,
+    /// How the store lookup resolved; `None` without a store.
+    status: Option<ChunkStatus>,
+    /// A freshly computed chunk's frame awaiting its summary-cache commit.
+    /// Tasks compute in parallel but the driver commits these
+    /// *sequentially, in chunk order*, after the map barrier — the shire
+    /// discipline (parallel extraction, sequential inserts).
+    deferred_save: Option<(FrameMeta, Vec<u8>)>,
 }
 
 /// Whether an error is an engine *refusal* — the chunk is fine, the
 /// symbolic engine just cannot summarize it exactly — as opposed to a
 /// failure sequential execution would hit too.
-pub(crate) fn is_engine_refusal(e: &Error) -> bool {
+fn is_engine_refusal(e: &Error) -> bool {
     matches!(
         e,
         Error::PathExplosion { .. }
@@ -156,14 +322,14 @@ pub(crate) fn is_engine_refusal(e: &Error) -> bool {
 }
 
 /// Encodes a summary chain as a tagged shuffle payload.
-pub(crate) fn encode_chain_payload<S: SymState>(chain: &SummaryChain<S>) -> Vec<u8> {
+fn encode_chain_payload<S: SymState>(chain: &SummaryChain<S>) -> Vec<u8> {
     let mut buf = vec![PAYLOAD_CHAIN];
     chain.encode(&mut buf);
     buf
 }
 
 /// Encodes a refused chunk's raw events as a tagged shuffle payload.
-pub(crate) fn encode_events_payload<E: Wire>(events: &[E]) -> Vec<u8> {
+fn encode_events_payload<E: Wire>(events: &[E]) -> Vec<u8> {
     let mut buf = vec![PAYLOAD_EVENTS];
     put_uvarint(&mut buf, events.len() as u64);
     for e in events {
@@ -174,7 +340,7 @@ pub(crate) fn encode_events_payload<E: Wire>(events: &[E]) -> Vec<u8> {
 
 /// A decoded shuffle payload: either a composable summary chain or a
 /// `NeedsConcrete` event list awaiting its prefix state.
-pub(crate) enum DecodedPayload<S: SymState, E> {
+enum DecodedPayload<S: SymState, E> {
     /// A symbolic summary chain.
     Chain(SummaryChain<S>),
     /// Raw events for concrete re-execution.
@@ -182,7 +348,7 @@ pub(crate) enum DecodedPayload<S: SymState, E> {
 }
 
 /// Decodes a tagged shuffle payload.
-pub(crate) fn decode_payload<S: SymState, E: Wire>(
+fn decode_payload<S: SymState, E: Wire>(
     template: &S,
     payload: &[u8],
 ) -> Result<DecodedPayload<S, E>> {
@@ -208,11 +374,7 @@ pub(crate) fn decode_payload<S: SymState, E: Wire>(
 /// Runs the UDA concretely over `events` *continuing from* `state` — the
 /// reducer-side salvage step for a `NeedsConcrete` chunk whose prefix
 /// state is fully resolved.
-pub(crate) fn run_events_from<U: Uda>(
-    uda: &U,
-    mut state: U::State,
-    events: &[U::Event],
-) -> Result<U::State> {
+fn run_events_from<U: Uda>(uda: &U, mut state: U::State, events: &[U::Event]) -> Result<U::State> {
     let mut ctx = SymCtx::concrete();
     for e in events {
         uda.update(&mut state, &mut ctx, e);
@@ -231,7 +393,7 @@ pub(crate) fn run_events_from<U: Uda>(
 /// (§3.6), resolving the running state only at `NeedsConcrete` barriers —
 /// an empty run between two barriers (or at either end) collapses to the
 /// untouched running state via [`collapse_chains`]'s empty-case rule.
-pub(crate) fn compose_payloads<U>(
+fn compose_payloads<U>(
     uda: &U,
     template: &U::State,
     payloads: &[&[u8]],
@@ -271,7 +433,8 @@ where
 }
 
 /// Runs a groupby-aggregate job the SYMPLE way: symbolic UDA in mappers,
-/// summary composition in reducers.
+/// summary composition in reducers. The store-less, fault-less spelling
+/// of [`SympleJob::run`].
 pub fn run_symple<G, U>(
     g: &G,
     uda: &U,
@@ -283,207 +446,25 @@ where
     U: Uda<Event = G::Event>,
     U::Output: Send,
 {
-    run_symple_inner(g, uda, segments, cfg, None, None, None)
+    SympleJob::new(*cfg).run(g, uda, segments)
 }
 
-/// [`run_symple`] with a checkpoint store attached: each completed map
-/// chunk's emits are persisted, and a rerun of the same job id loads valid
-/// frames instead of recomputing. Corrupt or stale frames are quarantined
-/// and their chunks re-mapped; [`JobMetrics`] reports
-/// `checkpoint_hits + checkpoint_misses + checkpoint_corrupt ==` chunk
-/// count for every checkpointed run.
-pub fn run_symple_checkpointed<G, U>(
+/// Retired: the streaming (pipelined-shuffle) executor was deleted — it
+/// measured 1.4–2.4× the barrier job's wall on every benchmark workload.
+/// This forwarder to [`run_symple`] exists only because `benchmark/`
+/// links the symbol; it goes with the `mapreduce.streaming` row.
+pub fn run_symple_streaming<G, U>(
     g: &G,
     uda: &U,
     segments: &[Segment<G::Record>],
     cfg: &JobConfig,
-    ckpt: &CheckpointCtx<'_>,
 ) -> Result<JobOutput<G::Key, U::Output>>
 where
     G: GroupBy,
     U: Uda<Event = G::Event>,
     U::Output: Send,
 {
-    run_symple_inner(g, uda, segments, cfg, None, Some(ckpt), None)
-}
-
-/// [`run_symple`] with a content-addressed summary cache attached: each
-/// chunk is looked up by `(config fingerprint, content digest)` before
-/// being computed, so a warm resweep after an append or edit recomputes
-/// only the dirty chunks and recomposes the merge tree from cached
-/// summaries. Dirty chunks compute in parallel; their cache commits are
-/// applied sequentially in chunk order after the map barrier. Corrupt or
-/// forged entries are quarantined and their chunks recomputed;
-/// [`JobMetrics`] reports `cache_hits + cache_misses + cache_corrupt ==`
-/// chunk count for every cached run.
-pub fn run_symple_cached<G, U>(
-    g: &G,
-    uda: &U,
-    segments: &[Segment<G::Record>],
-    cfg: &JobConfig,
-    cache: &SummaryCacheCtx<'_>,
-) -> Result<JobOutput<G::Key, U::Output>>
-where
-    G: GroupBy,
-    U: Uda<Event = G::Event>,
-    U::Output: Send,
-{
-    run_symple_inner(g, uda, segments, cfg, None, None, Some(cache))
-}
-
-/// [`run_symple`] with optional fault injection, checkpointing, and
-/// summary caching. When both stores are attached the cache wins: its
-/// keys are content-addressed and strictly more general than the
-/// per-job-id checkpoint keys.
-pub(crate) fn run_symple_inner<G, U>(
-    g: &G,
-    uda: &U,
-    segments: &[Segment<G::Record>],
-    cfg: &JobConfig,
-    faults: Option<&crate::fault::FaultInjector>,
-    ckpt: Option<&CheckpointCtx<'_>>,
-    cache: Option<&SummaryCacheCtx<'_>>,
-) -> Result<JobOutput<G::Key, U::Output>>
-where
-    G: GroupBy,
-    U: Uda<Event = G::Event>,
-    U::Output: Send,
-{
-    let _job_span = symple_obs::span("symple.job");
-    let mut metrics = JobMetrics {
-        input_records: segments.iter().map(|s| s.len() as u64).sum(),
-        input_bytes: segments.iter().map(|s| s.raw_bytes).sum(),
-        ..JobMetrics::default()
-    };
-
-    // Stores outlive jobs, so I/O outcomes are attributed to this run as
-    // ledger *deltas*: snapshot now, diff at the end.
-    let ckpt_io_start = ckpt.and_then(|c| c.store.io_counts());
-    let cache_io_start = cache.and_then(|c| c.cache.io_counts());
-
-    // Map phase: groupby + symbolic aggregation per key, run under the
-    // fault-tolerant scheduler. A task whose attempt "fails" (fault
-    // injection standing in for a crashed node) is re-executed up to the
-    // configured cap — safe because tasks are deterministic.
-    let map_span = symple_obs::span("symple.map_phase");
-    let adapter = faults.map(|f| SegmentFaults::new(f, segments.iter().map(|s| s.id).collect()));
-    let hook = adapter
-        .as_ref()
-        .map(|a| a as &dyn crate::scheduler::TaskFaults);
-    let seg_refs: Vec<&Segment<G::Record>> = segments.iter().collect();
-    let map_run = run_scheduled(
-        &seg_refs,
-        cfg.map_workers,
-        &cfg.scheduler,
-        hook,
-        |_, seg| {
-            let _task_span = symple_obs::span("symple.map_task");
-            // Simulated process death: once the plan's task budget is
-            // spent, every subsequent map task dies before doing work.
-            // Already-committed checkpoints survive for the resume.
-            if let Some(f) = faults {
-                if let Some(done) = f.kill_check() {
-                    return Err(Error::JobKilled { after_tasks: done });
-                }
-            }
-            let out = map_task::<G, U>(g, uda, seg, cfg, ckpt, cache)?;
-            if let Some(f) = faults {
-                f.note_task_completed();
-            }
-            Ok(out)
-        },
-    )?;
-    drop(map_span);
-    metrics.map_cpu = map_run.timing.cpu;
-    metrics.map_wall = map_run.timing.wall;
-    metrics.map_max_task = map_run.timing.max_task;
-    metrics.absorb_scheduler(&map_run.stats);
-
-    // The per-mapper byte tallies were folded inside the map tasks at emit
-    // time; the main thread only sums one tally per mapper here.
-    let cache_fp = cache.map(|_| cache_config_fingerprint(cfg));
-    let mut mapper_outputs: Vec<Vec<MapEmit<G::Key>>> = Vec::with_capacity(map_run.results.len());
-    for r in map_run.results {
-        let out = r?;
-        metrics.absorb_explore(out.stats);
-        metrics.shuffle_bytes += out.tally.shuffle_bytes;
-        metrics.shuffle_records += out.tally.shuffle_records;
-        metrics.summary_bytes += out.tally.summary_bytes;
-        metrics.chunks_salvaged_concrete += out.salvaged;
-        match out.ckpt {
-            CkptStatus::Absent => {}
-            CkptStatus::Hit => metrics.checkpoint_hits += 1,
-            CkptStatus::Miss => metrics.checkpoint_misses += 1,
-            CkptStatus::Corrupt => metrics.checkpoint_corrupt += 1,
-        }
-        match out.cache {
-            CkptStatus::Absent => {}
-            CkptStatus::Hit => metrics.cache_hits += 1,
-            CkptStatus::Miss => metrics.cache_misses += 1,
-            CkptStatus::Corrupt => metrics.cache_corrupt += 1,
-        }
-        metrics.cache_bytes_saved += out.cache_bytes_saved;
-        // Sequential commit, in chunk order (this loop walks results in
-        // input order): parallel tasks computed the payloads, the driver
-        // alone writes them.
-        if let (Some(ctx), Some(fp), Some((digest, payload))) = (cache, cache_fp, &out.cache_save) {
-            save_summary(ctx, fp, *digest, payload);
-        }
-        mapper_outputs.push(out.emits);
-    }
-    symple_obs::counter_add("shuffle.bytes", metrics.shuffle_bytes);
-    symple_obs::counter_add("shuffle.records", metrics.shuffle_records);
-    symple_obs::counter_add("summary.bytes", metrics.summary_bytes);
-    symple_obs::counter_add("checkpoint.hits", metrics.checkpoint_hits);
-    symple_obs::counter_add("checkpoint.corrupt", metrics.checkpoint_corrupt);
-    symple_obs::counter_add("cache.hits", metrics.cache_hits);
-    symple_obs::counter_add("cache.corrupt", metrics.cache_corrupt);
-    symple_obs::counter_add("cache.bytes_saved", metrics.cache_bytes_saved);
-    symple_obs::counter_add("salvage.chunks", metrics.chunks_salvaged_concrete);
-
-    // Reduce phase: decode payloads, compose in mapper order (salvaging
-    // `NeedsConcrete` chunks concretely in place), extract results.
-    let reduce_span = symple_obs::span("symple.reduce_phase");
-    let template = uda.init();
-    let reducer_inputs = partition_to_reducers(mapper_outputs, cfg.num_reducers);
-    let reduce_run = run_scheduled(
-        &reducer_inputs,
-        cfg.reduce_workers,
-        &cfg.scheduler,
-        None,
-        |_, input| {
-            let mut out: Vec<(G::Key, U::Output)> = Vec::new();
-            for (key, chunks) in input {
-                let payloads: Vec<&[u8]> = chunks.iter().map(|(_m, p)| p.as_slice()).collect();
-                let state = compose_payloads(uda, &template, &payloads, cfg.reduce_strategy)?;
-                out.push((key.clone(), extract_result(uda, &state)?));
-            }
-            Ok::<_, Error>(out)
-        },
-    )?;
-    drop(reduce_span);
-    metrics.reduce_cpu = reduce_run.timing.cpu;
-    metrics.reduce_wall = reduce_run.timing.wall;
-    metrics.reduce_max_task = reduce_run.timing.max_task;
-    metrics.absorb_scheduler(&reduce_run.stats);
-
-    let mut results = Vec::new();
-    for r in reduce_run.results {
-        results.extend(r?);
-    }
-    results.sort_by(|a, b| a.0.cmp(&b.0));
-    metrics.groups = results.len() as u64;
-
-    if let (Some(start), Some(end)) = (ckpt_io_start, ckpt.and_then(|c| c.store.io_counts())) {
-        metrics.absorb_io(&end.since(&start));
-    }
-    if let (Some(start), Some(end)) = (cache_io_start, cache.and_then(|c| c.cache.io_counts())) {
-        metrics.absorb_io(&end.since(&start));
-    }
-    symple_obs::counter_add("job.io_retries", metrics.io_retries);
-    symple_obs::counter_add("job.io_gave_up", metrics.io_gave_up);
-    symple_obs::counter_add("job.store_demoted", metrics.store_demoted);
-    Ok(JobOutput { results, metrics })
+    run_symple(g, uda, segments, cfg)
 }
 
 /// Collapses a key's summary chains into one final state (§3.6: the
@@ -540,7 +521,7 @@ fn input_digest<K: Wire, E: Wire>(groups: &[(K, Vec<E>)]) -> u64 {
 /// emits plus the stats and salvage count needed to make a resumed run's
 /// metrics identical to an uninterrupted one.
 fn encode_checkpoint_payload<K: Wire>(
-    emits: &[MapEmit<K>],
+    emits: &[Emit<K>],
     stats: &ExploreStats,
     salvaged: u64,
 ) -> Vec<u8> {
@@ -569,7 +550,7 @@ fn encode_checkpoint_payload<K: Wire>(
 #[allow(clippy::type_complexity)]
 fn decode_checkpoint_payload<K: Wire>(
     bytes: &[u8],
-) -> std::result::Result<(Vec<MapEmit<K>>, ExploreStats, u64), WireError> {
+) -> std::result::Result<(Vec<Emit<K>>, ExploreStats, u64), WireError> {
     let mut rd = bytes;
     let n = get_len(&mut rd)?;
     let mut emits = Vec::with_capacity(n.min(4096));
@@ -598,7 +579,7 @@ fn compute_chunk<U, K>(
     seg_id: usize,
     cfg: &JobConfig,
     groups: &[(K, Vec<U::Event>)],
-) -> Result<(Vec<MapEmit<K>>, ExploreStats, u64)>
+) -> Result<(Vec<Emit<K>>, ExploreStats, u64)>
 where
     U: Uda,
     U::Event: Wire,
@@ -623,12 +604,7 @@ where
             match exec.feed_slice(events) {
                 Ok(()) => {
                     let (chain, s) = exec.finish();
-                    stats.records += s.records;
-                    stats.runs += s.runs;
-                    stats.forks += s.forks;
-                    stats.merges += s.merges;
-                    stats.restarts += s.restarts;
-                    stats.max_live_paths = stats.max_live_paths.max(s.max_live_paths);
+                    stats.absorb(s);
                     encode_chain_payload(&chain)
                 }
                 Err(e) if cfg.salvage_refused_chunks && is_engine_refusal(&e) => {
@@ -646,115 +622,72 @@ where
     Ok((emits, stats, salvaged))
 }
 
-/// One SYMPLE map task: cache or checkpoint lookup (when a store is
-/// attached), then per-key aggregation and persistence on miss or
-/// corruption.
+/// One SYMPLE map task: lookup → decode → hit, or compute → persist. The
+/// only store-specific parts are the key ([`ChunkStore::key`]) and *when*
+/// a computed chunk is saved: a checkpoint is written here, inside the
+/// task, so it survives the job dying mid-map; a cache entry is handed
+/// back for the driver's in-order commit after the barrier.
 fn map_task<G, U>(
     g: &G,
     uda: &U,
     seg: &Segment<G::Record>,
     cfg: &JobConfig,
-    ckpt: Option<&CheckpointCtx<'_>>,
-    cache: Option<&SummaryCacheCtx<'_>>,
+    store: ChunkStore<'_>,
 ) -> Result<MapTaskOutput<G::Key>>
 where
     G: GroupBy,
     U: Uda<Event = G::Event>,
 {
     let groups = sorted_groups(g, seg);
+    let output = |emits: Vec<Emit<G::Key>>, stats, salvaged| {
+        let mut tally = MapTally::default();
+        for (k, p) in &emits {
+            tally.push(k.wire_len(), p.len());
+        }
+        MapTaskOutput {
+            emits,
+            tally,
+            stats,
+            salvaged,
+            raw_bytes: seg.raw_bytes,
+            status: None,
+            deferred_save: None,
+        }
+    };
 
-    if let Some(ctx) = cache {
-        return cached_map_task::<G, U>(uda, seg, cfg, ctx, &groups);
-    }
-
-    let Some(ctx) = ckpt else {
+    let Some(key) = store.key(seg.id, cfg, || input_digest(&groups)) else {
         let (emits, stats, salvaged) = compute_chunk::<U, G::Key>(uda, seg.id, cfg, &groups)?;
-        return Ok(MapTaskOutput::computed(emits, stats, salvaged));
+        return Ok(output(emits, stats, salvaged));
     };
-
-    let meta = FrameMeta {
-        chunk_index: seg.id as u64,
-        config_hash: config_fingerprint(cfg),
-        input_digest: input_digest(&groups),
-    };
-    let status = match lookup_chunk(ctx, &meta) {
+    let status = match store.lookup(&key) {
         ChunkLookup::Hit(payload) => match decode_checkpoint_payload::<G::Key>(&payload) {
             Ok((emits, stats, salvaged)) => {
                 return Ok(MapTaskOutput {
-                    ckpt: CkptStatus::Hit,
-                    ..MapTaskOutput::computed(emits, stats, salvaged)
+                    status: Some(ChunkStatus::Hit),
+                    ..output(emits, stats, salvaged)
                 });
             }
             Err(e) => {
-                // The frame survived CRC + metadata checks but its payload
-                // does not parse — treat exactly like corruption: never
-                // trust, never silently delete, recompute.
-                ctx.store.quarantine(
-                    &ctx.job_id,
-                    meta.chunk_index,
-                    &format!("payload decode: {e}"),
-                );
-                CkptStatus::Corrupt
+                store.quarantine(&key, &format!("payload decode: {e}"));
+                ChunkStatus::Corrupt
             }
         },
-        ChunkLookup::Miss => CkptStatus::Miss,
-        ChunkLookup::Corrupt => CkptStatus::Corrupt,
+        ChunkLookup::Miss => ChunkStatus::Miss,
+        ChunkLookup::Corrupt => ChunkStatus::Corrupt,
     };
     let (emits, stats, salvaged) = compute_chunk::<U, G::Key>(uda, seg.id, cfg, &groups)?;
-    save_chunk(
-        ctx,
-        &meta,
-        &encode_checkpoint_payload(&emits, &stats, salvaged),
-    );
-    Ok(MapTaskOutput {
-        ckpt: status,
-        ..MapTaskOutput::computed(emits, stats, salvaged)
-    })
-}
-
-/// The content-addressed variant of [`map_task`]: the lookup key is the
-/// chunk's *content*, not its job and position, so any prior run over the
-/// same bytes under the same config serves this chunk. A freshly computed
-/// payload is handed back to the driver for its sequential commit instead
-/// of being written here.
-fn cached_map_task<G, U>(
-    uda: &U,
-    seg: &Segment<G::Record>,
-    cfg: &JobConfig,
-    ctx: &SummaryCacheCtx<'_>,
-    groups: &[(G::Key, Vec<G::Event>)],
-) -> Result<MapTaskOutput<G::Key>>
-where
-    G: GroupBy,
-    U: Uda<Event = G::Event>,
-{
-    let runs_concrete = seg.id == 0 && cfg.first_segment_concrete;
-    let digest = chunk_cache_digest(input_digest(groups), runs_concrete);
-    let config_hash = cache_config_fingerprint(cfg);
-    let status = match lookup_summary(ctx, config_hash, digest) {
-        CacheLookup::Hit(payload) => match decode_checkpoint_payload::<G::Key>(&payload) {
-            Ok((emits, stats, salvaged)) => {
-                return Ok(MapTaskOutput {
-                    cache: CkptStatus::Hit,
-                    cache_bytes_saved: seg.raw_bytes,
-                    ..MapTaskOutput::computed(emits, stats, salvaged)
-                });
-            }
-            Err(e) => {
-                ctx.cache
-                    .quarantine(config_hash, digest, &format!("payload decode: {e}"));
-                CkptStatus::Corrupt
-            }
-        },
-        CacheLookup::Miss => CkptStatus::Miss,
-        CacheLookup::Corrupt => CkptStatus::Corrupt,
-    };
-    let (emits, stats, salvaged) = compute_chunk::<U, G::Key>(uda, seg.id, cfg, groups)?;
     let payload = encode_checkpoint_payload(&emits, &stats, salvaged);
+    let deferred_save = match store {
+        ChunkStore::Cache(_) => Some((key, payload)),
+        _ => {
+            store.save(&key, &payload);
+            None
+        }
+    };
     Ok(MapTaskOutput {
-        cache: status,
-        cache_save: Some((digest, payload)),
-        ..MapTaskOutput::computed(emits, stats, salvaged)
+        status: Some(status),
+        deferred_save,
+        ..output(emits, stats, salvaged)
     })
 }
 
@@ -813,6 +746,20 @@ mod tests {
         fn result(&self, s: &RunsState, _ctx: &mut SymCtx) -> Vec<i64> {
             s.out.concrete_elems().expect("concrete")
         }
+    }
+
+    type Output = Result<JobOutput<u8, Vec<i64>>>;
+
+    fn run_checkpointed(segs: &[Segment<i64>], cfg: &JobConfig, ctx: &CheckpointCtx<'_>) -> Output {
+        SympleJob::new(*cfg)
+            .with_store(ChunkStore::Checkpoint(ctx))
+            .run(&ByMod, &RunsUda, segs)
+    }
+
+    fn run_cached(segs: &[Segment<i64>], cfg: &JobConfig, ctx: &SummaryCacheCtx<'_>) -> Output {
+        SympleJob::new(*cfg)
+            .with_store(ChunkStore::Cache(ctx))
+            .run(&ByMod, &RunsUda, segs)
     }
 
     #[test]
@@ -1025,11 +972,11 @@ mod tests {
         let ctx = CheckpointCtx::new(&store, "unit-job");
 
         let clean = run_symple(&ByMod, &RunsUda, &segments, &cfg).unwrap();
-        let first = run_symple_checkpointed(&ByMod, &RunsUda, &segments, &cfg, &ctx).unwrap();
+        let first = run_checkpointed(&segments, &cfg, &ctx).unwrap();
         assert_eq!(first.metrics.checkpoint_misses, segments.len() as u64);
         assert_eq!(first.metrics.checkpoint_hits, 0);
 
-        let second = run_symple_checkpointed(&ByMod, &RunsUda, &segments, &cfg, &ctx).unwrap();
+        let second = run_checkpointed(&segments, &cfg, &ctx).unwrap();
         assert_eq!(second.metrics.checkpoint_hits, segments.len() as u64);
         assert_eq!(second.metrics.checkpoint_misses, 0);
 
@@ -1055,12 +1002,12 @@ mod tests {
         let ctx = SummaryCacheCtx::new(&cache);
 
         let clean = run_symple(&ByMod, &RunsUda, &segments, &cfg).unwrap();
-        let cold = run_symple_cached(&ByMod, &RunsUda, &segments, &cfg, &ctx).unwrap();
+        let cold = run_cached(&segments, &cfg, &ctx).unwrap();
         assert_eq!(cold.metrics.cache_misses, segments.len() as u64);
         assert_eq!(cold.metrics.cache_hits, 0);
         assert_eq!(cold.metrics.cache_bytes_saved, 0);
 
-        let warm = run_symple_cached(&ByMod, &RunsUda, &segments, &cfg, &ctx).unwrap();
+        let warm = run_cached(&segments, &cfg, &ctx).unwrap();
         assert_eq!(warm.metrics.cache_hits, segments.len() as u64);
         assert_eq!(warm.metrics.cache_misses, 0);
         assert_eq!(
@@ -1086,12 +1033,12 @@ mod tests {
         let mut data = crate::dataset::Dataset::new(records.clone(), 64, 32, |r: &i64| {
             symple_core::frame::fnv1a(&r.to_le_bytes())
         });
-        let _ = run_symple_cached(&ByMod, &RunsUda, &data.segments(), &cfg, &ctx).unwrap();
+        let _ = run_cached(&data.segments(), &cfg, &ctx).unwrap();
 
         // Append ~1%: only the trailing chunk's content changes.
         data.append((0..5).map(|i| (i * 13 + 7) % 101));
         let segments = data.segments();
-        let warm = run_symple_cached(&ByMod, &RunsUda, &segments, &cfg, &ctx).unwrap();
+        let warm = run_cached(&segments, &cfg, &ctx).unwrap();
         assert!(
             warm.metrics.cache_misses <= 2,
             "append dirtied {} of {} chunks",
@@ -1143,14 +1090,14 @@ mod tests {
             clean.results.iter().any(|(k, v)| *k == 4 && !v.is_empty()),
             "fixture must give group 4 a nonempty output"
         );
-        run_symple_cached(&ByMod, &RunsUda, &segments, &cfg, &ctx).unwrap();
+        run_cached(&segments, &cfg, &ctx).unwrap();
         assert_eq!(cache.entry_count(), segments.len());
 
         // Forge: move segment 1's frame under segment 2's key.
         let donor = cache.raw_frame(fp, key_of(&segments[1])).unwrap();
         cache.insert_raw(fp, key_of(&segments[2]), donor.clone());
 
-        let out = run_symple_cached(&ByMod, &RunsUda, &segments, &cfg, &ctx).unwrap();
+        let out = run_cached(&segments, &cfg, &ctx).unwrap();
         assert_eq!(
             out.results, clean.results,
             "forged entry must not be served"
@@ -1168,7 +1115,7 @@ mod tests {
             trust_frame_meta: true,
         };
         cache.insert_raw(fp, key_of(&segments[2]), donor);
-        let bad = run_symple_cached(&ByMod, &RunsUda, &segments, &cfg, &trusting).unwrap();
+        let bad = run_cached(&segments, &cfg, &trusting).unwrap();
         assert_ne!(
             bad.results, clean.results,
             "bypass must surface the forgery"
@@ -1183,7 +1130,7 @@ mod tests {
         let cache = crate::cache::MemSummaryCache::new();
         let ctx = SummaryCacheCtx::new(&cache);
         let clean = run_symple(&ByMod, &RunsUda, &segments, &cfg).unwrap();
-        run_symple_cached(&ByMod, &RunsUda, &segments, &cfg, &ctx).unwrap();
+        run_cached(&segments, &cfg, &ctx).unwrap();
 
         let keys = cache.keys();
         assert!(cache.evict(keys[0].0, keys[0].1));
@@ -1192,14 +1139,14 @@ mod tests {
             b[last] ^= 0xff;
         }));
 
-        let out = run_symple_cached(&ByMod, &RunsUda, &segments, &cfg, &ctx).unwrap();
+        let out = run_cached(&segments, &cfg, &ctx).unwrap();
         assert_eq!(out.results, clean.results);
         assert_eq!(out.metrics.cache_misses, 1, "evicted");
         assert_eq!(out.metrics.cache_corrupt, 1, "tampered");
         assert_eq!(out.metrics.cache_hits, segments.len() as u64 - 2);
 
         // Both entries were recommitted: the next run is all hits again.
-        let healed = run_symple_cached(&ByMod, &RunsUda, &segments, &cfg, &ctx).unwrap();
+        let healed = run_cached(&segments, &cfg, &ctx).unwrap();
         assert_eq!(healed.metrics.cache_hits, segments.len() as u64);
     }
 
@@ -1214,7 +1161,7 @@ mod tests {
         let base = JobConfig::default();
         let cache = crate::cache::MemSummaryCache::new();
         let ctx = SummaryCacheCtx::new(&cache);
-        run_symple_cached(&ByMod, &RunsUda, &segments, &base, &ctx).unwrap();
+        run_cached(&segments, &base, &ctx).unwrap();
 
         let mut flips: Vec<(&str, JobConfig)> = Vec::new();
         let mut m = base;
@@ -1237,7 +1184,7 @@ mod tests {
         flips.push(("reduce_strategy", m));
 
         for (name, cfg) in &flips {
-            let out = run_symple_cached(&ByMod, &RunsUda, &segments, cfg, &ctx).unwrap();
+            let out = run_cached(&segments, cfg, &ctx).unwrap();
             assert_eq!(out.metrics.cache_hits, 0, "{name} must force misses");
             let clean = run_symple(&ByMod, &RunsUda, &segments, cfg).unwrap();
             assert_eq!(out.results, clean.results, "{name}");
@@ -1247,7 +1194,7 @@ mod tests {
         par.num_reducers += 1;
         par.map_workers = 1;
         par.reduce_workers = 1;
-        let out = run_symple_cached(&ByMod, &RunsUda, &segments, &par, &ctx).unwrap();
+        let out = run_cached(&segments, &par, &ctx).unwrap();
         assert_eq!(
             out.metrics.cache_hits,
             segments.len() as u64,
@@ -1263,11 +1210,11 @@ mod tests {
         let store = MemCheckpointStore::new();
         let ctx = CheckpointCtx::new(&store, "stale-job");
 
-        run_symple_checkpointed(&ByMod, &RunsUda, &segments, &cfg, &ctx).unwrap();
+        run_checkpointed(&segments, &cfg, &ctx).unwrap();
 
         // Change an engine knob: every stored frame is now stale.
         cfg.engine.max_total_paths += 1;
-        let out = run_symple_checkpointed(&ByMod, &RunsUda, &segments, &cfg, &ctx).unwrap();
+        let out = run_checkpointed(&segments, &cfg, &ctx).unwrap();
         assert_eq!(out.metrics.checkpoint_hits, 0);
         assert_eq!(out.metrics.checkpoint_corrupt, segments.len() as u64);
         assert_eq!(store.quarantined("stale-job").len(), segments.len());

@@ -17,11 +17,9 @@ use symple_core::uda::{extract_result, run_concrete_state, run_sequential, summa
 use symple_core::wire::Wire;
 use symple_mapreduce::segment::split_into_segments;
 use symple_mapreduce::{
-    probe_fault_determinism, run_symple, run_symple_cached, run_symple_checkpointed,
-    run_symple_checkpointed_with_faults, run_symple_streaming, run_symple_with_faults,
-    CheckpointCtx, DiskSummaryCache, FaultInjector, FaultIo, FaultPlan, GroupBy, JobOutput,
-    MemCheckpointStore, MemSummaryCache, RetryPolicy, StorageFaultPlan, SummaryCache,
-    SummaryCacheCtx,
+    CheckpointCtx, ChunkStore, DiskSummaryCache, FaultInjector, FaultIo, FaultPlan, GroupBy,
+    JobOutput, MemCheckpointStore, MemSummaryCache, RetryPolicy, StorageFaultPlan, SummaryCache,
+    SummaryCacheCtx, SympleJob,
 };
 
 use crate::cell::{Cell, ExecutorKind, FaultKind};
@@ -406,7 +404,7 @@ where
     ) -> Result<JobOutput<u8, U::Output>> {
         let segments = split_into_segments(events, cell.chunks.max(1), 8);
         let group = SingleKey::<U::Event>::new();
-        let job = cell.job();
+        let job = SympleJob::new(cell.job());
         let store = MemCheckpointStore::new();
         let mut ctx = CheckpointCtx::new(&store, "oracle");
 
@@ -414,9 +412,15 @@ where
             let mut stale: Vec<U::Event> = events.to_vec();
             stale.pop();
             let stale_segments = split_into_segments(&stale, cell.chunks.max(1), 8);
-            let _ = run_symple_checkpointed(&group, &self.uda, &stale_segments, &job, &ctx);
+            let _ = job.with_store(ChunkStore::Checkpoint(&ctx)).run(
+                &group,
+                &self.uda,
+                &stale_segments,
+            );
             ctx.trust_frame_meta = true;
-            return run_symple_checkpointed(&group, &self.uda, &segments, &job, &ctx);
+            return job
+                .with_store(ChunkStore::Checkpoint(&ctx))
+                .run(&group, &self.uda, &segments);
         }
 
         // Phase 1: crash mid-job. The kill error is expected; a job small
@@ -426,11 +430,12 @@ where
             kill_after_n_tasks: Some(segments.len() as u64 / 2),
             ..FaultPlan::default()
         });
-        let _ = run_symple_checkpointed_with_faults(
-            &group, &self.uda, &segments, &job, &injector, &ctx,
-        );
+        let checkpointed = job.with_store(ChunkStore::Checkpoint(&ctx));
+        let _ = checkpointed
+            .with_faults(&injector)
+            .run(&group, &self.uda, &segments);
         // Phase 2: restart from the surviving checkpoints.
-        run_symple_checkpointed(&group, &self.uda, &segments, &job, &ctx)
+        checkpointed.run(&group, &self.uda, &segments)
     }
 
     /// The warm-resweep executor: a *cold* cached run over the input minus
@@ -455,7 +460,7 @@ where
     ) -> Result<JobOutput<u8, U::Output>> {
         let segments = split_into_segments(events, cell.chunks.max(1), 8);
         let group = SingleKey::<U::Event>::new();
-        let job = cell.job();
+        let job = SympleJob::new(cell.job());
         let cache = MemSummaryCache::new();
         let mut ctx = SummaryCacheCtx::new(&cache);
 
@@ -463,7 +468,9 @@ where
         let mut cold: Vec<U::Event> = events.to_vec();
         cold.pop();
         let cold_segments = split_into_segments(&cold, cell.chunks.max(1), 8);
-        let _ = run_symple_cached(&group, &self.uda, &cold_segments, &job, &ctx);
+        let _ = job
+            .with_store(ChunkStore::Cache(&ctx))
+            .run(&group, &self.uda, &cold_segments);
 
         if sabotage == Sabotage::ForgedCacheEntry {
             // Learn which keys the warm run will look up by probing a
@@ -471,7 +478,9 @@ where
             // key: a content-digest collision made real.
             let scratch = MemSummaryCache::new();
             let probe = SummaryCacheCtx::new(&scratch);
-            let _ = run_symple_cached(&group, &self.uda, &segments, &job, &probe);
+            let _ = job
+                .with_store(ChunkStore::Cache(&probe))
+                .run(&group, &self.uda, &segments);
             let cold_keys: std::collections::HashSet<(u64, u64)> =
                 cache.keys().into_iter().collect();
             let warm_keys = scratch.keys();
@@ -489,7 +498,8 @@ where
             ctx.trust_frame_meta = true;
         }
 
-        run_symple_cached(&group, &self.uda, &segments, &job, &ctx)
+        job.with_store(ChunkStore::Cache(&ctx))
+            .run(&group, &self.uda, &segments)
     }
 
     /// The faulted-store executor: a cold cached run against an on-disk
@@ -515,7 +525,7 @@ where
         static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
         let segments = split_into_segments(events, cell.chunks.max(1), 8);
         let group = SingleKey::<U::Event>::new();
-        let job = cell.job();
+        let job = SympleJob::new(cell.job());
         let dir = std::env::temp_dir().join(format!(
             "symple-oracle-faulted-{}-{}",
             std::process::id(),
@@ -543,7 +553,9 @@ where
         let ctx = SummaryCacheCtx::new(&faulted);
         // The faulted run's own output is not rendered — it exists to
         // drive the store through the schedule and leave debris behind.
-        let _ = run_symple_cached(&group, &self.uda, &segments, &job, &ctx);
+        let _ = job
+            .with_store(ChunkStore::Cache(&ctx))
+            .run(&group, &self.uda, &segments);
 
         // Ledger audit. The temp dir sits on a quiet real disk, so every
         // error the store observed was injected — and every injected one
@@ -557,7 +569,8 @@ where
             // quarantine anything torn and still produce the right answer.
             let clean = DiskSummaryCache::new(&dir).map_err(store_err)?;
             let clean_ctx = SummaryCacheCtx::new(&clean);
-            run_symple_cached(&group, &self.uda, &segments, &job, &clean_ctx)
+            job.with_store(ChunkStore::Cache(&clean_ctx))
+                .run(&group, &self.uda, &segments)
         } else {
             Err(Error::Uda(format!(
                 "storage fault ledger imbalance: injected={injected} observed={} \
@@ -574,20 +587,19 @@ where
             return NO_GROUPS.to_string();
         }
         let segments = split_into_segments(&events, cell.chunks.max(1), 8);
-        let group = SingleKey::<U::Event>::new();
-        let job = cell.job();
         let out = match cell.executor {
-            ExecutorKind::Streaming => run_symple_streaming(&group, &self.uda, &segments, &job),
             ExecutorKind::CrashResume => self.run_crash_resume(&events, cell, sabotage),
             ExecutorKind::WarmResweep => self.run_warm_resweep(&events, cell, sabotage),
             ExecutorKind::FaultedStore => self.run_faulted_store(&events, cell, sabotage),
-            _ => match cell.faults {
-                FaultKind::None => run_symple(&group, &self.uda, &segments, &job),
-                plan => {
-                    let injector = FaultInjector::new(plan.plan(segments.len()));
-                    run_symple_with_faults(&group, &self.uda, &segments, &job, &injector)
-                }
-            },
+            // `FaultKind::None` is the empty plan: nothing fires.
+            _ => {
+                let injector = FaultInjector::new(cell.faults.plan(segments.len()));
+                SympleJob::new(cell.job()).with_faults(&injector).run(
+                    &SingleKey::<U::Event>::new(),
+                    &self.uda,
+                    &segments,
+                )
+            }
         };
         match out {
             Ok(job) => match job.results.as_slice() {
@@ -680,32 +692,37 @@ where
             return None;
         }
         let segments = split_into_segments(&events, cell.chunks.max(1), 8);
-        let plan = cell.faults.plan(segments.len());
         let expected_retries = cell.faults.expected_retries(segments.len());
-        let probe = match probe_fault_determinism(
-            &SingleKey::<U::Event>::new(),
-            &self.uda,
-            &segments,
-            &cell.job(),
-            plan,
+        let group = SingleKey::<U::Event>::new();
+        let injector = FaultInjector::new(cell.faults.plan(segments.len()));
+        let clean_job = SympleJob::new(cell.job());
+        let (clean, faulty) = match (
+            clean_job.run(&group, &self.uda, &segments),
+            clean_job
+                .with_faults(&injector)
+                .run(&group, &self.uda, &segments),
         ) {
-            Ok(p) => p,
+            (Ok(clean), Ok(faulty)) => (clean, faulty),
             // Job-level errors are the mismatch checks' concern, and they
             // hit clean and faulty runs alike — nothing to compare here.
-            Err(_) => return None,
+            _ => return None,
         };
-        if !probe.is_deterministic() {
+        // Hadoop-style fault tolerance is only sound when a re-executed
+        // map attempt reproduces its predecessor exactly: same results
+        // *and* same shuffle bytes.
+        let results_match = clean.results == faulty.results;
+        let shuffle_deterministic = clean.metrics.shuffle_bytes == faulty.metrics.shuffle_bytes
+            && clean.metrics.shuffle_records == faulty.metrics.shuffle_records;
+        let retries = injector.retries();
+        if !(results_match && shuffle_deterministic) {
             return Some(format!(
-                "fault re-execution diverged: results_match={} shuffle_deterministic={} retries={}",
-                probe.results_match(),
-                probe.shuffle_deterministic(),
-                probe.retries
+                "fault re-execution diverged: results_match={results_match} \
+                 shuffle_deterministic={shuffle_deterministic} retries={retries}"
             ));
         }
-        if probe.retries != expected_retries {
+        if retries != expected_retries {
             return Some(format!(
-                "fault plan fired {} retries, expected {expected_retries}",
-                probe.retries
+                "fault plan fired {retries} retries, expected {expected_retries}"
             ));
         }
         None

@@ -21,8 +21,6 @@ pub enum ExecutorKind {
     MapReduce,
     /// The MapReduce job with balanced tree composition in reducers.
     MapReduceTree,
-    /// The streaming shuffle (mappers and reducers overlapped).
-    Streaming,
     /// The MapReduce job killed mid-flight after half its map tasks
     /// complete, then resumed from an in-memory checkpoint store. The
     /// rendered output is the *resumed* run's — the soundness theorem
@@ -51,7 +49,6 @@ impl ExecutorKind {
             ExecutorKind::ChunkedSymbolic => "chunked-symbolic",
             ExecutorKind::MapReduce => "mapreduce",
             ExecutorKind::MapReduceTree => "mapreduce-tree",
-            ExecutorKind::Streaming => "streaming",
             ExecutorKind::CrashResume => "crash-resume",
             ExecutorKind::WarmResweep => "warm-resweep",
             ExecutorKind::FaultedStore => "faulted-store",
@@ -64,7 +61,6 @@ impl ExecutorKind {
             "chunked-symbolic" => ExecutorKind::ChunkedSymbolic,
             "mapreduce" => ExecutorKind::MapReduce,
             "mapreduce-tree" => ExecutorKind::MapReduceTree,
-            "streaming" => ExecutorKind::Streaming,
             "crash-resume" => ExecutorKind::CrashResume,
             "warm-resweep" => ExecutorKind::WarmResweep,
             "faulted-store" => ExecutorKind::FaultedStore,
@@ -290,11 +286,6 @@ pub fn smoke_matrix() -> Vec<Cell> {
             chunks: 3,
             ..base
         },
-        Cell {
-            executor: ExecutorKind::Streaming,
-            chunks: 3,
-            ..base
-        },
         // Kill after half the map tasks, resume from checkpoints.
         Cell {
             executor: ExecutorKind::CrashResume,
@@ -360,18 +351,6 @@ pub fn deep_matrix() -> Vec<Cell> {
             }
         }
     }
-    for &chunks in &[1usize, 3, 6] {
-        for &merge_policy in &[MergePolicy::HighWater, MergePolicy::Never] {
-            cells.push(Cell {
-                executor: ExecutorKind::Streaming,
-                chunks,
-                merge_policy,
-                max_total_paths: 8,
-                first_segment_concrete: true,
-                faults: FaultKind::None,
-            });
-        }
-    }
     for executor in [
         ExecutorKind::CrashResume,
         ExecutorKind::WarmResweep,
@@ -403,7 +382,6 @@ mod tests {
             ExecutorKind::ChunkedSymbolic,
             ExecutorKind::MapReduce,
             ExecutorKind::MapReduceTree,
-            ExecutorKind::Streaming,
             ExecutorKind::CrashResume,
             ExecutorKind::WarmResweep,
             ExecutorKind::FaultedStore,
@@ -435,7 +413,6 @@ mod tests {
                 ExecutorKind::ChunkedSymbolic,
                 ExecutorKind::MapReduce,
                 ExecutorKind::MapReduceTree,
-                ExecutorKind::Streaming,
                 ExecutorKind::CrashResume,
                 ExecutorKind::WarmResweep,
                 ExecutorKind::FaultedStore,

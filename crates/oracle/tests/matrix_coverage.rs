@@ -13,9 +13,6 @@ fn deep_matrix_strictly_extends_smoke() {
     assert!(deep.iter().any(|c| c.max_total_paths == 2));
     assert!(deep.iter().any(|c| c.max_total_paths == 64));
     assert!(deep.iter().any(|c| c.faults == FaultKind::FailTwice));
-    assert!(deep
-        .iter()
-        .any(|c| c.executor == ExecutorKind::Streaming && !matches!(c.chunks, 0 | 3)));
     for cell in smoke_matrix() {
         // Same shape of cell; deep need not contain the exact smoke cells
         // but must cover each smoke executor with faults on and off.

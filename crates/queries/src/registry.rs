@@ -8,7 +8,9 @@ use symple_datagen::{
     GithubConfig, RedshiftConfig, TwitterConfig,
 };
 use symple_mapreduce::segment::split_into_segments;
-use symple_mapreduce::{CheckpointCtx, GroupBy, JobConfig, Segment, SummaryCacheCtx};
+use symple_mapreduce::{
+    CheckpointCtx, ChunkStore, GroupBy, JobConfig, Segment, SummaryCacheCtx, SympleJob,
+};
 
 use crate::bing_q::{b1_uda, b2_uda, b3_variants, gap_variants, B1Group, B2Group, B3Group, B3Uda};
 use crate::funnel::{f1_variants, FunnelGroup, FunnelUda};
@@ -20,9 +22,7 @@ use crate::redshift_q::{
     r1_variants, r2_variants, r3_uda, r3_variants, r4_variants, R1Group, R1Uda, R2Group, R2Uda,
     R3Group, R4Group, R4Uda,
 };
-use crate::runner::{
-    execute, execute_cached, execute_checkpointed, Backend, DataScale, LineGroup, QueryReport,
-};
+use crate::runner::{execute, execute_job, Backend, DataScale, LineGroup, QueryReport};
 use crate::twitter_q::{t1_variants, T1Group, T1Uda};
 
 /// Static description of one evaluation query (one Table 1 row).
@@ -58,26 +58,43 @@ pub trait QueryRunner: Send + Sync {
         backend: Backend,
         job: &JobConfig,
     ) -> Result<QueryReport>;
-    /// Runs the query on the SYMPLE backend over raw log-line segments
-    /// against a content-addressed summary cache — already-cached chunks
-    /// are served instead of recomputed (the incremental-resweep path).
+    /// Runs the query on the SYMPLE backend over raw log-line segments as
+    /// described by `job` — its chunk store and fault plan included.
+    fn run_lines_job(
+        &self,
+        segments: &[Segment<String>],
+        job: &SympleJob<'_>,
+    ) -> Result<QueryReport>;
+    /// [`QueryRunner::run_lines_job`] against a content-addressed summary
+    /// cache — already-cached chunks are served instead of recomputed (the
+    /// incremental-resweep path).
     fn run_lines_cached(
         &self,
         segments: &[Segment<String>],
         job: &JobConfig,
         cache: &SummaryCacheCtx<'_>,
-    ) -> Result<QueryReport>;
-    /// Runs the query on the SYMPLE backend over raw log-line segments
-    /// against a per-job checkpoint store — valid frames under this job id
-    /// are resumed instead of recomputed (the crash-resume path). The
-    /// storage-chaos sweep drives every registry query through this to
-    /// prove checkpoint-side fault schedules never change output bytes.
+    ) -> Result<QueryReport> {
+        self.run_lines_job(
+            segments,
+            &SympleJob::new(*job).with_store(ChunkStore::Cache(cache)),
+        )
+    }
+    /// [`QueryRunner::run_lines_job`] against a per-job checkpoint store —
+    /// valid frames under this job id are resumed instead of recomputed
+    /// (the crash-resume path). The storage-chaos sweep drives every
+    /// registry query through this to prove checkpoint-side fault
+    /// schedules never change output bytes.
     fn run_lines_checkpointed(
         &self,
         segments: &[Segment<String>],
         job: &JobConfig,
         ckpt: &CheckpointCtx<'_>,
-    ) -> Result<QueryReport>;
+    ) -> Result<QueryReport> {
+        self.run_lines_job(
+            segments,
+            &SympleJob::new(*job).with_store(ChunkStore::Checkpoint(ckpt)),
+        )
+    }
     /// Raw bytes per input record for I/O accounting.
     fn raw_record_bytes(&self) -> u64;
     /// Statically analyzes the query's UDA over its event variants
@@ -182,21 +199,12 @@ macro_rules! runner {
             ) -> Result<QueryReport> {
                 execute(&LineGroup($group), &$uda, segments, backend, job)
             }
-            fn run_lines_cached(
+            fn run_lines_job(
                 &self,
                 segments: &[Segment<String>],
-                job: &JobConfig,
-                cache: &SummaryCacheCtx<'_>,
+                job: &SympleJob<'_>,
             ) -> Result<QueryReport> {
-                execute_cached(&LineGroup($group), &$uda, segments, job, cache)
-            }
-            fn run_lines_checkpointed(
-                &self,
-                segments: &[Segment<String>],
-                job: &JobConfig,
-                ckpt: &CheckpointCtx<'_>,
-            ) -> Result<QueryReport> {
-                execute_checkpointed(&LineGroup($group), &$uda, segments, job, ckpt)
+                execute_job(&LineGroup($group), &$uda, segments, job)
             }
             fn raw_record_bytes(&self) -> u64 {
                 $raw
@@ -407,21 +415,12 @@ macro_rules! redshift_runner {
             ) -> Result<QueryReport> {
                 execute(&LineGroup($group), &$uda, segments, backend, job)
             }
-            fn run_lines_cached(
+            fn run_lines_job(
                 &self,
                 segments: &[Segment<String>],
-                job: &JobConfig,
-                cache: &SummaryCacheCtx<'_>,
+                job: &SympleJob<'_>,
             ) -> Result<QueryReport> {
-                execute_cached(&LineGroup($group), &$uda, segments, job, cache)
-            }
-            fn run_lines_checkpointed(
-                &self,
-                segments: &[Segment<String>],
-                job: &JobConfig,
-                ckpt: &CheckpointCtx<'_>,
-            ) -> Result<QueryReport> {
-                execute_checkpointed(&LineGroup($group), &$uda, segments, job, ckpt)
+                execute_job(&LineGroup($group), &$uda, segments, job)
             }
             fn raw_record_bytes(&self) -> u64 {
                 if $condensed {
@@ -648,43 +647,6 @@ mod tests {
                 assert_eq!(a.output_hash, b.output_hash, "query {id} on {backend:?}");
                 assert_eq!(a.output_rows, b.output_rows, "query {id} on {backend:?}");
             }
-        }
-    }
-
-    /// Manual perf measurement behind the EXPERIMENTS.md throughput table:
-    /// map-phase wall time per query at 1M rows, batched window (default)
-    /// vs disabled. Run with
-    /// `cargo test --release -p symple-queries --lib map_throughput -- --ignored --nocapture`.
-    #[test]
-    #[ignore = "manual perf measurement at 1M rows"]
-    fn map_throughput_batched_vs_unbatched() {
-        let scale = DataScale {
-            records: 1_000_000,
-            groups: 1_000,
-            segments: 8,
-            seed: 42,
-            parse_lines: false,
-        };
-        let batched = JobConfig::default();
-        let mut unbatched = JobConfig::default();
-        unbatched.engine.batch_window = 0;
-        const ROUNDS: usize = 3;
-        println!("query  unbatched_ms  batched_ms  speedup");
-        for q in all_queries() {
-            let id = q.info().id;
-            let mut best = [f64::MAX; 2];
-            for _ in 0..ROUNDS {
-                for (slot, job) in [(0, &unbatched), (1, &batched)] {
-                    let r = q.run(&scale, Backend::Symple, job).unwrap();
-                    best[slot] = best[slot].min(r.metrics.map_wall.as_secs_f64() * 1e3);
-                }
-            }
-            println!(
-                "{id:>5}  {unb:>12.1}  {bat:>10.1}  {sp:>6.2}x",
-                unb = best[0],
-                bat = best[1],
-                sp = best[0] / best[1],
-            );
         }
     }
 

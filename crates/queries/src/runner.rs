@@ -6,9 +6,8 @@ use std::fmt::Debug;
 use symple_core::error::Result;
 use symple_core::uda::Uda;
 use symple_mapreduce::{
-    run_baseline, run_baseline_sorted, run_sequential_job, run_symple, run_symple_cached,
-    run_symple_checkpointed, CheckpointCtx, GroupBy, JobConfig, JobMetrics, Segment,
-    SummaryCacheCtx,
+    run_baseline, run_baseline_sorted, run_sequential_job, run_symple, GroupBy, JobConfig,
+    JobMetrics, JobOutput, Segment, SympleJob,
 };
 
 /// Which execution strategy to use.
@@ -124,6 +123,16 @@ pub fn hash_results<K: Debug, O: Debug>(results: &[(K, O)]) -> u64 {
     h
 }
 
+impl QueryReport {
+    fn of<K: Debug, O: Debug>(out: JobOutput<K, O>) -> QueryReport {
+        QueryReport {
+            metrics: out.metrics,
+            output_hash: hash_results(&out.results),
+            output_rows: out.results.len() as u64,
+        }
+    }
+}
+
 /// Runs a groupby-aggregate query on the chosen backend.
 pub fn execute<G, U>(
     g: &G,
@@ -137,69 +146,31 @@ where
     U: Uda<Event = G::Event>,
     U::Output: Send + Debug,
 {
-    let out = match backend {
+    Ok(QueryReport::of(match backend {
         Backend::Sequential => run_sequential_job(g, uda, segments)?,
         Backend::Baseline => run_baseline(g, uda, segments, job)?,
         Backend::SortedBaseline => run_baseline_sorted(g, uda, segments, job)?,
         Backend::Symple => run_symple(g, uda, segments, job)?,
-    };
-    Ok(QueryReport {
-        metrics: out.metrics,
-        output_hash: hash_results(&out.results),
-        output_rows: out.results.len() as u64,
-    })
+    }))
 }
 
-/// Runs a groupby-aggregate query on the SYMPLE backend against a
-/// content-addressed summary cache: chunks whose `(config, content)` key
-/// is already cached are served from it, everything else is computed and
-/// committed. The report's `metrics.cache_*` fields say how warm the run
-/// was; the output is byte-identical to an uncached [`Backend::Symple`]
-/// run either way.
-pub fn execute_cached<G, U>(
+/// Runs a groupby-aggregate query on the SYMPLE backend as described by
+/// `job` — with its chunk store (summary cache or checkpoints) and fault
+/// plan, if any. The report's `metrics.cache_*` / `checkpoint_*` (and, on
+/// failing disks, `io_*`) fields say how the store behaved; the output is
+/// byte-identical to a plain [`Backend::Symple`] run either way.
+pub fn execute_job<G, U>(
     g: &G,
     uda: &U,
     segments: &[Segment<G::Record>],
-    job: &JobConfig,
-    cache: &SummaryCacheCtx<'_>,
+    job: &SympleJob<'_>,
 ) -> Result<QueryReport>
 where
     G: GroupBy,
     U: Uda<Event = G::Event>,
     U::Output: Send + Debug,
 {
-    let out = run_symple_cached(g, uda, segments, job, cache)?;
-    Ok(QueryReport {
-        metrics: out.metrics,
-        output_hash: hash_results(&out.results),
-        output_rows: out.results.len() as u64,
-    })
-}
-
-/// Runs a groupby-aggregate query on the SYMPLE backend against a durable
-/// per-job checkpoint store: chunks with a valid frame under this job id
-/// are resumed from it, everything else is computed and committed. The
-/// report's `metrics.checkpoint_*` (and, on failing disks, `io_*`) fields
-/// say how the store behaved; the output is byte-identical to an
-/// uncheckpointed [`Backend::Symple`] run either way.
-pub fn execute_checkpointed<G, U>(
-    g: &G,
-    uda: &U,
-    segments: &[Segment<G::Record>],
-    job: &JobConfig,
-    ckpt: &CheckpointCtx<'_>,
-) -> Result<QueryReport>
-where
-    G: GroupBy,
-    U: Uda<Event = G::Event>,
-    U::Output: Send + Debug,
-{
-    let out = run_symple_checkpointed(g, uda, segments, job, ckpt)?;
-    Ok(QueryReport {
-        metrics: out.metrics,
-        output_hash: hash_results(&out.results),
-        output_rows: out.results.len() as u64,
-    })
+    Ok(QueryReport::of(job.run(g, uda, segments)?))
 }
 
 #[cfg(test)]

@@ -14,9 +14,8 @@ use symple::core::prelude::*;
 use symple::core::Error;
 use symple::mapreduce::segment::split_into_segments;
 use symple::mapreduce::{
-    run_symple, run_symple_checkpointed, run_symple_checkpointed_with_faults, CheckpointCtx,
-    CheckpointStore, DiskCheckpointStore, FaultInjector, FaultPlan, GroupBy, JobConfig,
-    MemCheckpointStore,
+    run_symple, CheckpointCtx, CheckpointStore, ChunkStore, DiskCheckpointStore, FaultInjector,
+    FaultPlan, GroupBy, JobConfig, MemCheckpointStore, SympleJob,
 };
 use symple::queries::{runner_by_id, Backend, DataScale};
 
@@ -138,13 +137,19 @@ fn every_corruption_variant_is_quarantined_and_recomputed() {
     for (name, reason_hint, corrupt) in variants {
         let store = MemCheckpointStore::new();
         let ctx = CheckpointCtx::new(&store, "cm");
-        let warm = run_symple_checkpointed(&ByKey, &Resets, &segs, &cfg, &ctx).unwrap();
+        let warm = SympleJob::new(cfg)
+            .with_store(ChunkStore::Checkpoint(&ctx))
+            .run(&ByKey, &Resets, &segs)
+            .unwrap();
         assert_eq!(warm.metrics.checkpoint_misses, n, "{name}");
         assert_eq!(&clean.results, &warm.results, "{name}");
 
         corrupt(&store);
 
-        let resumed = run_symple_checkpointed(&ByKey, &Resets, &segs, &cfg, &ctx).unwrap();
+        let resumed = SympleJob::new(cfg)
+            .with_store(ChunkStore::Checkpoint(&ctx))
+            .run(&ByKey, &Resets, &segs)
+            .unwrap();
         assert_eq!(&clean.results, &resumed.results, "{name}");
         assert_eq!(
             clean.metrics.shuffle_bytes, resumed.metrics.shuffle_bytes,
@@ -166,7 +171,10 @@ fn every_corruption_variant_is_quarantined_and_recomputed() {
         );
 
         // The recompute saved a fresh valid frame in the bad one's place.
-        let again = run_symple_checkpointed(&ByKey, &Resets, &segs, &cfg, &ctx).unwrap();
+        let again = SympleJob::new(cfg)
+            .with_store(ChunkStore::Checkpoint(&ctx))
+            .run(&ByKey, &Resets, &segs)
+            .unwrap();
         assert_eq!(again.metrics.checkpoint_hits, n, "{name}");
         assert_eq!(&clean.results, &again.results, "{name}");
     }
@@ -199,14 +207,20 @@ fn on_disk_kill_then_resume_is_byte_identical() {
         kill_after_n_tasks: Some(2),
         ..FaultPlan::default()
     });
-    let first = run_symple_checkpointed_with_faults(&ByKey, &Resets, &segs, &cfg, &injector, &ctx);
+    let first = SympleJob::new(cfg)
+        .with_store(ChunkStore::Checkpoint(&ctx))
+        .with_faults(&injector)
+        .run(&ByKey, &Resets, &segs);
     assert!(
         matches!(first, Err(Error::JobKilled { .. })),
         "expected the kill to fire: {first:?}"
     );
     assert!(injector.completed_tasks() >= 2);
 
-    let resumed = run_symple_checkpointed(&ByKey, &Resets, &segs, &cfg, &ctx).unwrap();
+    let resumed = SympleJob::new(cfg)
+        .with_store(ChunkStore::Checkpoint(&ctx))
+        .run(&ByKey, &Resets, &segs)
+        .unwrap();
     assert_eq!(clean.results, resumed.results);
     assert_eq!(clean.metrics.shuffle_bytes, resumed.metrics.shuffle_bytes);
     assert_eq!(clean.metrics.summary_bytes, resumed.metrics.summary_bytes);
@@ -225,7 +239,10 @@ fn on_disk_kill_then_resume_is_byte_identical() {
     bytes[mid] ^= 1;
     std::fs::write(&path, &bytes).unwrap();
 
-    let again = run_symple_checkpointed(&ByKey, &Resets, &segs, &cfg, &ctx).unwrap();
+    let again = SympleJob::new(cfg)
+        .with_store(ChunkStore::Checkpoint(&ctx))
+        .run(&ByKey, &Resets, &segs)
+        .unwrap();
     assert_eq!(clean.results, again.results);
     assert_eq!(again.metrics.checkpoint_corrupt, 1);
     assert_eq!(again.metrics.checkpoint_hits, n - 1);

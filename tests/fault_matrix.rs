@@ -18,9 +18,8 @@ use symple::core::Error;
 use symple::mapreduce::scheduler::AttemptOutcome;
 use symple::mapreduce::segment::split_into_segments;
 use symple::mapreduce::{
-    run_scheduled, run_symple, run_symple_checkpointed, run_symple_checkpointed_with_faults,
-    run_symple_with_faults, CheckpointCtx, FaultInjector, FaultPlan, GroupBy, JobConfig,
-    MemCheckpointStore, SegmentFaults,
+    run_scheduled, run_symple, CheckpointCtx, ChunkStore, FaultInjector, FaultPlan, GroupBy,
+    JobConfig, MemCheckpointStore, MemSummaryCache, SegmentFaults, SummaryCacheCtx, SympleJob,
 };
 
 struct ByKey;
@@ -103,10 +102,15 @@ proptest! {
         };
 
         let segs = split_into_segments(&records, n_seg, 32);
-        let cfg = JobConfig::default();
+        // Attempt arithmetic is the property here, so speculation is off:
+        // an isolated panic in a debug build outlasts the 25 ms
+        // speculation floor, and a speculative clone is one more attempt.
+        // Speculation has its own test below.
+        let mut cfg = JobConfig::default();
+        cfg.scheduler.speculation = false;
         let clean = run_symple(&ByKey, &Resets, &segs, &cfg).unwrap();
         let injector = FaultInjector::new(plan);
-        let faulty = run_symple_with_faults(&ByKey, &Resets, &segs, &cfg, &injector).unwrap();
+        let faulty = SympleJob::new(cfg).with_faults(&injector).run(&ByKey, &Resets, &segs).unwrap();
 
         prop_assert_eq!(&clean.results, &faulty.results);
         prop_assert_eq!(clean.metrics.shuffle_bytes, faulty.metrics.shuffle_bytes);
@@ -115,8 +119,7 @@ proptest! {
 
         // Attempt arithmetic: the scheduler's ledger must account for
         // exactly the faults the injector fired — no lost or phantom
-        // attempts. (Speculation stays dark: these tasks run in µs, far
-        // below the 25 ms speculation floor.)
+        // attempts.
         prop_assert_eq!(clean.metrics.speculative_launches, 0);
         prop_assert_eq!(faulty.metrics.speculative_launches, 0);
         prop_assert_eq!(
@@ -153,12 +156,12 @@ proptest! {
             ..FaultPlan::default()
         });
         let first =
-            run_symple_checkpointed_with_faults(&ByKey, &Resets, &segs, &cfg, &injector, &ctx);
+            SympleJob::new(cfg).with_store(ChunkStore::Checkpoint(&ctx)).with_faults(&injector).run(&ByKey, &Resets, &segs);
         if let Err(e) = &first {
             prop_assert!(matches!(e, Error::JobKilled { .. }), "{e:?}");
         }
 
-        let resumed = run_symple_checkpointed(&ByKey, &Resets, &segs, &cfg, &ctx).unwrap();
+        let resumed = SympleJob::new(cfg).with_store(ChunkStore::Checkpoint(&ctx)).run(&ByKey, &Resets, &segs).unwrap();
         prop_assert_eq!(&clean.results, &resumed.results);
         prop_assert_eq!(clean.metrics.shuffle_bytes, resumed.metrics.shuffle_bytes);
         prop_assert_eq!(clean.metrics.shuffle_records, resumed.metrics.shuffle_records);
@@ -236,7 +239,10 @@ fn fail_always_surfaces_retries_exhausted() {
         ..FaultPlan::default()
     };
     let injector = FaultInjector::new(plan);
-    let err = run_symple_with_faults(&ByKey, &Resets, &segs, &cfg, &injector).unwrap_err();
+    let err = SympleJob::new(cfg)
+        .with_faults(&injector)
+        .run(&ByKey, &Resets, &segs)
+        .unwrap_err();
     assert_eq!(
         err,
         Error::RetriesExhausted {
@@ -260,7 +266,10 @@ fn persistent_panic_surfaces_task_panicked() {
         ..FaultPlan::default()
     };
     let injector = FaultInjector::new(plan);
-    let err = run_symple_with_faults(&ByKey, &Resets, &segs, &cfg, &injector).unwrap_err();
+    let err = SympleJob::new(cfg)
+        .with_faults(&injector)
+        .run(&ByKey, &Resets, &segs)
+        .unwrap_err();
     assert_eq!(
         err,
         Error::TaskPanicked {
@@ -285,7 +294,10 @@ fn transient_panic_recovers_byte_identically() {
         ..FaultPlan::default()
     };
     let injector = FaultInjector::new(plan);
-    let faulty = run_symple_with_faults(&ByKey, &Resets, &segs, &cfg, &injector).unwrap();
+    let faulty = SympleJob::new(cfg)
+        .with_faults(&injector)
+        .run(&ByKey, &Resets, &segs)
+        .unwrap();
     assert_eq!(injector.panics(), 2);
     assert_eq!(clean.results, faulty.results);
     assert_eq!(clean.metrics.shuffle_bytes, faulty.metrics.shuffle_bytes);
@@ -321,7 +333,10 @@ fn straggler_speculation_preserves_output() {
         ..FaultPlan::default()
     };
     let injector = FaultInjector::new(plan);
-    let faulty = run_symple_with_faults(&ByKey, &Resets, &segs, &cfg, &injector).unwrap();
+    let faulty = SympleJob::new(cfg)
+        .with_faults(&injector)
+        .run(&ByKey, &Resets, &segs)
+        .unwrap();
     assert_eq!(clean.results, faulty.results);
     assert_eq!(clean.metrics.shuffle_bytes, faulty.metrics.shuffle_bytes);
     assert!(
@@ -330,4 +345,69 @@ fn straggler_speculation_preserves_output() {
         faulty.metrics
     );
     assert_eq!(injector.retries(), 0, "stragglers are slow, not crashed");
+}
+
+/// The combination the per-store entry points could not express: a
+/// mid-map kill with *either* store attached. It pins the one behavioural
+/// difference between the two — cache commits happen after the map
+/// barrier, so a killed run leaves no entries and the rerun is all
+/// misses; checkpoints are saved inside each map task, so exactly the
+/// tasks that finished are hits on resume. Both reruns are byte-identical
+/// to a clean run.
+#[test]
+fn killed_run_leaves_no_cache_entries_but_every_finished_checkpoint() {
+    let records: Vec<(u8, i64)> = (0..240)
+        .map(|i| ((i % 5) as u8, (i * 7 % 41 - 20) as i64))
+        .collect();
+    let segs = split_into_segments(&records, 6, 32);
+    let chunks = segs.len() as u64;
+    // One map worker makes the kill boundary exact: tasks 0..3 finish,
+    // task 3 dies.
+    let cfg = JobConfig::default().with_map_workers(1);
+    let clean = run_symple(&ByKey, &Resets, &segs, &cfg).unwrap();
+    let kill_after_3 = || {
+        FaultInjector::new(FaultPlan {
+            kill_after_n_tasks: Some(3),
+            ..FaultPlan::default()
+        })
+    };
+    let assert_clean = |out: &symple::mapreduce::JobOutput<u8, (i64, Vec<i64>)>| {
+        assert_eq!(out.results, clean.results);
+        assert_eq!(out.metrics.shuffle_bytes, clean.metrics.shuffle_bytes);
+        assert_eq!(out.metrics.shuffle_records, clean.metrics.shuffle_records);
+        assert_eq!(out.metrics.summary_bytes, clean.metrics.summary_bytes);
+    };
+
+    let cache = MemSummaryCache::new();
+    let cache_ctx = SummaryCacheCtx::new(&cache);
+    let cached = SympleJob::new(cfg).with_store(ChunkStore::Cache(&cache_ctx));
+    let injector = kill_after_3();
+    let err = cached
+        .with_faults(&injector)
+        .run(&ByKey, &Resets, &segs)
+        .unwrap_err();
+    assert_eq!(err, Error::JobKilled { after_tasks: 3 });
+    assert_eq!(injector.completed_tasks(), 3);
+    assert_eq!(cache.entry_count(), 0, "cache commits are post-barrier");
+    let rerun = cached.run(&ByKey, &Resets, &segs).unwrap();
+    assert_eq!(rerun.metrics.cache_hits, 0);
+    assert_eq!(rerun.metrics.cache_misses, chunks);
+    assert_eq!(cache.entry_count(), segs.len());
+    assert_clean(&rerun);
+
+    let store = MemCheckpointStore::new();
+    let ckpt_ctx = CheckpointCtx::new(&store, "kill-drill");
+    let checkpointed = SympleJob::new(cfg).with_store(ChunkStore::Checkpoint(&ckpt_ctx));
+    let injector = kill_after_3();
+    let err = checkpointed
+        .with_faults(&injector)
+        .run(&ByKey, &Resets, &segs)
+        .unwrap_err();
+    assert_eq!(err, Error::JobKilled { after_tasks: 3 });
+    assert_eq!(store.frame_count(), 3, "checkpoints are saved in-task");
+    let resumed = checkpointed.run(&ByKey, &Resets, &segs).unwrap();
+    assert_eq!(resumed.metrics.checkpoint_hits, 3);
+    assert_eq!(resumed.metrics.checkpoint_misses, chunks - 3);
+    assert_eq!(resumed.metrics.checkpoint_corrupt, 0);
+    assert_clean(&resumed);
 }

@@ -11,8 +11,8 @@ use symple::core::prelude::*;
 use symple::mapreduce::pool::run_tasks;
 use symple::mapreduce::segment::split_into_segments;
 use symple::mapreduce::{
-    fold_metrics, run_baseline, run_baseline_sorted, run_sequential_job, run_symple,
-    run_symple_streaming, GroupBy, JobConfig, JobMetrics,
+    fold_metrics, run_baseline, run_baseline_sorted, run_sequential_job, run_symple, GroupBy,
+    JobConfig, JobMetrics,
 };
 
 /// Records are `(key, value)` pairs; order within a key is load-bearing.
@@ -92,11 +92,9 @@ proptest! {
         let base = run_baseline(&ByKey, &Turns, &segs, &cfg).unwrap();
         let sorted = run_baseline_sorted(&ByKey, &Turns, &segs, &cfg).unwrap();
         let sym = run_symple(&ByKey, &Turns, &segs, &cfg).unwrap();
-        let streaming = run_symple_streaming(&ByKey, &Turns, &segs, &cfg).unwrap();
         prop_assert_eq!(&seq.results, &base.results);
         prop_assert_eq!(&seq.results, &sorted.results);
         prop_assert_eq!(&seq.results, &sym.results);
-        prop_assert_eq!(&seq.results, &streaming.results);
     }
 
     /// Skewed streams: one hot key plus sparse others.
@@ -116,20 +114,6 @@ proptest! {
         let base = run_baseline(&ByKey, &Turns, &segs, &cfg).unwrap();
         let sym = run_symple(&ByKey, &Turns, &segs, &cfg).unwrap();
         prop_assert_eq!(base.results, sym.results);
-    }
-
-    /// Streaming shuffle byte accounting matches the batch job exactly.
-    #[test]
-    fn streaming_bytes_match_batch(
-        records in prop::collection::vec((0u8..4, -30i64..30), 1..200),
-        segments in 1usize..6,
-    ) {
-        let segs = split_into_segments(&records, segments, 32);
-        let cfg = JobConfig::default();
-        let sym = run_symple(&ByKey, &Turns, &segs, &cfg).unwrap();
-        let streaming = run_symple_streaming(&ByKey, &Turns, &segs, &cfg).unwrap();
-        prop_assert_eq!(sym.metrics.shuffle_bytes, streaming.metrics.shuffle_bytes);
-        prop_assert_eq!(sym.metrics.shuffle_records, streaming.metrics.shuffle_records);
     }
 
     /// `pool::run_tasks` returns results in input order, byte-identical
