@@ -441,9 +441,7 @@ fn checkpoint_overhead_gate(records: usize) -> bool {
     use symple_core::types::{sym_int::SymInt, sym_pred::SymPred};
     use symple_core::uda::Uda;
     use symple_mapreduce::segment::split_into_segments;
-    use symple_mapreduce::{
-        run_symple, CheckpointCtx, ChunkStore, DiskCheckpointStore, GroupBy, SympleJob,
-    };
+    use symple_mapreduce::{run_symple, CheckpointCtx, ChunkStore, DiskStore, GroupBy, SympleJob};
 
     struct GateGroup;
     impl GroupBy for GateGroup {
@@ -498,7 +496,7 @@ fn checkpoint_overhead_gate(records: usize) -> bool {
 
     let dir = std::env::temp_dir().join(format!("symple-ckpt-gate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = match DiskCheckpointStore::new(&dir) {
+    let store = match DiskStore::new(&dir) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("symple-bench: cannot create checkpoint dir {dir:?}: {e}");
@@ -595,7 +593,7 @@ fn summary_cache_gates(records: usize, warm_fraction: f64) -> bool {
     use symple_core::types::{sym_int::SymInt, sym_pred::SymPred};
     use symple_core::uda::Uda;
     use symple_mapreduce::{
-        run_symple, ChunkStore, Dataset, DiskSummaryCache, GroupBy, SummaryCacheCtx, SympleJob,
+        run_symple, ChunkStore, Dataset, DiskStore, GroupBy, SummaryCacheCtx, SympleJob,
     };
 
     struct GateGroup;
@@ -722,7 +720,7 @@ fn summary_cache_gates(records: usize, warm_fraction: f64) -> bool {
         // Cold cached run against a fresh directory: all chunks miss and
         // pay frame + CRC + tmp-write + rename.
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = match DiskSummaryCache::new(&dir) {
+        let cache = match DiskStore::new(&dir) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("symple-bench: cannot create cache dir {dir:?}: {e}");

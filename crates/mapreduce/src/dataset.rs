@@ -1,14 +1,15 @@
 //! Mutable datasets with content-defined chunk boundaries.
 //!
-//! The summary cache ([`crate::cache`]) is addressed by chunk *content*,
-//! so its hit rate is decided entirely by how stable chunk boundaries are
-//! under edits. Fixed-count splitting ([`crate::segment::split_into_segments`])
-//! is the worst case: appending one record shifts every boundary and
-//! dirties every chunk. A [`Dataset`] instead cuts chunks where the
-//! *records themselves* say to cut — a record whose hash matches a mask
-//! ends its chunk — so an append dirties only the trailing chunk and an
-//! edit dirties only the chunk holding it (plus, rarely, a neighbor when
-//! the edited record was itself a boundary).
+//! The summary cache (the cache policy of [`crate::store`]) is addressed
+//! by chunk *content*, so its hit rate is decided entirely by how stable
+//! chunk boundaries are under edits. Fixed-count splitting
+//! ([`crate::segment::split_into_segments`]) is the worst case: appending
+//! one record shifts every boundary and dirties every chunk. A
+//! [`Dataset`] instead cuts chunks where the *records themselves* say to
+//! cut — a record whose hash matches a mask ends its chunk — so an append
+//! dirties only the trailing chunk and an edit dirties only the chunk
+//! holding it (plus, rarely, a neighbor when the edited record was itself
+//! a boundary).
 //!
 //! Deltas are deliberately minimal — [`Dataset::append`],
 //! [`Dataset::edit`], [`Dataset::truncate`] — matching the append-mostly
@@ -118,7 +119,7 @@ impl<R: Clone> Dataset<R> {
     }
 
     /// Materializes the chunks as ordered [`Segment`]s, ready for
-    /// [`crate::cache::SummaryCache`]-backed execution.
+    /// cache-policy ([`crate::store::SummaryCacheCtx`]) execution.
     pub fn segments(&self) -> Vec<Segment<R>> {
         let mut out = Vec::new();
         let mut start = 0usize;

@@ -68,9 +68,7 @@
 //! ```
 
 pub mod baseline;
-pub mod cache;
 pub mod chain;
-pub mod checkpoint;
 pub mod dataset;
 pub mod fault;
 pub mod groupby;
@@ -81,17 +79,12 @@ pub mod scheduler;
 pub mod segment;
 pub mod sequential;
 pub mod shuffle;
+pub mod store;
 pub mod store_io;
 pub mod symple_job;
 
 pub use baseline::{run_baseline, run_baseline_sorted};
-pub use cache::{
-    cache_config_fingerprint, DiskSummaryCache, MemSummaryCache, SummaryCache, SummaryCacheCtx,
-};
 pub use chain::{fold_metrics, run_two_stage};
-pub use checkpoint::{
-    config_fingerprint, CheckpointCtx, CheckpointStore, DiskCheckpointStore, MemCheckpointStore,
-};
 pub use dataset::Dataset;
 pub use fault::{FaultInjector, FaultPlan, SegmentFaults};
 pub use groupby::{GroupBy, Key};
@@ -103,6 +96,17 @@ pub use scheduler::{
 };
 pub use segment::Segment;
 pub use sequential::run_sequential_job;
+pub use store::{
+    cache_config_fingerprint, checkpoint_namespace, config_fingerprint, CheckpointCtx, DiskStore,
+    FrameStore, MemStore, SummaryCacheCtx,
+};
+/// Retired names for [`FrameStore`] and [`DiskStore`], from when the
+/// checkpoint store and the summary cache were separate types. These
+/// re-exports have no code behind them and exist only because
+/// `benchmark/` links the names; they go when it is next revised.
+pub use store::{
+    DiskStore as DiskCheckpointStore, DiskStore as DiskSummaryCache, FrameStore as SummaryCache,
+};
 pub use store_io::{
     FaultIo, IoCounts, IoLedger, RealIo, RetryPolicy, StorageFaultKind, StorageFaultPlan,
     StoreEngine, StoreIo, DEFAULT_FAILURE_BUDGET,

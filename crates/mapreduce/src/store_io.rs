@@ -1,9 +1,9 @@
 //! Injectable storage I/O: every byte the durable stores move crosses
 //! [`StoreIo`].
 //!
-//! The checkpoint store ([`crate::checkpoint`]) and summary cache
-//! ([`crate::cache`]) defend against *content* corruption — CRC32 frames,
-//! digest checks, quarantine — but a hostile disk fails below that layer:
+//! The chunk store ([`crate::store`]) defends against *content*
+//! corruption — CRC32 frames, digest checks, quarantine — but a hostile
+//! disk fails below that layer:
 //! transient `EIO`, a full (`ENOSPC`) or read-only (`EROFS`) filesystem,
 //! writes torn mid-buffer, renames that die after the tmp file landed.
 //! This module makes that layer injectable, extending the deterministic
@@ -20,8 +20,8 @@
 //! * [`RetryPolicy`] — attempt cap, deterministic exponential backoff
 //!   with seeded jitter, and a per-op backoff deadline, so transient
 //!   faults are retried and permanent ones escalate;
-//! * [`StoreEngine`] — the retry/ledger/demotion harness both disk
-//!   stores share: when an engine exceeds its failure budget it
+//! * [`StoreEngine`] — the disk store's retry/ledger/demotion harness:
+//!   when an engine exceeds its failure budget it
 //!   *demotes* the store to a no-op backend (loads miss, saves vanish),
 //!   so the job completes correct-but-uncached instead of failing —
 //!   the same salvage philosophy the refused-chunk path follows.
@@ -478,7 +478,7 @@ impl IoCounts {
 /// demotes itself to a no-op backend.
 pub const DEFAULT_FAILURE_BUDGET: u64 = 4;
 
-/// The harness both disk stores drive their [`StoreIo`] through: a retry
+/// The harness the disk store drives its [`StoreIo`] through: a retry
 /// loop under a [`RetryPolicy`], an [`IoLedger`], and the demotion latch.
 /// Once `io_gave_up` reaches the failure budget the engine trips
 /// [`StoreEngine::demoted`]; the owning store then answers loads with a

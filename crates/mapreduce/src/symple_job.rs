@@ -18,12 +18,13 @@
 //!   reducer re-executes them concretely once the prefix state is resolved
 //!   and keeps composing symbolically ([`JobConfig::salvage_refused_chunks`]).
 //! * **A chunk store** ([`ChunkStore`]) — each completed chunk's emits are
-//!   persisted as a CRC-framed record and a later run loads valid frames
-//!   instead of recomputing, quarantining anything corrupt or stale. A
-//!   checkpoint store ([`crate::checkpoint`]) files chunks under a job id
-//!   and is written *inside* the map task, so it survives a mid-map kill;
-//!   the summary cache ([`crate::cache`]) files them under their content
-//!   and is written by the driver after the map barrier, in chunk order.
+//!   persisted as a CRC-framed record in a [`crate::store::FrameStore`]
+//!   and a later run loads valid frames instead of recomputing,
+//!   quarantining anything corrupt or stale. The checkpoint policy files
+//!   chunks under a job id and saves *inside* the map task, so they
+//!   survive a mid-map kill; the cache policy files them under their
+//!   content and saves from the driver after the map barrier, in chunk
+//!   order.
 
 use symple_core::compose::{apply_chain, apply_summary, tree_collapse};
 use symple_core::ctx::SymCtx;
@@ -35,16 +36,15 @@ use symple_core::summary::{Summary, SummaryChain};
 use symple_core::uda::{extract_result, run_concrete_state, Uda};
 use symple_core::wire::{get_bytes, get_len, get_uvarint, put_uvarint, Wire, WireError};
 
-use crate::cache::{
-    cache_config_fingerprint, cache_meta, chunk_cache_digest, lookup_summary, save_summary,
-    SummaryCacheCtx,
-};
-use crate::checkpoint::{config_fingerprint, lookup_chunk, save_chunk, CheckpointCtx, ChunkLookup};
 use crate::fault::FaultInjector;
 use crate::groupby::{group_segment, GroupBy, Key};
 use crate::job::{run_phases, Emit, JobConfig, JobOutput, MapTally, ReduceStrategy};
 use crate::metrics::JobMetrics;
 use crate::segment::Segment;
+use crate::store::{
+    self, cache_config_fingerprint, cache_meta, checkpoint_namespace, chunk_cache_digest,
+    config_fingerprint, CheckpointCtx, ChunkLookup, FrameStore, SummaryCacheCtx,
+};
 use crate::store_io::IoCounts;
 
 /// Shuffle payload tag: the remaining bytes encode a [`SummaryChain`].
@@ -55,7 +55,8 @@ const PAYLOAD_CHAIN: u8 = 0;
 /// in-order concrete re-execution at the reducer.
 const PAYLOAD_EVENTS: u8 = 1;
 
-/// The durable store a job's map chunks are looked up in and persisted to.
+/// The durable store a job's map chunks are looked up in and persisted to,
+/// and the keying policy they are filed under.
 ///
 /// A job has at most one: attaching both a checkpoint store and a summary
 /// cache is not expressible.
@@ -90,74 +91,92 @@ enum ChunkStatus {
     Corrupt,
 }
 
-impl ChunkStore<'_> {
-    /// The frame metadata a chunk is filed under, or `None` without a
-    /// store. `input_digest` is only called when a store needs it: the
+/// Where one chunk's frame is filed — `(namespace, meta.chunk_index)` —
+/// and the metadata it must carry to be trusted.
+struct ChunkKey {
+    namespace: u64,
+    meta: FrameMeta,
+}
+
+impl<'a> ChunkStore<'a> {
+    /// The attached frame store and its `trust_frame_meta` sabotage flag.
+    fn frames(&self) -> Option<(&'a dyn FrameStore, bool)> {
+        match self {
+            ChunkStore::None => None,
+            ChunkStore::Checkpoint(ctx) => Some((ctx.store, ctx.trust_frame_meta)),
+            ChunkStore::Cache(ctx) => Some((ctx.cache, ctx.trust_frame_meta)),
+        }
+    }
+
+    /// Policy, part one: the key a chunk is filed under, or `None` without
+    /// a store. `input_digest` is only called when a store needs it: the
     /// store-less path never hashes its events.
     fn key(
         &self,
         seg_id: usize,
         cfg: &JobConfig,
         input_digest: impl FnOnce() -> u64,
-    ) -> Option<FrameMeta> {
+    ) -> Option<ChunkKey> {
         match self {
             ChunkStore::None => None,
-            ChunkStore::Checkpoint(_) => Some(FrameMeta {
-                chunk_index: seg_id as u64,
-                config_hash: config_fingerprint(cfg),
-                input_digest: input_digest(),
+            ChunkStore::Checkpoint(ctx) => Some(ChunkKey {
+                namespace: checkpoint_namespace(&ctx.job_id),
+                meta: FrameMeta {
+                    chunk_index: seg_id as u64,
+                    config_hash: config_fingerprint(cfg),
+                    input_digest: input_digest(),
+                },
             }),
-            ChunkStore::Cache(_) => Some(cache_meta(
-                cache_config_fingerprint(cfg),
-                chunk_cache_digest(input_digest(), seg_id == 0 && cfg.first_segment_concrete),
-            )),
+            ChunkStore::Cache(_) => {
+                let namespace = cache_config_fingerprint(cfg);
+                let runs_concrete = seg_id == 0 && cfg.first_segment_concrete;
+                let digest = chunk_cache_digest(input_digest(), runs_concrete);
+                Some(ChunkKey {
+                    namespace,
+                    meta: cache_meta(namespace, digest),
+                })
+            }
         }
     }
 
+    /// Policy, part two: whether a computed chunk is saved by its map task
+    /// (so it survives the job dying mid-map) rather than by the driver's
+    /// in-order commit after the barrier.
+    fn saves_in_task(&self) -> bool {
+        matches!(self, ChunkStore::Checkpoint(_))
+    }
+
     /// Resolves a chunk against the store, quarantining anything invalid.
-    fn lookup(&self, key: &FrameMeta) -> ChunkLookup {
-        match self {
-            ChunkStore::None => ChunkLookup::Miss,
-            ChunkStore::Checkpoint(ctx) => lookup_chunk(ctx, key),
-            ChunkStore::Cache(ctx) => lookup_summary(ctx, key.config_hash, key.input_digest),
+    fn lookup(&self, key: &ChunkKey) -> ChunkLookup {
+        match self.frames() {
+            None => ChunkLookup::Miss,
+            Some((frames, trust)) => store::lookup(frames, key.namespace, &key.meta, trust),
         }
     }
 
     /// Moves a frame that passed the CRC and metadata checks but whose
     /// payload does not parse out of the serving path — never trusted,
     /// never silently deleted.
-    fn quarantine(&self, key: &FrameMeta, reason: &str) {
-        match self {
-            ChunkStore::None => {}
-            ChunkStore::Checkpoint(ctx) => {
-                ctx.store.quarantine(&ctx.job_id, key.chunk_index, reason)
-            }
-            ChunkStore::Cache(ctx) => {
-                ctx.cache
-                    .quarantine(key.config_hash, key.input_digest, reason)
-            }
+    fn quarantine(&self, key: &ChunkKey, reason: &str) {
+        if let Some((frames, _)) = self.frames() {
+            frames.quarantine(key.namespace, key.meta.chunk_index, reason);
         }
     }
 
     /// Frames and stores a computed chunk (non-fatal on write failure).
-    fn save(&self, key: &FrameMeta, payload: &[u8]) {
-        match self {
-            ChunkStore::None => {}
-            ChunkStore::Checkpoint(ctx) => save_chunk(ctx, key, payload),
-            ChunkStore::Cache(ctx) => save_summary(ctx, key.config_hash, key.input_digest, payload),
+    fn save(&self, key: &ChunkKey, payload: &[u8]) {
+        if let Some((frames, _)) = self.frames() {
+            store::save(frames, key.namespace, &key.meta, payload);
         }
     }
 
     /// A snapshot of the store's I/O ledger, if it keeps one.
     fn io_counts(&self) -> Option<IoCounts> {
-        match self {
-            ChunkStore::None => None,
-            ChunkStore::Checkpoint(ctx) => ctx.store.io_counts(),
-            ChunkStore::Cache(ctx) => ctx.cache.io_counts(),
-        }
+        self.frames().and_then(|(frames, _)| frames.io_counts())
     }
 
-    /// Charges one chunk's lookup outcome to this store's metrics.
+    /// Policy, part three: charges one chunk's lookup outcome to this
+    /// policy's [`JobMetrics`] triple.
     fn count(&self, metrics: &mut JobMetrics, status: ChunkStatus, raw_bytes: u64) {
         let (hits, misses, corrupt) = match self {
             ChunkStore::None => return,
@@ -306,7 +325,7 @@ struct MapTaskOutput<K> {
     /// Tasks compute in parallel but the driver commits these
     /// *sequentially, in chunk order*, after the map barrier — the shire
     /// discipline (parallel extraction, sequential inserts).
-    deferred_save: Option<(FrameMeta, Vec<u8>)>,
+    deferred_save: Option<(ChunkKey, Vec<u8>)>,
 }
 
 /// Whether an error is an engine *refusal* — the chunk is fine, the
@@ -623,10 +642,10 @@ where
 }
 
 /// One SYMPLE map task: lookup → decode → hit, or compute → persist. The
-/// only store-specific parts are the key ([`ChunkStore::key`]) and *when*
-/// a computed chunk is saved: a checkpoint is written here, inside the
-/// task, so it survives the job dying mid-map; a cache entry is handed
-/// back for the driver's in-order commit after the barrier.
+/// only policy-specific parts are the key ([`ChunkStore::key`]) and *when*
+/// a computed chunk is saved ([`ChunkStore::saves_in_task`]): a checkpoint
+/// is written here, inside the task; a cache entry is handed back for the
+/// driver's in-order commit after the barrier.
 fn map_task<G, U>(
     g: &G,
     uda: &U,
@@ -677,12 +696,11 @@ where
     };
     let (emits, stats, salvaged) = compute_chunk::<U, G::Key>(uda, seg.id, cfg, &groups)?;
     let payload = encode_checkpoint_payload(&emits, &stats, salvaged);
-    let deferred_save = match store {
-        ChunkStore::Cache(_) => Some((key, payload)),
-        _ => {
-            store.save(&key, &payload);
-            None
-        }
+    let deferred_save = if store.saves_in_task() {
+        store.save(&key, &payload);
+        None
+    } else {
+        Some((key, payload))
     };
     Ok(MapTaskOutput {
         status: Some(status),
@@ -695,8 +713,8 @@ where
 mod tests {
     use super::*;
     use crate::baseline::run_baseline;
-    use crate::checkpoint::{CheckpointStore, MemCheckpointStore};
     use crate::segment::split_into_segments;
+    use crate::store::MemStore;
     use symple_core::ctx::SymCtx;
     use symple_core::impl_sym_state;
     use symple_core::types::{sym_bool::SymBool, sym_int::SymInt, sym_vector::SymVector};
@@ -968,7 +986,7 @@ mod tests {
         let records: Vec<i64> = (0..600).map(|i| (i * 29 + 11) % 131).collect();
         let segments = split_into_segments(&records, 5, 64);
         let cfg = JobConfig::default();
-        let store = MemCheckpointStore::new();
+        let store = MemStore::new();
         let ctx = CheckpointCtx::new(&store, "unit-job");
 
         let clean = run_symple(&ByMod, &RunsUda, &segments, &cfg).unwrap();
@@ -998,7 +1016,7 @@ mod tests {
         let records: Vec<i64> = (0..600).map(|i| (i * 29 + 11) % 131).collect();
         let segments = split_into_segments(&records, 5, 64);
         let cfg = JobConfig::default();
-        let cache = crate::cache::MemSummaryCache::new();
+        let cache = MemStore::new();
         let ctx = SummaryCacheCtx::new(&cache);
 
         let clean = run_symple(&ByMod, &RunsUda, &segments, &cfg).unwrap();
@@ -1027,7 +1045,7 @@ mod tests {
     fn cached_append_recomputes_only_the_tail_chunk() {
         let records: Vec<i64> = (0..500).map(|i| (i * 17 + 3) % 101).collect();
         let cfg = JobConfig::default();
-        let cache = crate::cache::MemSummaryCache::new();
+        let cache = MemStore::new();
         let ctx = SummaryCacheCtx::new(&cache);
 
         let mut data = crate::dataset::Dataset::new(records.clone(), 64, 32, |r: &i64| {
@@ -1055,7 +1073,6 @@ mod tests {
 
     #[test]
     fn forged_cache_entry_is_quarantined_not_served() {
-        use crate::cache::SummaryCache as _;
         // The sabotage the oracle's forged-cache-entry self-test bypasses:
         // a frame recorded for one chunk's content, filed under another
         // chunk's key. With validation on (the production default) the
@@ -1077,13 +1094,13 @@ mod tests {
         let cfg = JobConfig::default();
         let key_of = |seg: &Segment<i64>| {
             let groups = sorted_groups(&ByMod, seg);
-            crate::cache::chunk_cache_digest(
+            chunk_cache_digest(
                 input_digest(&groups),
                 seg.id == 0 && cfg.first_segment_concrete,
             )
         };
         let fp = cache_config_fingerprint(&cfg);
-        let cache = crate::cache::MemSummaryCache::new();
+        let cache = MemStore::new();
         let ctx = SummaryCacheCtx::new(&cache);
         let clean = run_symple(&ByMod, &RunsUda, &segments, &cfg).unwrap();
         assert!(
@@ -1104,9 +1121,9 @@ mod tests {
         );
         assert_eq!(out.metrics.cache_corrupt, 1);
         assert_eq!(out.metrics.cache_hits, segments.len() as u64 - 1);
-        let q = cache.quarantined();
+        let q = cache.quarantined(fp);
         assert_eq!(q.len(), 1);
-        assert_eq!((q[0].0, q[0].1), (fp, key_of(&segments[2])));
+        assert_eq!(q[0].0, key_of(&segments[2]));
 
         // With the sabotage bypass the same forgery IS served — and the
         // answer goes wrong, which is what the oracle must flag.
@@ -1127,7 +1144,7 @@ mod tests {
         let records: Vec<i64> = (0..500).map(|i| (i * 31 + 9) % 113).collect();
         let segments = split_into_segments(&records, 5, 64);
         let cfg = JobConfig::default();
-        let cache = crate::cache::MemSummaryCache::new();
+        let cache = MemStore::new();
         let ctx = SummaryCacheCtx::new(&cache);
         let clean = run_symple(&ByMod, &RunsUda, &segments, &cfg).unwrap();
         run_cached(&segments, &cfg, &ctx).unwrap();
@@ -1159,7 +1176,7 @@ mod tests {
         let records: Vec<i64> = (0..300).map(|i| (i * 7 + 1) % 61).collect();
         let segments = split_into_segments(&records, 4, 64);
         let base = JobConfig::default();
-        let cache = crate::cache::MemSummaryCache::new();
+        let cache = MemStore::new();
         let ctx = SummaryCacheCtx::new(&cache);
         run_cached(&segments, &base, &ctx).unwrap();
 
@@ -1203,11 +1220,72 @@ mod tests {
     }
 
     #[test]
+    fn both_policies_share_one_store_without_cross_serving() {
+        // The state the separate store types made unreachable: checkpoint
+        // frames and cache frames in one backend. The namespaces carry
+        // different domain tags and the expected metadata differs, so
+        // neither policy ever sees the other's frames.
+        use crate::store::DiskStore;
+        let records: Vec<i64> = (0..600).map(|i| (i * 29 + 11) % 131).collect();
+        let segments = split_into_segments(&records, 5, 64);
+        let n = segments.len() as u64;
+        let cfg = JobConfig::default();
+        let clean = run_symple(&ByMod, &RunsUda, &segments, &cfg).unwrap();
+
+        let dir = std::env::temp_dir().join(format!("symple-shared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mem = MemStore::new();
+        let disk = DiskStore::new(&dir).unwrap();
+        for frames in [&mem as &dyn FrameStore, &disk] {
+            let ckpt = CheckpointCtx::new(frames, "shared");
+            let cache = SummaryCacheCtx::new(frames);
+
+            let c1 = run_checkpointed(&segments, &cfg, &ckpt).unwrap();
+            let k1 = run_cached(&segments, &cfg, &cache).unwrap();
+            let c2 = run_checkpointed(&segments, &cfg, &ckpt).unwrap();
+            let k2 = run_cached(&segments, &cfg, &cache).unwrap();
+            assert_eq!(c1.metrics.checkpoint_misses, n);
+            assert_eq!(
+                (k1.metrics.cache_misses, k1.metrics.cache_hits),
+                (n, 0),
+                "checkpoint frames must not serve the cache policy"
+            );
+            assert_eq!(c2.metrics.checkpoint_hits, n);
+            assert_eq!(k2.metrics.cache_hits, n);
+            for out in [&c1, &k1, &c2, &k2] {
+                assert_eq!(out.results, clean.results);
+                assert_eq!(out.metrics.shuffle_bytes, clean.metrics.shuffle_bytes);
+                assert_eq!(out.metrics.summary_bytes, clean.metrics.summary_bytes);
+                assert_eq!(
+                    out.metrics.checkpoint_corrupt + out.metrics.cache_corrupt,
+                    0
+                );
+            }
+            for namespace in [
+                checkpoint_namespace("shared"),
+                cache_config_fingerprint(&cfg),
+            ] {
+                assert!(frames.quarantined(namespace).is_empty());
+            }
+        }
+        // Exactly one live entry per chunk per policy, in either backend.
+        assert_eq!(mem.entry_count() as u64, 2 * n);
+        let live = std::fs::read_dir(&dir)
+            .unwrap()
+            .flat_map(|ns| std::fs::read_dir(ns.unwrap().path()).unwrap())
+            .map(|entry| entry.unwrap().file_name())
+            .inspect(|name| assert!(name.to_str().unwrap().ends_with(".sum"), "{name:?}"))
+            .count();
+        assert_eq!(live as u64, 2 * n);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn stale_engine_config_forces_recompute() {
         let records: Vec<i64> = (0..300).map(|i| (i * 7 + 1) % 61).collect();
         let segments = split_into_segments(&records, 4, 64);
         let mut cfg = JobConfig::default();
-        let store = MemCheckpointStore::new();
+        let store = MemStore::new();
         let ctx = CheckpointCtx::new(&store, "stale-job");
 
         run_checkpointed(&segments, &cfg, &ctx).unwrap();
@@ -1217,7 +1295,10 @@ mod tests {
         let out = run_checkpointed(&segments, &cfg, &ctx).unwrap();
         assert_eq!(out.metrics.checkpoint_hits, 0);
         assert_eq!(out.metrics.checkpoint_corrupt, segments.len() as u64);
-        assert_eq!(store.quarantined("stale-job").len(), segments.len());
+        assert_eq!(
+            store.quarantined(checkpoint_namespace("stale-job")).len(),
+            segments.len()
+        );
         let clean = run_symple(&ByMod, &RunsUda, &segments, &cfg).unwrap();
         assert_eq!(out.results, clean.results);
     }

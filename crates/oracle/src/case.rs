@@ -17,9 +17,8 @@ use symple_core::uda::{extract_result, run_concrete_state, run_sequential, summa
 use symple_core::wire::Wire;
 use symple_mapreduce::segment::split_into_segments;
 use symple_mapreduce::{
-    CheckpointCtx, ChunkStore, DiskSummaryCache, FaultInjector, FaultIo, FaultPlan, GroupBy,
-    JobOutput, MemCheckpointStore, MemSummaryCache, RetryPolicy, StorageFaultPlan, SummaryCache,
-    SummaryCacheCtx, SympleJob,
+    CheckpointCtx, ChunkStore, DiskStore, FaultInjector, FaultIo, FaultPlan, FrameStore, GroupBy,
+    JobOutput, MemStore, RetryPolicy, StorageFaultPlan, SummaryCacheCtx, SympleJob,
 };
 
 use crate::cell::{Cell, ExecutorKind, FaultKind};
@@ -405,7 +404,7 @@ where
         let segments = split_into_segments(events, cell.chunks.max(1), 8);
         let group = SingleKey::<U::Event>::new();
         let job = SympleJob::new(cell.job());
-        let store = MemCheckpointStore::new();
+        let store = MemStore::new();
         let mut ctx = CheckpointCtx::new(&store, "oracle");
 
         if sabotage == Sabotage::StaleCheckpoint {
@@ -461,7 +460,7 @@ where
         let segments = split_into_segments(events, cell.chunks.max(1), 8);
         let group = SingleKey::<U::Event>::new();
         let job = SympleJob::new(cell.job());
-        let cache = MemSummaryCache::new();
+        let cache = MemStore::new();
         let mut ctx = SummaryCacheCtx::new(&cache);
 
         // Cold pass over the shortened input ("yesterday's log").
@@ -476,7 +475,7 @@ where
             // Learn which keys the warm run will look up by probing a
             // scratch cache, then file a cold-only frame under a warm-only
             // key: a content-digest collision made real.
-            let scratch = MemSummaryCache::new();
+            let scratch = MemStore::new();
             let probe = SummaryCacheCtx::new(&scratch);
             let _ = job
                 .with_store(ChunkStore::Cache(&probe))
@@ -548,8 +547,8 @@ where
         };
         let io = Arc::new(FaultIo::new(plan));
         let store_err = |e: std::io::Error| Error::Uda(format!("faulted store: {e}"));
-        let faulted = DiskSummaryCache::with_io(&dir, io.clone(), RetryPolicy::instant(), 2)
-            .map_err(store_err)?;
+        let faulted =
+            DiskStore::with_io(&dir, io.clone(), RetryPolicy::instant(), 2).map_err(store_err)?;
         let ctx = SummaryCacheCtx::new(&faulted);
         // The faulted run's own output is not rendered — it exists to
         // drive the store through the schedule and leave debris behind.
@@ -567,7 +566,7 @@ where
         let result = if balanced {
             // Healing run: a clean store over the survivor directory must
             // quarantine anything torn and still produce the right answer.
-            let clean = DiskSummaryCache::new(&dir).map_err(store_err)?;
+            let clean = DiskStore::new(&dir).map_err(store_err)?;
             let clean_ctx = SummaryCacheCtx::new(&clean);
             job.with_store(ChunkStore::Cache(&clean_ctx))
                 .run(&group, &self.uda, &segments)

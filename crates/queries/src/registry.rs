@@ -688,7 +688,7 @@ mod tests {
                 128,
                 |l: &String| symple_core::frame::fnv1a(l.as_bytes()),
             );
-            let cache = symple_mapreduce::MemSummaryCache::new();
+            let cache = symple_mapreduce::MemStore::new();
             let ctx = SummaryCacheCtx::new(&cache);
             let cold = q.run_lines_cached(&data.segments(), &job, &ctx).unwrap();
             assert_eq!(cold.metrics.cache_hits, 0, "query {id}: cold run must miss");

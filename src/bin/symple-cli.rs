@@ -20,7 +20,7 @@ use symple::datagen::{
     list_segments, read_segment_lines, write_segments, BingConfig, GithubConfig, RedshiftConfig,
     TwitterConfig, WeblogConfig,
 };
-use symple::mapreduce::{Dataset, DiskSummaryCache, JobConfig, Segment, SummaryCacheCtx};
+use symple::mapreduce::{Dataset, DiskStore, JobConfig, Segment, SummaryCacheCtx};
 use symple::queries::{all_queries, runner_by_id, Backend};
 
 fn usage() -> ExitCode {
@@ -206,7 +206,7 @@ fn cmd_run(args: &Args) -> ExitCode {
             let data = Dataset::new(lines, runner.raw_record_bytes(), 512, |l: &String| {
                 symple::core::frame::fnv1a(l.as_bytes())
             });
-            let cache = match DiskSummaryCache::new(dir) {
+            let cache = match DiskStore::new(dir) {
                 Ok(c) => c,
                 Err(e) => {
                     eprintln!("cannot open cache dir {dir}: {e}");
@@ -248,6 +248,18 @@ fn cmd_run(args: &Args) -> ExitCode {
                 println!(
                     "  summary cache   : {} of {} chunks warm ({} corrupt), {} raw bytes not recomputed",
                     m.cache_hits, cached_chunks, m.cache_corrupt, m.cache_bytes_saved
+                );
+            }
+            // A store that retried, gave up or demoted itself still lets
+            // the job finish with the right answer — say so, or a dying
+            // disk goes unnoticed until the cache stops helping.
+            if m.io_errors > 0 || m.store_demoted > 0 {
+                println!(
+                    "  store I/O       : {} errors, {} retried, {} gave up, demoted: {}",
+                    m.io_errors,
+                    m.io_retries,
+                    m.io_gave_up,
+                    if m.store_demoted > 0 { "yes" } else { "no" }
                 );
             }
             ExitCode::SUCCESS

@@ -11,7 +11,7 @@ use symple::datagen::{
     generate_bing, generate_github, generate_redshift, generate_twitter, to_lines, BingConfig,
     GithubConfig, RedshiftConfig, TwitterConfig,
 };
-use symple::mapreduce::{Dataset, JobConfig, MemSummaryCache, SummaryCacheCtx};
+use symple::mapreduce::{Dataset, JobConfig, MemStore, SummaryCacheCtx};
 use symple::queries::runner_by_id;
 use symple::queries::Backend;
 
@@ -114,7 +114,7 @@ proptest! {
             line_hash,
         );
 
-        let cache = MemSummaryCache::new();
+        let cache = MemStore::new();
         let ctx = SummaryCacheCtx::new(&cache);
         let segs = data.segments();
         let cold = runner.run_lines_cached(&segs, &job, &ctx).unwrap();
@@ -182,7 +182,7 @@ proptest! {
             line_hash,
         );
 
-        let cache = MemSummaryCache::new();
+        let cache = MemStore::new();
         let ctx = SummaryCacheCtx::new(&cache);
         let cold_chunks = data.segments().len() as u64;
         runner.run_lines_cached(&data.segments(), &job, &ctx).unwrap();
@@ -228,7 +228,7 @@ proptest! {
         );
         let segs = data.segments();
 
-        let cache = MemSummaryCache::new();
+        let cache = MemStore::new();
         let ctx = SummaryCacheCtx::new(&cache);
         runner.run_lines_cached(&segs, &job, &ctx).unwrap();
         let total = cache.entry_count() as u64;

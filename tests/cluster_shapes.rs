@@ -30,8 +30,22 @@ fn measure(id: &str, backend: Backend) -> MeasuredProfile {
         seed: 0x1234,
         parse_lines: true,
     };
-    let report = runner.run(&scale, backend, &JobConfig::default()).unwrap();
-    MeasuredProfile::from_metrics(&report.metrics, 8)
+    // Byte and record counts are deterministic; the two CPU readings are
+    // not (debug build, shared host), and the assertions below are ratios
+    // of them. Keep the least-disturbed reading of three runs.
+    let mut metrics = runner
+        .run(&scale, backend, &JobConfig::default())
+        .unwrap()
+        .metrics;
+    for _ in 0..2 {
+        let again = runner
+            .run(&scale, backend, &JobConfig::default())
+            .unwrap()
+            .metrics;
+        metrics.map_cpu = metrics.map_cpu.min(again.map_cpu);
+        metrics.reduce_cpu = metrics.reduce_cpu.min(again.reduce_cpu);
+    }
+    MeasuredProfile::from_metrics(&metrics, 8)
 }
 
 fn scaled(id: &str, backend: Backend) -> ScaledJob {

@@ -14,8 +14,8 @@ use symple::core::prelude::*;
 use symple::core::Error;
 use symple::mapreduce::segment::split_into_segments;
 use symple::mapreduce::{
-    run_symple, CheckpointCtx, CheckpointStore, ChunkStore, DiskCheckpointStore, FaultInjector,
-    FaultPlan, GroupBy, JobConfig, MemCheckpointStore, SympleJob,
+    checkpoint_namespace, run_symple, CheckpointCtx, ChunkStore, DiskStore, FaultInjector,
+    FaultPlan, FrameStore, GroupBy, JobConfig, MemStore, SympleJob,
 };
 use symple::queries::{runner_by_id, Backend, DataScale};
 
@@ -84,14 +84,15 @@ fn every_corruption_variant_is_quarantined_and_recomputed() {
     let cfg = JobConfig::default();
     let clean = run_symple(&ByKey, &Resets, &segs, &cfg).unwrap();
 
-    type Corruptor = Box<dyn Fn(&MemCheckpointStore)>;
+    type Corruptor = Box<dyn Fn(&MemStore)>;
+    let cm = checkpoint_namespace("cm");
     let victim = 1u64;
     let variants: Vec<(&str, &str, Corruptor)> = vec![
         (
             "truncation",
             "crc",
-            Box::new(move |s: &MemCheckpointStore| {
-                assert!(s.tamper("cm", victim, |f| {
+            Box::new(move |s: &MemStore| {
+                assert!(s.tamper(cm, victim, |f| {
                     let half = f.len() / 2;
                     f.truncate(half);
                 }));
@@ -100,8 +101,8 @@ fn every_corruption_variant_is_quarantined_and_recomputed() {
         (
             "bit-flip",
             "crc",
-            Box::new(move |s: &MemCheckpointStore| {
-                assert!(s.tamper("cm", victim, |f| {
+            Box::new(move |s: &MemStore| {
+                assert!(s.tamper(cm, victim, |f| {
                     let mid = f.len() / 2;
                     f[mid] ^= 0x20;
                 }));
@@ -110,13 +111,13 @@ fn every_corruption_variant_is_quarantined_and_recomputed() {
         (
             "version-bump",
             "version",
-            Box::new(move |s: &MemCheckpointStore| {
-                let raw = s.raw_frame("cm", victim).expect("frame present");
+            Box::new(move |s: &MemStore| {
+                let raw = s.raw_frame(cm, victim).expect("frame present");
                 let (_, meta, payload) = decode_frame_unchecked(&raw).expect("intact");
                 // CRC-consistent, so this exercises the version gate, not
                 // the checksum.
                 s.insert_raw(
-                    "cm",
+                    cm,
                     victim,
                     encode_frame_with_version(FRAME_VERSION + 1, &meta, &payload),
                 );
@@ -125,17 +126,17 @@ fn every_corruption_variant_is_quarantined_and_recomputed() {
         (
             "wrong-input-digest",
             "digest",
-            Box::new(move |s: &MemCheckpointStore| {
-                let raw = s.raw_frame("cm", victim).expect("frame present");
+            Box::new(move |s: &MemStore| {
+                let raw = s.raw_frame(cm, victim).expect("frame present");
                 let (_, mut meta, payload) = decode_frame_unchecked(&raw).expect("intact");
                 meta.input_digest ^= 0xFF;
-                s.insert_raw("cm", victim, encode_frame(&meta, &payload));
+                s.insert_raw(cm, victim, encode_frame(&meta, &payload));
             }),
         ),
     ];
 
     for (name, reason_hint, corrupt) in variants {
-        let store = MemCheckpointStore::new();
+        let store = MemStore::new();
         let ctx = CheckpointCtx::new(&store, "cm");
         let warm = SympleJob::new(cfg)
             .with_store(ChunkStore::Checkpoint(&ctx))
@@ -161,7 +162,7 @@ fn every_corruption_variant_is_quarantined_and_recomputed() {
 
         // Quarantined with a reason naming the failed check — evidence is
         // kept, not deleted.
-        let q = store.quarantined("cm");
+        let q = store.quarantined(cm);
         assert_eq!(q.len(), 1, "{name}: {q:?}");
         assert_eq!(q[0].0, victim, "{name}");
         assert!(
@@ -188,7 +189,7 @@ fn every_corruption_variant_is_quarantined_and_recomputed() {
 fn on_disk_kill_then_resume_is_byte_identical() {
     let dir = std::env::temp_dir().join(format!("symple-ckpt-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = DiskCheckpointStore::new(&dir).unwrap();
+    let store = DiskStore::new(&dir).unwrap();
 
     let records = workload();
     let segs = split_into_segments(&records, 6, 32);
@@ -233,7 +234,7 @@ fn on_disk_kill_then_resume_is_byte_identical() {
     );
 
     // Storage rot on the real filesystem: flip one byte of chunk 0's file.
-    let path = store.chunk_path("e2e", 0);
+    let path = store.entry_path(checkpoint_namespace("e2e"), 0);
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 1;
@@ -248,7 +249,7 @@ fn on_disk_kill_then_resume_is_byte_identical() {
     assert_eq!(again.metrics.checkpoint_hits, n - 1);
     // The bad frame was moved aside as evidence, not deleted, and the
     // recompute wrote a fresh valid frame at the original path.
-    let quarantined = store.quarantined("e2e");
+    let quarantined = store.quarantined(checkpoint_namespace("e2e"));
     assert_eq!(quarantined.len(), 1, "{quarantined:?}");
     assert_eq!(quarantined[0].0, 0);
     assert!(path.exists(), "recompute must re-persist the chunk");

@@ -19,7 +19,7 @@ use symple::mapreduce::scheduler::AttemptOutcome;
 use symple::mapreduce::segment::split_into_segments;
 use symple::mapreduce::{
     run_scheduled, run_symple, CheckpointCtx, ChunkStore, FaultInjector, FaultPlan, GroupBy,
-    JobConfig, MemCheckpointStore, MemSummaryCache, SegmentFaults, SummaryCacheCtx, SympleJob,
+    JobConfig, MemStore, SegmentFaults, SummaryCacheCtx, SympleJob,
 };
 
 struct ByKey;
@@ -146,7 +146,7 @@ proptest! {
         let cfg = JobConfig::default();
         let clean = run_symple(&ByKey, &Resets, &segs, &cfg).unwrap();
 
-        let store = MemCheckpointStore::new();
+        let store = MemStore::new();
         let ctx = CheckpointCtx::new(&store, "fault-matrix");
         // Any boundary, including 0 (die before any work) and >= task
         // count (never fires; phase 1 completes and phase 2 hits fully).
@@ -378,7 +378,7 @@ fn killed_run_leaves_no_cache_entries_but_every_finished_checkpoint() {
         assert_eq!(out.metrics.summary_bytes, clean.metrics.summary_bytes);
     };
 
-    let cache = MemSummaryCache::new();
+    let cache = MemStore::new();
     let cache_ctx = SummaryCacheCtx::new(&cache);
     let cached = SympleJob::new(cfg).with_store(ChunkStore::Cache(&cache_ctx));
     let injector = kill_after_3();
@@ -395,7 +395,7 @@ fn killed_run_leaves_no_cache_entries_but_every_finished_checkpoint() {
     assert_eq!(cache.entry_count(), segs.len());
     assert_clean(&rerun);
 
-    let store = MemCheckpointStore::new();
+    let store = MemStore::new();
     let ckpt_ctx = CheckpointCtx::new(&store, "kill-drill");
     let checkpointed = SympleJob::new(cfg).with_store(ChunkStore::Checkpoint(&ckpt_ctx));
     let injector = kill_after_3();
@@ -404,7 +404,7 @@ fn killed_run_leaves_no_cache_entries_but_every_finished_checkpoint() {
         .run(&ByKey, &Resets, &segs)
         .unwrap_err();
     assert_eq!(err, Error::JobKilled { after_tasks: 3 });
-    assert_eq!(store.frame_count(), 3, "checkpoints are saved in-task");
+    assert_eq!(store.entry_count(), 3, "checkpoints are saved in-task");
     let resumed = checkpointed.run(&ByKey, &Resets, &segs).unwrap();
     assert_eq!(resumed.metrics.checkpoint_hits, 3);
     assert_eq!(resumed.metrics.checkpoint_misses, chunks - 3);

@@ -26,9 +26,8 @@ use symple::datagen::{
     GithubConfig, RedshiftConfig, TwitterConfig,
 };
 use symple::mapreduce::{
-    CheckpointCtx, CheckpointStore, Dataset, DiskCheckpointStore, DiskSummaryCache, FaultIo,
-    JobConfig, RetryPolicy, StorageFaultKind, StorageFaultPlan, SummaryCache, SummaryCacheCtx,
-    DEFAULT_FAILURE_BUDGET,
+    CheckpointCtx, Dataset, DiskStore, FaultIo, FrameStore, JobConfig, RetryPolicy,
+    StorageFaultKind, StorageFaultPlan, SummaryCacheCtx, DEFAULT_FAILURE_BUDGET,
 };
 use symple::queries::runner_by_id;
 use symple::queries::Backend;
@@ -224,28 +223,18 @@ fn run_cell(id: &str, kind: StoreKind, sched: &Schedule, plain_hash: u64) {
         }
     );
 
-    let (faulted, counts) = match kind {
-        StoreKind::Cache => {
-            let store =
-                DiskSummaryCache::with_io(&dir, io.clone(), sched.policy.clone(), sched.budget)
-                    .expect("open faulted cache");
-            let ctx = SummaryCacheCtx::new(&store);
-            let report = runner
-                .run_lines_cached(&segs, &job, &ctx)
-                .expect("faulted run");
-            (report, store.io_counts().expect("disk store has a ledger"))
-        }
+    // The two cells differ only in the keying policy laid over the store.
+    let run_on = |store: &DiskStore| match kind {
+        StoreKind::Cache => runner.run_lines_cached(&segs, &job, &SummaryCacheCtx::new(store)),
         StoreKind::Checkpoint => {
-            let store =
-                DiskCheckpointStore::with_io(&dir, io.clone(), sched.policy.clone(), sched.budget)
-                    .expect("open faulted store");
-            let ctx = CheckpointCtx::new(&store, "chaos");
-            let report = runner
-                .run_lines_checkpointed(&segs, &job, &ctx)
-                .expect("faulted run");
-            (report, store.io_counts().expect("disk store has a ledger"))
+            runner.run_lines_checkpointed(&segs, &job, &CheckpointCtx::new(store, "chaos"))
         }
     };
+
+    let store = DiskStore::with_io(&dir, io.clone(), sched.policy.clone(), sched.budget)
+        .expect("open faulted store");
+    let faulted = run_on(&store).expect("faulted run");
+    let counts = store.io_counts().expect("disk store has a ledger");
 
     // Byte-identical: faults only ever cost recompute.
     assert_eq!(
@@ -278,43 +267,19 @@ fn run_cell(id: &str, kind: StoreKind, sched: &Schedule, plain_hash: u64) {
     // Healing: a clean store over the survivor directory agrees, and the
     // run after it is corrupt-free (whatever was torn got quarantined and
     // recommitted by the heal).
-    let (heal_hash, settled) = match kind {
-        StoreKind::Cache => {
-            let store = DiskSummaryCache::new(&dir).expect("open clean cache");
-            let ctx = SummaryCacheCtx::new(&store);
-            let heal = runner
-                .run_lines_cached(&segs, &job, &ctx)
-                .expect("heal run");
-            let settled = runner
-                .run_lines_cached(&segs, &job, &ctx)
-                .expect("settled run");
-            assert_eq!(
-                settled.metrics.cache_corrupt, 0,
-                "{cell}: heal left corruption"
-            );
-            assert_eq!(settled.metrics.cache_misses, 0, "{cell}: heal left holes");
-            (heal.output_hash, settled.output_hash)
-        }
-        StoreKind::Checkpoint => {
-            let store = DiskCheckpointStore::new(&dir).expect("open clean store");
-            let ctx = CheckpointCtx::new(&store, "chaos");
-            let heal = runner
-                .run_lines_checkpointed(&segs, &job, &ctx)
-                .expect("heal run");
-            let settled = runner
-                .run_lines_checkpointed(&segs, &job, &ctx)
-                .expect("settled run");
-            assert_eq!(
-                settled.metrics.checkpoint_corrupt, 0,
-                "{cell}: heal left corruption"
-            );
-            assert_eq!(
-                settled.metrics.checkpoint_misses, 0,
-                "{cell}: heal left holes"
-            );
-            (heal.output_hash, settled.output_hash)
-        }
+    let store = DiskStore::new(&dir).expect("open clean store");
+    let heal = run_on(&store).expect("heal run");
+    let settled = run_on(&store).expect("settled run");
+    let (corrupt, misses) = match kind {
+        StoreKind::Cache => (settled.metrics.cache_corrupt, settled.metrics.cache_misses),
+        StoreKind::Checkpoint => (
+            settled.metrics.checkpoint_corrupt,
+            settled.metrics.checkpoint_misses,
+        ),
     };
+    assert_eq!(corrupt, 0, "{cell}: heal left corruption");
+    assert_eq!(misses, 0, "{cell}: heal left holes");
+    let (heal_hash, settled) = (heal.output_hash, settled.output_hash);
     assert_eq!(heal_hash, plain_hash, "{cell}: heal run diverged");
     assert_eq!(settled, plain_hash, "{cell}: settled run diverged");
 
@@ -361,7 +326,7 @@ fn enospc_during_save_leaves_no_tmp_and_demotes() {
             ..StorageFaultPlan::default()
         };
         let io = Arc::new(FaultIo::new(plan));
-        let store = DiskSummaryCache::with_io(&dir, io.clone(), RetryPolicy::no_retries(), 1)
+        let store = DiskStore::with_io(&dir, io.clone(), RetryPolicy::no_retries(), 1)
             .expect("open faulted cache");
         let ctx = SummaryCacheCtx::new(&store);
         let report = runner
@@ -388,7 +353,7 @@ fn enospc_during_save_leaves_no_tmp_and_demotes() {
         );
 
         // The survivor directory still heals.
-        let clean = DiskSummaryCache::new(&dir).expect("open clean cache");
+        let clean = DiskStore::new(&dir).expect("open clean cache");
         let clean_ctx = SummaryCacheCtx::new(&clean);
         let heal = runner
             .run_lines_cached(&segs, &job, &clean_ctx)
@@ -427,7 +392,7 @@ proptest! {
         let io = Arc::new(FaultIo::new(plan));
         // No retries: the torn prefix is the save's last word, as after a
         // power cut.
-        let store = DiskSummaryCache::with_io(&dir, io, RetryPolicy::no_retries(), u64::MAX)
+        let store = DiskStore::with_io(&dir, io, RetryPolicy::no_retries(), u64::MAX)
             .expect("open faulted cache");
         let ctx = SummaryCacheCtx::new(&store);
         let faulted = runner.run_lines_cached(&segs, &job, &ctx).unwrap();
@@ -435,7 +400,7 @@ proptest! {
         let tmp = files_containing(&dir, ".tmp");
         prop_assert!(tmp.is_empty(), "{}: torn save left tmp debris {:?}", id, tmp);
 
-        let clean = DiskSummaryCache::new(&dir).expect("open clean cache");
+        let clean = DiskStore::new(&dir).expect("open clean cache");
         let clean_ctx = SummaryCacheCtx::new(&clean);
         let heal = runner.run_lines_cached(&segs, &job, &clean_ctx).unwrap();
         prop_assert_eq!(heal.output_hash, plain.output_hash, "{}: heal run diverged", id);
@@ -464,7 +429,7 @@ proptest! {
         let plain = runner.run_lines(&segs, Backend::Symple, &job).unwrap();
 
         let dir = scratch_dir("truncate");
-        let store = DiskSummaryCache::new(&dir).expect("open cache");
+        let store = DiskStore::new(&dir).expect("open cache");
         let ctx = SummaryCacheCtx::new(&store);
         let cold = runner.run_lines_cached(&segs, &job, &ctx).unwrap();
         let total = cold.metrics.cache_misses;
