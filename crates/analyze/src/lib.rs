@@ -27,12 +27,11 @@
 //! paper queries). Adding a new code at the end is fine.
 
 pub mod coverage;
-pub mod json;
 
 pub use coverage::{code_bit, diag_signature, DiagCoverage};
 
-use json::{obj, Json};
 use symple_core::{EngineConfig, MergePolicy, UdaAnalysis};
+use symple_obs::json::{obj, Json};
 
 /// Report schema identifier emitted by [`render_json`].
 pub const SCHEMA: &str = "symple-lint/v1";
@@ -382,11 +381,13 @@ fn policy_str(p: MergePolicy) -> &'static str {
 /// Horizon of the path-growth matrix included in the JSON report.
 const GROWTH_HORIZON: usize = 4;
 
+/// Counts travel as JSON numbers (`f64`): exact below 2^53, which a
+/// growth factor would have to exceed 9 741 to leave within the horizon.
 fn growth_row(a: &UdaAnalysis, p: MergePolicy) -> Json {
     Json::Arr(
         a.path_growth(p, GROWTH_HORIZON)
             .into_iter()
-            .map(Json::UInt)
+            .map(|n| Json::Num(n as f64))
             .collect(),
     )
 }
@@ -403,8 +404,8 @@ pub fn render_json(lints: &[QueryLint]) -> String {
                 .map(|v| {
                     obj(vec![
                         ("name", Json::Str(v.name.to_string())),
-                        ("branching", Json::UInt(v.branching as u64)),
-                        ("merged", Json::UInt(v.merged as u64)),
+                        ("branching", Json::Num(v.branching as f64)),
+                        ("merged", Json::Num(v.merged as f64)),
                         ("exploded", Json::Bool(v.exploded)),
                     ])
                 })
@@ -438,8 +439,8 @@ pub fn render_json(lints: &[QueryLint]) -> String {
                 .collect();
             obj(vec![
                 ("id", Json::Str(l.id.clone())),
-                ("branching", Json::UInt(a.max_branching() as u64)),
-                ("merged", Json::UInt(a.max_merged() as u64)),
+                ("branching", Json::Num(a.max_branching() as f64)),
+                ("merged", Json::Num(a.max_merged() as f64)),
                 ("variants", Json::Arr(variants)),
                 ("fields", Json::Arr(fields)),
                 (
@@ -459,11 +460,11 @@ pub fn render_json(lints: &[QueryLint]) -> String {
                         ),
                         (
                             "max_total_paths",
-                            Json::UInt(l.suggested.max_total_paths as u64),
+                            Json::Num(l.suggested.max_total_paths as f64),
                         ),
                         (
                             "max_paths_per_record",
-                            Json::UInt(l.suggested.max_paths_per_record as u64),
+                            Json::Num(l.suggested.max_paths_per_record as f64),
                         ),
                     ]),
                 ),
@@ -478,9 +479,9 @@ pub fn render_json(lints: &[QueryLint]) -> String {
         (
             "totals",
             obj(vec![
-                ("errors", Json::UInt(t.errors as u64)),
-                ("warnings", Json::UInt(t.warnings as u64)),
-                ("infos", Json::UInt(t.infos as u64)),
+                ("errors", Json::Num(t.errors as f64)),
+                ("warnings", Json::Num(t.warnings as f64)),
+                ("infos", Json::Num(t.infos as f64)),
             ]),
         ),
     ])

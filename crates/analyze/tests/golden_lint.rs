@@ -11,7 +11,7 @@
 //! ```
 //!
 //! and commit the updated golden file alongside the change (the same flow
-//! as `symple-bench`'s `golden_bench_schema` test).
+//! as `symple-bench`'s `golden_cells` test).
 
 use symple_analyze::{lint_registry, render_json, totals, Severity, SCHEMA};
 

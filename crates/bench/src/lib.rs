@@ -24,8 +24,11 @@
 //! (default 200 000) and prints machine-parseable rows; EXPERIMENTS.md
 //! records a full run against the paper's numbers.
 
-pub mod json;
-pub mod report;
+/// The workspace's one JSON value, parser and printer lives in
+/// `symple-obs`; this re-export is kept *only* because `benchmark/`
+/// (its own workspace, outside this PR's reach) links
+/// `symple_bench::json::{obj, Json}`.
+pub use symple_obs::json;
 
 use symple_cluster::{MeasuredProfile, PaperTarget};
 use symple_core::error::Result;
@@ -35,20 +38,36 @@ use symple_queries::{runner_by_id, Backend, DataScale, QueryReport};
 /// Default measurement size (records generated per query).
 pub const DEFAULT_RECORDS: usize = 200_000;
 
-/// Parses `--records N` (and `--fast` → 20 000) from argv.
-pub fn records_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--records" {
-            if let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                return n;
+/// The measurement scale an argv slice asks for: `--records N`, or
+/// `--fast` for 20 000; the first of the two wins and every other
+/// argument is left to the binary. `Err` carries a one-line usage message
+/// when `--records` has no value or one that is not a count.
+fn parse_records<S: AsRef<str>>(args: &[S]) -> std::result::Result<usize, String> {
+    let mut it = args.iter().map(AsRef::as_ref);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--records" => {
+                return it.next().and_then(|s| s.parse().ok()).ok_or_else(|| {
+                    format!("usage: --records <count> | --fast (default {DEFAULT_RECORDS} records)")
+                });
             }
-        }
-        if args[i] == "--fast" {
-            return 20_000;
+            "--fast" => return Ok(20_000),
+            _ => {}
         }
     }
-    DEFAULT_RECORDS
+    Ok(DEFAULT_RECORDS)
+}
+
+/// The measurement scale the process arguments ask for (`--records N`,
+/// or `--fast` for 20 000; default [`DEFAULT_RECORDS`]). A `--records`
+/// without a count prints a usage line and exits 2 rather than measuring
+/// at a scale nobody asked for.
+pub fn records_from_args() -> usize {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_records(&args).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2)
+    })
 }
 
 /// The measurement-time workload for a query: scaled-down groups chosen to
@@ -150,6 +169,24 @@ mod tests {
         assert_eq!(ratio_label(238.0, 1.0), "238x");
         assert_eq!(ratio_label(5.0, 1.0), "5.0x");
         assert_eq!(ratio_label(1.0, 0.0), "∞");
+    }
+
+    #[test]
+    fn records_flag_is_parsed_or_refused() {
+        assert_eq!(parse_records::<&str>(&[]), Ok(DEFAULT_RECORDS));
+        assert_eq!(parse_records(&["--no-verify"]), Ok(DEFAULT_RECORDS));
+        assert_eq!(parse_records(&["--records", "3000"]), Ok(3_000));
+        assert_eq!(parse_records(&["--fast"]), Ok(20_000));
+        assert_eq!(parse_records(&["--fast", "--records", "7"]), Ok(20_000));
+        for bad in [
+            &["--records", "abc"][..],
+            &["--records"],
+            &["--records", "-5"],
+        ] {
+            let usage = parse_records(bad).unwrap_err();
+            assert!(usage.starts_with("usage: --records"), "{usage}");
+            assert_eq!(usage.lines().count(), 1);
+        }
     }
 
     #[test]

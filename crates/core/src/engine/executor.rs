@@ -356,20 +356,7 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
             "engine emitted overlapping path constraints"
         );
         self.emitted.push(last);
-        let chain = SummaryChain::new(self.emitted);
-        if symple_obs::enabled() {
-            symple_obs::counter_add("engine.chunks", 1);
-            symple_obs::counter_add("engine.records", self.stats.records);
-            symple_obs::counter_add("engine.runs", self.stats.runs);
-            symple_obs::counter_add("engine.forks", self.stats.forks);
-            symple_obs::counter_add("engine.merges", self.stats.merges);
-            symple_obs::counter_add("engine.restarts", self.stats.restarts);
-            symple_obs::counter_add("engine.batched_records", self.arena.stats.batched_records);
-            symple_obs::counter_add("engine.in_place_runs", self.arena.stats.in_place_runs);
-            symple_obs::counter_add("engine.batch_rollbacks", self.arena.stats.rollbacks);
-            symple_obs::counter_add("summary.disjuncts", chain.total_paths() as u64);
-        }
-        (chain, self.stats)
+        (SummaryChain::new(self.emitted), self.stats)
     }
 }
 

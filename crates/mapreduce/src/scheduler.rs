@@ -95,20 +95,6 @@ impl Default for SchedulerConfig {
     }
 }
 
-impl SchedulerConfig {
-    /// A bookkeeping-minimal configuration: one attempt per task, no
-    /// speculation. The `symple-bench --smoke` overhead gate compares the
-    /// default configuration against this one.
-    pub fn minimal() -> SchedulerConfig {
-        SchedulerConfig {
-            max_attempts: 1,
-            backoff_base: Duration::ZERO,
-            speculation: false,
-            ..SchedulerConfig::default()
-        }
-    }
-}
-
 /// Injected failures for scheduler attempts, keyed by *task index* (the
 /// position in the item slice). [`crate::fault::FaultInjector`] adapts its
 /// segment-id-keyed plan onto this via [`crate::fault::SegmentFaults`].

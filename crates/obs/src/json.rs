@@ -1,15 +1,17 @@
 //! A minimal, dependency-free JSON value with a deterministic printer and
-//! a strict parser.
+//! a strict parser — the workspace's only one.
 //!
-//! The workspace builds offline (no serde); `BENCH_*.json` files need only
-//! objects, arrays, strings, numbers, and booleans. Object keys keep
-//! insertion order so that serialization is byte-deterministic — the
-//! property the golden-schema test pins down.
+//! The workspace builds offline (no serde); the `symple-lint --json`
+//! report and the `benchmark/` result files need only objects, arrays,
+//! strings, numbers, and booleans. Object keys keep insertion order so
+//! that serialization is byte-deterministic — the property the
+//! golden-file tests pin down. It lives here because `symple-obs` is the
+//! dependency-free leaf every machine-readable surface already links.
 
 use std::fmt::Write as _;
 
-/// A JSON value. Numbers are `f64` (every quantity the bench emits fits in
-/// the 53-bit integer range; 64-bit hashes travel as hex strings).
+/// A JSON value. Numbers are `f64` (every quantity emitted fits in the
+/// 53-bit integer range; 64-bit hashes travel as hex strings).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -266,8 +268,8 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                         let code = u32::from_str_radix(hex, 16)
                             .map_err(|_| format!("invalid \\u escape '{hex}'"))?;
                         *pos += 4;
-                        // Surrogate pairs are not needed by the bench
-                        // schema; map lone surrogates to the replacement
+                        // Surrogate pairs are not needed by any schema
+                        // here; map lone surrogates to the replacement
                         // character rather than failing.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }

@@ -17,7 +17,9 @@
 //! * **gauges** ([`gauge_set`]): last-write-wins `i64` readings.
 //!
 //! Everything funnels into one global registry that [`snapshot`] reads
-//! and [`reset`] clears.
+//! and [`reset`] clears. The crate also carries the workspace's one
+//! hand-rolled [`json`] value (printer + parser), being the
+//! dependency-free leaf every machine-readable surface links.
 //!
 //! ## Disabled by default, and a true no-op when disabled
 //!
@@ -25,8 +27,12 @@
 //! relaxed [`AtomicBool`] and returns immediately while tracing is
 //! disabled. The span guard is a zero-sized type whose state lives in a
 //! thread-local stack, so a disabled call site allocates nothing and
-//! records nothing — the property `tests` assert and the
-//! `obs_overhead` bench in `symple-bench` quantifies.
+//! records nothing — the property `tests` assert. What the layer costs
+//! when it is **on** is measured, not asserted: the repo benchmark's
+//! traced run reports `obs.on_job_wall_ms` and `obs.overhead_pct` per
+//! workload at 1M records (`benchmark/results/trace.json`), and that
+//! cost is one registry-mutex take per counter call, so a call site
+//! belongs at job or phase granularity, never per (key, chunk).
 //!
 //! ```
 //! symple_obs::set_enabled(true);
@@ -43,6 +49,7 @@
 //!
 //! [`AtomicBool`]: std::sync::atomic::AtomicBool
 
+pub mod json;
 mod metrics;
 mod span;
 

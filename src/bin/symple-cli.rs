@@ -10,7 +10,9 @@
 //! ```
 //!
 //! `run` reads the segment files as raw log lines — the mappers parse them,
-//! exactly like the in-process measurement harnesses.
+//! exactly like the in-process measurement harnesses. With `SYMPLE_OBS=1`
+//! in the environment it also prints the `symple-obs` span / counter
+//! snapshot of the job to stderr, after the job report.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -191,6 +193,9 @@ fn cmd_run(args: &Args) -> ExitCode {
         Err(code) => return code,
     };
 
+    // `SYMPLE_OBS=1` turns the tracing layer on for this job; its span and
+    // counter snapshot follows the job report, on stderr.
+    let obs = symple_obs::init_from_env();
     let job = JobConfig::default().with_reducers(reducers);
     let report = match args.get("cache-dir") {
         None => runner.run_lines(&segments, backend, &job),
@@ -261,6 +266,22 @@ fn cmd_run(args: &Args) -> ExitCode {
                     m.io_gave_up,
                     if m.store_demoted > 0 { "yes" } else { "no" }
                 );
+            }
+            if obs {
+                eprint!("--- obs snapshot ---\n{}", symple_obs::snapshot().render());
+                // Exploration totals are per-job facts carried by
+                // `JobMetrics`, not registry counters.
+                eprintln!("{:<32} {:>10}", "explore (job metrics)", "total");
+                for (name, v) in [
+                    ("explore.records", m.explore.records),
+                    ("explore.runs", m.explore.runs),
+                    ("explore.forks", m.explore.forks),
+                    ("explore.merges", m.explore.merges),
+                    ("explore.restarts", m.explore.restarts),
+                    ("explore.max_live_paths", m.explore.max_live_paths as u64),
+                ] {
+                    eprintln!("{name:<32} {v:>10}");
+                }
             }
             ExitCode::SUCCESS
         }
