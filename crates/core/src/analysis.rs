@@ -851,8 +851,13 @@ mod tests {
         fn transfer(&self) -> Option<ScalarTransfer> {
             None
         }
-        fn encode_field(&self, _buf: &mut Vec<u8>) {}
-        fn decode_field(&mut self, _buf: &mut &[u8], _id: FieldId) -> Result<(), WireError> {
+        fn encode_field(&self, _prev: Option<&dyn SymField>, _buf: &mut Vec<u8>) {}
+        fn decode_field(
+            &mut self,
+            _buf: &mut &[u8],
+            _id: FieldId,
+            _prev: Option<&dyn SymField>,
+        ) -> Result<(), WireError> {
             Ok(())
         }
         fn as_any(&self) -> &dyn std::any::Any {

@@ -132,8 +132,11 @@ impl BitSet256 {
             *w = wire::get_uvarint(buf)?;
         }
         let s = BitSet256 { words };
-        if !s.is_subset(&BitSet256::full(domain)) {
-            return Err(WireError::LengthOverflow(domain as u64));
+        if let Some(stray) = s.difference(&BitSet256::full(domain)).iter().last() {
+            return Err(WireError::OutOfDomain {
+                value: u64::from(stray),
+                domain: u64::from(domain),
+            });
         }
         Ok(s)
     }
@@ -202,8 +205,15 @@ mod tests {
         let s = BitSet256::full(64);
         let mut buf = Vec::new();
         s.encode_for_domain(64, &mut buf);
-        // Decode as a smaller domain: the high bits are invalid.
+        // Decode as a smaller domain: the high bits are invalid, and the
+        // error names the highest of them.
         let mut rd = &buf[..];
-        assert!(BitSet256::decode_for_domain(10, &mut rd).is_err());
+        assert_eq!(
+            BitSet256::decode_for_domain(10, &mut rd),
+            Err(WireError::OutOfDomain {
+                value: 63,
+                domain: 10
+            })
+        );
     }
 }

@@ -27,7 +27,8 @@ pub const FRAME_MAGIC: [u8; 4] = *b"SYCP";
 
 /// Current frame format version. Bump on any layout change; readers
 /// refuse (quarantine) versions they do not know rather than guessing.
-pub const FRAME_VERSION: u8 = 1;
+/// Version 2 frames carry summary wire v2 chains; nothing reads version 1.
+pub const FRAME_VERSION: u8 = 2;
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) over `bytes`.
 ///

@@ -6,6 +6,8 @@
 //! −∞ / +∞. All bound arithmetic is carried out in `i128` so constraint
 //! manipulation itself can never overflow.
 
+use crate::wire::{self, WireError};
+
 /// A closed (possibly empty) interval of `i64` values.
 ///
 /// The canonical constraint form for symbolic integers: `lb ≤ x ≤ ub`.
@@ -217,6 +219,41 @@ impl Interval {
                 ub: self.ub,
             }
         }
+    }
+
+    /// Wire v2: writes the ends of `self` that differ from `open`'s (the
+    /// field's unconstrained range) and reports which were written as
+    /// `(lb, ub)` for the caller's flag byte. An end nobody narrowed costs
+    /// no bytes.
+    pub(crate) fn encode_within(&self, open: &Interval, buf: &mut Vec<u8>) -> (bool, bool) {
+        let written = (self.lb != open.lb, self.ub != open.ub);
+        if written.0 {
+            wire::put_ivarint(buf, self.lb);
+        }
+        if written.1 {
+            wire::put_ivarint(buf, self.ub);
+        }
+        written
+    }
+
+    /// Inverse of [`Interval::encode_within`]: an end the flags mark absent
+    /// is `open`'s.
+    pub(crate) fn decode_within(
+        open: &Interval,
+        (has_lb, has_ub): (bool, bool),
+        buf: &mut &[u8],
+    ) -> Result<Interval, WireError> {
+        let lb = if has_lb {
+            wire::get_ivarint(buf)?
+        } else {
+            open.lb
+        };
+        let ub = if has_ub {
+            wire::get_ivarint(buf)?
+        } else {
+            open.ub
+        };
+        Ok(Interval::new(lb, ub))
     }
 }
 

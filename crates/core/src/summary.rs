@@ -17,7 +17,7 @@
 //! (§5.2), several summaries that must be applied in order.
 
 use crate::error::{Error, Result};
-use crate::state::{FieldId, SymState};
+use crate::state::{FieldId, SymField, SymState};
 use crate::wire::{self, WireError};
 
 /// A symbolic summary: the disjoint, exhaustive set of explored paths.
@@ -79,15 +79,20 @@ impl<S: SymState> Summary<S> {
         true
     }
 
-    /// Serializes the summary (§2.3: compact network transfers).
+    /// Serializes the summary (wire v2; §2.3: compact network transfers):
+    /// the path count, then every path's fields in template order. The
+    /// decoder knows the field count from its template, and each field sees
+    /// the same field of the previous path so repeated content is written
+    /// once (see [`SymField::encode_field`]).
     pub fn encode(&self, buf: &mut Vec<u8>) {
         wire::put_uvarint(buf, self.paths.len() as u64);
+        let mut prev: Option<Vec<&dyn SymField>> = None;
         for p in &self.paths {
             let fields = p.fields_ref();
-            wire::put_uvarint(buf, fields.len() as u64);
-            for f in fields {
-                f.encode_field(buf);
+            for (i, f) in fields.iter().enumerate() {
+                f.encode_field(prev.as_ref().map(|fields| fields[i]), buf);
             }
+            prev = Some(fields);
         }
     }
 
@@ -98,18 +103,14 @@ impl<S: SymState> Summary<S> {
     /// closures, enum domains) are reconstructed in place.
     pub fn decode(template: &S, buf: &mut &[u8]) -> Result<Summary<S>, WireError> {
         let n_paths = wire::get_len(buf)?;
-        let mut paths = Vec::with_capacity(n_paths.min(1024));
+        let mut paths: Vec<S> = Vec::with_capacity(n_paths.min(1024));
         for _ in 0..n_paths {
             let mut s = template.clone();
-            let mut fields = s.fields_mut();
-            let n_fields = wire::get_len(buf)?;
-            if n_fields != fields.len() {
-                return Err(WireError::LengthOverflow(n_fields as u64));
+            let prev = paths.last().map(SymState::fields_ref);
+            for (i, f) in s.fields_mut().into_iter().enumerate() {
+                let prev = prev.as_ref().map(|fields| fields[i]);
+                f.decode_field(buf, FieldId(i as u16), prev)?;
             }
-            for (i, f) in fields.iter_mut().enumerate() {
-                f.decode_field(buf, FieldId(i as u16))?;
-            }
-            drop(fields);
             paths.push(s);
         }
         Ok(Summary { paths })
@@ -310,12 +311,11 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_wrong_field_count() {
-        let mut buf = Vec::new();
-        wire::put_uvarint(&mut buf, 1); // one path
-        wire::put_uvarint(&mut buf, 7); // bogus field count
-        let template = S { v: SymInt::new(0) };
-        assert!(Summary::decode(&template, &mut &buf[..]).is_err());
+    fn unnarrowed_path_is_two_bytes() {
+        // One path, identity transfer over an open interval: the path
+        // count and one flag byte — no sentinel bounds, no field count.
+        let s = Summary::singleton(path(i64::MIN, i64::MAX, None));
+        assert_eq!(s.to_bytes().len(), 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::error::{Error, Result};
 use crate::state::FieldId;
-use crate::wire::{self, Wire, WireError};
+use crate::wire::{self, WireError};
 
 /// The transfer function of a scalar field: current value as a function of
 /// the field's own initial symbolic value `x`.
@@ -132,38 +132,27 @@ impl SymScalar {
     }
 }
 
-impl Wire for SymScalar {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            SymScalar::Concrete(v) => {
-                buf.push(0);
-                wire::put_ivarint(buf, *v);
-            }
-            SymScalar::Affine { field, a, b } => {
-                buf.push(1);
-                wire::put_uvarint(buf, u64::from(field.0));
-                wire::put_ivarint(buf, *a);
-                wire::put_ivarint(buf, *b);
-            }
-        }
+impl SymScalar {
+    /// Wire v2: an affine scalar as `field`, `a`, `b` varints. Symbolic
+    /// vector elements are always affine, so a run of them carries no
+    /// per-element tag.
+    pub(crate) fn encode_affine(field: FieldId, a: i64, b: i64, buf: &mut Vec<u8>) {
+        wire::put_uvarint(buf, u64::from(field.0));
+        wire::put_ivarint(buf, a);
+        wire::put_ivarint(buf, b);
     }
 
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match wire::get_bytes(buf, 1)?[0] {
-            0 => Ok(SymScalar::Concrete(wire::get_ivarint(buf)?)),
-            1 => {
-                let field = wire::get_uvarint(buf)?;
-                let field = u16::try_from(field).map_err(|_| WireError::LengthOverflow(field))?;
-                let a = wire::get_ivarint(buf)?;
-                let b = wire::get_ivarint(buf)?;
-                Ok(SymScalar::Affine {
-                    field: FieldId(field),
-                    a,
-                    b,
-                })
-            }
-            t => Err(WireError::InvalidTag(t)),
-        }
+    /// Inverse of [`SymScalar::encode_affine`].
+    pub(crate) fn decode_affine(buf: &mut &[u8]) -> Result<SymScalar, WireError> {
+        let field = wire::get_uvarint(buf)?;
+        let field = u16::try_from(field).map_err(|_| WireError::LengthOverflow(field))?;
+        let a = wire::get_ivarint(buf)?;
+        let b = wire::get_ivarint(buf)?;
+        Ok(SymScalar::Affine {
+            field: FieldId(field),
+            a,
+            b,
+        })
     }
 }
 
@@ -236,25 +225,29 @@ mod tests {
     }
 
     #[test]
-    fn wire_roundtrip() {
-        for s in [
-            SymScalar::Concrete(-42),
+    fn affine_wire_roundtrip() {
+        let mut buf = Vec::new();
+        SymScalar::encode_affine(FieldId(3), -2, 100, &mut buf);
+        let mut rd = &buf[..];
+        assert_eq!(
+            SymScalar::decode_affine(&mut rd).unwrap(),
             SymScalar::Affine {
                 field: FieldId(3),
                 a: -2,
                 b: 100,
-            },
-        ] {
-            let buf = s.to_wire();
-            let mut rd = &buf[..];
-            assert_eq!(SymScalar::decode(&mut rd).unwrap(), s);
-            assert!(rd.is_empty());
-        }
+            }
+        );
+        assert!(rd.is_empty());
     }
 
     #[test]
-    fn wire_bad_tag() {
-        let mut rd: &[u8] = &[9];
-        assert!(SymScalar::decode(&mut rd).is_err());
+    fn affine_wire_rejects_a_field_id_past_u16() {
+        let mut buf = Vec::new();
+        wire::put_uvarint(&mut buf, 0x1_0000);
+        buf.extend([2, 2]);
+        assert_eq!(
+            SymScalar::decode_affine(&mut &buf[..]),
+            Err(WireError::LengthOverflow(0x1_0000))
+        );
     }
 }

@@ -99,11 +99,16 @@ impl SymField for SymBool {
     fn transfer(&self) -> Option<ScalarTransfer> {
         self.inner.transfer()
     }
-    fn encode_field(&self, buf: &mut Vec<u8>) {
-        self.inner.encode_field(buf);
+    fn encode_field(&self, _prev: Option<&dyn SymField>, buf: &mut Vec<u8>) {
+        self.inner.encode_field(None, buf);
     }
-    fn decode_field(&mut self, buf: &mut &[u8], id: FieldId) -> Result<(), WireError> {
-        self.inner.decode_field(buf, id)
+    fn decode_field(
+        &mut self,
+        buf: &mut &[u8],
+        id: FieldId,
+        _prev: Option<&dyn SymField>,
+    ) -> Result<(), WireError> {
+        self.inner.decode_field(buf, id, None)
     }
     fn as_any(&self) -> &dyn std::any::Any {
         self
@@ -184,10 +189,10 @@ mod tests {
         let mut b = SymBool::new(true);
         b.make_symbolic(FieldId(2));
         let mut buf = Vec::new();
-        b.encode_field(&mut buf);
+        b.encode_field(None, &mut buf);
         let mut back = SymBool::new(false);
         let mut rd = &buf[..];
-        back.decode_field(&mut rd, FieldId(2)).unwrap();
+        back.decode_field(&mut rd, FieldId(2), None).unwrap();
         assert_eq!(back, b);
     }
 

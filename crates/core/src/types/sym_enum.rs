@@ -23,6 +23,16 @@ use crate::wire::{self, WireError};
 /// Maximum number of values in a `SymEnum` domain (bit-set width).
 pub const MAX_ENUM_DOMAIN: u32 = 256;
 
+/// Wire v2 flag byte of a [`SymEnum`]: the constraint set follows (else
+/// it is the full domain); the value is bound, and the six high bits hold
+/// the bound constant when it is below [`BOUND_ESCAPE`] — otherwise they
+/// hold `BOUND_ESCAPE` and the constant follows the set as a varint.
+/// Unbound, the high bits must be zero.
+const FLAG_SET: u8 = 1;
+const FLAG_BOUND: u8 = 1 << 1;
+const BOUND_SHIFT: u32 = 2;
+const BOUND_ESCAPE: u32 = 63;
+
 /// A symbolic enumeration over the domain `0..domain`.
 ///
 /// Supports equality/inequality tests against constants and assignment of
@@ -310,30 +320,57 @@ impl SymField for SymEnum {
         })
     }
 
-    fn encode_field(&self, buf: &mut Vec<u8>) {
-        self.set.encode_for_domain(self.domain, buf);
-        match self.bound {
-            None => buf.push(0),
-            Some(c) => {
-                buf.push(1);
+    fn encode_field(&self, _prev: Option<&dyn SymField>, buf: &mut Vec<u8>) {
+        let at = buf.len();
+        buf.push(0);
+        let mut flags = 0;
+        if self.set != BitSet256::full(self.domain) {
+            flags |= FLAG_SET;
+            self.set.encode_for_domain(self.domain, buf);
+        }
+        if let Some(c) = self.bound {
+            flags |= FLAG_BOUND;
+            if c < BOUND_ESCAPE {
+                flags |= (c as u8) << BOUND_SHIFT;
+            } else {
+                flags |= (BOUND_ESCAPE as u8) << BOUND_SHIFT;
                 wire::put_uvarint(buf, u64::from(c));
             }
         }
+        buf[at] = flags;
     }
 
-    fn decode_field(&mut self, buf: &mut &[u8], id: FieldId) -> Result<(), WireError> {
-        let set = BitSet256::decode_for_domain(self.domain, buf)?;
-        let bound = match wire::get_bytes(buf, 1)?[0] {
-            0 => None,
-            1 => {
-                let c = wire::get_uvarint(buf)?;
-                let c = u32::try_from(c).map_err(|_| WireError::LengthOverflow(c))?;
-                if c >= self.domain {
-                    return Err(WireError::InvalidTag(c as u8));
-                }
-                Some(c)
+    fn decode_field(
+        &mut self,
+        buf: &mut &[u8],
+        id: FieldId,
+        _prev: Option<&dyn SymField>,
+    ) -> Result<(), WireError> {
+        let flags = wire::get_bytes(buf, 1)?[0];
+        let inline = u32::from(flags >> BOUND_SHIFT);
+        if flags & FLAG_BOUND == 0 && inline != 0 {
+            return Err(WireError::InvalidTag(flags));
+        }
+        let set = if flags & FLAG_SET != 0 {
+            BitSet256::decode_for_domain(self.domain, buf)?
+        } else {
+            BitSet256::full(self.domain)
+        };
+        let bound = if flags & FLAG_BOUND == 0 {
+            None
+        } else {
+            let c = if inline < BOUND_ESCAPE {
+                u64::from(inline)
+            } else {
+                wire::get_uvarint(buf)?
+            };
+            if c >= u64::from(self.domain) {
+                return Err(WireError::OutOfDomain {
+                    value: c,
+                    domain: u64::from(self.domain),
+                });
             }
-            t => return Err(WireError::InvalidTag(t)),
+            Some(c as u32)
         };
         self.set = set;
         self.bound = bound;
@@ -380,6 +417,7 @@ impl SymField for SymEnum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn symbolic(domain: u32) -> SymEnum {
         let mut e = SymEnum::new(domain, 0);
@@ -531,30 +569,68 @@ mod tests {
         e.set = BitSet256::from_mask64(0b101_0011);
         e.bound = Some(5);
         let mut buf = Vec::new();
-        e.encode_field(&mut buf);
+        e.encode_field(None, &mut buf);
         let mut back = SymEnum::new(7, 0);
         let mut rd = &buf[..];
-        back.decode_field(&mut rd, FieldId(0)).unwrap();
+        back.decode_field(&mut rd, FieldId(0), None).unwrap();
         assert!(rd.is_empty());
         assert_eq!(back, e);
     }
 
     #[test]
+    fn wire_inlines_small_bounds_and_escapes_large_ones() {
+        for (domain, bound, len) in [(2, 1, 1), (64, 62, 1), (64, 63, 2), (256, 255, 3)] {
+            let e = SymEnum::new(domain, bound);
+            let mut buf = Vec::new();
+            e.encode_field(None, &mut buf);
+            assert_eq!(buf.len(), len, "domain {domain} bound {bound}: {buf:?}");
+            let mut back = SymEnum::new(domain, 0);
+            let mut rd = &buf[..];
+            back.decode_field(&mut rd, FieldId(0), None).unwrap();
+            assert!(rd.is_empty());
+            assert_eq!(back.concrete_value(), Some(bound));
+        }
+        // The unknown input over the whole domain: the flag byte alone.
+        let mut buf = Vec::new();
+        symbolic(200).encode_field(None, &mut buf);
+        assert_eq!(buf, [0]);
+    }
+
+    #[test]
     fn wire_rejects_bad_payloads() {
         let e = SymEnum::new(4, 0);
-        // Out-of-domain bound.
-        let mut buf = Vec::new();
-        wire::put_uvarint(&mut buf, 0b1111);
-        buf.push(1);
-        wire::put_uvarint(&mut buf, 9);
-        let mut back = e;
-        assert!(back.decode_field(&mut &buf[..], FieldId(0)).is_err());
+        let decode = |bytes: &[u8]| {
+            let mut back = e;
+            back.decode_field(&mut &bytes[..], FieldId(0), None)
+        };
+        // Out-of-domain bound, inline and escaped: the error carries the
+        // whole value, not its low byte.
+        assert_eq!(
+            decode(&[FLAG_BOUND | 9 << BOUND_SHIFT]),
+            Err(WireError::OutOfDomain {
+                value: 9,
+                domain: 4
+            })
+        );
+        let mut buf = vec![FLAG_BOUND | (BOUND_ESCAPE as u8) << BOUND_SHIFT];
+        wire::put_uvarint(&mut buf, 0x1_0003);
+        assert_eq!(
+            decode(&buf),
+            Err(WireError::OutOfDomain {
+                value: 0x1_0003,
+                domain: 4
+            })
+        );
         // Set with bits outside the domain.
-        let mut buf = Vec::new();
-        wire::put_uvarint(&mut buf, 0b1_0000);
-        buf.push(0);
-        let mut back = e;
-        assert!(back.decode_field(&mut &buf[..], FieldId(0)).is_err());
+        assert_eq!(
+            decode(&[FLAG_SET, 0b1_0000]),
+            Err(WireError::OutOfDomain {
+                value: 4,
+                domain: 4
+            })
+        );
+        // Bound bits without the bound flag.
+        assert_eq!(decode(&[0b100]), Err(WireError::InvalidTag(0b100)));
     }
 
     #[test]
@@ -625,9 +701,9 @@ mod tests {
         // First exploration takes the equality side: constraint = {150}.
         assert!(!e.ne_c(&mut ctx, 150));
         let mut buf = Vec::new();
-        e.encode_field(&mut buf);
+        e.encode_field(None, &mut buf);
         let mut back = SymEnum::new(N, 0);
-        back.decode_field(&mut &buf[..], FieldId(0)).unwrap();
+        back.decode_field(&mut &buf[..], FieldId(0), None).unwrap();
         assert_eq!(back, e);
         assert_eq!(back.constraint_bits().len(), 1);
     }
@@ -763,5 +839,43 @@ mod tests {
     fn domain_64_masks() {
         let e = symbolic(64);
         assert_eq!(e.constraint_set(), u64::MAX);
+    }
+
+    proptest! {
+        #[test]
+        fn wire_roundtrips_every_canonical_form(
+            domain in 1u32..=256,
+            words in (
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>()
+            ),
+            full in any::<bool>(),
+            bound in prop_oneof![
+                Just(None),
+                any::<u32>().prop_map(Some)
+            ],
+        ) {
+            let mut e = symbolic(domain);
+            if !full {
+                let mut set = BitSet256::EMPTY;
+                for v in 0..domain {
+                    let word = [words.0, words.1, words.2, words.3][(v / 64) as usize];
+                    if word >> (v % 64) & 1 != 0 {
+                        set.insert(v);
+                    }
+                }
+                e.set = set;
+            }
+            e.bound = bound.map(|c| c % domain);
+            let mut buf = Vec::new();
+            e.encode_field(None, &mut buf);
+            let mut back = SymEnum::new(domain, 0);
+            let mut rd = &buf[..];
+            back.decode_field(&mut rd, FieldId(0), None).unwrap();
+            prop_assert!(rd.is_empty());
+            prop_assert_eq!(back, e);
+        }
     }
 }

@@ -23,6 +23,16 @@ use crate::state::{downcast, FieldId, SymField};
 use crate::types::scalar::{mul_add_checked, ScalarTransfer, SymScalar};
 use crate::wire::{self, WireError};
 
+/// Wire v2 flag byte of a [`SymInt`]: `lb` / `ub` follow (else the end is
+/// the width range's), `a` is 1 / `a` follows (neither: `a = 0`), `b`
+/// follows (else 0). Fields follow in that order as zigzag varints.
+const FLAG_LB: u8 = 1;
+const FLAG_UB: u8 = 1 << 1;
+const FLAG_A_ONE: u8 = 1 << 2;
+const FLAG_A: u8 = 1 << 3;
+const FLAG_B: u8 = 1 << 4;
+const FLAG_ALL: u8 = FLAG_LB | FLAG_UB | FLAG_A_ONE | FLAG_A | FLAG_B;
+
 /// A symbolic 64-bit integer.
 ///
 /// Canonical form `(lb, ub, a, b)`: under the path constraint
@@ -508,19 +518,51 @@ impl SymField for SymInt {
         Some(ScalarTransfer::from_coeffs(self.a, self.b))
     }
 
-    fn encode_field(&self, buf: &mut Vec<u8>) {
-        wire::put_ivarint(buf, self.constraint.lb);
-        wire::put_ivarint(buf, self.constraint.ub);
-        wire::put_ivarint(buf, self.a);
-        wire::put_ivarint(buf, self.b);
+    fn encode_field(&self, _prev: Option<&dyn SymField>, buf: &mut Vec<u8>) {
+        let at = buf.len();
+        buf.push(0);
+        let (lb, ub) = self.constraint.encode_within(&self.width_range(), buf);
+        let mut flags = (u8::from(lb) * FLAG_LB) | (u8::from(ub) * FLAG_UB);
+        match self.a {
+            0 => {}
+            1 => flags |= FLAG_A_ONE,
+            a => {
+                flags |= FLAG_A;
+                wire::put_ivarint(buf, a);
+            }
+        }
+        if self.b != 0 {
+            flags |= FLAG_B;
+            wire::put_ivarint(buf, self.b);
+        }
+        buf[at] = flags;
     }
 
-    fn decode_field(&mut self, buf: &mut &[u8], id: FieldId) -> Result<(), WireError> {
-        let lb = wire::get_ivarint(buf)?;
-        let ub = wire::get_ivarint(buf)?;
-        self.a = wire::get_ivarint(buf)?;
-        self.b = wire::get_ivarint(buf)?;
-        self.constraint = Interval::new(lb, ub);
+    fn decode_field(
+        &mut self,
+        buf: &mut &[u8],
+        id: FieldId,
+        _prev: Option<&dyn SymField>,
+    ) -> Result<(), WireError> {
+        let flags = wire::get_bytes(buf, 1)?[0];
+        if flags & !FLAG_ALL != 0 || flags & (FLAG_A_ONE | FLAG_A) == FLAG_A_ONE | FLAG_A {
+            return Err(WireError::InvalidTag(flags));
+        }
+        self.constraint = Interval::decode_within(
+            &self.width_range(),
+            (flags & FLAG_LB != 0, flags & FLAG_UB != 0),
+            buf,
+        )?;
+        self.a = if flags & FLAG_A != 0 {
+            wire::get_ivarint(buf)?
+        } else {
+            i64::from(flags & FLAG_A_ONE != 0)
+        };
+        self.b = if flags & FLAG_B != 0 {
+            wire::get_ivarint(buf)?
+        } else {
+            0
+        };
         self.id = Some(id);
         Ok(())
     }
@@ -577,6 +619,7 @@ impl SymField for SymInt {
 mod tests {
     use super::*;
     use crate::impl_sym_state;
+    use proptest::prelude::*;
 
     fn symbolic() -> SymInt {
         let mut s = SymInt::new(0);
@@ -778,12 +821,39 @@ mod tests {
         v *= -2;
         v += 7;
         let mut buf = Vec::new();
-        v.encode_field(&mut buf);
+        v.encode_field(None, &mut buf);
         let mut back = SymInt::new(0);
         let mut rd = &buf[..];
-        back.decode_field(&mut rd, FieldId(0)).unwrap();
+        back.decode_field(&mut rd, FieldId(0), None).unwrap();
         assert!(rd.is_empty());
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn wire_spends_no_bytes_on_untouched_parts() {
+        // The unknown input of any width, unconstrained: one flag byte.
+        for width in [8, 32, 64] {
+            let mut v = SymInt::with_width(width, 0);
+            v.make_symbolic(FieldId(0));
+            let mut buf = Vec::new();
+            v.encode_field(None, &mut buf);
+            assert_eq!(buf, [FLAG_A_ONE], "width {width}");
+        }
+        // A concrete zero: the flag byte alone, too.
+        let mut buf = Vec::new();
+        SymInt::new(0).encode_field(None, &mut buf);
+        assert_eq!(buf, [0]);
+    }
+
+    #[test]
+    fn wire_rejects_unknown_and_contradictory_flags() {
+        for flags in [0x20, 0x80, FLAG_A_ONE | FLAG_A] {
+            let mut back = SymInt::new(0);
+            assert_eq!(
+                back.decode_field(&mut &[flags, 0, 0][..], FieldId(0), None),
+                Err(WireError::InvalidTag(flags))
+            );
+        }
     }
 
     #[test]
@@ -901,5 +971,50 @@ mod tests {
                 b: 2
             }
         );
+    }
+
+    /// One end of a constraint: left open, or narrowed to anything.
+    fn end() -> impl Strategy<Value = Option<i64>> {
+        prop_oneof![
+            Just(None),
+            any::<i64>().prop_map(Some),
+            (-100i64..100).prop_map(Some)
+        ]
+    }
+
+    proptest! {
+        /// Every canonical form round-trips — each end open or narrowed on
+        /// its own, any width, `a` in and out of {0, 1} — and a part nobody
+        /// touched costs no bytes.
+        #[test]
+        fn wire_roundtrips_every_canonical_form(
+            width in prop_oneof![Just(64u8), 8u8..64],
+            lb in end(),
+            ub in end(),
+            a in prop_oneof![-2i64..3, any::<i64>()],
+            b in prop_oneof![-1i64..2, any::<i64>()],
+        ) {
+            let mut v = SymInt::with_width(width, 0);
+            v.make_symbolic(FieldId(4));
+            let open = v.width_range();
+            v.constraint = Interval::new(lb.unwrap_or(open.lb), ub.unwrap_or(open.ub));
+            (v.a, v.b) = (a, b);
+            let mut buf = Vec::new();
+            v.encode_field(None, &mut buf);
+            let mut back = SymInt::with_width(width, 0);
+            let mut rd = &buf[..];
+            back.decode_field(&mut rd, FieldId(4), None).unwrap();
+            prop_assert!(rd.is_empty());
+            prop_assert_eq!(back, v);
+            let varints = [
+                v.constraint.lb != open.lb,
+                v.constraint.ub != open.ub,
+                !(0..=1).contains(&a),
+                b != 0,
+            ];
+            let floor = 1 + varints.iter().filter(|p| **p).count();
+            prop_assert!(buf.len() >= floor);
+            prop_assert!(buf.len() <= 1 + 10 * (floor - 1));
+        }
     }
 }

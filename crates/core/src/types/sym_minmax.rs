@@ -55,6 +55,17 @@ impl Extremum {
     }
 }
 
+/// Wire v2 flag byte of a [`SymMinMax`]: the mode is `Max`, the input
+/// still participates, `lb` / `ub` follow (else the end is open), the
+/// accumulator follows (else it is the mode's fold identity). Fields
+/// follow in that order as zigzag varints.
+const FLAG_MAX: u8 = 1;
+const FLAG_TRACKING: u8 = 1 << 1;
+const FLAG_LB: u8 = 1 << 2;
+const FLAG_UB: u8 = 1 << 3;
+const FLAG_ACC: u8 = 1 << 4;
+const FLAG_ALL: u8 = FLAG_MAX | FLAG_TRACKING | FLAG_LB | FLAG_UB | FLAG_ACC;
+
 /// A running minimum or maximum over the values fed to it.
 ///
 /// # Examples
@@ -306,32 +317,47 @@ impl SymField for SymMinMax {
         self.concrete_value().map(ScalarTransfer::Const)
     }
 
-    fn encode_field(&self, buf: &mut Vec<u8>) {
-        buf.push(match self.mode {
-            Extremum::Min => 0,
-            Extremum::Max => 1,
-        });
-        buf.push(u8::from(self.tracking_input));
-        wire::put_ivarint(buf, self.acc);
-        wire::put_ivarint(buf, self.constraint.lb);
-        wire::put_ivarint(buf, self.constraint.ub);
+    fn encode_field(&self, _prev: Option<&dyn SymField>, buf: &mut Vec<u8>) {
+        let at = buf.len();
+        buf.push(0);
+        let (lb, ub) = self.constraint.encode_within(&Interval::FULL, buf);
+        let mut flags = (u8::from(self.mode == Extremum::Max) * FLAG_MAX)
+            | (u8::from(self.tracking_input) * FLAG_TRACKING)
+            | (u8::from(lb) * FLAG_LB)
+            | (u8::from(ub) * FLAG_UB);
+        if self.acc != self.mode.seed() {
+            flags |= FLAG_ACC;
+            wire::put_ivarint(buf, self.acc);
+        }
+        buf[at] = flags;
     }
 
-    fn decode_field(&mut self, buf: &mut &[u8], id: FieldId) -> Result<(), WireError> {
-        self.mode = match wire::get_bytes(buf, 1)?[0] {
-            0 => Extremum::Min,
-            1 => Extremum::Max,
-            t => return Err(WireError::InvalidTag(t)),
+    fn decode_field(
+        &mut self,
+        buf: &mut &[u8],
+        id: FieldId,
+        _prev: Option<&dyn SymField>,
+    ) -> Result<(), WireError> {
+        let flags = wire::get_bytes(buf, 1)?[0];
+        if flags & !FLAG_ALL != 0 {
+            return Err(WireError::InvalidTag(flags));
+        }
+        self.mode = if flags & FLAG_MAX != 0 {
+            Extremum::Max
+        } else {
+            Extremum::Min
         };
-        self.tracking_input = match wire::get_bytes(buf, 1)?[0] {
-            0 => false,
-            1 => true,
-            t => return Err(WireError::InvalidTag(t)),
+        self.tracking_input = flags & FLAG_TRACKING != 0;
+        self.constraint = Interval::decode_within(
+            &Interval::FULL,
+            (flags & FLAG_LB != 0, flags & FLAG_UB != 0),
+            buf,
+        )?;
+        self.acc = if flags & FLAG_ACC != 0 {
+            wire::get_ivarint(buf)?
+        } else {
+            self.mode.seed()
         };
-        self.acc = wire::get_ivarint(buf)?;
-        let lb = wire::get_ivarint(buf)?;
-        let ub = wire::get_ivarint(buf)?;
-        self.constraint = Interval::new(lb, ub);
         self.id = Some(id);
         Ok(())
     }
@@ -420,6 +446,7 @@ mod tests {
     use crate::engine::{EngineConfig, SymbolicExecutor};
     use crate::impl_sym_state;
     use crate::uda::Uda;
+    use proptest::prelude::*;
 
     struct MaxUda;
 
@@ -531,12 +558,31 @@ mod tests {
         let mut ctx = SymCtx::symbolic();
         let _ = m.lt(&mut ctx, 100);
         let mut buf = Vec::new();
-        m.encode_field(&mut buf);
+        m.encode_field(None, &mut buf);
         let mut back = SymMinMax::new(Extremum::Min);
         let mut rd = &buf[..];
-        back.decode_field(&mut rd, FieldId(3)).unwrap();
+        back.decode_field(&mut rd, FieldId(3), None).unwrap();
         assert!(rd.is_empty());
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn wire_spends_no_bytes_on_the_seed_and_open_ends() {
+        for mode in [Extremum::Min, Extremum::Max] {
+            let mut m = SymMinMax::new(mode);
+            m.make_symbolic(FieldId(0));
+            let mut buf = Vec::new();
+            m.encode_field(None, &mut buf);
+            assert_eq!(buf.len(), 1, "{mode:?}: {buf:?}");
+            let mut back = SymMinMax::new(Extremum::Min);
+            back.decode_field(&mut &buf[..], FieldId(0), None).unwrap();
+            assert_eq!(back, m);
+        }
+        let mut back = SymMinMax::new(Extremum::Min);
+        assert_eq!(
+            back.decode_field(&mut &[0x20u8][..], FieldId(0), None),
+            Err(WireError::InvalidTag(0x20))
+        );
     }
 
     #[test]
@@ -571,5 +617,34 @@ mod tests {
         assert_eq!(composed.constraint, Interval::new(i64::MIN, 19));
         assert_eq!(composed.accumulated(), 9);
         assert!(composed.tracking_input);
+    }
+
+    proptest! {
+        #[test]
+        fn wire_roundtrips_every_canonical_form(
+            max in any::<bool>(),
+            tracking in any::<bool>(),
+            lb in prop_oneof![Just(i64::MIN), any::<i64>()],
+            ub in prop_oneof![Just(i64::MAX), any::<i64>()],
+            acc in prop_oneof![
+                Just(i64::MIN),
+                Just(i64::MAX),
+                any::<i64>()
+            ],
+        ) {
+            let mut m = SymMinMax::new(if max { Extremum::Max } else { Extremum::Min });
+            m.make_symbolic(FieldId(2));
+            m.tracking_input = tracking;
+            m.constraint = Interval::new(lb, ub);
+            m.acc = acc;
+            let mut buf = Vec::new();
+            m.encode_field(None, &mut buf);
+            // Decoding restores the mode too, whatever the template's.
+            let mut back = SymMinMax::new(Extremum::Min);
+            let mut rd = &buf[..];
+            back.decode_field(&mut rd, FieldId(2), None).unwrap();
+            prop_assert!(rd.is_empty());
+            prop_assert_eq!(back, m);
+        }
     }
 }

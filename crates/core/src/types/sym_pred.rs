@@ -52,6 +52,15 @@ impl PredValue for String {}
 impl PredValue for (i64, i64) {}
 impl PredValue for (f64, f64) {}
 
+/// Wire v2 flag byte of a [`SymPred`]: the two low bits say what is held
+/// (a `Set` value follows the flag byte), the third that a decision list
+/// follows — its length, then `(argument, outcome)` pairs. No decisions
+/// and nothing held cost no further bytes.
+const HELD_UNKNOWN: u8 = 0;
+const HELD_UNSET: u8 = 1;
+const HELD_SET: u8 = 2;
+const FLAG_DECISIONS: u8 = 1 << 2;
+
 /// The held value of a [`SymPred`].
 #[derive(Debug, Clone, PartialEq)]
 enum Held<T> {
@@ -377,30 +386,43 @@ impl<T: PredValue> SymField for SymPred<T> {
         }
     }
 
-    fn encode_field(&self, buf: &mut Vec<u8>) {
-        match &self.held {
-            Held::Unknown => buf.push(0),
-            Held::Unset => buf.push(1),
-            Held::Set(v) => {
-                buf.push(2);
-                v.encode(buf);
-            }
+    fn encode_field(&self, _prev: Option<&dyn SymField>, buf: &mut Vec<u8>) {
+        let held = match &self.held {
+            Held::Unknown => HELD_UNKNOWN,
+            Held::Unset => HELD_UNSET,
+            Held::Set(_) => HELD_SET,
+        };
+        buf.push(held | (u8::from(!self.decisions.is_empty()) * FLAG_DECISIONS));
+        if let Held::Set(v) = &self.held {
+            v.encode(buf);
         }
-        wire::put_uvarint(buf, self.decisions.len() as u64);
-        for (arg, out) in self.decisions.iter() {
-            arg.encode(buf);
-            out.encode(buf);
+        if !self.decisions.is_empty() {
+            wire::put_uvarint(buf, self.decisions.len() as u64);
+            for (arg, out) in self.decisions.iter() {
+                arg.encode(buf);
+                out.encode(buf);
+            }
         }
     }
 
-    fn decode_field(&mut self, buf: &mut &[u8], id: FieldId) -> Result<(), WireError> {
-        self.held = match wire::get_bytes(buf, 1)?[0] {
-            0 => Held::Unknown,
-            1 => Held::Unset,
-            2 => Held::Set(T::decode(buf)?),
-            t => return Err(WireError::InvalidTag(t)),
+    fn decode_field(
+        &mut self,
+        buf: &mut &[u8],
+        id: FieldId,
+        _prev: Option<&dyn SymField>,
+    ) -> Result<(), WireError> {
+        let flags = wire::get_bytes(buf, 1)?[0];
+        self.held = match flags & !FLAG_DECISIONS {
+            HELD_UNKNOWN => Held::Unknown,
+            HELD_UNSET => Held::Unset,
+            HELD_SET => Held::Set(T::decode(buf)?),
+            _ => return Err(WireError::InvalidTag(flags)),
         };
-        let n = wire::get_len(buf)?;
+        let n = if flags & FLAG_DECISIONS != 0 {
+            wire::get_len(buf)?
+        } else {
+            0
+        };
         let mut decisions = Vec::with_capacity(n.min(64));
         for _ in 0..n {
             let arg = T::decode(buf)?;
@@ -463,6 +485,7 @@ impl<T: PredValue> SymField for SymPred<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn lt_pred() -> SymPred<i64> {
         // "previous < current" as a black-box predicate.
@@ -662,12 +685,36 @@ mod tests {
         p.decisions = Arc::new(vec![(7, true), (-2, false)]);
         p.set(33);
         let mut buf = Vec::new();
-        p.encode_field(&mut buf);
+        p.encode_field(None, &mut buf);
         let mut back = lt_pred();
         let mut rd = &buf[..];
-        back.decode_field(&mut rd, FieldId(1)).unwrap();
+        back.decode_field(&mut rd, FieldId(1), None).unwrap();
         assert!(rd.is_empty());
         assert_eq!(back, p);
+    }
+
+    #[test]
+    fn wire_spends_one_byte_on_an_undecided_unset_value() {
+        for (mut p, flag) in [(lt_pred(), HELD_UNSET), (lt_pred(), HELD_UNKNOWN)] {
+            if flag == HELD_UNKNOWN {
+                p.make_symbolic(FieldId(0));
+            }
+            let mut buf = Vec::new();
+            p.encode_field(None, &mut buf);
+            assert_eq!(buf, [flag]);
+            let mut back = lt_pred();
+            back.set(1);
+            back.decode_field(&mut &buf[..], FieldId(0), None).unwrap();
+            assert_eq!(back, p);
+        }
+        // Held tag 3 and the five unknown high bits are refused.
+        for flags in [3u8, 0b1000, 0x80 | HELD_SET] {
+            let mut back = lt_pred();
+            assert_eq!(
+                back.decode_field(&mut &[flags, 0, 0][..], FieldId(0), None),
+                Err(WireError::InvalidTag(flags))
+            );
+        }
     }
 
     #[test]
@@ -696,5 +743,37 @@ mod tests {
         let mut p: SymPred<String> = SymPred::new(|a, b| a == b);
         p.make_symbolic(FieldId(0));
         assert_eq!(p.transfer(), Some(ScalarTransfer::IDENTITY));
+    }
+
+    proptest! {
+        #[test]
+        fn wire_roundtrips_every_canonical_form(
+            held in 0u8..3,
+            value in any::<i64>(),
+            decisions in prop::collection::vec(
+                (any::<i64>(), any::<bool>()),
+                0..6
+            ),
+        ) {
+            let mut p = lt_pred();
+            p.make_symbolic(FieldId(1));
+            p.held = match held {
+                0 => Held::Unknown,
+                1 => Held::Unset,
+                _ => Held::Set(value),
+            };
+            let empty = decisions.is_empty();
+            p.decisions = Arc::new(decisions);
+            let mut buf = Vec::new();
+            p.encode_field(None, &mut buf);
+            if empty && held < 2 {
+                prop_assert_eq!(buf.len(), 1);
+            }
+            let mut back = lt_pred();
+            let mut rd = &buf[..];
+            back.decode_field(&mut rd, FieldId(1), None).unwrap();
+            prop_assert!(rd.is_empty());
+            prop_assert_eq!(back, p);
+        }
     }
 }

@@ -79,25 +79,9 @@ pub enum Elem<T> {
     Sym(SymScalar),
 }
 
-impl<T: VecElem> Wire for Elem<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Elem::Concrete(v) => {
-                buf.push(0);
-                v.encode(buf);
-            }
-            Elem::Sym(s) => {
-                buf.push(1);
-                s.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match wire::get_bytes(buf, 1)?[0] {
-            0 => Ok(Elem::Concrete(T::decode(buf)?)),
-            1 => Ok(Elem::Sym(SymScalar::decode(buf)?)),
-            t => Err(WireError::InvalidTag(t)),
-        }
+impl<T> Elem<T> {
+    fn is_sym(&self) -> bool {
+        matches!(self, Elem::Sym(_))
     }
 }
 
@@ -178,6 +162,25 @@ fn lists_eq<T: VecElem>(a: &Option<Arc<Node<T>>>, b: &Option<Arc<Node<T>>>) -> b
     }
 }
 
+/// How many trailing (newest) elements two lists have in common. Reaching
+/// a node both lists share ends the walk: everything older is shared too.
+fn common_tail_len<T: VecElem>(a: &SymVector<T>, b: &SymVector<T>) -> usize {
+    let (mut x, mut y) = (&a.tail, &b.tail);
+    let mut n = 0;
+    while let (Some(nx), Some(ny)) = (x, y) {
+        if Arc::ptr_eq(nx, ny) {
+            return a.len;
+        }
+        if nx.elem != ny.elem {
+            break;
+        }
+        n += 1;
+        x = &nx.prev;
+        y = &ny.prev;
+    }
+    n
+}
+
 impl<T: VecElem> SymVector<T> {
     /// Creates an empty vector.
     pub fn new() -> SymVector<T> {
@@ -189,8 +192,13 @@ impl<T: VecElem> SymVector<T> {
         }
     }
 
+    /// The nodes, newest first.
+    fn nodes(&self) -> impl Iterator<Item = &Node<T>> {
+        std::iter::successors(self.tail.as_deref(), |n| n.prev.as_deref())
+    }
+
     fn push_elem(&mut self, elem: Elem<T>) {
-        if matches!(elem, Elem::Sym(_)) {
+        if elem.is_sym() {
             self.sym_len += 1;
         }
         self.tail = Some(Arc::new(Node {
@@ -291,12 +299,7 @@ impl<T: VecElem> SymVector<T> {
 
     /// The elements in append order (allocates; diagnostics and tests).
     pub fn elems(&self) -> Vec<Elem<T>> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut cur = &self.tail;
-        while let Some(n) = cur {
-            out.push(n.elem.clone());
-            cur = &n.prev;
-        }
+        let mut out: Vec<_> = self.nodes().map(|n| n.elem.clone()).collect();
         out.reverse();
         out
     }
@@ -399,17 +402,80 @@ impl<T: VecElem> SymField for SymVector<T> {
         None
     }
 
-    fn encode_field(&self, buf: &mut Vec<u8>) {
-        self.elems().encode(buf);
+    /// Wire v2: `(runs << 1) | has_tail`, then the path's own leading
+    /// elements as runs — `(len << 1) | symbolic`, then `len` concrete
+    /// elements or `len` affine `(field, a, b)` triples — then, with
+    /// `has_tail`, how many trailing elements of the previous path's vector
+    /// follow them. Sibling paths that diverged early and then appended the
+    /// same output write that output once.
+    fn encode_field(&self, prev: Option<&dyn SymField>, buf: &mut Vec<u8>) {
+        let shared = prev
+            .and_then(downcast::<SymVector<T>>)
+            .map_or(0, |p| common_tail_len(self, p));
+        let mut own: Vec<&Elem<T>> = self.nodes().skip(shared).map(|n| &n.elem).collect();
+        own.reverse();
+        let same_kind = |a: &&Elem<T>, b: &&Elem<T>| a.is_sym() == b.is_sym();
+        let runs = own.chunk_by(same_kind).count() as u64;
+        wire::put_uvarint(buf, runs << 1 | u64::from(shared > 0));
+        for run in own.chunk_by(same_kind) {
+            wire::put_uvarint(buf, (run.len() as u64) << 1 | u64::from(run[0].is_sym()));
+            for e in run {
+                match e {
+                    Elem::Concrete(v) => v.encode(buf),
+                    Elem::Sym(SymScalar::Affine { field, a, b }) => {
+                        SymScalar::encode_affine(*field, *a, *b, buf)
+                    }
+                    Elem::Sym(SymScalar::Concrete(_)) => {
+                        unreachable!("Sym elements are always affine")
+                    }
+                }
+            }
+        }
+        if shared > 0 {
+            wire::put_uvarint(buf, shared as u64);
+        }
     }
 
-    fn decode_field(&mut self, buf: &mut &[u8], id: FieldId) -> Result<(), WireError> {
-        let elems = Vec::<Elem<T>>::decode(buf)?;
+    fn decode_field(
+        &mut self,
+        buf: &mut &[u8],
+        id: FieldId,
+        prev: Option<&dyn SymField>,
+    ) -> Result<(), WireError> {
+        let header = wire::get_len(buf)?;
         self.tail = None;
         self.len = 0;
         self.sym_len = 0;
-        for e in elems {
-            self.push_elem(e);
+        for _ in 0..header >> 1 {
+            let run = wire::get_len(buf)?;
+            for _ in 0..run >> 1 {
+                self.push_elem(if run & 1 != 0 {
+                    Elem::Sym(SymScalar::decode_affine(buf)?)
+                } else {
+                    Elem::Concrete(T::decode(buf)?)
+                });
+            }
+        }
+        if header & 1 != 0 {
+            let n = wire::get_uvarint(buf)?;
+            let prev = prev.and_then(downcast::<SymVector<T>>);
+            let Some(prev) = prev.filter(|p| n <= p.len as u64) else {
+                return Err(WireError::BackReference {
+                    len: n,
+                    available: prev.map_or(0, |p| p.len as u64),
+                });
+            };
+            if self.len == 0 && n == prev.len as u64 {
+                // The whole of it: share the list instead of copying it.
+                self.tail = prev.tail.clone();
+                self.len = prev.len;
+                self.sym_len = prev.sym_len;
+            } else {
+                let shared: Vec<_> = prev.nodes().take(n as usize).collect();
+                for node in shared.into_iter().rev() {
+                    self.push_elem(node.elem.clone());
+                }
+            }
         }
         self.id = Some(id);
         Ok(())
@@ -472,6 +538,7 @@ impl<T: VecElem> SymField for SymVector<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn push_and_extract_concrete() {
@@ -668,13 +735,193 @@ mod tests {
             b: 3,
         });
         let mut buf = Vec::new();
-        v.encode_field(&mut buf);
+        v.encode_field(None, &mut buf);
         let mut back: SymVector<i64> = SymVector::new();
         let mut rd = &buf[..];
-        back.decode_field(&mut rd, FieldId(9)).unwrap();
+        back.decode_field(&mut rd, FieldId(9), None).unwrap();
         assert!(rd.is_empty());
         assert_eq!(back.elems(), v.elems());
         assert!(!back.is_concrete(), "sym_len restored by decode");
+    }
+
+    /// Encodes `v` against `prev`, decodes it against `prev`, and returns
+    /// the bytes after checking the round trip.
+    fn roundtrip_after(v: &SymVector<i64>, prev: Option<&SymVector<i64>>) -> Vec<u8> {
+        let prev = prev.map(|p| p as &dyn SymField);
+        let mut buf = Vec::new();
+        v.encode_field(prev, &mut buf);
+        let mut back: SymVector<i64> = SymVector::new();
+        let mut rd = &buf[..];
+        back.decode_field(&mut rd, FieldId(0), prev).unwrap();
+        assert!(rd.is_empty());
+        assert_eq!(&back, v);
+        buf
+    }
+
+    fn sym(a: i64, b: i64) -> SymScalar {
+        SymScalar::Affine {
+            field: FieldId(0),
+            a,
+            b,
+        }
+    }
+
+    #[test]
+    fn wire_tags_runs_not_elements() {
+        let mut v: SymVector<i64> = SymVector::new();
+        assert_eq!(roundtrip_after(&v, None), [0], "empty: one byte");
+        for i in 0..10 {
+            v.push(i);
+        }
+        // Header, one run header, ten one-byte elements.
+        assert_eq!(roundtrip_after(&v, None).len(), 12);
+        v.push_scalar(sym(1, 0));
+        v.push_scalar(sym(-1, 7));
+        v.push(3);
+        // Three runs: 10 concrete, 2 symbolic (3 bytes each), 1 concrete.
+        assert_eq!(
+            roundtrip_after(&v, None).len(),
+            1 + (1 + 10) + (1 + 6) + (1 + 1)
+        );
+    }
+
+    #[test]
+    fn wire_writes_a_tail_shared_with_the_previous_path_once() {
+        // The gap-detector shape: two paths whose outputs differ only in
+        // their first elements.
+        let mut quiet: SymVector<i64> = SymVector::new();
+        let mut gap: SymVector<i64> = SymVector::new();
+        gap.push_scalar(sym(1, 0));
+        gap.push_scalar(sym(-1, 500));
+        for ts in 0..40 {
+            quiet.push(1_000_000 + ts);
+            gap.push(1_000_000 + ts);
+        }
+        let alone = roundtrip_after(&gap, None).len();
+        let after = roundtrip_after(&gap, Some(&quiet));
+        // Header, one symbolic run of two elements, the back-reference.
+        assert_eq!(after.len(), 1 + 1 + (3 + 4) + 1, "{after:?}");
+        assert!(after.len() * 10 < alone);
+
+        // Own prefix longer than the shared tail, and no own prefix at all
+        // (the whole list is shared, whether or not the nodes are).
+        let mut long_prefix = SymVector::new();
+        for i in 0..9 {
+            long_prefix.push(i);
+        }
+        long_prefix.push(1_000_039);
+        assert_eq!(
+            roundtrip_after(&long_prefix, Some(&quiet)).len(),
+            1 + 10 + 1
+        );
+        assert_eq!(roundtrip_after(&quiet.clone(), Some(&quiet)), [1, 40]);
+        let mut rebuilt = SymVector::new();
+        for ts in 0..40 {
+            rebuilt.push(1_000_000 + ts);
+        }
+        assert_eq!(roundtrip_after(&rebuilt, Some(&quiet)), [1, 40]);
+        // A previous path that is a strict suffix, and one that is longer.
+        assert_eq!(roundtrip_after(&quiet, Some(&gap)), [1, 40]);
+        let mut short = SymVector::new();
+        short.push(1_000_039);
+        assert_eq!(
+            roundtrip_after(&quiet, Some(&short)).len(),
+            1 + 1 + 39 * 3 + 1
+        );
+        // Nothing in common: no back-reference is written.
+        let mut other = SymVector::new();
+        other.push(5);
+        assert_eq!(roundtrip_after(&other, Some(&quiet)), [2, 2, 10]);
+    }
+
+    #[test]
+    fn wire_decoding_the_whole_previous_list_shares_it() {
+        let mut prev: SymVector<i64> = SymVector::new();
+        for i in 0..100 {
+            prev.push(i);
+        }
+        let mut back: SymVector<i64> = SymVector::new();
+        back.decode_field(&mut &[1u8, 100][..], FieldId(0), Some(&prev))
+            .unwrap();
+        assert!(back.shares_storage_with(&prev));
+    }
+
+    #[test]
+    fn wire_rejects_hostile_back_references() {
+        let mut prev: SymVector<i64> = SymVector::new();
+        prev.push(1);
+        prev.push(2);
+        let decode = |bytes: &[u8], prev: Option<&SymVector<i64>>| {
+            let mut back: SymVector<i64> = SymVector::new();
+            back.decode_field(
+                &mut &bytes[..],
+                FieldId(0),
+                prev.map(|p| p as &dyn SymField),
+            )
+        };
+        // Longer than the previous path's vector — by one, and by far more
+        // than could ever be allocated.
+        assert_eq!(
+            decode(&[1, 3], Some(&prev)),
+            Err(WireError::BackReference {
+                len: 3,
+                available: 2
+            })
+        );
+        let mut huge = vec![1u8];
+        wire::put_uvarint(&mut huge, u64::MAX);
+        assert_eq!(
+            decode(&huge, Some(&prev)),
+            Err(WireError::BackReference {
+                len: u64::MAX,
+                available: 2
+            })
+        );
+        // In a summary's first path there is nothing to refer back to.
+        assert_eq!(
+            decode(&[1, 0], None),
+            Err(WireError::BackReference {
+                len: 0,
+                available: 0
+            })
+        );
+        // A run that promises more elements than the buffer holds.
+        assert_eq!(decode(&[2, 200, 1, 2], None), Err(WireError::UnexpectedEof));
+    }
+
+    proptest! {
+        /// Any vector after any previous path's vector: the round trip is
+        /// exact and never longer than writing the vector out alone.
+        #[test]
+        fn wire_roundtrips_against_any_previous_path(
+            own in prop::collection::vec(elem(), 0..12),
+            prev_own in prop::collection::vec(elem(), 0..12),
+            common in prop::collection::vec(elem(), 0..12),
+        ) {
+            let build = |parts: [&Vec<Elem<i64>>; 2]| {
+                let mut v: SymVector<i64> = SymVector::new();
+                for e in parts.into_iter().flatten() {
+                    v.push_elem(e.clone());
+                }
+                v
+            };
+            let (v, prev) = (build([&own, &common]), build([&prev_own, &common]));
+            let alone = roundtrip_after(&v, None);
+            let after = roundtrip_after(&v, Some(&prev));
+            prop_assert!(after.len() <= alone.len());
+        }
+    }
+
+    fn elem() -> impl Strategy<Value = Elem<i64>> {
+        prop_oneof![
+            any::<i64>().prop_map(Elem::Concrete),
+            (-3i64..3).prop_map(Elem::Concrete),
+            (any::<i64>(), any::<i64>()).prop_map(|(a, b)| Elem::Sym(SymScalar::Affine {
+                field: FieldId(1),
+                a,
+                b
+            })),
+        ]
     }
 
     #[test]
@@ -682,9 +929,9 @@ mod tests {
         let mut v: SymVector<String> = SymVector::new();
         v.push("abc".to_string());
         let mut buf = Vec::new();
-        v.encode_field(&mut buf);
+        v.encode_field(None, &mut buf);
         let mut back: SymVector<String> = SymVector::new();
-        back.decode_field(&mut &buf[..], FieldId(0)).unwrap();
+        back.decode_field(&mut &buf[..], FieldId(0), None).unwrap();
         assert_eq!(back.concrete_elems().unwrap(), vec!["abc".to_string()]);
     }
 

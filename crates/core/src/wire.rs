@@ -41,6 +41,25 @@ pub enum WireError {
     InvalidUtf8,
     /// A buffer held more bytes than its declared contents.
     TrailingBytes,
+    /// A decoded value lies outside the domain `0..domain` its field allows
+    /// (an enum bound or constraint bit the template's domain excludes).
+    OutOfDomain {
+        /// The offending value (for a bit-set, its highest stray bit).
+        value: u64,
+        /// The domain size the template declares.
+        domain: u64,
+    },
+    /// A path's vector asked for more trailing elements of the previous
+    /// path's vector than that vector holds (`available` is 0 in a
+    /// summary's first path, which has no previous path).
+    BackReference {
+        /// Elements the back-reference asked for.
+        len: u64,
+        /// Elements the previous path's vector holds.
+        available: u64,
+    },
+    /// Keys that must arrive in ascending order did not.
+    KeyOrder,
 }
 
 impl fmt::Display for WireError {
@@ -52,6 +71,17 @@ impl fmt::Display for WireError {
             WireError::LengthOverflow(n) => write!(f, "length prefix {n} exceeds sanity bound"),
             WireError::InvalidUtf8 => write!(f, "string payload is not valid UTF-8"),
             WireError::TrailingBytes => write!(f, "buffer holds bytes past its declared contents"),
+            WireError::OutOfDomain { value, domain } => {
+                write!(
+                    f,
+                    "value {value} lies outside the field's domain 0..{domain}"
+                )
+            }
+            WireError::BackReference { len, available } => write!(
+                f,
+                "back-reference to {len} trailing elements but the previous path holds {available}"
+            ),
+            WireError::KeyOrder => write!(f, "keys are not in ascending order"),
         }
     }
 }

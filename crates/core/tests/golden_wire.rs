@@ -11,6 +11,12 @@
 //! ```
 //!
 //! and commit the updated `.hex` files alongside the change.
+//!
+//! The files hold **summary wire v2** (a flag byte per field, no per-path
+//! field count, run-tagged vector elements, tail back-references between
+//! the paths of one summary). v1 bytes do not decode: the break was
+//! deliberate, nothing reads v1, and stored frames carry
+//! `FRAME_VERSION` 2 so a v1 frame is refused and recomputed.
 
 use symple_core::compose::apply_chain;
 use symple_core::engine::EngineConfig;

@@ -4,12 +4,15 @@
 
 use proptest::prelude::*;
 
+use symple_core::engine::{EngineConfig, SymbolicExecutor};
 use symple_core::impl_sym_state;
-use symple_core::summary::SummaryChain;
+use symple_core::summary::{Summary, SummaryChain};
 use symple_core::types::{
     sym_bool::SymBool, sym_enum::SymEnum, sym_int::SymInt, sym_pred::SymPred, sym_vector::SymVector,
 };
-use symple_core::wire::Wire;
+use symple_core::uda::Uda;
+use symple_core::wire::{Wire, WireError};
+use symple_core::SymCtx;
 
 #[derive(Clone, Debug)]
 struct Kitchen {
@@ -29,6 +32,93 @@ fn template() -> Kitchen {
         p: SymPred::new(|a: &i64, b: &i64| a < b),
         v: SymVector::new(),
     }
+}
+
+/// A UDA over [`Kitchen`] that forks on every type family and appends to
+/// the vector on some paths only, so sibling paths share output tails.
+struct K;
+impl Uda for K {
+    type State = Kitchen;
+    type Event = i64;
+    type Output = ();
+    fn init(&self) -> Kitchen {
+        template()
+    }
+    fn update(&self, s: &mut Kitchen, ctx: &mut SymCtx, e: &i64) {
+        if s.b.get(ctx) {
+            s.i.add(ctx, *e);
+        }
+        if s.e.eq_c(ctx, 3) {
+            s.v.push_int(&s.i);
+        }
+        if s.p.eval(ctx, e) {
+            s.b.assign(true);
+        }
+        s.p.set(*e);
+        s.v.push(*e);
+        let _ = s.e.ne_c(ctx, (e % 12).unsigned_abs() as u32);
+    }
+    fn result(&self, _s: &Kitchen, _ctx: &mut SymCtx) {}
+}
+
+#[test]
+fn real_chains_carry_tail_back_references() {
+    // What the mutation test below feeds on: sibling paths whose vectors
+    // end alike, written once. Re-encoding every path on its own (a chain
+    // of singleton summaries) is what v2 would cost without them.
+    let mut exec = SymbolicExecutor::new(&K, EngineConfig::default());
+    exec.feed_all([3i64, 9, 4, 4, 7].iter()).unwrap();
+    let (chain, _) = exec.finish();
+    let shared = chain.to_bytes().len();
+    let apart: usize = chain
+        .summaries()
+        .iter()
+        .flat_map(|s| s.paths())
+        .map(|p| Summary::singleton(p.clone()).to_bytes().len() - 1)
+        .sum();
+    assert!(chain.total_paths() >= 4);
+    assert!(shared < apart, "{shared} vs {apart}");
+}
+
+#[test]
+fn hostile_back_references_are_typed_errors() {
+    #[derive(Clone, Debug)]
+    struct Out {
+        v: SymVector<i64>,
+    }
+    impl_sym_state!(Out { v });
+    let t = Out {
+        v: SymVector::new(),
+    };
+    let decode = |bytes: &[u8]| Summary::<Out>::decode(&t, &mut &bytes[..]).map(|s| s.len());
+    // Two paths; the second repeats the first's two elements by reference.
+    assert_eq!(decode(&[2, 2, 4, 10, 12, 1, 2]), Ok(2));
+    // … asks for three of its two elements.
+    assert_eq!(
+        decode(&[2, 2, 4, 10, 12, 1, 3]),
+        Err(WireError::BackReference {
+            len: 3,
+            available: 2
+        })
+    );
+    // A back-reference in the first path of a summary.
+    assert_eq!(
+        decode(&[1, 1, 1]),
+        Err(WireError::BackReference {
+            len: 1,
+            available: 0
+        })
+    );
+    // The previous path is the previous path of *this* summary: a chain's
+    // second summary starts afresh.
+    let chain = [2, 1, 2, 4, 10, 12, 1, 1, 2];
+    assert_eq!(
+        SummaryChain::<Out>::decode(&t, &mut &chain[..]).map(|c| c.len()),
+        Err(WireError::BackReference {
+            len: 2,
+            available: 0
+        })
+    );
 }
 
 proptest! {
@@ -57,48 +147,32 @@ proptest! {
         let _ = Option::<(u32, bool)>::decode(&mut rd);
     }
 
-    /// Single-byte mutations of a valid encoding: decode either fails or
-    /// yields something that re-encodes deterministically.
+    /// Byte mutations and truncations of real multi-path v2 chains —
+    /// flag bytes, run headers and tail back-references included: decode
+    /// either fails with an error or yields something that re-encodes
+    /// deterministically.
     #[test]
     fn mutated_valid_encodings_stay_safe(
-        flip_at in 0usize..64,
-        xor in 1u8..=255,
+        events in prop::collection::vec(-3i64..13, 2..9),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+        cut in any::<usize>(),
     ) {
-        use symple_core::engine::{EngineConfig, SymbolicExecutor};
-        use symple_core::uda::Uda;
-        use symple_core::SymCtx;
-
-        struct K;
-        impl Uda for K {
-            type State = Kitchen;
-            type Event = i64;
-            type Output = ();
-            fn init(&self) -> Kitchen {
-                template()
-            }
-            fn update(&self, s: &mut Kitchen, ctx: &mut SymCtx, e: &i64) {
-                if s.b.get(ctx) {
-                    s.i.add(ctx, *e);
-                }
-                if s.e.eq_c(ctx, 3) {
-                    s.v.push_int(&s.i);
-                }
-                if s.p.eval(ctx, e) {
-                    s.b.assign(true);
-                }
-                s.p.set(*e);
-                let _ = s.e.ne_c(ctx, (e % 12).unsigned_abs() as u32);
-            }
-            fn result(&self, _s: &Kitchen, _ctx: &mut SymCtx) {}
-        }
-
-        let mut exec = SymbolicExecutor::new(&K, EngineConfig::default());
-        exec.feed_all([3i64, 9, 4].iter()).unwrap();
-        let (chain, _) = exec.finish();
+        let (chain, _) = {
+            let mut exec = SymbolicExecutor::new(&K, EngineConfig::default());
+            exec.feed_all(events.iter()).unwrap();
+            exec.finish()
+        };
+        prop_assert!(chain.total_paths() >= 2, "fixture must fork");
         let mut buf = Vec::new();
         chain.encode(&mut buf);
-        let i = flip_at % buf.len();
-        buf[i] ^= xor;
+        for (at, xor) in flips {
+            let i = at % buf.len();
+            buf[i] ^= xor;
+        }
+        // Half the cases also lose their tail.
+        if cut % 2 == 0 {
+            buf.truncate(cut / 2 % (buf.len() + 1));
+        }
         let t = template();
         let mut rd = &buf[..];
         if let Ok(decoded) = SummaryChain::<Kitchen>::decode(&t, &mut rd) {
@@ -107,6 +181,7 @@ proptest! {
             let mut rd2 = &re[..];
             let again = SummaryChain::<Kitchen>::decode(&t, &mut rd2)
                 .expect("re-encoded output must decode");
+            prop_assert!(rd2.is_empty());
             let mut re2 = Vec::new();
             again.encode(&mut re2);
             prop_assert_eq!(re, re2, "encode∘decode must be idempotent");

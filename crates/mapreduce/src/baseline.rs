@@ -10,8 +10,8 @@ use symple_core::error::{Error, Result};
 use symple_core::uda::{run_sequential, Uda};
 use symple_core::wire::Wire;
 
-use crate::groupby::{group_segment, GroupBy};
-use crate::job::{run_phases, Emit, JobConfig, JobOutput, MapTally};
+use crate::groupby::{sorted_groups, GroupBy};
+use crate::job::{run_phases, Emits, JobConfig, JobOutput};
 use crate::segment::Segment;
 
 /// Runs a groupby-aggregate job the baseline way: UDA in the reducers.
@@ -33,16 +33,11 @@ where
         // Map: groupby + field projection; each key's event list is
         // encoded for the shuffle and tallied at emit time.
         |seg| {
-            let mut tally = MapTally::default();
-            let emits = group_segment(g, &seg.records)
-                .into_iter()
-                .map(|(k, events)| {
-                    let payload = events.to_wire();
-                    tally.push(k.wire_len(), payload.len());
-                    (k, payload)
-                })
-                .collect();
-            Ok((emits, tally))
+            let mut emits = Emits::new(cfg.num_reducers);
+            for (k, events) in sorted_groups(g, &seg.records) {
+                emits.emit(k, |buf| events.encode(buf));
+            }
+            Ok(emits)
         },
         // Nothing to commit beyond the shuffle volume the driver charges
         // (`summary_bytes` stays zero: event lists are not summaries).
@@ -50,9 +45,8 @@ where
         // Reduce: decode, stitch in mapper order, run the UDA.
         |chunks| {
             let mut events: Vec<G::Event> = Vec::new();
-            for (_mapper, payload) in chunks {
-                let mut rd = &payload[..];
-                events.extend(Vec::<G::Event>::decode(&mut rd).map_err(Error::Wire)?);
+            for mut payload in chunks.iter().copied() {
+                events.extend(Vec::<G::Event>::decode(&mut payload).map_err(Error::Wire)?);
             }
             run_sequential(uda, events.iter())
         },
@@ -83,23 +77,19 @@ where
         segments,
         cfg,
         None,
-        // Map: one (key, encoded event) pair per record, sorted by key.
+        // Map: one (key, encoded event) cell per record, sorted by key.
         |seg| {
-            let mut pairs = Vec::new();
-            let mut emits: Vec<Emit<G::Key>> = Vec::with_capacity(seg.records.len());
-            let mut tally = MapTally::default();
+            let mut pairs = Vec::with_capacity(seg.records.len());
             for r in &seg.records {
-                pairs.clear();
                 g.extract_all(r, &mut pairs);
-                emits.extend(pairs.drain(..).map(|(k, e)| {
-                    let payload = e.to_wire();
-                    tally.push(k.wire_len(), payload.len());
-                    (k, payload)
-                }));
             }
             // Stable sort keeps the per-key record order intact.
-            emits.sort_by(|a, b| a.0.cmp(&b.0));
-            Ok((emits, tally))
+            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut emits = Emits::new(cfg.num_reducers);
+            for (k, e) in pairs {
+                emits.emit(k, |buf| e.encode(buf));
+            }
+            Ok(emits)
         },
         // Nothing to commit beyond the shuffle volume the driver charges
         // (`summary_bytes` stays zero: event lists are not summaries).
@@ -107,9 +97,8 @@ where
         // Reduce: merge per-key event streams in mapper order, run the UDA.
         |chunks| {
             let mut events: Vec<G::Event> = Vec::with_capacity(chunks.len());
-            for (_mapper, payload) in chunks {
-                let mut rd = &payload[..];
-                events.push(G::Event::decode(&mut rd).map_err(Error::Wire)?);
+            for mut payload in chunks.iter().copied() {
+                events.push(G::Event::decode(&mut payload).map_err(Error::Wire)?);
             }
             run_sequential(uda, events.iter())
         },

@@ -61,6 +61,18 @@ pub fn group_segment<G: GroupBy>(g: &G, records: &[G::Record]) -> HashMap<G::Key
     groups
 }
 
+/// [`group_segment`], sorted by key: the order map tasks emit in, which
+/// makes a chunk's input digest and stored frame deterministic and keeps
+/// every shuffle run key-sorted.
+pub(crate) fn sorted_groups<G: GroupBy>(
+    g: &G,
+    records: &[G::Record],
+) -> Vec<(G::Key, Vec<G::Event>)> {
+    let mut groups: Vec<_> = group_segment(g, records).into_iter().collect();
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    groups
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,9 +15,27 @@
 //! 3. **Sequential commits.** The driver alone folds the results, in input
 //!    order, through the job's `commit` closure: metrics are tallied and
 //!    deferred store writes happen here, single-threaded.
-//! 4. **Shuffle, reduce, sort.** Emits are partitioned by stable key hash
-//!    keeping mapper order per key, reduce tasks run under the same
-//!    scheduler, and results are sorted by key.
+//! 4. **Shuffle, reduce, sort.** The shuffle is split between the two
+//!    phases around the driver (see below), reduce tasks run under the
+//!    same scheduler, and results are sorted by key.
+//!
+//! # Map-side buckets, reduce-side merge
+//!
+//! A map task hands back `Emits`: per reducer, one byte arena of its
+//! cells' payloads laid back to back and a `(key, end offset)` index over
+//! it. The task emits its cells in ascending key order and each goes to
+//! the reducer its key hashes to (`shuffle::Buckets`), so every
+//! index is key-sorted — no buffer per cell, no key clone.
+//!
+//! The driver only transposes `[mapper][reducer]` arenas into
+//! `[reducer][mapper]` (`shuffle::transpose`): it touches no cell.
+//!
+//! A reduce task k-way merges its mappers' indexes
+//! (`shuffle::MergeRuns`) and hands each key's payload slices to
+//! the job's `reduce` in mapper order, and within a mapper in emit order.
+//!
+//! `shuffle_bytes` / `shuffle_records` count cells only — key wire length
+//! plus payload length, tallied at emit time — never the indexes.
 
 use symple_core::engine::EngineConfig;
 use symple_core::error::{Error, Result};
@@ -27,7 +45,7 @@ use crate::groupby::Key;
 use crate::metrics::JobMetrics;
 use crate::scheduler::{run_scheduled, SchedulerConfig, TaskFaults};
 use crate::segment::Segment;
-use crate::shuffle::partition_to_reducers;
+use crate::shuffle::{transpose, Buckets, MergeRuns, Run};
 
 /// How a SYMPLE reducer combines a key's summary chains (§3.6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,9 +135,6 @@ pub struct JobOutput<K, O> {
     pub metrics: JobMetrics,
 }
 
-/// One mapper's emission for one key: the encoded shuffle payload.
-pub(crate) type Emit<K> = (K, Vec<u8>);
-
 /// Byte accounting folded inside each map task at emit time, so the
 /// driver does not re-walk every emit after the map barrier.
 #[derive(Debug, Clone, Copy, Default)]
@@ -132,21 +147,98 @@ pub(crate) struct MapTally {
     pub payload_bytes: u64,
 }
 
-impl MapTally {
-    /// Charges one `(key, payload)` emission.
-    pub fn push(&mut self, key_len: usize, payload_len: usize) {
-        self.shuffle_bytes += (key_len + payload_len) as u64;
-        self.shuffle_records += 1;
-        self.payload_bytes += payload_len as u64;
+/// One mapper's cells for one reducer: the key-sorted `(key, end offset)`
+/// index and the arena it indexes.
+type ArenaRun<K> = (Run<K, usize>, Vec<u8>);
+
+/// Everything one map task ships: its cells bucketed by reducer, payloads
+/// in one arena per reducer (see the module docs).
+pub(crate) struct Emits<K> {
+    index: Buckets<K, usize>,
+    arenas: Vec<Vec<u8>>,
+    tally: MapTally,
+}
+
+impl<K: Key> Emits<K> {
+    /// No cells yet, bucketed for `num_reducers` reducers.
+    pub fn new(num_reducers: usize) -> Emits<K> {
+        let index = Buckets::new(num_reducers);
+        Emits {
+            arenas: index.runs().iter().map(|_| Vec::new()).collect(),
+            index,
+            tally: MapTally::default(),
+        }
     }
+
+    /// Emits one cell: `write` appends its payload to the arena of the
+    /// reducer `key` hashes to. Keys must arrive in ascending order.
+    pub fn emit(&mut self, key: K, write: impl FnOnce(&mut Vec<u8>)) {
+        let mut payload_len = 0;
+        let key_len = self.index.push(key, |r| {
+            let arena = &mut self.arenas[r];
+            let start = arena.len();
+            write(arena);
+            payload_len = arena.len() - start;
+            arena.len()
+        });
+        self.tally.shuffle_bytes += (key_len + payload_len) as u64;
+        self.tally.shuffle_records += 1;
+        self.tally.payload_bytes += payload_len as u64;
+    }
+
+    /// Whether the cells arrived in the key order [`Emits::emit`] asks for,
+    /// as far as the reduce-side merge depends on it.
+    pub fn is_sorted(&self) -> bool {
+        self.index.is_sorted()
+    }
+
+    /// What the cells emitted so far add to the shuffle.
+    pub fn tally(&self) -> MapTally {
+        self.tally
+    }
+
+    /// Every cell as `(key, payload)`, ascending by key across the buckets.
+    pub fn cells(&self) -> impl Iterator<Item = (&K, &[u8])> {
+        let runs = self.index.runs().iter().zip(&self.arenas);
+        payload_slices(runs).map(|(key, _, payload)| (key, payload))
+    }
+
+    /// The per-reducer runs the driver transposes.
+    fn into_runs(self) -> Vec<ArenaRun<K>> {
+        debug_assert!(self.is_sorted(), "map tasks emit in key order");
+        self.index
+            .into_runs()
+            .into_iter()
+            .zip(self.arenas)
+            .collect()
+    }
+}
+
+/// Merges key-sorted arena runs: every cell as `(key, run, payload slice)`
+/// in [`MergeRuns`] order. A cell's payload starts where its run's
+/// previous cell ended.
+fn payload_slices<'a, K: Key>(
+    runs: impl IntoIterator<Item = (&'a Run<K, usize>, &'a Vec<u8>)>,
+) -> impl Iterator<Item = (&'a K, usize, &'a [u8])> {
+    let (indexes, arenas): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+    let mut starts = vec![0; arenas.len()];
+    MergeRuns::new(
+        indexes
+            .into_iter()
+            .map(|index| index.iter().map(|(key, end)| (key, *end))),
+    )
+    .map(move |(key, run, end)| {
+        let start = std::mem::replace(&mut starts[run], end);
+        (key, run, &arenas[run][start..end])
+    })
 }
 
 /// Runs one job through the map-barrier contract (see the module docs).
 ///
 /// `map` is a segment's task; `commit` folds whatever else one task's
-/// output carries into the metrics and hands its emits and their tally to
-/// the shuffle (the driver charges the shuffle volume itself); `reduce`
-/// turns one key's mapper-ordered payloads into its output. With `faults` attached, the
+/// output carries into the metrics and hands its emits to the shuffle (the
+/// driver charges their tallied volume itself); `reduce` turns one key's
+/// mapper-ordered payloads into its output. With `faults` attached, the
 /// plan's crashes, panics and stragglers are injected into map attempts,
 /// and once its kill budget is spent every further map task dies with
 /// [`Error::JobKilled`] instead of running.
@@ -155,8 +247,8 @@ pub(crate) fn run_phases<R, M, K, O>(
     cfg: &JobConfig,
     faults: Option<&FaultInjector>,
     map: impl Fn(&Segment<R>) -> Result<M> + Sync,
-    mut commit: impl FnMut(&mut JobMetrics, M) -> (Vec<Emit<K>>, MapTally),
-    reduce: impl Fn(&[(usize, Vec<u8>)]) -> Result<O> + Sync,
+    mut commit: impl FnMut(&mut JobMetrics, M) -> Emits<K>,
+    reduce: impl Fn(&[&[u8]]) -> Result<O> + Sync,
 ) -> Result<JobOutput<K, O>>
 where
     R: Sync,
@@ -193,27 +285,35 @@ where
     metrics.absorb_scheduler(&map_run.stats);
 
     let map_outputs = map_run.results.into_iter().collect::<Result<Vec<M>>>()?;
-    let mut mapper_emits: Vec<Vec<Emit<K>>> = Vec::with_capacity(map_outputs.len());
+    let mut mapper_runs: Vec<Vec<ArenaRun<K>>> = Vec::with_capacity(map_outputs.len());
     for out in map_outputs {
-        let (emits, tally) = commit(&mut metrics, out);
-        metrics.shuffle_bytes += tally.shuffle_bytes;
-        metrics.shuffle_records += tally.shuffle_records;
-        mapper_emits.push(emits);
+        let emits = commit(&mut metrics, out);
+        metrics.shuffle_bytes += emits.tally.shuffle_bytes;
+        metrics.shuffle_records += emits.tally.shuffle_records;
+        mapper_runs.push(emits.into_runs());
     }
     symple_obs::counter_add("shuffle.bytes", metrics.shuffle_bytes);
     symple_obs::counter_add("shuffle.records", metrics.shuffle_records);
 
     let reduce_span = symple_obs::span("job.reduce_phase");
-    let reducer_inputs = partition_to_reducers(mapper_emits, cfg.num_reducers);
+    let reducer_inputs = transpose(mapper_runs, cfg.num_reducers.max(1));
     let reduce_run = run_scheduled(
         &reducer_inputs,
         cfg.reduce_workers,
         &cfg.scheduler,
         None,
-        |_, input| {
-            let mut out: Vec<(K, O)> = Vec::with_capacity(input.len());
-            for (key, chunks) in input {
-                out.push((key.clone(), reduce(chunks)?));
+        |_, runs| {
+            let mut out: Vec<(K, O)> = Vec::new();
+            let runs = runs.iter().map(|(index, arena)| (index, arena));
+            let mut cells = payload_slices(runs).peekable();
+            let mut payloads: Vec<&[u8]> = Vec::new();
+            while let Some((key, _, first)) = cells.next() {
+                payloads.clear();
+                payloads.push(first);
+                while let Some((_, _, more)) = cells.next_if(|(k, _, _)| *k == key) {
+                    payloads.push(more);
+                }
+                out.push((key.clone(), reduce(&payloads)?));
             }
             Ok::<_, Error>(out)
         },

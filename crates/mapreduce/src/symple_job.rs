@@ -37,8 +37,8 @@ use symple_core::uda::{extract_result, run_concrete_state, Uda};
 use symple_core::wire::{get_bytes, get_len, get_uvarint, put_uvarint, Wire, WireError};
 
 use crate::fault::FaultInjector;
-use crate::groupby::{group_segment, GroupBy, Key};
-use crate::job::{run_phases, Emit, JobConfig, JobOutput, MapTally, ReduceStrategy};
+use crate::groupby::{sorted_groups, GroupBy, Key};
+use crate::job::{run_phases, Emits, JobConfig, JobOutput, ReduceStrategy};
 use crate::metrics::JobMetrics;
 use crate::segment::Segment;
 use crate::store::{
@@ -272,7 +272,7 @@ impl<'a> SympleJob<'a> {
             },
             |metrics, task: MapTaskOutput<G::Key>| {
                 metrics.explore.absorb(task.stats);
-                metrics.summary_bytes += task.tally.payload_bytes;
+                metrics.summary_bytes += task.emits.tally().payload_bytes;
                 metrics.chunks_salvaged_concrete += task.salvaged;
                 if let Some(status) = task.status {
                     store.count(metrics, status, task.raw_bytes);
@@ -280,11 +280,10 @@ impl<'a> SympleJob<'a> {
                 if let Some((key, payload)) = &task.deferred_save {
                     store.save(key, payload);
                 }
-                (task.emits, task.tally)
+                task.emits
             },
-            |chunks| {
-                let payloads: Vec<&[u8]> = chunks.iter().map(|(_m, p)| p.as_slice()).collect();
-                let state = compose_payloads(uda, &template, &payloads, cfg.reduce_strategy)?;
+            |payloads| {
+                let state = compose_payloads(uda, &template, payloads, cfg.reduce_strategy)?;
                 extract_result(uda, &state)
             },
         )?;
@@ -309,10 +308,8 @@ impl<'a> SympleJob<'a> {
 
 /// Everything a map task hands back.
 struct MapTaskOutput<K> {
-    /// Per-key tagged payloads, sorted by key.
-    emits: Vec<Emit<K>>,
-    /// Byte accounting for the emits.
-    tally: MapTally,
+    /// Per-key tagged payloads, bucketed by reducer, with their tally.
+    emits: Emits<K>,
     /// Engine exploration stats (restored verbatim on a store hit).
     stats: ExploreStats,
     /// `(key, chunk)` cells salvaged as `NeedsConcrete` events.
@@ -340,21 +337,19 @@ fn is_engine_refusal(e: &Error) -> bool {
     )
 }
 
-/// Encodes a summary chain as a tagged shuffle payload.
-fn encode_chain_payload<S: SymState>(chain: &SummaryChain<S>) -> Vec<u8> {
-    let mut buf = vec![PAYLOAD_CHAIN];
-    chain.encode(&mut buf);
-    buf
+/// Appends a summary chain as a tagged shuffle payload.
+fn encode_chain_payload<S: SymState>(chain: &SummaryChain<S>, buf: &mut Vec<u8>) {
+    buf.push(PAYLOAD_CHAIN);
+    chain.encode(buf);
 }
 
-/// Encodes a refused chunk's raw events as a tagged shuffle payload.
-fn encode_events_payload<E: Wire>(events: &[E]) -> Vec<u8> {
-    let mut buf = vec![PAYLOAD_EVENTS];
-    put_uvarint(&mut buf, events.len() as u64);
+/// Appends a refused chunk's raw events as a tagged shuffle payload.
+fn encode_events_payload<E: Wire>(events: &[E], buf: &mut Vec<u8>) {
+    buf.push(PAYLOAD_EVENTS);
+    put_uvarint(buf, events.len() as u64);
     for e in events {
-        e.encode(&mut buf);
+        e.encode(buf);
     }
-    buf
 }
 
 /// A decoded shuffle payload: either a composable summary chain or a
@@ -366,7 +361,7 @@ enum DecodedPayload<S: SymState, E> {
     Events(Vec<E>),
 }
 
-/// Decodes a tagged shuffle payload.
+/// Decodes a tagged shuffle payload, which must hold nothing else.
 fn decode_payload<S: SymState, E: Wire>(
     template: &S,
     payload: &[u8],
@@ -374,20 +369,24 @@ fn decode_payload<S: SymState, E: Wire>(
     let Some((&tag, mut rd)) = payload.split_first() else {
         return Err(Error::Wire(WireError::UnexpectedEof));
     };
-    match tag {
-        PAYLOAD_CHAIN => Ok(DecodedPayload::Chain(
-            SummaryChain::decode(template, &mut rd).map_err(Error::Wire)?,
-        )),
+    let decoded = match tag {
+        PAYLOAD_CHAIN => {
+            DecodedPayload::Chain(SummaryChain::decode(template, &mut rd).map_err(Error::Wire)?)
+        }
         PAYLOAD_EVENTS => {
             let n = get_len(&mut rd).map_err(Error::Wire)?;
             let mut events = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
                 events.push(E::decode(&mut rd).map_err(Error::Wire)?);
             }
-            Ok(DecodedPayload::Events(events))
+            DecodedPayload::Events(events)
         }
-        other => Err(Error::Uda(format!("unknown shuffle payload tag {other}"))),
+        other => return Err(Error::Uda(format!("unknown shuffle payload tag {other}"))),
+    };
+    if !rd.is_empty() {
+        return Err(Error::Wire(WireError::TrailingBytes));
     }
+    Ok(decoded)
 }
 
 /// Runs the UDA concretely over `events` *continuing from* `state` — the
@@ -509,14 +508,6 @@ fn collapse_chains<S: SymState>(chains: &[SummaryChain<S>], template: &S) -> Res
     apply_summary(&collapsed, template)
 }
 
-/// Groups a segment and sorts by key, so emit order — and therefore the
-/// chunk's input digest and checkpoint bytes — is deterministic.
-fn sorted_groups<G: GroupBy>(g: &G, seg: &Segment<G::Record>) -> Vec<(G::Key, Vec<G::Event>)> {
-    let mut groups: Vec<_> = group_segment(g, &seg.records).into_iter().collect();
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
-    groups
-}
-
 /// Digest of a chunk's grouped input — the frame-metadata component that
 /// detects checkpoints taken over different data.
 fn input_digest<K: Wire, E: Wire>(groups: &[(K, Vec<E>)]) -> u64 {
@@ -536,17 +527,20 @@ fn input_digest<K: Wire, E: Wire>(groups: &[(K, Vec<E>)]) -> u64 {
     fnv1a_words(h, &buf)
 }
 
-/// Serializes a completed chunk for its checkpoint frame: the sorted
-/// emits plus the stats and salvage count needed to make a resumed run's
-/// metrics identical to an uninterrupted one.
-fn encode_checkpoint_payload<K: Wire>(
-    emits: &[Emit<K>],
+/// Serializes a completed chunk for its store frame: the cell count, every
+/// cell in key order as `key ‖ payload length ‖ payload` — independent of
+/// how many reducers the cells were bucketed for — then the stats and
+/// salvage count needed to make a resumed run's metrics identical to an
+/// uninterrupted one.
+fn encode_checkpoint_payload<K: Key>(
+    emits: &Emits<K>,
     stats: &ExploreStats,
     salvaged: u64,
 ) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_uvarint(&mut buf, emits.len() as u64);
-    for (k, p) in emits {
+    let tally = emits.tally();
+    let mut buf = Vec::with_capacity(tally.shuffle_bytes as usize + 64);
+    put_uvarint(&mut buf, tally.shuffle_records);
+    for (k, p) in emits.cells() {
         k.encode(&mut buf);
         put_uvarint(&mut buf, p.len() as u64);
         buf.extend_from_slice(p);
@@ -565,18 +559,24 @@ fn encode_checkpoint_payload<K: Wire>(
     buf
 }
 
-/// Inverse of [`encode_checkpoint_payload`].
-#[allow(clippy::type_complexity)]
-fn decode_checkpoint_payload<K: Wire>(
+/// Inverse of [`encode_checkpoint_payload`]: every cell goes from the
+/// frame straight into the arena of the reducer it is bucketed for.
+fn decode_checkpoint_payload<K: Key>(
     bytes: &[u8],
-) -> std::result::Result<(Vec<Emit<K>>, ExploreStats, u64), WireError> {
+    num_reducers: usize,
+) -> std::result::Result<(Emits<K>, ExploreStats, u64), WireError> {
     let mut rd = bytes;
-    let n = get_len(&mut rd)?;
-    let mut emits = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
+    let mut emits = Emits::new(num_reducers);
+    for _ in 0..get_len(&mut rd)? {
         let k = K::decode(&mut rd)?;
         let len = get_len(&mut rd)?;
-        emits.push((k, get_bytes(&mut rd, len)?.to_vec()));
+        let payload = get_bytes(&mut rd, len)?;
+        emits.emit(k, |arena| arena.extend_from_slice(payload));
+    }
+    // The reduce-side merge relies on key order; a frame is outside input,
+    // so it is checked, not assumed.
+    if !emits.is_sorted() {
+        return Err(WireError::KeyOrder);
     }
     let stats = ExploreStats {
         records: get_uvarint(&mut rd)?,
@@ -587,56 +587,60 @@ fn decode_checkpoint_payload<K: Wire>(
         max_live_paths: get_uvarint(&mut rd)? as usize,
     };
     let salvaged = get_uvarint(&mut rd)?;
+    if !rd.is_empty() {
+        return Err(WireError::TrailingBytes);
+    }
     Ok((emits, stats, salvaged))
 }
 
 /// Executes one chunk's per-key aggregation: concrete for the globally
 /// first segment, symbolic otherwise, salvaging engine refusals as
-/// `NeedsConcrete` event payloads when the config allows.
+/// `NeedsConcrete` event payloads when the config allows. `groups` must
+/// ascend by key.
 fn compute_chunk<U, K>(
     uda: &U,
     seg_id: usize,
     cfg: &JobConfig,
-    groups: &[(K, Vec<U::Event>)],
-) -> Result<(Vec<Emit<K>>, ExploreStats, u64)>
+    groups: Vec<(K, Vec<U::Event>)>,
+) -> Result<(Emits<K>, ExploreStats, u64)>
 where
     U: Uda,
     U::Event: Wire,
     K: Key,
 {
-    let mut emits = Vec::with_capacity(groups.len());
+    let mut emits = Emits::new(cfg.num_reducers);
     let mut stats = ExploreStats::default();
     let mut salvaged = 0u64;
     for (key, events) in groups {
-        let payload: Vec<u8> = if seg_id == 0 && cfg.first_segment_concrete {
+        if seg_id == 0 && cfg.first_segment_concrete {
             // The globally first segment holds every present key's first
             // chunk: run concretely from the true initial state (§2.2).
             // Errors here would hit sequential execution identically, so
             // they propagate rather than salvage.
             let state = run_concrete_state(uda, events.iter())?;
-            encode_chain_payload(&SummaryChain::single(Summary::singleton(state)))
-        } else {
-            let mut exec = SymbolicExecutor::new(uda, cfg.engine);
-            // `feed_slice` engages the batched fast path on calm stretches;
-            // it is byte-identical to per-record `feed` (executor tests pin
-            // this), so summaries and caches are unaffected.
-            match exec.feed_slice(events) {
-                Ok(()) => {
-                    let (chain, s) = exec.finish();
-                    stats.absorb(s);
-                    encode_chain_payload(&chain)
-                }
-                Err(e) if cfg.salvage_refused_chunks && is_engine_refusal(&e) => {
-                    // Degraded completion: ship the raw events instead of
-                    // failing the job; the reducer re-executes them
-                    // concretely once the prefix state is resolved.
-                    salvaged += 1;
-                    encode_events_payload(events)
-                }
-                Err(e) => return Err(e),
+            let chain = SummaryChain::single(Summary::singleton(state));
+            emits.emit(key, |buf| encode_chain_payload(&chain, buf));
+            continue;
+        }
+        let mut exec = SymbolicExecutor::new(uda, cfg.engine);
+        // `feed_slice` engages the batched fast path on calm stretches;
+        // it is byte-identical to per-record `feed` (executor tests pin
+        // this), so summaries and caches are unaffected.
+        match exec.feed_slice(&events) {
+            Ok(()) => {
+                let (chain, s) = exec.finish();
+                stats.absorb(s);
+                emits.emit(key, |buf| encode_chain_payload(&chain, buf));
             }
-        };
-        emits.push((key.clone(), payload));
+            Err(e) if cfg.salvage_refused_chunks && is_engine_refusal(&e) => {
+                // Degraded completion: ship the raw events instead of
+                // failing the job; the reducer re-executes them
+                // concretely once the prefix state is resolved.
+                salvaged += 1;
+                emits.emit(key, |buf| encode_events_payload(&events, buf));
+            }
+            Err(e) => return Err(e),
+        }
     }
     Ok((emits, stats, salvaged))
 }
@@ -657,29 +661,22 @@ where
     G: GroupBy,
     U: Uda<Event = G::Event>,
 {
-    let groups = sorted_groups(g, seg);
-    let output = |emits: Vec<Emit<G::Key>>, stats, salvaged| {
-        let mut tally = MapTally::default();
-        for (k, p) in &emits {
-            tally.push(k.wire_len(), p.len());
-        }
-        MapTaskOutput {
-            emits,
-            tally,
-            stats,
-            salvaged,
-            raw_bytes: seg.raw_bytes,
-            status: None,
-            deferred_save: None,
-        }
+    let groups = sorted_groups(g, &seg.records);
+    let output = |emits, stats, salvaged| MapTaskOutput {
+        emits,
+        stats,
+        salvaged,
+        raw_bytes: seg.raw_bytes,
+        status: None,
+        deferred_save: None,
     };
 
     let Some(key) = store.key(seg.id, cfg, || input_digest(&groups)) else {
-        let (emits, stats, salvaged) = compute_chunk::<U, G::Key>(uda, seg.id, cfg, &groups)?;
+        let (emits, stats, salvaged) = compute_chunk(uda, seg.id, cfg, groups)?;
         return Ok(output(emits, stats, salvaged));
     };
     let status = match store.lookup(&key) {
-        ChunkLookup::Hit(payload) => match decode_checkpoint_payload::<G::Key>(&payload) {
+        ChunkLookup::Hit(payload) => match decode_checkpoint_payload(&payload, cfg.num_reducers) {
             Ok((emits, stats, salvaged)) => {
                 return Ok(MapTaskOutput {
                     status: Some(ChunkStatus::Hit),
@@ -694,7 +691,7 @@ where
         ChunkLookup::Miss => ChunkStatus::Miss,
         ChunkLookup::Corrupt => ChunkStatus::Corrupt,
     };
-    let (emits, stats, salvaged) = compute_chunk::<U, G::Key>(uda, seg.id, cfg, &groups)?;
+    let (emits, stats, salvaged) = compute_chunk(uda, seg.id, cfg, groups)?;
     let payload = encode_checkpoint_payload(&emits, &stats, salvaged);
     let deferred_save = if store.saves_in_task() {
         store.save(&key, &payload);
@@ -767,6 +764,18 @@ mod tests {
     }
 
     type Output = Result<JobOutput<u8, Vec<i64>>>;
+
+    fn chain_payload(chain: &SummaryChain<RunsState>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_chain_payload(chain, &mut buf);
+        buf
+    }
+
+    fn events_payload(events: &[i64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_events_payload(events, &mut buf);
+        buf
+    }
 
     fn run_checkpointed(segs: &[Segment<i64>], cfg: &JobConfig, ctx: &CheckpointCtx<'_>) -> Output {
         SympleJob::new(*cfg)
@@ -890,8 +899,8 @@ mod tests {
         let expect =
             extract_result(&uda, &run_concrete_state(&uda, events.iter()).unwrap()).unwrap();
 
-        let empty_chain = encode_chain_payload(&SummaryChain::<RunsState>::new(vec![]));
-        let events_payload = encode_events_payload(&events);
+        let empty_chain = chain_payload(&SummaryChain::new(vec![]));
+        let events_payload = events_payload(&events);
 
         for strategy in [ReduceStrategy::ApplyInOrder, ReduceStrategy::TreeCompose] {
             // Empty chain first, then the salvaged chunk.
@@ -935,14 +944,14 @@ mod tests {
         let prefix_chain = {
             let mut exec = SymbolicExecutor::new(&uda, cfg);
             exec.feed_all(prefix.iter()).unwrap();
-            encode_chain_payload(&exec.finish().0)
+            chain_payload(&exec.finish().0)
         };
         let suffix_chain = {
             let mut exec = SymbolicExecutor::new(&uda, cfg);
             exec.feed_all(suffix.iter()).unwrap();
-            encode_chain_payload(&exec.finish().0)
+            chain_payload(&exec.finish().0)
         };
-        let middle_events = encode_events_payload(&middle);
+        let middle_events = events_payload(&middle);
 
         for strategy in [ReduceStrategy::ApplyInOrder, ReduceStrategy::TreeCompose] {
             let payloads: Vec<&[u8]> = vec![&prefix_chain, &middle_events, &suffix_chain];
@@ -953,6 +962,55 @@ mod tests {
                 "{strategy:?}"
             );
         }
+    }
+
+    #[test]
+    fn payloads_with_trailing_bytes_are_refused() {
+        let uda = RunsUda;
+        let template = uda.init();
+        let chain = SummaryChain::single(Summary::singleton(template.clone()));
+        for mut payload in [chain_payload(&chain), events_payload(&[2, 4, 1])] {
+            assert!(decode_payload::<RunsState, i64>(&template, &payload).is_ok());
+            payload.push(0);
+            assert!(matches!(
+                decode_payload::<RunsState, i64>(&template, &payload),
+                Err(Error::Wire(WireError::TrailingBytes))
+            ));
+        }
+
+        let mut emits = Emits::new(3);
+        emits.emit(1u8, |buf| encode_chain_payload(&chain, buf));
+        emits.emit(4u8, |buf| encode_events_payload(&[7i64], buf));
+        let mut frame = encode_checkpoint_payload(&emits, &ExploreStats::default(), 1);
+        // A frame's payload does not depend on the reducer count it was
+        // computed under, and decodes for any.
+        for reducers in [1, 3, 8] {
+            let (back, _, salvaged) = decode_checkpoint_payload::<u8>(&frame, reducers).unwrap();
+            assert_eq!(salvaged, 1);
+            assert_eq!(
+                encode_checkpoint_payload(&back, &ExploreStats::default(), 1),
+                frame
+            );
+        }
+        frame.push(0);
+        assert_eq!(
+            decode_checkpoint_payload::<u8>(&frame, 3).err(),
+            Some(WireError::TrailingBytes)
+        );
+    }
+
+    #[test]
+    fn frames_with_unsorted_keys_are_refused() {
+        // Cells `4` then `1`: well-formed bytes the reduce-side merge
+        // would mis-group.
+        let mut frame = vec![2, 4, 1, 9, 1, 1, 9];
+        frame.extend([0; 7]);
+        assert_eq!(
+            decode_checkpoint_payload::<u8>(&frame, 1).err(),
+            Some(WireError::KeyOrder)
+        );
+        frame[1] = 0;
+        assert!(decode_checkpoint_payload::<u8>(&frame, 1).is_ok());
     }
 
     #[test]
@@ -1093,7 +1151,7 @@ mod tests {
         let segments = split_into_segments(&records, 4, 64);
         let cfg = JobConfig::default();
         let key_of = |seg: &Segment<i64>| {
-            let groups = sorted_groups(&ByMod, seg);
+            let groups = sorted_groups(&ByMod, &seg.records);
             chunk_cache_digest(
                 input_digest(&groups),
                 seg.id == 0 && cfg.first_segment_concrete,

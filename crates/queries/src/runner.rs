@@ -4,6 +4,7 @@
 use std::fmt::Debug;
 
 use symple_core::error::Result;
+use symple_core::frame::{fnv1a, fnv1a_extend};
 use symple_core::uda::Uda;
 use symple_mapreduce::{
     run_baseline, run_baseline_sorted, run_sequential_job, run_symple, GroupBy, JobConfig,
@@ -101,24 +102,26 @@ pub struct QueryReport {
     pub output_rows: u64,
 }
 
-/// FNV-1a over a byte slice.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// An FNV-1a state that text is formatted *into*: hashing a row's debug
+/// rendering builds no `String`.
+struct FnvSink(u64);
+
+impl std::fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 = fnv1a_extend(self.0, s.as_bytes());
+        Ok(())
     }
-    h
 }
 
 /// Fingerprints a result set via its debug rendering (results arrive
 /// key-sorted, so equal outputs hash equally).
 pub fn hash_results<K: Debug, O: Debug>(results: &[(K, O)]) -> u64 {
+    use std::fmt::Write;
     let mut h: u64 = 0;
     for (k, o) in results {
-        h = h
-            .wrapping_mul(31)
-            .wrapping_add(fnv(format!("{k:?}|{o:?}").as_bytes()));
+        let mut row = FnvSink(fnv1a(b""));
+        write!(row, "{k:?}|{o:?}").expect("the sink never fails");
+        h = h.wrapping_mul(31).wrapping_add(row.0);
     }
     h
 }
@@ -183,6 +186,18 @@ mod tests {
         let b = vec![(1u8, 10i64), (2, 21)];
         assert_ne!(hash_results(&a), hash_results(&b));
         assert_eq!(hash_results(&a), hash_results(&a.clone()));
+    }
+
+    #[test]
+    fn hash_is_the_fnv_fold_of_each_rows_debug_text() {
+        // Pinned against the definition: streaming the text into the hash
+        // must give what hashing the rendered `String` gave.
+        let rows = vec![(7u32, vec![1i64, -2]), (9, vec![])];
+        let expect = rows.iter().fold(0u64, |h, (k, o)| {
+            h.wrapping_mul(31)
+                .wrapping_add(fnv1a(format!("{k:?}|{o:?}").as_bytes()))
+        });
+        assert_eq!(hash_results(&rows), expect);
     }
 
     #[test]

@@ -124,6 +124,18 @@ fn every_corruption_variant_is_quarantined_and_recomputed() {
             }),
         ),
         (
+            "trailing-garbage",
+            "past its declared contents",
+            Box::new(move |s: &MemStore| {
+                // Intact frame, right metadata, a payload that parses —
+                // followed by bytes nothing accounts for.
+                let raw = s.raw_frame(cm, victim).expect("frame present");
+                let (_, meta, mut payload) = decode_frame_unchecked(&raw).expect("intact");
+                payload.extend_from_slice(b"\0garbage");
+                s.insert_raw(cm, victim, encode_frame(&meta, &payload));
+            }),
+        ),
+        (
             "wrong-input-digest",
             "digest",
             Box::new(move |s: &MemStore| {
@@ -178,6 +190,56 @@ fn every_corruption_variant_is_quarantined_and_recomputed() {
             .unwrap();
         assert_eq!(again.metrics.checkpoint_hits, n, "{name}");
         assert_eq!(&clean.results, &again.results, "{name}");
+    }
+}
+
+/// Frames written before summary wire v2 carry version 1. Under either
+/// keying policy such a frame is refused at the version gate — its chains
+/// are never decoded — and costs exactly one recompute, after which a
+/// version-2 frame stands in its place.
+#[test]
+fn a_version_1_frame_costs_one_recompute_and_is_replaced() {
+    use symple::mapreduce::SummaryCacheCtx;
+    assert_eq!(FRAME_VERSION, 2);
+    let records = workload();
+    let segs = split_into_segments(&records, 5, 32);
+    let n = segs.len() as u64;
+    let cfg = JobConfig::default();
+    let clean = run_symple(&ByKey, &Resets, &segs, &cfg).unwrap();
+
+    let store = MemStore::new();
+    let ckpt = CheckpointCtx::new(&store, "v1");
+    let cache = SummaryCacheCtx::new(&store);
+    for policy in [ChunkStore::Checkpoint(&ckpt), ChunkStore::Cache(&cache)] {
+        let job = SympleJob::new(cfg).with_store(policy);
+        let before = store.keys();
+        job.run(&ByKey, &Resets, &segs).unwrap();
+        let (ns, id) = *store
+            .keys()
+            .iter()
+            .find(|k| !before.contains(k))
+            .expect("the run stored frames");
+        let raw = store.raw_frame(ns, id).expect("frame present");
+        let (version, meta, payload) = decode_frame_unchecked(&raw).expect("intact");
+        assert_eq!(version, FRAME_VERSION);
+        store.insert_raw(ns, id, encode_frame_with_version(1, &meta, &payload));
+
+        let resumed = job.run(&ByKey, &Resets, &segs).unwrap();
+        let m = &resumed.metrics;
+        assert_eq!(m.checkpoint_corrupt + m.cache_corrupt, 1);
+        assert_eq!(m.checkpoint_hits + m.cache_hits, n - 1);
+        assert_eq!(m.checkpoint_misses + m.cache_misses, 0);
+        assert_eq!(clean.results, resumed.results);
+        assert_eq!(clean.metrics.shuffle_bytes, m.shuffle_bytes);
+        let q = store.quarantined(ns);
+        assert_eq!(q.len(), 1, "{q:?}");
+        assert!(q[0].1.contains("version 1"), "{:?}", q[0].1);
+
+        let replaced = store.raw_frame(ns, id).expect("recomputed frame saved");
+        assert_eq!(decode_frame_unchecked(&replaced).unwrap().0, FRAME_VERSION);
+        let again = job.run(&ByKey, &Resets, &segs).unwrap();
+        assert_eq!(again.metrics.checkpoint_hits + again.metrics.cache_hits, n);
+        assert_eq!(clean.results, again.results);
     }
 }
 

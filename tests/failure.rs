@@ -327,8 +327,10 @@ proptest! {
 
 #[test]
 fn corrupted_summary_bytes_error_cleanly() {
+    use symple::core::frame::{decode_frame_unchecked, encode_frame};
     use symple::core::summary::SummaryChain;
     use symple::core::uda::summarize_chunk;
+    use symple::mapreduce::{ChunkStore, FrameStore, MemStore, SummaryCacheCtx, SympleJob};
     let chain = summarize_chunk(&ExplodingUda, [].iter(), &EngineConfig::default()).unwrap();
     let mut buf = Vec::new();
     chain.encode(&mut buf);
@@ -340,4 +342,33 @@ fn corrupted_summary_bytes_error_cleanly() {
         let mut rd = &corrupted[..];
         let _ = SummaryChain::<EState>::decode(&template, &mut rd);
     }
+
+    // Trailing bytes: the chain decoder stops where the chain ends and
+    // leaves the rest in the reader for its caller to refuse.
+    buf.extend_from_slice(b"tail");
+    let mut rd = &buf[..];
+    SummaryChain::<EState>::decode(&template, &mut rd).unwrap();
+    assert_eq!(rd, b"tail");
+
+    // A job refuses a store frame whose payload carries more than its
+    // cells and counters: quarantined with the reason, recomputed, same
+    // answer.
+    let records: Vec<i64> = (0..40).collect();
+    let segs = split_into_segments(&records, 4, 16);
+    let cfg = JobConfig::default();
+    let clean = run_symple(&FaultyGroup, &ExplodingUda, &segs, &cfg).unwrap();
+    let store = MemStore::new();
+    let ctx = SummaryCacheCtx::new(&store);
+    let job = SympleJob::new(cfg).with_store(ChunkStore::Cache(&ctx));
+    job.run(&FaultyGroup, &ExplodingUda, &segs).unwrap();
+    let (ns, id) = store.keys()[0];
+    let (_, meta, mut payload) = decode_frame_unchecked(&store.raw_frame(ns, id).unwrap()).unwrap();
+    payload.push(0);
+    store.insert_raw(ns, id, encode_frame(&meta, &payload));
+    let out = job.run(&FaultyGroup, &ExplodingUda, &segs).unwrap();
+    assert_eq!(out.results, clean.results);
+    assert_eq!(out.metrics.cache_corrupt, 1);
+    assert_eq!(out.metrics.cache_hits, segs.len() as u64 - 1);
+    let reason = &store.quarantined(ns)[0].1;
+    assert!(reason.contains("past its declared contents"), "{reason}");
 }

@@ -256,3 +256,34 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    /// The shuffle's three steps — bucket each mapper's cells by key hash,
+    /// transpose to per-reducer runs, k-way merge each reducer's runs —
+    /// against the definition: every cell lands on `partition(key)`'s
+    /// reducer, and a key's payloads come out in mapper order, then in the
+    /// mapper's own order. Keys missing from some mappers, mappers that
+    /// emit nothing, unsorted and repeated keys, a single reducer.
+    #[test]
+    fn shuffle_steps_compose_to_the_definition(
+        mappers in prop::collection::vec(
+            prop::collection::vec((0u64..12, any::<u16>()), 0..10),
+            0..7,
+        ),
+        num_reducers in 0usize..5,
+    ) {
+        use std::collections::BTreeMap;
+        use symple::mapreduce::shuffle::{partition, partition_to_reducers, ReducerInput};
+        let mut expect: Vec<ReducerInput<u64, u16>> =
+            (0..num_reducers.max(1)).map(|_| BTreeMap::new()).collect();
+        for (m, cells) in mappers.iter().enumerate() {
+            for (key, payload) in cells {
+                expect[partition(key, num_reducers)]
+                    .entry(*key)
+                    .or_default()
+                    .push((m, *payload));
+            }
+        }
+        prop_assert_eq!(partition_to_reducers(mappers, num_reducers), expect);
+    }
+}
