@@ -15,6 +15,9 @@
 //!
 //! and commit the updated golden file alongside the change (the same flow
 //! as `symple-analyze`'s `golden_lint` test).
+//!
+//! The `ablations` module below pins, the same way, what two design
+//! ablations found once their timing was dropped.
 
 use symple_bench::measurement_scale;
 use symple_mapreduce::JobConfig;
@@ -113,5 +116,140 @@ fn golden_cells() {
              and commit the new golden file",
             cell.name
         );
+    }
+}
+
+// ------------------------------------------------------------- ablations
+//
+// The deterministic findings of two design ablations (§5.2's merge
+// heuristic, §4.5's user-defined types): the shape of what the engine
+// explores and emits, with nothing timed.
+
+mod ablations {
+    use symple_core::engine::{EngineConfig, ExploreStats, MergePolicy, SymbolicExecutor};
+    use symple_core::impl_sym_state;
+    use symple_core::types::sym_int::SymInt;
+    use symple_core::types::sym_minmax::{Extremum, SymMinMax};
+    use symple_core::uda::Uda;
+    use symple_core::SymCtx;
+    use symple_datagen::{generate_weblog, WeblogConfig};
+    use symple_queries::funnel::FunnelUda;
+
+    /// `[summaries, paths, wire bytes]` of the chain one chunk explores to,
+    /// and the exploration it took.
+    fn explore<U: Uda>(
+        uda: &U,
+        cfg: EngineConfig,
+        events: &[U::Event],
+    ) -> ([usize; 3], ExploreStats) {
+        let mut exec = SymbolicExecutor::new(uda, cfg);
+        exec.feed_all(events).unwrap();
+        let (chain, stats) = exec.finish();
+        ([chain.len(), chain.total_paths(), chain.wire_len()], stats)
+    }
+
+    /// §5.2 on the Figure 1 funnel, one user, 5 000 events: the funnel
+    /// settles on three stable paths, under every bound, so the merge
+    /// policy is invisible in what is explored and emitted — eager,
+    /// high-water and never all fork four times, merge and restart never,
+    /// and ship the same one-summary, three-path, 199-byte chain. What the
+    /// policy costs on such a workload is time alone.
+    #[test]
+    fn merge_policy_shapes() {
+        let events: Vec<(u8, u64)> = generate_weblog(&WeblogConfig {
+            num_records: 5_000,
+            num_users: 1,
+            ..Default::default()
+        })
+        .into_iter()
+        .map(|e| (e.kind as u8, e.item_id))
+        .collect();
+        for merge_policy in [
+            MergePolicy::Eager,
+            MergePolicy::HighWater,
+            MergePolicy::Never,
+        ] {
+            let cfg = EngineConfig {
+                merge_policy,
+                ..EngineConfig::default()
+            };
+            let (chain, stats) = explore(&FunnelUda, cfg, &events);
+            let want = ExploreStats {
+                records: 5_000,
+                runs: 14_979,
+                forks: 4,
+                merges: 0,
+                restarts: 0,
+                max_live_paths: 3,
+            };
+            assert_eq!((chain, stats), ([1, 3, 199], want), "{merge_policy:?}");
+        }
+    }
+
+    /// The paper's `Max` over a branching `SymInt`.
+    struct IntMax;
+    #[derive(Clone, Debug)]
+    struct IntMaxState {
+        max: SymInt,
+    }
+    impl_sym_state!(IntMaxState { max });
+    impl Uda for IntMax {
+        type State = IntMaxState;
+        type Event = i64;
+        type Output = i64;
+        fn init(&self) -> IntMaxState {
+            IntMaxState {
+                max: SymInt::new(i64::MIN),
+            }
+        }
+        fn update(&self, s: &mut IntMaxState, ctx: &mut SymCtx, e: &i64) {
+            if s.max.lt(ctx, *e) {
+                s.max.assign(*e);
+            }
+        }
+        fn result(&self, s: &IntMaxState, _ctx: &mut SymCtx) -> i64 {
+            s.max.concrete_value().unwrap()
+        }
+    }
+
+    /// The same aggregate over the user-defined `SymMinMax` type.
+    struct MinMaxMax;
+    #[derive(Clone, Debug)]
+    struct MmState {
+        max: SymMinMax,
+    }
+    impl_sym_state!(MmState { max });
+    impl Uda for MinMaxMax {
+        type State = MmState;
+        type Event = i64;
+        type Output = i64;
+        fn init(&self) -> MmState {
+            MmState {
+                max: SymMinMax::new(Extremum::Max),
+            }
+        }
+        fn update(&self, s: &mut MmState, _ctx: &mut SymCtx, e: &i64) {
+            s.max.update(*e);
+        }
+        fn result(&self, s: &MmState, _ctx: &mut SymCtx) -> i64 {
+            s.max.concrete_value().unwrap()
+        }
+    }
+
+    /// §4.5 on 10 000 events: the branching `SymInt` forks 12 times, merges
+    /// 5 and ships a two-path, 13-byte summary; the purpose-built canonical
+    /// form runs each record once down one path and ships 6 bytes.
+    #[test]
+    fn minmax_shapes() {
+        let events: Vec<i64> = (0..10_000)
+            .map(|i| (i * 2_654_435_761) % 1_000_003)
+            .collect();
+        let cfg = EngineConfig::default();
+        let (chain, stats) = explore(&IntMax, cfg, &events);
+        assert_eq!(chain, [1, 2, 13]);
+        assert_eq!((stats.runs, stats.forks, stats.merges), (20_005, 12, 5));
+        let (chain, stats) = explore(&MinMaxMax, cfg, &events);
+        assert_eq!(chain, [1, 1, 6]);
+        assert_eq!((stats.runs, stats.forks, stats.merges), (10_000, 0, 0));
     }
 }

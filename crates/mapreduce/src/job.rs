@@ -8,13 +8,18 @@
 //! 1. **Parallel extraction.** Map tasks run under the fault-tolerant
 //!    scheduler ([`run_scheduled`]): retried, speculated, panic-isolated.
 //!    A task may touch only its own segment and whatever its closure
-//!    captured by shared reference.
+//!    captured by shared reference — which includes the job's chunk store:
+//!    under either keying policy a task saves the chunk it computed before
+//!    it returns. A store entry is one content-checked frame committed by
+//!    tmp + rename under a key the chunk alone determines, so an early or
+//!    repeated save is idempotent and a killed or failed job leaves behind
+//!    only valid frames a later run may reuse.
 //! 2. **Barrier.** Every map result is collected. The first task error in
-//!    input order fails the job *before* anything is committed — a killed
-//!    or failed map phase leaves no driver-side effects behind.
+//!    input order fails the job here: nothing is *shuffled*, tallied or
+//!    reduced from a killed or failed map phase.
 //! 3. **Sequential commits.** The driver alone folds the results, in input
-//!    order, through the job's `commit` closure: metrics are tallied and
-//!    deferred store writes happen here, single-threaded.
+//!    order, through the job's `commit` closure: metrics are tallied here,
+//!    single-threaded.
 //! 4. **Shuffle, reduce, sort.** The shuffle is split between the two
 //!    phases around the driver (see below), reduce tasks run under the
 //!    same scheduler, and results are sorted by key.
@@ -88,8 +93,8 @@ pub struct JobConfig {
     /// [`JobMetrics::chunks_salvaged_concrete`] as a measured sequential
     /// barrier. Disable to restore hard-failure semantics.
     pub salvage_refused_chunks: bool,
-    /// Fault-tolerance knobs for the task scheduler: retry cap, simulated
-    /// backoff, straggler speculation.
+    /// Fault-tolerance knobs for the task scheduler: retry cap and
+    /// straggler speculation.
     pub scheduler: SchedulerConfig,
 }
 

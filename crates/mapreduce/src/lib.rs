@@ -74,7 +74,6 @@ pub mod fault;
 pub mod groupby;
 pub mod job;
 pub mod metrics;
-pub mod pool;
 pub mod scheduler;
 pub mod segment;
 pub mod sequential;
@@ -91,8 +90,8 @@ pub use groupby::{GroupBy, Key};
 pub use job::{JobConfig, JobOutput, ReduceStrategy};
 pub use metrics::JobMetrics;
 pub use scheduler::{
-    run_scheduled, AttemptOutcome, AttemptRecord, ScheduledRun, SchedulerConfig, SchedulerStats,
-    TaskFaults,
+    run_scheduled, AttemptOutcome, AttemptRecord, PhaseTiming, ScheduledRun, SchedulerConfig,
+    SchedulerStats, TaskFaults,
 };
 pub use segment::Segment;
 pub use sequential::run_sequential_job;

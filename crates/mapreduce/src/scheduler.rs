@@ -3,15 +3,15 @@
 //! The paper inherits Hadoop's fault-tolerance story (§5.4): a crashed map
 //! attempt is simply re-executed, which is sound *because* SYMPLE tasks
 //! are deterministic — the property the fault matrix and the oracle's
-//! fault probe pin down. This module is the runtime half of that story. It replaces the
-//! bare worker pool's "run each task exactly once and pray" model with
-//! per-task **attempt records** and three production behaviors:
+//! fault probe pin down. This module is the runtime half of that story:
+//! per-task **attempt records** and three production behaviors.
 //!
 //! * **Bounded retries** — a failed attempt (an injected crash from a
-//!   [`TaskFaults`] hook, or a panic) is re-queued with a deterministic
-//!   *simulated* exponential backoff until [`SchedulerConfig::max_attempts`]
-//!   is reached, after which the job surfaces a typed
-//!   [`Error::RetriesExhausted`] instead of spinning forever.
+//!   [`TaskFaults`] hook, or a panic) is re-queued at once until
+//!   [`SchedulerConfig::max_attempts`] is reached, after which the job
+//!   surfaces a typed [`Error::RetriesExhausted`] instead of spinning
+//!   forever. There is no backoff: the scheduler runs in one process, so
+//!   waiting between attempts would protect no remote resource.
 //! * **Panic isolation** — every attempt runs under
 //!   [`std::panic::catch_unwind`], so one poisoned task yields a typed
 //!   [`Error::TaskPanicked`] instead of unwinding the whole thread scope
@@ -24,43 +24,41 @@
 //!   because tasks are deterministic: both attempts produce byte-identical
 //!   output, so it does not matter which one lands.
 //!
-//! Backoff is *simulated*: the scheduler runs in one process, so sleeping
-//! between attempts would only slow the host without protecting any remote
-//! resource. The per-attempt backoff a real deployment would wait is
-//! computed deterministically (`backoff_base × 2^(attempt−2)`), recorded in
-//! the [`AttemptRecord`] and summed into
-//! [`SchedulerStats::simulated_backoff`], where cluster models can charge
-//! it.
-//!
 //! Fault hooks are consulted only for *regular* attempts. A speculative
 //! clone models re-execution on a different machine, outside the injected
 //! crash plan's attempt slots — and skipping the hook keeps the injected
 //! retry count deterministic regardless of host timing.
 //!
-//! # Work distribution: stealing deques
+//! # Work distribution: one shared queue
 //!
-//! Tasks are dealt round-robin onto **per-worker deques** rather than one
-//! shared queue. A worker pops from the front of its own deque; when that
-//! runs dry it scans its siblings round-robin and *steals* from the back
-//! of the first non-empty one ([`SchedulerStats::steals`] counts these).
-//! Skewed phases — one worker stuck with the forkiest chunks — therefore
-//! rebalance automatically instead of serializing behind the busy worker,
-//! and in the balanced case each worker owns an uncontended queue instead
-//! of all workers hammering one mutex. Retries are requeued on the deque
-//! of the worker that observed the failure; speculative clones go to the
-//! idle worker that spotted the straggler (it is about to go looking for
-//! work anyway). Result writeback stays by-index, so the output order is
-//! deterministic no matter which worker ran what.
+//! Every task starts in one FIFO queue under one mutex; a worker pops the
+//! front, and retries and speculative clones are pushed to the back. A
+//! phase is a handful to a few dozen tasks of milliseconds each, so the
+//! lock is taken once per task and never contended for long — and a shared
+//! queue cannot be imbalanced: an idle worker takes whatever is next, so a
+//! run of slow tasks never serializes behind one worker. Result writeback
+//! is by index, so the output order is deterministic no matter which
+//! worker ran what.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use symple_core::error::{Error, Result};
 
-use crate::pool::PhaseTiming;
+/// The timing of one scheduled phase.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PhaseTiming {
+    /// Summed busy time of all attempts (the phase's "CPU seconds").
+    pub cpu: Duration,
+    /// Actual wall time of the phase on this host.
+    pub wall: Duration,
+    /// The longest single winning attempt — the lower bound on any
+    /// parallel schedule.
+    pub max_task: Duration,
+}
 
 /// Tuning knobs for the fault-tolerant scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,9 +67,6 @@ pub struct SchedulerConfig {
     /// whose last allowed attempt fails surfaces [`Error::RetriesExhausted`]
     /// (or [`Error::TaskPanicked`] if the final failure was a panic).
     pub max_attempts: u32,
-    /// Base of the simulated exponential backoff between attempts: retry
-    /// `k` (the `k+1`-th attempt) is charged `backoff_base × 2^(k−1)`.
-    pub backoff_base: Duration,
     /// Whether idle workers launch speculative clones of stragglers.
     pub speculation: bool,
     /// A task becomes a straggler when its running attempt exceeds this
@@ -87,7 +82,6 @@ impl Default for SchedulerConfig {
     fn default() -> SchedulerConfig {
         SchedulerConfig {
             max_attempts: 4,
-            backoff_base: Duration::from_millis(2),
             speculation: true,
             speculation_factor: 4,
             speculation_min: Duration::from_millis(25),
@@ -148,8 +142,6 @@ pub struct AttemptRecord {
     pub outcome: AttemptOutcome,
     /// Busy time of the attempt.
     pub busy: Duration,
-    /// Simulated backoff charged before this attempt started.
-    pub backoff: Duration,
 }
 
 /// Aggregate scheduler accounting for one phase.
@@ -165,14 +157,9 @@ pub struct SchedulerStats {
     pub speculative_launches: u64,
     /// Speculative clones whose result won the race.
     pub speculative_wins: u64,
-    /// Work items a worker took from a sibling's deque (load-balancing
-    /// traffic; zero on perfectly balanced phases).
-    pub steals: u64,
     /// Busy time of attempts whose work was discarded (injected failures,
     /// panics, and race losers) — the price of fault tolerance.
     pub retry_wasted_cpu: Duration,
-    /// Total simulated backoff a real deployment would have waited.
-    pub simulated_backoff: Duration,
     /// Per-attempt ledger, in completion order.
     pub records: Vec<AttemptRecord>,
 }
@@ -195,7 +182,6 @@ struct Work {
     task: usize,
     attempt: u32,
     speculative: bool,
-    backoff: Duration,
 }
 
 /// Per-task scheduling state.
@@ -215,10 +201,12 @@ struct TaskState {
     speculated: bool,
 }
 
-/// Phase-level coordination (completion and failure), deliberately tiny:
-/// the work itself lives in the per-worker deques.
+/// The phase's queue and its completion state, under one lock so that a
+/// push can never slip between a worker's emptiness check and its wait.
 #[derive(Debug)]
-struct Coord {
+struct Queue {
+    /// Attempts waiting for a worker: pop the front, push the back.
+    work: VecDeque<Work>,
     /// Tasks not yet resolved (done or failed terminally).
     remaining: usize,
     /// First terminal error; once set, no new attempts start.
@@ -226,14 +214,7 @@ struct Coord {
 }
 
 struct Shared<R> {
-    /// One work deque per worker: the owner pops the front, thieves take
-    /// the back.
-    deques: Vec<Mutex<VecDeque<Work>>>,
-    coord: Mutex<Coord>,
-    /// Approximate count of queued work across all deques. Kept outside
-    /// the coord mutex; a stale zero only costs an idle worker one
-    /// `IDLE_NAP` timeout, which the wait loop already tolerates.
-    queued: AtomicUsize,
+    queue: Mutex<Queue>,
     cv: Condvar,
     tasks: Vec<Mutex<TaskState>>,
     results: Vec<Mutex<Option<R>>>,
@@ -252,72 +233,18 @@ struct Shared<R> {
     panics: AtomicU64,
     speculative_launches: AtomicU64,
     speculative_wins: AtomicU64,
-    steals: AtomicU64,
-    backoff_nanos: AtomicU64,
 }
 
 impl<R> Shared<R> {
-    /// Queues `w` on `target`'s deque and wakes idle workers, unless the
-    /// phase has already gone fatal.
-    fn push_work(&self, target: usize, w: Work) {
-        if self.coord.lock().unwrap().fatal.is_some() {
-            return;
+    /// Queues a retry or a speculative clone and wakes an idle worker,
+    /// unless the phase has already gone fatal.
+    fn push_work(&self, w: Work) {
+        let mut q = self.queue.lock().unwrap();
+        if q.fatal.is_none() {
+            q.work.push_back(w);
+            self.cv.notify_one();
         }
-        self.deques[target].lock().unwrap().push_back(w);
-        self.queued.fetch_add(1, Ordering::Release);
-        self.cv.notify_all();
     }
-
-    /// Pops work for worker `wid`: own deque first (front), then a
-    /// round-robin scan stealing from siblings' backs.
-    fn pop_work(&self, wid: usize) -> Option<Work> {
-        if let Some(w) = self.deques[wid].lock().unwrap().pop_front() {
-            self.note_dequeued();
-            return Some(w);
-        }
-        let k = self.deques.len();
-        for off in 1..k {
-            let victim = (wid + off) % k;
-            let stolen = self.deques[victim].lock().unwrap().pop_back();
-            if let Some(w) = stolen {
-                self.note_dequeued();
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(w);
-            }
-        }
-        None
-    }
-
-    /// Decrements the queued estimate, saturating at zero (a concurrent
-    /// fatal drain may have already reset it).
-    fn note_dequeued(&self) {
-        let _ = self
-            .queued
-            .fetch_update(Ordering::Release, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
-    }
-
-    /// Drains every deque (after a fatal error: no point starting more
-    /// attempts).
-    fn drain_deques(&self) {
-        for d in &self.deques {
-            d.lock().unwrap().clear();
-        }
-        self.queued.store(0, Ordering::Release);
-    }
-}
-
-/// Simulated backoff charged before `attempt` (1-based; the first attempt
-/// waits nothing).
-fn backoff_for(cfg: &SchedulerConfig, attempt: u32) -> Duration {
-    if attempt <= 1 || cfg.backoff_base.is_zero() {
-        return Duration::ZERO;
-    }
-    // attempt 2 → base, attempt 3 → 2×base, … saturating well below
-    // overflow for any sane cap.
-    cfg.backoff_base
-        .saturating_mul(1u32 << (attempt - 2).min(16))
 }
 
 /// Runs `f(index, &item)` over all items with up to `workers` threads under
@@ -356,23 +283,17 @@ where
     symple_obs::gauge_set("sched.workers", workers as i64);
     let wall_start = Instant::now();
 
-    // Deal initial tasks round-robin onto the per-worker deques.
-    let mut initial: Vec<VecDeque<Work>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for task in 0..n {
-        initial[task % workers].push_back(Work {
-            task,
-            attempt: 1,
-            speculative: false,
-            backoff: Duration::ZERO,
-        });
-    }
+    let first_attempts = (0..n).map(|task| Work {
+        task,
+        attempt: 1,
+        speculative: false,
+    });
     let shared = Shared {
-        deques: initial.into_iter().map(Mutex::new).collect(),
-        coord: Mutex::new(Coord {
+        queue: Mutex::new(Queue {
+            work: first_attempts.collect(),
             remaining: n,
             fatal: None,
         }),
-        queued: AtomicUsize::new(n),
         cv: Condvar::new(),
         tasks: (0..n)
             .map(|_| {
@@ -393,16 +314,16 @@ where
         panics: AtomicU64::new(0),
         speculative_launches: AtomicU64::new(0),
         speculative_wins: AtomicU64::new(0),
-        steals: AtomicU64::new(0),
-        backoff_nanos: AtomicU64::new(0),
     };
 
     if n > 0 {
         std::thread::scope(|scope| {
-            for wid in 0..workers {
-                let shared = &shared;
-                let f = &f;
-                scope.spawn(move || worker_loop(shared, wid, cfg, max_attempts, faults, f, items));
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    while let Some(work) = next_work(&shared, cfg) {
+                        run_attempt(&shared, max_attempts, faults, &f, items, work);
+                    }
+                });
             }
         });
     }
@@ -418,9 +339,7 @@ where
         panics: shared.panics.load(Ordering::Relaxed),
         speculative_launches: shared.speculative_launches.load(Ordering::Relaxed),
         speculative_wins: shared.speculative_wins.load(Ordering::Relaxed),
-        steals: shared.steals.load(Ordering::Relaxed),
         retry_wasted_cpu: Duration::from_nanos(shared.wasted_nanos.load(Ordering::Relaxed)),
-        simulated_backoff: Duration::from_nanos(shared.backoff_nanos.load(Ordering::Relaxed)),
         records: shared.records.into_inner().unwrap(),
     };
     symple_obs::counter_add("sched.attempts", stats.attempts);
@@ -428,9 +347,8 @@ where
     symple_obs::counter_add("sched.panics", stats.panics);
     symple_obs::counter_add("sched.speculative_launches", stats.speculative_launches);
     symple_obs::counter_add("sched.speculative_wins", stats.speculative_wins);
-    symple_obs::counter_add("sched.steals", stats.steals);
 
-    let fatal = shared.coord.into_inner().unwrap().fatal;
+    let fatal = shared.queue.into_inner().unwrap().fatal;
     if let Some(e) = fatal {
         return Err(e);
     }
@@ -449,57 +367,33 @@ where
 /// How long an idle worker naps between straggler checks.
 const IDLE_NAP: Duration = Duration::from_micros(500);
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<T, R, F>(
-    shared: &Shared<R>,
-    wid: usize,
-    cfg: &SchedulerConfig,
-    max_attempts: u32,
-    faults: Option<&dyn TaskFaults>,
-    f: &F,
-    items: &[T],
-) where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    while let Some(work) = next_work(shared, cfg, wid) {
-        run_attempt(shared, cfg, max_attempts, faults, f, items, wid, work);
-    }
-}
-
-/// Pops (or steals) the next unit of work for worker `wid`, speculating on
-/// stragglers while idle. Returns `None` when the phase is over (all tasks
-/// resolved, or a fatal error drained the deques).
-///
-/// The termination check runs *before* the pop: after a fatal error a
-/// racing `push_work` may leave an item behind in some deque, and it must
-/// be abandoned, not executed.
-fn next_work<R>(shared: &Shared<R>, cfg: &SchedulerConfig, wid: usize) -> Option<Work> {
+/// Pops the next attempt, speculating on stragglers while idle. Returns
+/// `None` when the phase is over: all tasks resolved, or a fatal error —
+/// whatever is still queued then is abandoned, not executed.
+fn next_work<R>(shared: &Shared<R>, cfg: &SchedulerConfig) -> Option<Work> {
+    let mut q = shared.queue.lock().unwrap();
     loop {
-        {
-            let c = shared.coord.lock().unwrap();
-            if c.remaining == 0 || c.fatal.is_some() {
-                return None;
-            }
+        if q.remaining == 0 || q.fatal.is_some() {
+            return None;
         }
-        if let Some(w) = shared.pop_work(wid) {
+        if let Some(w) = q.work.pop_front() {
             return Some(w);
         }
         // Idle while tasks are still in flight: look for stragglers, then
-        // nap until either new work arrives or the phase completes.
-        maybe_speculate(shared, cfg, wid);
-        let c = shared.coord.lock().unwrap();
-        if c.remaining > 0 && c.fatal.is_none() && shared.queued.load(Ordering::Acquire) == 0 {
-            let _ = shared.cv.wait_timeout(c, IDLE_NAP).unwrap();
+        // nap until new work arrives, the phase completes, or it is time
+        // to look again.
+        drop(q);
+        maybe_speculate(shared, cfg);
+        q = shared.queue.lock().unwrap();
+        if q.work.is_empty() && q.remaining > 0 && q.fatal.is_none() {
+            q = shared.cv.wait_timeout(q, IDLE_NAP).unwrap().0;
         }
     }
 }
 
 /// Launches speculative clones for running tasks that exceed the straggler
-/// threshold. Called only by otherwise-idle workers; the clones land on the
-/// spotter's own deque (it is about to go looking for work anyway).
-fn maybe_speculate<R>(shared: &Shared<R>, cfg: &SchedulerConfig, wid: usize) {
+/// threshold. Called only by otherwise-idle workers.
+fn maybe_speculate<R>(shared: &Shared<R>, cfg: &SchedulerConfig) {
     if !cfg.speculation {
         return;
     }
@@ -536,7 +430,6 @@ fn maybe_speculate<R>(shared: &Shared<R>, cfg: &SchedulerConfig, wid: usize) {
                 task,
                 attempt: t.attempts_started,
                 speculative: true,
-                backoff: Duration::ZERO,
             });
         }
     }
@@ -547,19 +440,16 @@ fn maybe_speculate<R>(shared: &Shared<R>, cfg: &SchedulerConfig, wid: usize) {
         .speculative_launches
         .fetch_add(launches.len() as u64, Ordering::Relaxed);
     for w in launches {
-        shared.push_work(wid, w);
+        shared.push_work(w);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_attempt<T, R, F>(
     shared: &Shared<R>,
-    cfg: &SchedulerConfig,
     max_attempts: u32,
     faults: Option<&dyn TaskFaults>,
     f: &F,
     items: &[T],
-    wid: usize,
     w: Work,
 ) where
     T: Sync,
@@ -577,9 +467,6 @@ fn run_attempt<T, R, F>(
         }
     }
     shared.attempts.fetch_add(1, Ordering::Relaxed);
-    shared
-        .backoff_nanos
-        .fetch_add(w.backoff.as_nanos() as u64, Ordering::Relaxed);
 
     let started = Instant::now();
     let payload = catch_unwind(AssertUnwindSafe(|| {
@@ -611,9 +498,7 @@ fn run_attempt<T, R, F>(
                 shared.injected_failures.fetch_add(1, Ordering::Relaxed);
                 finish_failure(
                     shared,
-                    cfg,
                     max_attempts,
-                    wid,
                     w,
                     busy,
                     AttemptOutcome::InjectedFailure,
@@ -624,15 +509,7 @@ fn run_attempt<T, R, F>(
         }
         Err(_panic) => {
             shared.panics.fetch_add(1, Ordering::Relaxed);
-            finish_failure(
-                shared,
-                cfg,
-                max_attempts,
-                wid,
-                w,
-                busy,
-                AttemptOutcome::Panicked,
-            );
+            finish_failure(shared, max_attempts, w, busy, AttemptOutcome::Panicked);
         }
     }
 }
@@ -644,7 +521,6 @@ fn record<R>(shared: &Shared<R>, w: Work, busy: Duration, outcome: AttemptOutcom
         speculative: w.speculative,
         outcome,
         busy,
-        backoff: w.backoff,
     });
 }
 
@@ -676,7 +552,7 @@ fn finish_success<R>(shared: &Shared<R>, w: Work, busy: Duration, result: R) {
             shared.speculative_wins.fetch_add(1, Ordering::Relaxed);
         }
         record(shared, w, busy, AttemptOutcome::Succeeded);
-        shared.coord.lock().unwrap().remaining -= 1;
+        shared.queue.lock().unwrap().remaining -= 1;
         shared.cv.notify_all();
     } else {
         // The twin already won; this work is the cost of speculation.
@@ -689,9 +565,7 @@ fn finish_success<R>(shared: &Shared<R>, w: Work, busy: Duration, result: R) {
 
 fn finish_failure<R>(
     shared: &Shared<R>,
-    cfg: &SchedulerConfig,
     max_attempts: u32,
-    wid: usize,
     w: Work,
     busy: Duration,
     outcome: AttemptOutcome,
@@ -710,17 +584,14 @@ fn finish_failure<R>(
         return; // A twin already resolved the task either way.
     }
     if t.attempts_started < max_attempts {
-        // Retry with simulated backoff, requeued on the deque of the
-        // worker that observed the failure.
         t.attempts_started += 1;
         let retry = Work {
             task: w.task,
             attempt: t.attempts_started,
             speculative: false,
-            backoff: backoff_for(cfg, t.attempts_started),
         };
         drop(t);
-        shared.push_work(wid, retry);
+        shared.push_work(retry);
         return;
     }
     if t.in_flight > 0 {
@@ -740,19 +611,10 @@ fn finish_failure<R>(
             attempts: max_attempts,
         },
     };
-    let went_fatal = {
-        let mut c = shared.coord.lock().unwrap();
-        c.remaining -= 1;
-        if c.fatal.is_none() {
-            c.fatal = Some(err);
-            true
-        } else {
-            false
-        }
-    };
-    if went_fatal {
-        shared.drain_deques(); // No point starting more attempts.
-    }
+    let mut q = shared.queue.lock().unwrap();
+    q.remaining -= 1;
+    q.fatal.get_or_insert(err);
+    drop(q);
     shared.cv.notify_all();
 }
 
@@ -984,33 +846,34 @@ mod tests {
     }
 
     #[test]
-    fn skewed_phase_rebalances_via_steals() {
+    fn slow_tasks_spread_over_both_workers() {
         if std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
             < 2
         {
-            return; // Stealing needs a second worker.
+            return; // Needs a second worker.
         }
-        // Round-robin dealing puts every slow (even) task on worker 0's
-        // deque and every fast (odd) task on worker 1's. Worker 1 drains
-        // its own deque in microseconds and must then steal from worker 0
-        // to finish the phase in parallel.
+        // Every even task is slow — the pattern that piles all the slow
+        // work onto one worker if tasks are dealt out in advance. From a
+        // shared queue, whichever worker is free takes the next task, so
+        // the slow ones overlap.
         let items: Vec<i64> = (0..8).collect();
+        let slow = Duration::from_millis(40);
         let cfg = SchedulerConfig {
             speculation: false,
             ..SchedulerConfig::default()
         };
         let run = run_scheduled(&items, 2, &cfg, None, |i, x| {
             if i % 2 == 0 {
-                std::thread::sleep(Duration::from_millis(15));
+                std::thread::sleep(slow);
             }
             x * 2
         })
         .unwrap();
         assert_eq!(run.results, doubled(&items));
-        assert!(run.stats.steals >= 1, "{:?}", run.stats);
         assert_eq!(run.stats.attempts, 8);
+        assert!(run.timing.wall < slow * 4, "{:?}", run.timing);
     }
 
     #[test]
@@ -1026,46 +889,5 @@ mod tests {
         .unwrap();
         assert_eq!(run.stats.speculative_launches, 0);
         assert_eq!(run.stats.attempts, 50);
-    }
-
-    #[test]
-    fn backoff_schedule_is_deterministic() {
-        let cfg = SchedulerConfig {
-            backoff_base: Duration::from_millis(2),
-            ..SchedulerConfig::default()
-        };
-        assert_eq!(backoff_for(&cfg, 1), Duration::ZERO);
-        assert_eq!(backoff_for(&cfg, 2), Duration::from_millis(2));
-        assert_eq!(backoff_for(&cfg, 3), Duration::from_millis(4));
-        assert_eq!(backoff_for(&cfg, 4), Duration::from_millis(8));
-        let none = SchedulerConfig {
-            backoff_base: Duration::ZERO,
-            ..SchedulerConfig::default()
-        };
-        assert_eq!(backoff_for(&none, 5), Duration::ZERO);
-    }
-
-    #[test]
-    fn simulated_backoff_is_recorded_not_slept() {
-        let items: Vec<i64> = (0..2).collect();
-        let hook = SetFaults {
-            fails: [(0, 1), (0, 2)].into_iter().collect(),
-            ..SetFaults::default()
-        };
-        let started = Instant::now();
-        let run = run_scheduled(
-            &items,
-            2,
-            &SchedulerConfig {
-                backoff_base: Duration::from_secs(10),
-                ..SchedulerConfig::default()
-            },
-            Some(&hook),
-            |_, x| *x,
-        )
-        .unwrap();
-        // 10s + 20s of simulated backoff must not actually elapse.
-        assert!(started.elapsed() < Duration::from_secs(5));
-        assert_eq!(run.stats.simulated_backoff, Duration::from_secs(30));
     }
 }

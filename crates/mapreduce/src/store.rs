@@ -34,6 +34,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use symple_core::frame::{
@@ -392,9 +393,13 @@ impl FrameStore for MemStore {
 
 /// An on-disk [`FrameStore`].
 ///
-/// Layout: `<root>/<namespace:016x>/<id:016x>.sum`, written as `….sum.tmp`
-/// then renamed into place so a crash mid-write leaves either the old
-/// frame or none — never a torn one. Quarantine renames the frame to
+/// Layout: `<root>/<namespace:016x>/<id:016x>.sum`, written as
+/// `….sum.tmp.<pid>.<n>` then renamed into place so a crash mid-write
+/// leaves either the old frame or none — never a torn one. The tmp name is
+/// unique per save: two writers of one key (a task and its speculative
+/// clone, two chunks of identical content) each rename only a file they
+/// finished writing, and the last complete frame wins. Quarantine renames
+/// the frame to
 /// `<id>.sum.quarantined` (`.quarantined.1`, `.2`, … for repeat offenders)
 /// and records the reason alongside in `….quarantined.reason`; quarantined
 /// bytes are kept for post-mortem. The directory-per-namespace layout
@@ -480,7 +485,9 @@ impl FrameStore for DiskStore {
         let path = self.entry_path(namespace, id);
         let dir = path.parent().expect("entry path has a parent");
         self.engine.run(|io| io.create_dir_all(dir))?;
-        let tmp = with_suffix(&path, ".tmp");
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = with_suffix(&path, &format!(".tmp.{}.{seq}", std::process::id()));
         let commit = self
             .engine
             .run(|io| io.write(&tmp, frame))
@@ -651,6 +658,50 @@ mod tests {
         });
         assert!(disk.entry_path(NS, META.chunk_index + 1).exists());
         assert_eq!(disk.io_counts(), Some(IoCounts::default()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_key_commit_a_whole_frame() {
+        // Two frames of different lengths under one key, several writers
+        // each, and a reader looking the key up all the while. With a
+        // shared tmp name one writer truncates or renames away the file
+        // another is still writing: a save fails, or a torn frame lands
+        // and the reader quarantines it.
+        let dir = scratch_dir("same-key");
+        let store = DiskStore::new(&dir).unwrap();
+        let payloads = [vec![0x11u8; 64 << 10], vec![0x22u8; 96 << 10]];
+        let (writers_left, failed_saves) = (AtomicU64::new(8), AtomicU64::new(0));
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (store, left, failed) = (&store, &writers_left, &failed_saves);
+                let frame = encode_frame(&META, &payloads[t % 2]);
+                scope.spawn(move || {
+                    for _ in 0..20 {
+                        if store.save(NS, META.chunk_index, &frame).is_err() {
+                            failed.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                    left.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            scope.spawn(|| {
+                while writers_left.load(Ordering::SeqCst) > 0 {
+                    let _ = lookup(&store, NS, &META, false);
+                }
+            });
+        });
+        assert_eq!(failed_saves.into_inner(), 0);
+        let ChunkLookup::Hit(loaded) = lookup(&store, NS, &META, false) else {
+            panic!("entry must load valid");
+        };
+        assert!(payloads.contains(&loaded));
+        assert!(store.quarantined(NS).is_empty());
+        let names: Vec<_> = fs::read_dir(dir.join(format!("{NS:016x}")))
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [format!("{:016x}.sum", META.chunk_index).as_str()]);
         let _ = fs::remove_dir_all(&dir);
     }
 

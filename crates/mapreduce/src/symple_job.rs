@@ -21,10 +21,9 @@
 //!   persisted as a CRC-framed record in a [`crate::store::FrameStore`]
 //!   and a later run loads valid frames instead of recomputing,
 //!   quarantining anything corrupt or stale. The checkpoint policy files
-//!   chunks under a job id and saves *inside* the map task, so they
-//!   survive a mid-map kill; the cache policy files them under their
-//!   content and saves from the driver after the map barrier, in chunk
-//!   order.
+//!   chunks under a job id and position, the cache policy under their
+//!   content; both save *inside* the map task, so whatever a killed run
+//!   finished is there for the next one.
 
 use symple_core::compose::{apply_chain, apply_summary, tree_collapse};
 use symple_core::ctx::SymCtx;
@@ -64,18 +63,19 @@ const PAYLOAD_EVENTS: u8 = 1;
 pub enum ChunkStore<'a> {
     /// No store: every chunk is computed, nothing is hashed or persisted.
     None,
-    /// Per-job checkpoints keyed by `(job id, chunk position)`. Each chunk
-    /// is saved inside its map task, so a rerun of the same job id after a
-    /// mid-map kill resumes from the committed chunks. [`JobMetrics`]
+    /// Per-job checkpoints keyed by `(job id, chunk position)`: a rerun of
+    /// the same job id after a mid-map kill resumes from the chunks the
+    /// dead run finished. [`JobMetrics`]
     /// reports `checkpoint_hits + checkpoint_misses + checkpoint_corrupt
     /// ==` chunk count.
     Checkpoint(&'a CheckpointCtx<'a>),
     /// The cross-job summary cache keyed by `(config fingerprint, chunk
     /// content digest)`, so a warm resweep after an append or edit
-    /// recomputes only the dirty chunks. Dirty chunks compute in parallel;
-    /// the driver commits them sequentially, in chunk order, after the map
-    /// barrier. [`JobMetrics`] reports `cache_hits + cache_misses +
-    /// cache_corrupt ==` chunk count.
+    /// recomputes only the dirty chunks — and a rerun after a mid-map kill
+    /// hits every chunk the dead run finished. [`JobMetrics`] reports
+    /// `cache_hits + cache_misses + cache_corrupt ==` chunk count; how two
+    /// chunks of *identical* content in one cold job split between miss
+    /// and hit depends on which task saves first, their sum does not.
     Cache(&'a SummaryCacheCtx<'a>),
 }
 
@@ -139,13 +139,6 @@ impl<'a> ChunkStore<'a> {
         }
     }
 
-    /// Policy, part two: whether a computed chunk is saved by its map task
-    /// (so it survives the job dying mid-map) rather than by the driver's
-    /// in-order commit after the barrier.
-    fn saves_in_task(&self) -> bool {
-        matches!(self, ChunkStore::Checkpoint(_))
-    }
-
     /// Resolves a chunk against the store, quarantining anything invalid.
     fn lookup(&self, key: &ChunkKey) -> ChunkLookup {
         match self.frames() {
@@ -175,7 +168,7 @@ impl<'a> ChunkStore<'a> {
         self.frames().and_then(|(frames, _)| frames.io_counts())
     }
 
-    /// Policy, part three: charges one chunk's lookup outcome to this
+    /// Policy, part two: charges one chunk's lookup outcome to this
     /// policy's [`JobMetrics`] triple.
     fn count(&self, metrics: &mut JobMetrics, status: ChunkStatus, raw_bytes: u64) {
         let (hits, misses, corrupt) = match self {
@@ -277,9 +270,6 @@ impl<'a> SympleJob<'a> {
                 if let Some(status) = task.status {
                     store.count(metrics, status, task.raw_bytes);
                 }
-                if let Some((key, payload)) = &task.deferred_save {
-                    store.save(key, payload);
-                }
                 task.emits
             },
             |payloads| {
@@ -318,11 +308,6 @@ struct MapTaskOutput<K> {
     raw_bytes: u64,
     /// How the store lookup resolved; `None` without a store.
     status: Option<ChunkStatus>,
-    /// A freshly computed chunk's frame awaiting its summary-cache commit.
-    /// Tasks compute in parallel but the driver commits these
-    /// *sequentially, in chunk order*, after the map barrier — the shire
-    /// discipline (parallel extraction, sequential inserts).
-    deferred_save: Option<(ChunkKey, Vec<u8>)>,
 }
 
 /// Whether an error is an engine *refusal* — the chunk is fine, the
@@ -645,11 +630,9 @@ where
     Ok((emits, stats, salvaged))
 }
 
-/// One SYMPLE map task: lookup → decode → hit, or compute → persist. The
-/// only policy-specific parts are the key ([`ChunkStore::key`]) and *when*
-/// a computed chunk is saved ([`ChunkStore::saves_in_task`]): a checkpoint
-/// is written here, inside the task; a cache entry is handed back for the
-/// driver's in-order commit after the barrier.
+/// One SYMPLE map task: lookup → decode → hit, or compute → save. The
+/// only policy-specific part is the key ([`ChunkStore::key`]); the save
+/// happens here, inside the task, so a finished chunk outlives its job.
 fn map_task<G, U>(
     g: &G,
     uda: &U,
@@ -668,7 +651,6 @@ where
         salvaged,
         raw_bytes: seg.raw_bytes,
         status: None,
-        deferred_save: None,
     };
 
     let Some(key) = store.key(seg.id, cfg, || input_digest(&groups)) else {
@@ -692,16 +674,9 @@ where
         ChunkLookup::Corrupt => ChunkStatus::Corrupt,
     };
     let (emits, stats, salvaged) = compute_chunk(uda, seg.id, cfg, groups)?;
-    let payload = encode_checkpoint_payload(&emits, &stats, salvaged);
-    let deferred_save = if store.saves_in_task() {
-        store.save(&key, &payload);
-        None
-    } else {
-        Some((key, payload))
-    };
+    store.save(&key, &encode_checkpoint_payload(&emits, &stats, salvaged));
     Ok(MapTaskOutput {
         status: Some(status),
-        deferred_save,
         ..output(emits, stats, salvaged)
     })
 }

@@ -14,8 +14,9 @@ use symple::core::prelude::*;
 use symple::core::Error;
 use symple::mapreduce::segment::split_into_segments;
 use symple::mapreduce::{
-    checkpoint_namespace, run_symple, CheckpointCtx, ChunkStore, DiskStore, FaultInjector,
-    FaultPlan, FrameStore, GroupBy, JobConfig, MemStore, SympleJob,
+    cache_config_fingerprint, checkpoint_namespace, run_symple, CheckpointCtx, ChunkStore,
+    DiskStore, FaultInjector, FaultPlan, FrameStore, GroupBy, JobConfig, JobMetrics, MemStore,
+    Segment, SummaryCacheCtx, SympleJob,
 };
 use symple::queries::{runner_by_id, Backend, DataScale};
 
@@ -199,7 +200,6 @@ fn every_corruption_variant_is_quarantined_and_recomputed() {
 /// version-2 frame stands in its place.
 #[test]
 fn a_version_1_frame_costs_one_recompute_and_is_replaced() {
-    use symple::mapreduce::SummaryCacheCtx;
     assert_eq!(FRAME_VERSION, 2);
     let records = workload();
     let segs = split_into_segments(&records, 5, 32);
@@ -243,6 +243,38 @@ fn a_version_1_frame_costs_one_recompute_and_is_replaced() {
     }
 }
 
+/// Kills `job` after two map tasks and reruns it against the same store:
+/// the rerun must be byte-identical to `run_symple`. Returns its metrics.
+fn kill_after_two_then_resume(job: SympleJob<'_>, segs: &[Segment<(u8, i64)>]) -> JobMetrics {
+    let clean = run_symple(&ByKey, &Resets, segs, &job.cfg).unwrap();
+    let injector = FaultInjector::new(FaultPlan {
+        kill_after_n_tasks: Some(2),
+        ..FaultPlan::default()
+    });
+    let first = job.with_faults(&injector).run(&ByKey, &Resets, segs);
+    assert!(
+        matches!(first, Err(Error::JobKilled { .. })),
+        "expected the kill to fire: {first:?}"
+    );
+    assert!(injector.completed_tasks() >= 2);
+
+    let resumed = job.run(&ByKey, &Resets, segs).unwrap();
+    assert_eq!(clean.results, resumed.results);
+    assert_eq!(clean.metrics.shuffle_bytes, resumed.metrics.shuffle_bytes);
+    assert_eq!(clean.metrics.summary_bytes, resumed.metrics.summary_bytes);
+    resumed.metrics
+}
+
+/// Two map workers + kill-after-2: tasks 0 and 1 complete and persist,
+/// then the first task to start after both finish observes the threshold
+/// and dies — the crash is guaranteed, not racy.
+fn two_map_workers() -> JobConfig {
+    JobConfig {
+        map_workers: 2,
+        ..JobConfig::default()
+    }
+}
+
 /// The acceptance scenario: kill a job against the *on-disk* store after
 /// two map tasks, restart in-process, and get a byte-identical answer with
 /// `checkpoint_hits > 0`. Then rot a frame on disk and watch the file get
@@ -256,42 +288,15 @@ fn on_disk_kill_then_resume_is_byte_identical() {
     let records = workload();
     let segs = split_into_segments(&records, 6, 32);
     let n = segs.len() as u64;
-    // Two map workers + kill-after-2: tasks 0 and 1 complete and persist,
-    // then the first task to start after both finish observes the
-    // threshold and dies — the crash is guaranteed, not racy.
-    let cfg = JobConfig {
-        map_workers: 2,
-        ..JobConfig::default()
-    };
+    let cfg = two_map_workers();
     let clean = run_symple(&ByKey, &Resets, &segs, &cfg).unwrap();
 
     let ctx = CheckpointCtx::new(&store, "e2e");
-    let injector = FaultInjector::new(FaultPlan {
-        kill_after_n_tasks: Some(2),
-        ..FaultPlan::default()
-    });
-    let first = SympleJob::new(cfg)
-        .with_store(ChunkStore::Checkpoint(&ctx))
-        .with_faults(&injector)
-        .run(&ByKey, &Resets, &segs);
-    assert!(
-        matches!(first, Err(Error::JobKilled { .. })),
-        "expected the kill to fire: {first:?}"
-    );
-    assert!(injector.completed_tasks() >= 2);
-
-    let resumed = SympleJob::new(cfg)
-        .with_store(ChunkStore::Checkpoint(&ctx))
-        .run(&ByKey, &Resets, &segs)
-        .unwrap();
-    assert_eq!(clean.results, resumed.results);
-    assert_eq!(clean.metrics.shuffle_bytes, resumed.metrics.shuffle_bytes);
-    assert_eq!(clean.metrics.summary_bytes, resumed.metrics.summary_bytes);
-    assert!(resumed.metrics.checkpoint_hits > 0);
+    let job = SympleJob::new(cfg).with_store(ChunkStore::Checkpoint(&ctx));
+    let resumed = kill_after_two_then_resume(job, &segs);
+    assert!(resumed.checkpoint_hits > 0);
     assert_eq!(
-        resumed.metrics.checkpoint_hits
-            + resumed.metrics.checkpoint_misses
-            + resumed.metrics.checkpoint_corrupt,
+        resumed.checkpoint_hits + resumed.checkpoint_misses + resumed.checkpoint_corrupt,
         n
     );
 
@@ -302,10 +307,7 @@ fn on_disk_kill_then_resume_is_byte_identical() {
     bytes[mid] ^= 1;
     std::fs::write(&path, &bytes).unwrap();
 
-    let again = SympleJob::new(cfg)
-        .with_store(ChunkStore::Checkpoint(&ctx))
-        .run(&ByKey, &Resets, &segs)
-        .unwrap();
+    let again = job.run(&ByKey, &Resets, &segs).unwrap();
     assert_eq!(clean.results, again.results);
     assert_eq!(again.metrics.checkpoint_corrupt, 1);
     assert_eq!(again.metrics.checkpoint_hits, n - 1);
@@ -315,6 +317,39 @@ fn on_disk_kill_then_resume_is_byte_identical() {
     assert_eq!(quarantined.len(), 1, "{quarantined:?}");
     assert_eq!(quarantined[0].0, 0);
     assert!(path.exists(), "recompute must re-persist the chunk");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same acceptance scenario under the cache policy: the killed run's
+/// finished chunks are on disk under their content keys, so the rerun hits
+/// every one of them and recomputes only the rest.
+#[test]
+fn on_disk_kill_then_resume_under_the_cache_policy() {
+    let dir = std::env::temp_dir().join(format!("symple-cache-e2e-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = DiskStore::new(&dir).unwrap();
+
+    let records = workload();
+    let segs = split_into_segments(&records, 6, 32);
+    let ctx = SummaryCacheCtx::new(&store);
+    let job = SympleJob::new(two_map_workers()).with_store(ChunkStore::Cache(&ctx));
+    let resumed = kill_after_two_then_resume(job, &segs);
+    assert!(resumed.cache_hits >= 2, "{resumed:?}");
+    assert_eq!(resumed.cache_corrupt, 0);
+    assert_eq!(resumed.cache_hits + resumed.cache_misses, segs.len() as u64);
+    assert_eq!(resumed.io_errors, 0);
+
+    // Every chunk is now one committed frame, and nothing else is left.
+    let any_entry = store.entry_path(cache_config_fingerprint(&job.cfg), 0);
+    let names: Vec<_> = std::fs::read_dir(any_entry.parent().unwrap())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert_eq!(names.len(), segs.len(), "{names:?}");
+    assert!(names.iter().all(|n| n.ends_with(".sum")), "{names:?}");
+    let warm = job.run(&ByKey, &Resets, &segs).unwrap();
+    assert_eq!(warm.metrics.cache_hits, segs.len() as u64);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

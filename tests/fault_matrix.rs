@@ -19,7 +19,7 @@ use symple::mapreduce::scheduler::AttemptOutcome;
 use symple::mapreduce::segment::split_into_segments;
 use symple::mapreduce::{
     run_scheduled, run_symple, CheckpointCtx, ChunkStore, FaultInjector, FaultPlan, GroupBy,
-    JobConfig, MemStore, SegmentFaults, SummaryCacheCtx, SympleJob,
+    JobConfig, JobMetrics, MemStore, SegmentFaults, SummaryCacheCtx, SympleJob,
 };
 
 struct ByKey;
@@ -347,15 +347,12 @@ fn straggler_speculation_preserves_output() {
     assert_eq!(injector.retries(), 0, "stragglers are slow, not crashed");
 }
 
-/// The combination the per-store entry points could not express: a
-/// mid-map kill with *either* store attached. It pins the one behavioural
-/// difference between the two — cache commits happen after the map
-/// barrier, so a killed run leaves no entries and the rerun is all
-/// misses; checkpoints are saved inside each map task, so exactly the
-/// tasks that finished are hits on resume. Both reruns are byte-identical
-/// to a clean run.
+/// A mid-map kill with *either* store attached: both policies save a
+/// chunk inside the map task that computed it, so exactly the tasks that
+/// finished before the kill are hits on the rerun, and the rerun is
+/// byte-identical to a clean run.
 #[test]
-fn killed_run_leaves_no_cache_entries_but_every_finished_checkpoint() {
+fn killed_run_resumes_every_finished_chunk_under_either_policy() {
     let records: Vec<(u8, i64)> = (0..240)
         .map(|i| ((i % 5) as u8, (i * 7 % 41 - 20) as i64))
         .collect();
@@ -365,12 +362,6 @@ fn killed_run_leaves_no_cache_entries_but_every_finished_checkpoint() {
     // task 3 dies.
     let cfg = JobConfig::default().with_map_workers(1);
     let clean = run_symple(&ByKey, &Resets, &segs, &cfg).unwrap();
-    let kill_after_3 = || {
-        FaultInjector::new(FaultPlan {
-            kill_after_n_tasks: Some(3),
-            ..FaultPlan::default()
-        })
-    };
     let assert_clean = |out: &symple::mapreduce::JobOutput<u8, (i64, Vec<i64>)>| {
         assert_eq!(out.results, clean.results);
         assert_eq!(out.metrics.shuffle_bytes, clean.metrics.shuffle_bytes);
@@ -378,36 +369,32 @@ fn killed_run_leaves_no_cache_entries_but_every_finished_checkpoint() {
         assert_eq!(out.metrics.summary_bytes, clean.metrics.summary_bytes);
     };
 
-    let cache = MemStore::new();
+    let (cache, store) = (MemStore::new(), MemStore::new());
     let cache_ctx = SummaryCacheCtx::new(&cache);
-    let cached = SympleJob::new(cfg).with_store(ChunkStore::Cache(&cache_ctx));
-    let injector = kill_after_3();
-    let err = cached
-        .with_faults(&injector)
-        .run(&ByKey, &Resets, &segs)
-        .unwrap_err();
-    assert_eq!(err, Error::JobKilled { after_tasks: 3 });
-    assert_eq!(injector.completed_tasks(), 3);
-    assert_eq!(cache.entry_count(), 0, "cache commits are post-barrier");
-    let rerun = cached.run(&ByKey, &Resets, &segs).unwrap();
-    assert_eq!(rerun.metrics.cache_hits, 0);
-    assert_eq!(rerun.metrics.cache_misses, chunks);
-    assert_eq!(cache.entry_count(), segs.len());
-    assert_clean(&rerun);
-
-    let store = MemStore::new();
     let ckpt_ctx = CheckpointCtx::new(&store, "kill-drill");
-    let checkpointed = SympleJob::new(cfg).with_store(ChunkStore::Checkpoint(&ckpt_ctx));
-    let injector = kill_after_3();
-    let err = checkpointed
-        .with_faults(&injector)
-        .run(&ByKey, &Resets, &segs)
-        .unwrap_err();
-    assert_eq!(err, Error::JobKilled { after_tasks: 3 });
-    assert_eq!(store.entry_count(), 3, "checkpoints are saved in-task");
-    let resumed = checkpointed.run(&ByKey, &Resets, &segs).unwrap();
-    assert_eq!(resumed.metrics.checkpoint_hits, 3);
-    assert_eq!(resumed.metrics.checkpoint_misses, chunks - 3);
-    assert_eq!(resumed.metrics.checkpoint_corrupt, 0);
-    assert_clean(&resumed);
+    type Ledger = fn(&JobMetrics) -> [u64; 3];
+    let cache_ledger: Ledger = |m| [m.cache_hits, m.cache_misses, m.cache_corrupt];
+    let ckpt_ledger: Ledger = |m| [m.checkpoint_hits, m.checkpoint_misses, m.checkpoint_corrupt];
+    for (frames, policy, ledger) in [
+        (&cache, ChunkStore::Cache(&cache_ctx), cache_ledger),
+        (&store, ChunkStore::Checkpoint(&ckpt_ctx), ckpt_ledger),
+    ] {
+        let job = SympleJob::new(cfg).with_store(policy);
+        let injector = FaultInjector::new(FaultPlan {
+            kill_after_n_tasks: Some(3),
+            ..FaultPlan::default()
+        });
+        let err = job
+            .with_faults(&injector)
+            .run(&ByKey, &Resets, &segs)
+            .unwrap_err();
+        assert_eq!(err, Error::JobKilled { after_tasks: 3 });
+        assert_eq!(injector.completed_tasks(), 3);
+        assert_eq!(frames.entry_count(), 3, "chunks are saved in-task");
+
+        let rerun = job.run(&ByKey, &Resets, &segs).unwrap();
+        assert_eq!(ledger(&rerun.metrics), [3, chunks - 3, 0]);
+        assert_eq!(frames.entry_count(), segs.len());
+        assert_clean(&rerun);
+    }
 }

@@ -8,11 +8,10 @@ use proptest::prelude::*;
 
 use symple::core::engine::ExploreStats;
 use symple::core::prelude::*;
-use symple::mapreduce::pool::run_tasks;
 use symple::mapreduce::segment::split_into_segments;
 use symple::mapreduce::{
-    fold_metrics, run_baseline, run_baseline_sorted, run_sequential_job, run_symple, GroupBy,
-    JobConfig, JobMetrics,
+    fold_metrics, run_baseline, run_baseline_sorted, run_scheduled, run_sequential_job, run_symple,
+    GroupBy, JobConfig, JobMetrics, SchedulerConfig,
 };
 
 /// Records are `(key, value)` pairs; order within a key is load-bearing.
@@ -116,7 +115,7 @@ proptest! {
         prop_assert_eq!(base.results, sym.results);
     }
 
-    /// `pool::run_tasks` returns results in input order, byte-identical
+    /// `run_scheduled` returns results in input order, byte-identical
     /// across worker counts, with sane timing invariants.
     #[test]
     fn pool_results_independent_of_worker_count(
@@ -127,9 +126,13 @@ proptest! {
         let task = |i: usize, x: &i64| -> (usize, i64) {
             (i, x.wrapping_mul(31).wrapping_add(i as i64))
         };
-        let (one, t1) = run_tasks(items.clone(), 1, task).unwrap();
+        let run = |workers| {
+            let run = run_scheduled(&items, workers, &SchedulerConfig::default(), None, task);
+            run.map(|r| (r.results, r.timing)).unwrap()
+        };
+        let (one, t1) = run(1);
         for workers in [2usize, 8] {
-            let (out, t) = run_tasks(items.clone(), workers, task).unwrap();
+            let (out, t) = run(workers);
             prop_assert_eq!(&out, &one, "workers={}", workers);
             prop_assert!(t.cpu >= t.max_task, "workers={}: cpu < max_task", workers);
         }
