@@ -16,9 +16,9 @@
 //! | Figure 8 | `fig8` | 380-node shuffle data (MB, log scale) |
 //!
 //! Figure 3 (the Max walkthrough) is `examples/max_demo.rs` at the
-//! workspace root. Criterion micro-benchmarks in `benches/` cover the
-//! §6.2 overhead claims (symbolic vs concrete execution, merging,
-//! composition, wire codec).
+//! workspace root. Nothing here is timed: speed is measured by the
+//! repo benchmark (`benchmark/`, its own workspace), and this crate's
+//! `golden_cells` test pins the deterministic half of each cell.
 //!
 //! Every binary accepts `--records N` to set the measurement scale
 //! (default 200 000) and prints machine-parseable rows; EXPERIMENTS.md

@@ -63,8 +63,6 @@ pub fn apply_summary<S: SymState>(summary: &Summary<S>, state: &S) -> Result<S> 
 
 /// Applies every summary of a chain in order, starting from `state`.
 pub fn apply_chain<S: SymState>(chain: &SummaryChain<S>, state: &S) -> Result<S> {
-    let _span = symple_obs::span("compose.apply_chain");
-    symple_obs::counter_add("compose.summaries_applied", chain.len() as u64);
     let mut cur = state.clone();
     for summary in chain.summaries() {
         cur = apply_summary(summary, &cur)?;
@@ -81,11 +79,6 @@ pub fn compose_summaries<S: SymState>(
     later: &Summary<S>,
     earlier: &Summary<S>,
 ) -> Result<Summary<S>> {
-    let _span = symple_obs::span("compose.compose_summaries");
-    symple_obs::counter_add(
-        "compose.path_products",
-        (later.len() * earlier.len()) as u64,
-    );
     let mut out = Vec::new();
     for pe in earlier.paths() {
         for pl in later.paths() {
@@ -127,9 +120,9 @@ pub fn collapse_chain<S: SymState>(chain: &SummaryChain<S>) -> Result<Summary<S>
 /// composition — §3.6's "one can further parallelize this computation as
 /// function composition is associative". In a distributed reducer each
 /// level of the tree would run in parallel; here the win is the shape
-/// (depth `log n` instead of `n`), which the composition bench measures.
+/// (depth `log n` instead of `n`); the repo benchmark's traced run times
+/// it as `core.compose.tree_ms`.
 pub fn tree_collapse<S: SymState>(summaries: &[Summary<S>]) -> Result<Summary<S>> {
-    let _span = symple_obs::span("compose.tree_collapse");
     match summaries {
         [] => Err(Error::IncompleteSummary),
         [one] => Ok(one.clone()),

@@ -51,7 +51,9 @@ pub fn segment_path(dir: &Path, id: usize) -> PathBuf {
 }
 
 /// Writes `records` as `num_segments` contiguous text-log files under
-/// `dir` (created if missing). Returns the paths in segment order.
+/// `dir` (created if missing) and removes an earlier, longer run's segment
+/// files past the last one written, so [`list_segments`] returns exactly
+/// the paths this returns, in segment order.
 pub fn write_segments<R: TextRecord>(
     records: &[R],
     dir: &Path,
@@ -70,6 +72,13 @@ pub fn write_segments<R: TextRecord>(
         }
         w.flush()?;
         paths.push(path);
+    }
+    // Left in place, an earlier run's tail would be read back as part of
+    // this dataset (nothing written: `None` sorts first, so all of it goes).
+    for stale in list_segments(dir)? {
+        if Some(&stale) > paths.last() {
+            fs::remove_file(stale)?;
+        }
     }
     Ok(paths)
 }
@@ -148,6 +157,28 @@ mod tests {
             back, records,
             "file round-trip must be lossless and ordered"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn regenerating_with_fewer_segments_leaves_no_stale_files() {
+        let dir = tmp_dir("regen");
+        let records = |seed| {
+            generate_github(&GithubConfig {
+                num_records: 400,
+                seed,
+                ..Default::default()
+            })
+        };
+        assert_eq!(write_segments(&records(1), &dir, 8).unwrap().len(), 8);
+        let second = records(2);
+        let paths = write_segments(&second, &dir, 4).unwrap();
+        assert_eq!(list_segments(&dir).unwrap(), paths);
+        let back: Vec<GithubEvent> = paths
+            .iter()
+            .flat_map(|p| read_segment(p).unwrap())
+            .collect();
+        assert_eq!(back, second, "only the second dataset is read back");
         let _ = fs::remove_dir_all(&dir);
     }
 

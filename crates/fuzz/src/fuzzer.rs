@@ -194,7 +194,6 @@ fn results_match(a: &Result<Vec<Vec<i64>>>, b: &Result<Vec<Vec<i64>>>) -> bool {
 /// Runs the fuzz loop. Deterministic: same options ⇒ same report
 /// (wall-clock capping aside, which can only cut the sequence short).
 pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
-    let _span = symple_obs::span("fuzz.run");
     let cfg = GenConfig::default();
     let mut rng = Rng64::seed_from_u64(opts.seed);
     let mut corpus: Vec<Program> = Vec::new();
@@ -222,7 +221,6 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
         };
         let kind = InputKind::ALL[rng.gen_range(0usize..InputKind::ALL.len())];
         report.iterations += 1;
-        symple_obs::counter_add("fuzz.iterations", 1);
 
         // Coverage probe: analyzer signature + one engine run.
         let variants = program.variants();
@@ -239,14 +237,12 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
             &run_sequential(&uda, &events),
         ) {
             report.interp_mismatches.push(program.to_token());
-            symple_obs::counter_add("fuzz.interp_mismatches", 1);
         }
 
         if report
             .coverage
             .insert(CoverageKey::new(diag, &outcome, &stats))
         {
-            symple_obs::counter_add("fuzz.novel", 1);
             corpus.push(program.clone());
         }
 
@@ -278,7 +274,6 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
     }
 
     report.corpus_size = corpus.len();
-    symple_obs::counter_add("fuzz.findings", report.findings.len() as u64);
     report
 }
 

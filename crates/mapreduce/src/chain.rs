@@ -38,7 +38,6 @@ where
     U2: Uda<Event = G2::Event>,
     U2::Output: Send,
 {
-    let _span = symple_obs::span("chain.two_stage");
     let first = run_symple(g1, u1, segments, cfg)?;
     // Stage 1's rows are already globally ordered by key; re-segment them
     // for stage 2's mappers. Each row is charged its stage-1 key size as
@@ -52,48 +51,16 @@ where
 
 /// Combines per-stage metrics into an end-to-end view.
 ///
-/// Additivity contract (property-tested in `tests/mapreduce_props.rs`):
-/// every volume/time field is the exact sum of the two stages' fields —
-/// each stage folded in exactly once, never double counted — except
-/// `input_records`/`input_bytes` (stage 1's raw input is the job's input;
-/// stage 2 reads intermediate rows), `groups` (the final stage defines the
-/// output groups), and the `max_task`/`max_live_paths` bounds (maxima).
-pub fn fold_metrics(first: JobMetrics, second: JobMetrics) -> JobMetrics {
-    JobMetrics {
-        input_records: first.input_records,
-        input_bytes: first.input_bytes,
-        map_wall: first.map_wall + second.map_wall,
-        map_cpu: first.map_cpu + second.map_cpu,
-        map_max_task: first.map_max_task.max(second.map_max_task),
-        reduce_max_task: first.reduce_max_task.max(second.reduce_max_task),
-        shuffle_bytes: first.shuffle_bytes + second.shuffle_bytes,
-        shuffle_records: first.shuffle_records + second.shuffle_records,
-        summary_bytes: first.summary_bytes + second.summary_bytes,
-        reduce_wall: first.reduce_wall + second.reduce_wall,
-        reduce_cpu: first.reduce_cpu + second.reduce_cpu,
-        groups: second.groups,
-        attempts: first.attempts + second.attempts,
-        speculative_launches: first.speculative_launches + second.speculative_launches,
-        speculative_wins: first.speculative_wins + second.speculative_wins,
-        retry_wasted_cpu: first.retry_wasted_cpu + second.retry_wasted_cpu,
-        checkpoint_hits: first.checkpoint_hits + second.checkpoint_hits,
-        checkpoint_misses: first.checkpoint_misses + second.checkpoint_misses,
-        checkpoint_corrupt: first.checkpoint_corrupt + second.checkpoint_corrupt,
-        cache_hits: first.cache_hits + second.cache_hits,
-        cache_misses: first.cache_misses + second.cache_misses,
-        cache_corrupt: first.cache_corrupt + second.cache_corrupt,
-        cache_bytes_saved: first.cache_bytes_saved + second.cache_bytes_saved,
-        chunks_salvaged_concrete: first.chunks_salvaged_concrete + second.chunks_salvaged_concrete,
-        io_retries: first.io_retries + second.io_retries,
-        io_gave_up: first.io_gave_up + second.io_gave_up,
-        io_errors: first.io_errors + second.io_errors,
-        store_demoted: first.store_demoted + second.store_demoted,
-        explore: {
-            let mut e = first.explore;
-            e.absorb(second.explore);
-            e
-        },
-    }
+/// Each value folds by the rule its [`JobMetrics::rows`] row declares
+/// (property-tested in `tests/mapreduce_props.rs`): volumes and times are
+/// the exact sum of the two stages' — each stage folded in exactly once,
+/// never double counted — except `input.*` (stage 1's raw input is the
+/// job's input; stage 2 reads intermediate rows), `job.groups` (the final
+/// stage defines the output groups), and the `max_task`/`max_live_paths`
+/// bounds (maxima).
+pub fn fold_metrics(mut first: JobMetrics, second: JobMetrics) -> JobMetrics {
+    first.fold(&second);
+    first
 }
 
 #[cfg(test)]

@@ -267,7 +267,6 @@ where
         ..JobMetrics::default()
     };
 
-    let map_span = symple_obs::span("job.map_phase");
     let adapter = faults.map(|f| SegmentFaults::new(f, segments.iter().map(|s| s.id).collect()));
     let hook = adapter.as_ref().map(|a| a as &dyn TaskFaults);
     let map_run = run_scheduled(segments, cfg.map_workers, &cfg.scheduler, hook, |_, seg| {
@@ -283,7 +282,6 @@ where
         f.note_task_completed();
         Ok(out)
     })?;
-    drop(map_span);
     metrics.map_cpu = map_run.timing.cpu;
     metrics.map_wall = map_run.timing.wall;
     metrics.map_max_task = map_run.timing.max_task;
@@ -297,10 +295,7 @@ where
         metrics.shuffle_records += emits.tally.shuffle_records;
         mapper_runs.push(emits.into_runs());
     }
-    symple_obs::counter_add("shuffle.bytes", metrics.shuffle_bytes);
-    symple_obs::counter_add("shuffle.records", metrics.shuffle_records);
 
-    let reduce_span = symple_obs::span("job.reduce_phase");
     let reducer_inputs = transpose(mapper_runs, cfg.num_reducers.max(1));
     let reduce_run = run_scheduled(
         &reducer_inputs,
@@ -323,7 +318,6 @@ where
             Ok::<_, Error>(out)
         },
     )?;
-    drop(reduce_span);
     metrics.reduce_cpu = reduce_run.timing.cpu;
     metrics.reduce_wall = reduce_run.timing.wall;
     metrics.reduce_max_task = reduce_run.timing.max_task;

@@ -272,15 +272,12 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let _span = symple_obs::span("scheduler.run");
     let n = items.len();
     let max_attempts = cfg.max_attempts.max(1);
     let host = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     let workers = workers.clamp(1, n.max(1)).min(host);
-    symple_obs::counter_add("sched.tasks", n as u64);
-    symple_obs::gauge_set("sched.workers", workers as i64);
     let wall_start = Instant::now();
 
     let first_attempts = (0..n).map(|task| Work {
@@ -342,11 +339,6 @@ where
         retry_wasted_cpu: Duration::from_nanos(shared.wasted_nanos.load(Ordering::Relaxed)),
         records: shared.records.into_inner().unwrap(),
     };
-    symple_obs::counter_add("sched.attempts", stats.attempts);
-    symple_obs::counter_add("sched.injected_failures", stats.injected_failures);
-    symple_obs::counter_add("sched.panics", stats.panics);
-    symple_obs::counter_add("sched.speculative_launches", stats.speculative_launches);
-    symple_obs::counter_add("sched.speculative_wins", stats.speculative_wins);
 
     let fatal = shared.queue.into_inner().unwrap().fatal;
     if let Some(e) = fatal {

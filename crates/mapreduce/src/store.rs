@@ -114,11 +114,7 @@ pub(crate) fn lookup(
     let id = expect.chunk_index;
     let bytes = match store.load(namespace, id) {
         Ok(Some(bytes)) => bytes,
-        Ok(None) => return ChunkLookup::Miss,
-        Err(_) => {
-            symple_obs::counter_add("store.load_errors", 1);
-            return ChunkLookup::Miss;
-        }
+        Ok(None) | Err(_) => return ChunkLookup::Miss,
     };
     let checked = if trust_frame_meta {
         decode_frame_unchecked(&bytes).map(|(_, _, payload)| payload)
@@ -139,13 +135,11 @@ pub(crate) fn lookup(
 
 /// Frames one chunk's payload and files it under `(namespace,
 /// meta.chunk_index)`. Write failures are *non-fatal*: a failed save
-/// merely degrades the next run to a recompute (it is counted, not
-/// hidden).
+/// merely degrades the next run to a recompute (the store's I/O ledger
+/// counts it, so it reaches `JobMetrics::io_errors`, not hidden).
 pub(crate) fn save(store: &dyn FrameStore, namespace: u64, meta: &FrameMeta, payload: &[u8]) {
     let frame = encode_frame(meta, payload);
-    if store.save(namespace, meta.chunk_index, &frame).is_err() {
-        symple_obs::counter_add("store.save_errors", 1);
-    }
+    let _ = store.save(namespace, meta.chunk_index, &frame);
 }
 
 // ---------------------------------------------------------------------------
@@ -515,15 +509,14 @@ impl FrameStore for DiskStore {
             target = with_suffix(&path, &format!(".quarantined.{n}"));
             n += 1;
         }
+        // Best-effort: a failed move or note is counted by the engine's
+        // ledger, and the frame it leaves behind fails validation again.
         let moved = self.engine.run(|io| io.rename(&path, &target));
-        let noted = moved.and_then(|()| {
+        let _ = moved.and_then(|()| {
             let reason_path = with_suffix(&target, ".reason");
             self.engine
                 .run(|io| io.write(&reason_path, reason.as_bytes()))
         });
-        if noted.is_err() {
-            symple_obs::counter_add("store.quarantine_errors", 1);
-        }
     }
 
     // Quarantine listing is a post-mortem/test path, not part of the

@@ -328,7 +328,7 @@ impl<I: StoreIo> StoreIo for FaultIo<I> {
 ///
 /// Backoff for attempt `k` (1-based) is `backoff_base * 2^(k-1)` plus a
 /// deterministic jitter of up to half that, derived from
-/// `(jitter_seed, op sequence, attempt)` — reproducible run to run, yet
+/// `(JITTER_SEED, op sequence, attempt)` — reproducible run to run, yet
 /// decorrelated across concurrent ops. An op stops retrying when the
 /// attempt cap is reached or the *summed* backoff it has scheduled would
 /// exceed `op_deadline`; the deadline is accounted in scheduled (virtual)
@@ -343,9 +343,10 @@ pub struct RetryPolicy {
     pub backoff_cap: Duration,
     /// Budget on the summed backoff scheduled for one operation.
     pub op_deadline: Duration,
-    /// Seed for the deterministic jitter.
-    pub jitter_seed: u64,
 }
+
+/// Seed for the deterministic backoff jitter.
+const JITTER_SEED: u64 = 0x10_5eed;
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
@@ -354,7 +355,6 @@ impl Default for RetryPolicy {
             backoff_base: Duration::from_micros(500),
             backoff_cap: Duration::from_millis(10),
             op_deadline: Duration::from_millis(50),
-            jitter_seed: 0x10_5eed,
         }
     }
 }
@@ -367,7 +367,6 @@ impl RetryPolicy {
             backoff_base: Duration::ZERO,
             backoff_cap: Duration::ZERO,
             op_deadline: Duration::ZERO,
-            ..RetryPolicy::default()
         }
     }
 
@@ -394,7 +393,7 @@ impl RetryPolicy {
             return exp;
         }
         let mut rng = Rng64::seed_from_u64(
-            self.jitter_seed ^ op.rotate_left(17) ^ u64::from(attempt).rotate_left(41),
+            JITTER_SEED ^ op.rotate_left(17) ^ u64::from(attempt).rotate_left(41),
         );
         (exp + Duration::from_nanos(rng.gen_range(0..=half))).min(self.backoff_cap)
     }
@@ -537,7 +536,6 @@ impl StoreEngine {
                 Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(e),
                 Err(e) => {
                     self.ledger.io_errors.fetch_add(1, Ordering::SeqCst);
-                    symple_obs::counter_add("store_io.errors", 1);
                     let backoff = self.policy.backoff(op, attempt);
                     let out_of_road = attempt >= self.policy.max_attempts
                         || scheduled + backoff > self.policy.op_deadline;
@@ -546,7 +544,6 @@ impl StoreEngine {
                         return Err(e);
                     }
                     self.ledger.io_retries.fetch_add(1, Ordering::SeqCst);
-                    symple_obs::counter_add("store_io.retries", 1);
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
@@ -560,10 +557,8 @@ impl StoreEngine {
     /// Records a terminal failure; trips demotion at the budget.
     fn note_gave_up(&self) {
         let gave_up = self.ledger.io_gave_up.fetch_add(1, Ordering::SeqCst) + 1;
-        symple_obs::counter_add("store_io.gave_up", 1);
         if gave_up >= self.failure_budget && !self.demoted.swap(true, Ordering::SeqCst) {
             self.ledger.store_demoted.fetch_add(1, Ordering::SeqCst);
-            symple_obs::counter_add("store_io.demotions", 1);
         }
     }
 }

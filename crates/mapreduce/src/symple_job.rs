@@ -248,7 +248,6 @@ impl<'a> SympleJob<'a> {
         U: Uda<Event = G::Event>,
         U::Output: Send,
     {
-        let _job_span = symple_obs::span("symple.job");
         let (cfg, store) = (&self.cfg, self.store);
         // Stores outlive jobs, so I/O outcomes are attributed to this run
         // as a ledger *delta*: snapshot now, diff at the end.
@@ -259,10 +258,7 @@ impl<'a> SympleJob<'a> {
             segments,
             cfg,
             self.faults,
-            |seg| {
-                let _task_span = symple_obs::span("symple.map_task");
-                map_task::<G, U>(g, uda, seg, cfg, store)
-            },
+            |seg| map_task::<G, U>(g, uda, seg, cfg, store),
             |metrics, task: MapTaskOutput<G::Key>| {
                 metrics.explore.absorb(task.stats);
                 metrics.summary_bytes += task.emits.tally().payload_bytes;
@@ -278,20 +274,9 @@ impl<'a> SympleJob<'a> {
             },
         )?;
 
-        let metrics = &mut out.metrics;
         if let (Some(start), Some(end)) = (io_start, store.io_counts()) {
-            metrics.absorb_io(&end.since(&start));
+            out.metrics.absorb_io(&end.since(&start));
         }
-        symple_obs::counter_add("summary.bytes", metrics.summary_bytes);
-        symple_obs::counter_add("checkpoint.hits", metrics.checkpoint_hits);
-        symple_obs::counter_add("checkpoint.corrupt", metrics.checkpoint_corrupt);
-        symple_obs::counter_add("cache.hits", metrics.cache_hits);
-        symple_obs::counter_add("cache.corrupt", metrics.cache_corrupt);
-        symple_obs::counter_add("cache.bytes_saved", metrics.cache_bytes_saved);
-        symple_obs::counter_add("salvage.chunks", metrics.chunks_salvaged_concrete);
-        symple_obs::counter_add("job.io_retries", metrics.io_retries);
-        symple_obs::counter_add("job.io_gave_up", metrics.io_gave_up);
-        symple_obs::counter_add("job.store_demoted", metrics.store_demoted);
         Ok(out)
     }
 }

@@ -164,7 +164,6 @@ pub fn run_oracle(opts: &OracleOptions) -> OracleReport {
 /// the fuzzer uses to sweep generated cases through the same driver,
 /// shrinker, and artifact machinery as the registry.
 pub fn run_oracle_on(cases: &[Box<dyn DynCase>], opts: &OracleOptions) -> OracleReport {
-    let _sweep_span = symple_obs::span("oracle.sweep");
     let mut report = OracleReport::default();
     let matrix = opts.matrix.clone().unwrap_or_else(|| match opts.depth {
         Depth::Smoke => smoke_matrix(),
@@ -182,8 +181,6 @@ pub fn run_oracle_on(cases: &[Box<dyn DynCase>], opts: &OracleOptions) -> Oracle
                 continue;
             }
         }
-        let _case_span = symple_obs::span("oracle.case");
-        symple_obs::counter_add("oracle.cases", 1);
         // One analysis per case, reused across every cell of the matrix.
         let analysis = if opts.analyze_first {
             case.analyze()
@@ -263,10 +260,6 @@ pub fn run_oracle_on(cases: &[Box<dyn DynCase>], opts: &OracleOptions) -> Oracle
             }
         }
     }
-    symple_obs::counter_add("oracle.comparisons", report.comparisons);
-    symple_obs::counter_add("oracle.probes", report.probes);
-    symple_obs::counter_add("oracle.skipped_cells", report.skipped);
-    symple_obs::counter_add("oracle.findings", report.findings.len() as u64);
     // Distinct matrix cells often shrink to the same minimal reproducer;
     // keep one finding per artifact.
     let mut seen: Vec<Artifact> = Vec::new();

@@ -11,8 +11,8 @@
 //!
 //! `run` reads the segment files as raw log lines — the mappers parse them,
 //! exactly like the in-process measurement harnesses. With `SYMPLE_OBS=1`
-//! in the environment it also prints the `symple-obs` span / counter
-//! snapshot of the job to stderr, after the job report.
+//! in the environment it also prints the job's whole `JobMetrics` record
+//! to stderr, one `name value` row per value, after the job report.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,6 +22,7 @@ use symple::datagen::{
     list_segments, read_segment_lines, write_segments, BingConfig, GithubConfig, RedshiftConfig,
     TwitterConfig, WeblogConfig,
 };
+use symple::mapreduce::metrics::Value;
 use symple::mapreduce::{Dataset, DiskStore, JobConfig, Segment, SummaryCacheCtx};
 use symple::queries::{all_queries, runner_by_id, Backend};
 
@@ -193,9 +194,6 @@ fn cmd_run(args: &Args) -> ExitCode {
         Err(code) => return code,
     };
 
-    // `SYMPLE_OBS=1` turns the tracing layer on for this job; its span and
-    // counter snapshot follows the job report, on stderr.
-    let obs = symple_obs::init_from_env();
     let job = JobConfig::default().with_reducers(reducers);
     let report = match args.get("cache-dir") {
         None => runner.run_lines(&segments, backend, &job),
@@ -267,20 +265,14 @@ fn cmd_run(args: &Args) -> ExitCode {
                     if m.store_demoted > 0 { "yes" } else { "no" }
                 );
             }
-            if obs {
-                eprint!("--- obs snapshot ---\n{}", symple_obs::snapshot().render());
-                // Exploration totals are per-job facts carried by
-                // `JobMetrics`, not registry counters.
-                eprintln!("{:<32} {:>10}", "explore (job metrics)", "total");
-                for (name, v) in [
-                    ("explore.records", m.explore.records),
-                    ("explore.runs", m.explore.runs),
-                    ("explore.forks", m.explore.forks),
-                    ("explore.merges", m.explore.merges),
-                    ("explore.restarts", m.explore.restarts),
-                    ("explore.max_live_paths", m.explore.max_live_paths as u64),
-                ] {
-                    eprintln!("{name:<32} {v:>10}");
+            // `SYMPLE_OBS` set to anything but `0`/empty: the job's whole
+            // metrics record follows the report, on stderr.
+            if std::env::var("SYMPLE_OBS").is_ok_and(|v| !v.is_empty() && v != "0") {
+                for (name, _, value) in m.rows() {
+                    match value {
+                        Value::Count(n) => eprintln!("{name:<32} {n:>12}"),
+                        Value::Time(d) => eprintln!("{name:<32} {d:>12.3?}"),
+                    }
                 }
             }
             ExitCode::SUCCESS

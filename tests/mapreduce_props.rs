@@ -8,6 +8,7 @@ use proptest::prelude::*;
 
 use symple::core::engine::ExploreStats;
 use symple::core::prelude::*;
+use symple::mapreduce::metrics::{Fold, Value};
 use symple::mapreduce::segment::split_into_segments;
 use symple::mapreduce::{
     fold_metrics, run_baseline, run_baseline_sorted, run_scheduled, run_sequential_job, run_symple,
@@ -202,51 +203,27 @@ proptest! {
     ) {
         let (a, b) = (metrics_from(&a_raw), metrics_from(&b_raw));
         let f = fold_metrics(a, b);
-        // Summed fields.
-        prop_assert_eq!(f.map_wall, a.map_wall + b.map_wall);
-        prop_assert_eq!(f.map_cpu, a.map_cpu + b.map_cpu);
-        prop_assert_eq!(f.reduce_wall, a.reduce_wall + b.reduce_wall);
-        prop_assert_eq!(f.reduce_cpu, a.reduce_cpu + b.reduce_cpu);
-        prop_assert_eq!(f.shuffle_bytes, a.shuffle_bytes + b.shuffle_bytes);
-        prop_assert_eq!(f.shuffle_records, a.shuffle_records + b.shuffle_records);
-        prop_assert_eq!(f.summary_bytes, a.summary_bytes + b.summary_bytes);
-        prop_assert_eq!(f.explore.records, a.explore.records + b.explore.records);
-        prop_assert_eq!(f.explore.runs, a.explore.runs + b.explore.runs);
-        prop_assert_eq!(f.explore.forks, a.explore.forks + b.explore.forks);
-        prop_assert_eq!(f.explore.merges, a.explore.merges + b.explore.merges);
-        prop_assert_eq!(f.explore.restarts, a.explore.restarts + b.explore.restarts);
-        prop_assert_eq!(f.attempts, a.attempts + b.attempts);
-        prop_assert_eq!(
-            f.speculative_launches,
-            a.speculative_launches + b.speculative_launches
-        );
-        prop_assert_eq!(f.speculative_wins, a.speculative_wins + b.speculative_wins);
-        prop_assert_eq!(f.retry_wasted_cpu, a.retry_wasted_cpu + b.retry_wasted_cpu);
-        prop_assert_eq!(f.checkpoint_hits, a.checkpoint_hits + b.checkpoint_hits);
-        prop_assert_eq!(f.checkpoint_misses, a.checkpoint_misses + b.checkpoint_misses);
-        prop_assert_eq!(f.checkpoint_corrupt, a.checkpoint_corrupt + b.checkpoint_corrupt);
-        prop_assert_eq!(
-            f.chunks_salvaged_concrete,
-            a.chunks_salvaged_concrete + b.chunks_salvaged_concrete
-        );
-        prop_assert_eq!(f.cache_hits, a.cache_hits + b.cache_hits);
-        prop_assert_eq!(f.cache_misses, a.cache_misses + b.cache_misses);
-        prop_assert_eq!(f.cache_corrupt, a.cache_corrupt + b.cache_corrupt);
-        prop_assert_eq!(f.cache_bytes_saved, a.cache_bytes_saved + b.cache_bytes_saved);
-        prop_assert_eq!(f.io_retries, a.io_retries + b.io_retries);
-        prop_assert_eq!(f.io_gave_up, a.io_gave_up + b.io_gave_up);
-        prop_assert_eq!(f.io_errors, a.io_errors + b.io_errors);
-        prop_assert_eq!(f.store_demoted, a.store_demoted + b.store_demoted);
-        // Stage-1-owned, stage-2-owned, and bounding fields.
-        prop_assert_eq!(f.input_records, a.input_records);
-        prop_assert_eq!(f.input_bytes, a.input_bytes);
-        prop_assert_eq!(f.groups, b.groups);
-        prop_assert_eq!(f.map_max_task, a.map_max_task.max(b.map_max_task));
-        prop_assert_eq!(f.reduce_max_task, a.reduce_max_task.max(b.reduce_max_task));
-        prop_assert_eq!(
-            f.explore.max_live_paths,
-            a.explore.max_live_paths.max(b.explore.max_live_paths)
-        );
+        // Every value folds by the rule its row declares, and the rules
+        // are these: stage-1-owned, stage-2-owned, bounds, else summed.
+        let rule_of = |name: &str| match name {
+            "input.records" | "input.bytes" => Fold::First,
+            "job.groups" => Fold::Last,
+            "map.max_task" | "reduce.max_task" | "explore.max_live_paths" => Fold::Max,
+            _ => Fold::Sum,
+        };
+        for ((f, a), b) in f.rows().into_iter().zip(a.rows()).zip(b.rows()) {
+            let (name, rule, folded) = f;
+            prop_assert_eq!(rule, rule_of(name), "row `{}`", name);
+            let want = match (rule, a.2, b.2) {
+                (Fold::Sum, Value::Count(x), Value::Count(y)) => Value::Count(x + y),
+                (Fold::Sum, Value::Time(x), Value::Time(y)) => Value::Time(x + y),
+                (Fold::Max, x, y) => x.max(y),
+                (Fold::First, x, _) => x,
+                (Fold::Last, _, y) => y,
+                (Fold::Sum, x, y) => panic!("`{name}` mixes kinds: {x:?} + {y:?}"),
+            };
+            prop_assert_eq!(folded, want, "row `{}` ({:?})", name, rule);
+        }
         // Folding in an idle stage changes nothing additive, and the fold
         // is associative — longer plan chains count each stage once too.
         let idle = fold_metrics(a, JobMetrics::default());
