@@ -504,13 +504,13 @@ where
     (0..n)
         .map(|i| {
             let mut probe = uda.init();
-            if !probe.fields_mut()[i].perturb() {
+            if !probe.field_mut_at(i).perturb() {
                 return true; // Unperturbable → conservatively read.
             }
             seqs.iter().any(|seq| {
                 let baseline = replay(uda, uda.init(), seq);
                 let mut init = uda.init();
-                init.fields_mut()[i].perturb();
+                init.field_mut_at(i).perturb();
                 replay(uda, init, seq) != baseline
             })
         })
@@ -844,7 +844,7 @@ mod tests {
         fn compose_onto(
             &mut self,
             _prev: &dyn SymField,
-            _prev_all: &[&dyn SymField],
+            _transfers: &crate::state::Transfers<'_>,
         ) -> Result<bool> {
             Ok(true)
         }

@@ -795,12 +795,16 @@ pub struct AstState {
 }
 
 impl SymState for AstState {
-    fn fields_mut(&mut self) -> Vec<&mut dyn SymField> {
-        self.fields.iter_mut().map(AstField::as_field_mut).collect()
+    fn field_count(&self) -> usize {
+        self.fields.len()
     }
 
-    fn fields_ref(&self) -> Vec<&dyn SymField> {
-        self.fields.iter().map(AstField::as_field_ref).collect()
+    fn field_ref_at(&self, i: usize) -> &dyn SymField {
+        self.fields[i].as_field_ref()
+    }
+
+    fn field_mut_at(&mut self, i: usize) -> &mut dyn SymField {
+        self.fields[i].as_field_mut()
     }
 
     fn field_names(&self) -> Vec<String> {

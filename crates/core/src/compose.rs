@@ -12,8 +12,9 @@
 
 use crate::engine::merge::merge_paths;
 use crate::error::{Error, Result};
-use crate::state::SymState;
+use crate::state::{transfers_of, FieldId, SymState};
 use crate::summary::{Summary, SummaryChain};
+use crate::wire;
 
 /// Composes one later path onto one earlier path.
 ///
@@ -23,15 +24,14 @@ use crate::summary::{Summary, SummaryChain};
 /// vector substitution can observe an inconsistent state.
 pub fn compose_state<S: SymState>(later: &S, earlier: &S) -> Result<Option<S>> {
     let mut out = later.clone();
-    let prev_fields = earlier.fields_ref();
+    let transfers = transfers_of(earlier);
+    debug_assert_eq!(out.field_count(), earlier.field_count());
     for pass_aggregates in [false, true] {
-        let mut out_fields = out.fields_mut();
-        debug_assert_eq!(out_fields.len(), prev_fields.len());
-        for (i, f) in out_fields.iter_mut().enumerate() {
-            if f.is_aggregate() != pass_aggregates {
-                continue;
-            }
-            if !f.compose_onto(prev_fields[i], &prev_fields)? {
+        for i in 0..out.field_count() {
+            let f = out.field_mut_at(i);
+            if f.is_aggregate() == pass_aggregates
+                && !f.compose_onto(earlier.field_ref_at(i), &transfers)?
+            {
                 return Ok(None);
             }
         }
@@ -68,6 +68,95 @@ pub fn apply_chain<S: SymState>(chain: &SummaryChain<S>, state: &S) -> Result<S>
         cur = apply_summary(summary, &cur)?;
     }
     Ok(cur)
+}
+
+/// [`apply_chain`] straight from a chain's wire bytes: the in-order
+/// reducer's tier, which never builds the owned [`SummaryChain`].
+///
+/// Against a concrete `state` exactly one path of each summary holds, so
+/// each path is decoded field by field into one of three reused `scratch`
+/// states (clones of the UDA's initial state; whatever they hold is
+/// overwritten) and composed onto `state`'s field in the same step. One slot
+/// is being written, one keeps the previous path as its back-reference base,
+/// one keeps the path that held; at the end of a summary that one is swapped
+/// with `state`.
+///
+/// The outcome — the final `state`, the error, and where `buf` ends on
+/// success — is that of [`SummaryChain::decode`] followed by
+/// [`apply_chain`], which stay the reference semantics:
+///
+/// * every path is parsed to its end, and the reference decodes the whole
+///   chain before it applies any of it, so a wire error anywhere outranks
+///   every other: after the first failure the rest is still parsed, just
+///   no longer composed;
+/// * no path holding is [`Error::IncompleteSummary`], a second one
+///   [`Error::OverlappingSummary`];
+/// * as in [`compose_state`], a scalar field that rules a path out stops
+///   the composition of the scalars after it, and an aggregate's error —
+///   met in field order here, before a later scalar has had its say — is
+///   held until the scalars have let the path through.
+///
+/// On `Err`, `state` is what the summaries before the failing one left.
+pub fn apply_encoded_chain<S: SymState>(
+    scratch: &mut [S; 3],
+    buf: &mut &[u8],
+    state: &mut S,
+) -> Result<()> {
+    debug_assert!(
+        crate::state::state_is_concrete(state),
+        "apply_encoded_chain requires a fully concrete running state"
+    );
+    let n_fields = state.field_count();
+    let mut failed: Option<Error> = None;
+    for _ in 0..wire::get_len(buf)? {
+        let transfers = transfers_of(&*state);
+        let mut matched = None;
+        let (mut cur, mut prev) = (0, None);
+        for _ in 0..wire::get_len(buf)? {
+            let (path, before) = match prev {
+                None => (&mut scratch[cur], None),
+                Some(prev) => {
+                    let [path, before] = scratch
+                        .get_disjoint_mut([cur, prev])
+                        .expect("a path is never decoded over its predecessor");
+                    (path, Some(&*before))
+                }
+            };
+            let (mut scalars, mut aggregates) = (Ok(failed.is_none()), Ok(true));
+            for i in 0..n_fields {
+                let (f, id) = (path.field_mut_at(i), FieldId(i as u16));
+                let (before, base) = (before.map(|s| s.field_ref_at(i)), state.field_ref_at(i));
+                if f.is_aggregate() {
+                    // Always stitched, so that it can be the next path's base.
+                    let stitched = f.decode_onto(buf, id, before, base, &transfers)?;
+                    if matches!(aggregates, Ok(true)) {
+                        aggregates = stitched;
+                    }
+                } else if matches!(scalars, Ok(true)) {
+                    scalars = f.decode_onto(buf, id, before, base, &transfers)?;
+                } else {
+                    f.decode_field(buf, id, before)?;
+                }
+            }
+            match scalars.and_then(|holds| if holds { aggregates } else { Ok(false) }) {
+                Ok(false) => {}
+                Ok(true) if matched.is_none() => matched = Some(cur),
+                Ok(true) => failed = Some(Error::OverlappingSummary),
+                Err(e) => failed = Some(e),
+            }
+            prev = Some(cur);
+            cur = (0..3)
+                .find(|&slot| slot != cur && Some(slot) != matched)
+                .expect("three slots, at most two of them kept");
+        }
+        drop(transfers);
+        match matched {
+            _ if failed.is_some() => {}
+            Some(slot) => std::mem::swap(state, &mut scratch[slot]),
+            None => failed = Some(Error::IncompleteSummary),
+        }
+    }
+    failed.map_or(Ok(()), Err)
 }
 
 /// Composes two summaries symbolically: the result of `compose_summaries

@@ -19,29 +19,17 @@ use crate::state::SymState;
 /// all transfer functions equal and the constraints differ in at most one
 /// field whose union is canonical.
 pub fn try_merge_into<S: SymState>(a: &mut S, b: &S) -> bool {
-    let diff_idx;
-    {
-        let af = a.fields_ref();
-        let bf = b.fields_ref();
-        debug_assert_eq!(af.len(), bf.len());
-        if !af.iter().zip(&bf).all(|(x, y)| x.transfer_eq(*y)) {
-            return false;
-        }
-        let mut diffs = af
-            .iter()
-            .zip(&bf)
-            .enumerate()
-            .filter(|(_, (x, y))| !x.constraint_eq(**y))
-            .map(|(i, _)| i);
-        match (diffs.next(), diffs.next()) {
-            (None, _) => return true, // Identical paths: `b` is redundant.
-            (Some(i), None) => diff_idx = i,
-            (Some(_), Some(_)) => return false,
-        }
+    let n = a.field_count();
+    debug_assert_eq!(n, b.field_count());
+    if !(0..n).all(|i| a.field_ref_at(i).transfer_eq(b.field_ref_at(i))) {
+        return false;
     }
-    let bf = b.fields_ref();
-    let mut af = a.fields_mut();
-    af[diff_idx].union_constraint(bf[diff_idx])
+    let mut diffs = (0..n).filter(|&i| !a.field_ref_at(i).constraint_eq(b.field_ref_at(i)));
+    match (diffs.next(), diffs.next()) {
+        (None, _) => true, // Identical paths: `b` is redundant.
+        (Some(i), None) => a.field_mut_at(i).union_constraint(b.field_ref_at(i)),
+        (Some(_), Some(_)) => false,
+    }
 }
 
 /// Merges paths pairwise to a fixpoint, returning the number of merges.

@@ -102,6 +102,18 @@ pub enum Error {
         /// persisted their summaries) before the kill.
         after_tasks: u64,
     },
+    /// A finished job's own bookkeeping does not add up — e.g. a map chunk
+    /// whose store lookup was counted twice or not at all. The results may
+    /// be right; the run's record of how it got them is not.
+    LedgerImbalance {
+        /// The equation that failed, e.g. `"cache hits + misses + corrupt
+        /// == chunks"`.
+        ledger: &'static str,
+        /// Its left-hand side, as counted.
+        left: u64,
+        /// Its right-hand side, as counted.
+        right: u64,
+    },
 }
 
 impl fmt::Display for Error {
@@ -155,6 +167,11 @@ impl fmt::Display for Error {
                     "job killed after {after_tasks} committed map tasks (resume from checkpoints)"
                 )
             }
+            Error::LedgerImbalance {
+                ledger,
+                left,
+                right,
+            } => write!(f, "ledger `{ledger}` does not balance: {left} vs {right}"),
         }
     }
 }

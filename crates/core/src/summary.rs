@@ -17,7 +17,7 @@
 //! (§5.2), several summaries that must be applied in order.
 
 use crate::error::{Error, Result};
-use crate::state::{FieldId, SymField, SymState};
+use crate::state::{FieldId, SymState};
 use crate::wire::{self, WireError};
 
 /// A symbolic summary: the disjoint, exhaustive set of explored paths.
@@ -83,16 +83,16 @@ impl<S: SymState> Summary<S> {
     /// the path count, then every path's fields in template order. The
     /// decoder knows the field count from its template, and each field sees
     /// the same field of the previous path so repeated content is written
-    /// once (see [`SymField::encode_field`]).
+    /// once (see [`crate::state::SymField::encode_field`]).
     pub fn encode(&self, buf: &mut Vec<u8>) {
         wire::put_uvarint(buf, self.paths.len() as u64);
-        let mut prev: Option<Vec<&dyn SymField>> = None;
+        let mut prev: Option<&S> = None;
         for p in &self.paths {
-            let fields = p.fields_ref();
-            for (i, f) in fields.iter().enumerate() {
-                f.encode_field(prev.as_ref().map(|fields| fields[i]), buf);
+            for i in 0..p.field_count() {
+                p.field_ref_at(i)
+                    .encode_field(prev.map(|prev| prev.field_ref_at(i)), buf);
             }
-            prev = Some(fields);
+            prev = Some(p);
         }
     }
 
@@ -106,10 +106,10 @@ impl<S: SymState> Summary<S> {
         let mut paths: Vec<S> = Vec::with_capacity(n_paths.min(1024));
         for _ in 0..n_paths {
             let mut s = template.clone();
-            let prev = paths.last().map(SymState::fields_ref);
-            for (i, f) in s.fields_mut().into_iter().enumerate() {
-                let prev = prev.as_ref().map(|fields| fields[i]);
-                f.decode_field(buf, FieldId(i as u16), prev)?;
+            for i in 0..s.field_count() {
+                let prev = paths.last().map(|prev| prev.field_ref_at(i));
+                s.field_mut_at(i)
+                    .decode_field(buf, FieldId(i as u16), prev)?;
             }
             paths.push(s);
         }

@@ -3,7 +3,7 @@
 
 use crate::ctx::SymCtx;
 use crate::error::Result;
-use crate::state::{downcast, FieldFacts, FieldId, SymField};
+use crate::state::{downcast, FieldFacts, FieldId, SymField, Transfers};
 use crate::types::scalar::ScalarTransfer;
 use crate::types::sym_enum::SymEnum;
 use crate::wire::WireError;
@@ -91,10 +91,10 @@ impl SymField for SymBool {
             None => false,
         }
     }
-    fn compose_onto(&mut self, prev: &dyn SymField, prev_all: &[&dyn SymField]) -> Result<bool> {
+    fn compose_onto(&mut self, prev: &dyn SymField, transfers: &Transfers<'_>) -> Result<bool> {
         let prev = downcast::<SymBool>(prev)
             .ok_or(crate::error::Error::Uda("field type mismatch".into()))?;
-        self.inner.compose_onto(&prev.inner, prev_all)
+        self.inner.compose_onto(&prev.inner, transfers)
     }
     fn transfer(&self) -> Option<ScalarTransfer> {
         self.inner.transfer()

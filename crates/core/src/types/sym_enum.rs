@@ -16,7 +16,7 @@
 use crate::bitset::BitSet256;
 use crate::ctx::{OpKind, SymCtx};
 use crate::error::{Error, Result};
-use crate::state::{downcast, FieldFacts, FieldId, SymField};
+use crate::state::{downcast, FieldFacts, FieldId, SymField, Transfers};
 use crate::types::scalar::ScalarTransfer;
 use crate::wire::{self, WireError};
 
@@ -285,7 +285,7 @@ impl SymField for SymEnum {
         true
     }
 
-    fn compose_onto(&mut self, prev: &dyn SymField, _prev_all: &[&dyn SymField]) -> Result<bool> {
+    fn compose_onto(&mut self, prev: &dyn SymField, _transfers: &Transfers<'_>) -> Result<bool> {
         let prev = downcast::<SymEnum>(prev).ok_or(Error::Uda("field type mismatch".into()))?;
         debug_assert_eq!(
             self.domain, prev.domain,
@@ -527,7 +527,7 @@ mod tests {
         let mut ctx = SymCtx::concrete();
         let mut prev = SymEnum::new(4, 0);
         prev.assign(&mut ctx, 2);
-        let prev_all: Vec<&dyn SymField> = vec![&prev];
+        let prev_all = |_| prev.transfer();
         assert!(later.compose_onto(&prev, &prev_all).unwrap());
         assert_eq!(later.concrete_value(), Some(3));
         // Infeasible: earlier constant not in later's set.
@@ -535,7 +535,7 @@ mod tests {
         later.set = BitSet256::from_mask64(0b0110);
         let mut prev = SymEnum::new(4, 0);
         prev.assign(&mut ctx, 3);
-        let prev_all: Vec<&dyn SymField> = vec![&prev];
+        let prev_all = |_| prev.transfer();
         assert!(!later.compose_onto(&prev, &prev_all).unwrap());
     }
 
@@ -545,7 +545,7 @@ mod tests {
         later.set = BitSet256::from_mask64(0b0110);
         let mut prev = symbolic(4);
         prev.set = BitSet256::from_mask64(0b1100);
-        let prev_all: Vec<&dyn SymField> = vec![&prev];
+        let prev_all = |_| prev.transfer();
         assert!(later.compose_onto(&prev, &prev_all).unwrap());
         assert_eq!(later.constraint_set(), 0b0100);
         assert_eq!(
@@ -558,7 +558,7 @@ mod tests {
         let mut ctx = SymCtx::concrete();
         let mut prev = SymEnum::new(4, 0);
         prev.assign(&mut ctx, 1);
-        let prev_all: Vec<&dyn SymField> = vec![&prev];
+        let prev_all = |_| prev.transfer();
         assert!(later.compose_onto(&prev, &prev_all).unwrap());
         assert_eq!(later.concrete_value(), Some(1));
     }

@@ -19,7 +19,7 @@ use crate::ctx::{OpKind, SymCtx};
 use crate::error::{Error, Result};
 use crate::interval::Interval;
 use crate::state::FieldFacts;
-use crate::state::{downcast, FieldId, SymField};
+use crate::state::{downcast, FieldId, SymField, Transfers};
 use crate::types::scalar::{mul_add_checked, ScalarTransfer, SymScalar};
 use crate::wire::{self, WireError};
 
@@ -477,7 +477,7 @@ impl SymField for SymInt {
         }
     }
 
-    fn compose_onto(&mut self, prev: &dyn SymField, _prev_all: &[&dyn SymField]) -> Result<bool> {
+    fn compose_onto(&mut self, prev: &dyn SymField, _transfers: &Transfers<'_>) -> Result<bool> {
         let prev = downcast::<SymInt>(prev).ok_or(Error::Uda("field type mismatch".into()))?;
         debug_assert_eq!(
             self.width, prev.width,
@@ -759,14 +759,14 @@ mod tests {
         later.constraint = Interval::new(5, i64::MAX);
         later += 1;
         let prev = SymInt::new(9);
-        let prev_all: Vec<&dyn SymField> = vec![&prev];
+        let prev_all = |_| prev.transfer();
         assert!(later.compose_onto(&prev, &prev_all).unwrap());
         assert_eq!(later.concrete_value(), Some(10));
         // Infeasible case: y ≥ 5 but earlier value is 3.
         let mut later = symbolic();
         later.constraint = Interval::new(5, i64::MAX);
         let prev = SymInt::new(3);
-        let prev_all: Vec<&dyn SymField> = vec![&prev];
+        let prev_all = |_| prev.transfer();
         assert!(!later.compose_onto(&prev, &prev_all).unwrap());
     }
 
@@ -781,7 +781,7 @@ mod tests {
         prev.constraint = Interval::new(i64::MIN, 4);
         prev *= 2;
         prev += 1;
-        let prev_all: Vec<&dyn SymField> = vec![&prev];
+        let prev_all = |_| prev.transfer();
         assert!(later.compose_onto(&prev, &prev_all).unwrap());
         // 2x + 1 ≤ 10 ⇔ x ≤ 4 (floor). The lower bound is the *exact*
         // preimage of y ≥ i64::MIN under 2x + 1, i.e. x ≥ −2⁶²: inputs

@@ -24,7 +24,7 @@ use std::cmp::Ordering;
 use crate::ctx::{OpKind, SymCtx};
 use crate::error::{Error, Result};
 use crate::interval::Interval;
-use crate::state::{downcast, FieldFacts, FieldId, SymField};
+use crate::state::{downcast, FieldFacts, FieldId, SymField, Transfers};
 use crate::types::scalar::ScalarTransfer;
 use crate::wire::{self, WireError};
 
@@ -276,7 +276,7 @@ impl SymField for SymMinMax {
         }
     }
 
-    fn compose_onto(&mut self, prev: &dyn SymField, _prev_all: &[&dyn SymField]) -> Result<bool> {
+    fn compose_onto(&mut self, prev: &dyn SymField, _transfers: &Transfers<'_>) -> Result<bool> {
         let prev = downcast::<SymMinMax>(prev).ok_or(Error::Uda("field type mismatch".into()))?;
         debug_assert_eq!(self.mode, prev.mode, "composed extrema must share a mode");
         if !self.tracking_input {
@@ -610,7 +610,7 @@ mod tests {
         b.update(8);
         let mut ctx = SymCtx::symbolic();
         assert!(b.lt(&mut ctx, 20));
-        let prev_all: Vec<&dyn SymField> = vec![&a];
+        let prev_all = |_| a.transfer();
         let mut composed = b;
         assert!(composed.compose_onto(&a, &prev_all).unwrap());
         // y = max(x,9) < 20 ⇔ x < 20; value = max(x, 9).

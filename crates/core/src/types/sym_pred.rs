@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use crate::ctx::{OpKind, SymCtx};
 use crate::error::{Error, Result};
-use crate::state::{downcast, FieldFacts, FieldId, SymField};
+use crate::state::{downcast, FieldFacts, FieldId, SymField, Transfers};
 use crate::types::scalar::{ScalarTransfer, SymScalar};
 use crate::wire::{self, Wire, WireError};
 
@@ -334,7 +334,7 @@ impl<T: PredValue> SymField for SymPred<T> {
         false
     }
 
-    fn compose_onto(&mut self, prev: &dyn SymField, _prev_all: &[&dyn SymField]) -> Result<bool> {
+    fn compose_onto(&mut self, prev: &dyn SymField, _transfers: &Transfers<'_>) -> Result<bool> {
         let prev = downcast::<SymPred<T>>(prev).ok_or(Error::Uda("field type mismatch".into()))?;
         match &prev.held {
             Held::Unknown => {
@@ -582,12 +582,12 @@ mod tests {
         // Earlier chunk ended with value 5: 5 < 10 holds → feasible.
         let mut prev = lt_pred();
         prev.set(5);
-        let prev_all: Vec<&dyn SymField> = vec![&prev];
+        let prev_all = |_| prev.transfer();
         assert!(later.clone().compose_onto(&prev, &prev_all).unwrap());
         // Earlier chunk ended with 50: 50 < 10 fails → infeasible.
         let mut prev = lt_pred();
         prev.set(50);
-        let prev_all: Vec<&dyn SymField> = vec![&prev];
+        let prev_all = |_| prev.transfer();
         assert!(!later.clone().compose_onto(&prev, &prev_all).unwrap());
     }
 
@@ -598,7 +598,7 @@ mod tests {
         let mut ctx = SymCtx::symbolic();
         assert!(later.eval(&mut ctx, &10)); // decision (10, true)
         let prev = lt_pred(); // concretely unset, initial outcome false
-        let prev_all: Vec<&dyn SymField> = vec![&prev];
+        let prev_all = |_| prev.transfer();
         assert!(!later.compose_onto(&prev, &prev_all).unwrap());
     }
 
@@ -612,7 +612,7 @@ mod tests {
         prev.make_symbolic(FieldId(0));
         let mut ctx2 = SymCtx::symbolic();
         assert!(prev.eval(&mut ctx2, &3));
-        let prev_all: Vec<&dyn SymField> = vec![&prev];
+        let prev_all = |_| prev.transfer();
         let mut composed = later.clone();
         assert!(composed.compose_onto(&prev, &prev_all).unwrap());
         assert_eq!(composed.decisions(), &[(3, true), (10, true)]);

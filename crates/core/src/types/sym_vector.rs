@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::state::{downcast, FieldFacts, FieldId, SymField};
+use crate::state::{downcast, FieldFacts, FieldId, SymField, Transfers};
 use crate::types::scalar::{ScalarTransfer, SymScalar};
 use crate::types::sym_enum::SymEnum;
 use crate::types::sym_int::SymInt;
@@ -322,6 +322,100 @@ impl<T: VecElem> SymVector<T> {
     }
 }
 
+/// Rewrites one symbolic element of a later path through the earlier
+/// path's `transfers` (see [`SymField::compose_onto`]).
+fn substitute<T: VecElem>(s: SymScalar, transfers: &Transfers<'_>) -> Result<Elem<T>> {
+    let SymScalar::Affine { field, .. } = s else {
+        unreachable!("Sym elements are always affine");
+    };
+    let t = transfers(field.index()).ok_or_else(|| {
+        Error::Uda(format!(
+            "vector element references field {} which has no scalar transfer (was the value \
+             reported before it was ever set?)",
+            field.0
+        ))
+    })?;
+    Ok(match s.substitute(t)? {
+        SymScalar::Concrete(v) => Elem::Concrete(
+            T::from_i64(v)
+                .ok_or_else(|| Error::Uda("concretized element does not fit type".into()))?,
+        ),
+        sym => Elem::Sym(sym),
+    })
+}
+
+impl<T: VecElem> SymVector<T> {
+    /// Replaces `self` with `base`'s list followed by one path's vector read
+    /// off the wire — the one element loop behind both decoders.
+    ///
+    /// [`SymField::decode_field`] passes an empty `base` and no `transfers`
+    /// and gets the path's own vector. [`SymField::decode_onto`] passes the
+    /// running state's vector and its transfers: every symbolic element is
+    /// substituted as it is pushed, so the list is allocated once, already
+    /// stitched. `prev` is the previous path's vector as this function left
+    /// it over the same `base`, so its own elements — all a back-reference
+    /// may name — are whatever follows `base`'s.
+    ///
+    /// The inner result is the first substitution failure. The element that
+    /// failed is pushed as it was read, so the list keeps its length and a
+    /// sibling whose back-reference covers it fails the same way.
+    fn decode_after(
+        &mut self,
+        buf: &mut &[u8],
+        prev: Option<&dyn SymField>,
+        base: &SymVector<T>,
+        transfers: Option<&Transfers<'_>>,
+    ) -> Result<Result<()>, WireError> {
+        let header = wire::get_len(buf)?;
+        let mut out = base.clone();
+        let mut held = Ok(());
+        let mut push = |out: &mut SymVector<T>, e: Elem<T>| {
+            out.push_elem(match (e, transfers) {
+                (Elem::Sym(s), Some(t)) => substitute(s, t).unwrap_or_else(|err| {
+                    if held.is_ok() {
+                        held = Err(err);
+                    }
+                    Elem::Sym(s)
+                }),
+                (e, _) => e,
+            });
+        };
+        for _ in 0..header >> 1 {
+            let run = wire::get_len(buf)?;
+            for _ in 0..run >> 1 {
+                let e = if run & 1 != 0 {
+                    Elem::Sym(SymScalar::decode_affine(buf)?)
+                } else {
+                    Elem::Concrete(T::decode(buf)?)
+                };
+                push(&mut out, e);
+            }
+        }
+        if header & 1 != 0 {
+            let n = wire::get_uvarint(buf)?;
+            let prev = prev.and_then(downcast::<SymVector<T>>);
+            let available = prev.map_or(0, |p| p.len.saturating_sub(base.len) as u64);
+            let Some(prev) = prev.filter(|_| n <= available) else {
+                return Err(WireError::BackReference { len: n, available });
+            };
+            // Under `transfers` a symbolic element past `base`'s is one that
+            // failed to substitute; only a clean sibling is shared.
+            let clean = transfers.is_none() || prev.sym_len == base.sym_len;
+            if out.len == base.len && n == available && clean {
+                // The whole of it: share the list instead of copying it.
+                out = prev.clone();
+            } else {
+                let shared: Vec<_> = prev.nodes().take(n as usize).collect();
+                for node in shared.into_iter().rev() {
+                    push(&mut out, node.elem.clone());
+                }
+            }
+        }
+        *self = out;
+        Ok(held)
+    }
+}
+
 impl<T: VecElem> SymField for SymVector<T> {
     fn make_symbolic(&mut self, id: FieldId) {
         // The unknown prefix lives in earlier chunks; the local vector
@@ -356,44 +450,19 @@ impl<T: VecElem> SymField for SymVector<T> {
         true
     }
 
-    fn compose_onto(&mut self, prev: &dyn SymField, prev_all: &[&dyn SymField]) -> Result<bool> {
+    fn compose_onto(&mut self, prev: &dyn SymField, transfers: &Transfers<'_>) -> Result<bool> {
         let prev =
             downcast::<SymVector<T>>(prev).ok_or(Error::Uda("field type mismatch".into()))?;
         // Start from the earlier chunk's (shared) list and append our own
         // elements, substituting symbolic references through the earlier
         // path's transfers.
-        let own = self.elems();
         let mut stitched = prev.clone();
-        for e in own {
-            match e {
-                Elem::Concrete(_) => stitched.push_elem(e),
-                Elem::Sym(s) => {
-                    let SymScalar::Affine { field, .. } = s else {
-                        unreachable!("Sym elements are always affine");
-                    };
-                    let t = prev_all
-                        .get(field.index())
-                        .and_then(|f| f.transfer())
-                        .ok_or_else(|| {
-                            Error::Uda(format!(
-                                "vector element references field {} which has no scalar \
-                                 transfer (was the value reported before it was ever set?)",
-                                field.0
-                            ))
-                        })?;
-                    match s.substitute(t)? {
-                        SymScalar::Concrete(v) => {
-                            let v = T::from_i64(v).ok_or_else(|| {
-                                Error::Uda("concretized element does not fit type".into())
-                            })?;
-                            stitched.push_elem(Elem::Concrete(v));
-                        }
-                        sym => stitched.push_elem(Elem::Sym(sym)),
-                    }
-                }
-            }
+        for e in self.elems() {
+            stitched.push_elem(match e {
+                Elem::Sym(s) => substitute(s, transfers)?,
+                concrete => concrete,
+            });
         }
-        stitched.id = prev.id;
         *self = stitched;
         Ok(true)
     }
@@ -442,43 +511,24 @@ impl<T: VecElem> SymField for SymVector<T> {
         id: FieldId,
         prev: Option<&dyn SymField>,
     ) -> Result<(), WireError> {
-        let header = wire::get_len(buf)?;
-        self.tail = None;
-        self.len = 0;
-        self.sym_len = 0;
-        for _ in 0..header >> 1 {
-            let run = wire::get_len(buf)?;
-            for _ in 0..run >> 1 {
-                self.push_elem(if run & 1 != 0 {
-                    Elem::Sym(SymScalar::decode_affine(buf)?)
-                } else {
-                    Elem::Concrete(T::decode(buf)?)
-                });
-            }
-        }
-        if header & 1 != 0 {
-            let n = wire::get_uvarint(buf)?;
-            let prev = prev.and_then(downcast::<SymVector<T>>);
-            let Some(prev) = prev.filter(|p| n <= p.len as u64) else {
-                return Err(WireError::BackReference {
-                    len: n,
-                    available: prev.map_or(0, |p| p.len as u64),
-                });
-            };
-            if self.len == 0 && n == prev.len as u64 {
-                // The whole of it: share the list instead of copying it.
-                self.tail = prev.tail.clone();
-                self.len = prev.len;
-                self.sym_len = prev.sym_len;
-            } else {
-                let shared: Vec<_> = prev.nodes().take(n as usize).collect();
-                for node in shared.into_iter().rev() {
-                    self.push_elem(node.elem.clone());
-                }
-            }
-        }
-        self.id = Some(id);
-        Ok(())
+        let mut empty = SymVector::new();
+        empty.id = Some(id);
+        self.decode_after(buf, prev, &empty, None).map(drop)
+    }
+
+    fn decode_onto(
+        &mut self,
+        buf: &mut &[u8],
+        _id: FieldId,
+        prev: Option<&dyn SymField>,
+        base: &dyn SymField,
+        transfers: &Transfers<'_>,
+    ) -> Result<Result<bool>, WireError> {
+        let Some(base) = downcast::<SymVector<T>>(base) else {
+            return Ok(Err(Error::Uda("field type mismatch".into())));
+        };
+        let stitched = self.decode_after(buf, prev, base, Some(transfers))?;
+        Ok(stitched.map(|()| true))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -660,7 +710,7 @@ mod tests {
         });
         later.push(1);
 
-        let prev_all: Vec<&dyn SymField> = vec![&prev_count, &prev_vec];
+        let prev_all = |i| [prev_count.transfer(), None][i];
         assert!(later.compose_onto(&prev_vec, &prev_all).unwrap());
         assert_eq!(
             later.elems(),
@@ -680,7 +730,7 @@ mod tests {
         let concrete_count = SymInt::new(10);
         let mut concrete_vec: SymVector<i64> = SymVector::new();
         concrete_vec.push(0);
-        let prev_all: Vec<&dyn SymField> = vec![&concrete_count, &concrete_vec];
+        let prev_all = |i| [concrete_count.transfer(), None][i];
         let mut fin = later.clone();
         assert!(fin.compose_onto(&concrete_vec, &prev_all).unwrap());
         assert_eq!(fin.concrete_elems().unwrap(), vec![0, 7, 24, 1]);
@@ -698,7 +748,7 @@ mod tests {
             a: 1,
             b: 0,
         });
-        let prev_all: Vec<&dyn SymField> = vec![&unset, &prev_vec];
+        let prev_all = |_| unset.transfer();
         assert!(later.compose_onto(&prev_vec, &prev_all).is_err());
     }
 

@@ -4,13 +4,15 @@
 
 use proptest::prelude::*;
 
+use symple_core::compose::{apply_chain, apply_encoded_chain};
 use symple_core::engine::{EngineConfig, SymbolicExecutor};
+use symple_core::error::Error;
 use symple_core::impl_sym_state;
 use symple_core::summary::{Summary, SummaryChain};
 use symple_core::types::{
     sym_bool::SymBool, sym_enum::SymEnum, sym_int::SymInt, sym_pred::SymPred, sym_vector::SymVector,
 };
-use symple_core::uda::Uda;
+use symple_core::uda::{run_concrete_state, Uda};
 use symple_core::wire::{Wire, WireError};
 use symple_core::SymCtx;
 
@@ -59,6 +61,30 @@ impl Uda for K {
         let _ = s.e.ne_c(ctx, (e % 12).unsigned_abs() as u32);
     }
     fn result(&self, _s: &Kitchen, _ctx: &mut SymCtx) {}
+}
+
+/// Wire tier ≡ owned tier: `apply_encoded_chain` over `bytes` from `start`
+/// must return what `SummaryChain::decode` followed by `apply_chain`
+/// returns — the same final state (compared through its encoding) or the
+/// same error, a wire error outranking every other — and leave the cursor
+/// where the owned decoder leaves it. `scratch` arrives holding whatever an
+/// earlier call left in it.
+fn assert_tiers_agree(
+    bytes: &[u8],
+    start: &Kitchen,
+    scratch: &mut [Kitchen; 3],
+) -> Result<(), TestCaseError> {
+    let encoded = |s: Kitchen| Summary::singleton(s).to_bytes();
+    let mut owned_rd = bytes;
+    let owned = SummaryChain::decode(&template(), &mut owned_rd)
+        .map_err(Error::Wire)
+        .and_then(|chain| apply_chain(&chain, start));
+    let mut wire_rd = bytes;
+    let mut state = start.clone();
+    let wire = apply_encoded_chain(scratch, &mut wire_rd, &mut state).map(|()| state);
+    prop_assert_eq!(wire.map(encoded), owned.map(encoded));
+    prop_assert_eq!(wire_rd, owned_rd);
+    Ok(())
 }
 
 #[test]
@@ -185,6 +211,52 @@ proptest! {
             let mut re2 = Vec::new();
             again.encode(&mut re2);
             prop_assert_eq!(re, re2, "encode∘decode must be idempotent");
+        }
+    }
+
+    /// Wire tier ≡ owned tier over chains from real executions, intact
+    /// (no flip, no cut) or byte-flipped and truncated, applied to the
+    /// initial state and to states real executions end in, through scratch
+    /// states the previous application left dirty.
+    #[test]
+    fn wire_apply_matches_owned_on_real_and_mutated_chains(
+        events in prop::collection::vec(-3i64..13, 2..9),
+        prefix in prop::collection::vec(-3i64..13, 0..7),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+        cut in any::<usize>(),
+    ) {
+        let (chain, _) = {
+            let mut exec = SymbolicExecutor::new(&K, EngineConfig::default());
+            exec.feed_all(events.iter()).unwrap();
+            exec.finish()
+        };
+        let mut buf = chain.to_bytes();
+        let mut scratch = [template(), template(), template()];
+        let starts = [template(), run_concrete_state(&K, prefix.iter()).unwrap()];
+        for start in &starts {
+            assert_tiers_agree(&buf, start, &mut scratch)?;
+        }
+        for (at, xor) in flips {
+            let i = at % buf.len();
+            buf[i] ^= xor;
+        }
+        if cut % 2 == 0 {
+            buf.truncate(cut / 2 % (buf.len() + 1));
+        }
+        for start in &starts {
+            assert_tiers_agree(&buf, start, &mut scratch)?;
+        }
+    }
+
+    /// … and over arbitrary byte soup.
+    #[test]
+    fn wire_apply_matches_owned_on_byte_soup(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        prefix in prop::collection::vec(-3i64..13, 0..7),
+    ) {
+        let mut scratch = [template(), template(), template()];
+        for start in [template(), run_concrete_state(&K, prefix.iter()).unwrap()] {
+            assert_tiers_agree(&bytes, &start, &mut scratch)?;
         }
     }
 

@@ -11,6 +11,7 @@
 use std::time::Duration;
 
 use symple_core::engine::ExploreStats;
+use symple_core::error::Error;
 
 /// Metrics for one executed job.
 #[derive(Debug, Clone, Copy, Default)]
@@ -278,6 +279,40 @@ impl JobMetrics {
         self.io_gave_up += c.io_gave_up;
         self.io_errors += c.io_errors;
         self.store_demoted += c.store_demoted;
+    }
+
+    /// Checks a finished job's store ledgers. `checkpointed` and `cached`
+    /// are how many map chunks were looked up under each keying policy —
+    /// the job's chunk count for the attached one, 0 for the other — and
+    /// every lookup must have been charged to exactly one of its policy's
+    /// hit, miss and corrupt counts; every I/O error a store saw was either
+    /// retried or given up on.
+    pub fn check_ledgers(&self, checkpointed: u64, cached: u64) -> Result<(), Error> {
+        let ledgers = [
+            (
+                "checkpoint hits + misses + corrupt == chunks",
+                self.checkpoint_hits + self.checkpoint_misses + self.checkpoint_corrupt,
+                checkpointed,
+            ),
+            (
+                "cache hits + misses + corrupt == chunks",
+                self.cache_hits + self.cache_misses + self.cache_corrupt,
+                cached,
+            ),
+            (
+                "io_errors == io_retries + io_gave_up",
+                self.io_errors,
+                self.io_retries + self.io_gave_up,
+            ),
+        ];
+        match ledgers.into_iter().find(|(_, left, right)| left != right) {
+            Some((ledger, left, right)) => Err(Error::LedgerImbalance {
+                ledger,
+                left,
+                right,
+            }),
+            None => Ok(()),
+        }
     }
 }
 

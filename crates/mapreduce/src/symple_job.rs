@@ -25,7 +25,7 @@
 //!   content; both save *inside* the map task, so whatever a killed run
 //!   finished is there for the next one.
 
-use symple_core::compose::{apply_chain, apply_summary, tree_collapse};
+use symple_core::compose::{apply_encoded_chain, apply_summary, tree_collapse};
 use symple_core::ctx::SymCtx;
 use symple_core::engine::{ExploreStats, SymbolicExecutor};
 use symple_core::error::{Error, Result};
@@ -237,6 +237,8 @@ impl<'a> SympleJob<'a> {
     /// Runs the job: symbolic UDA in mappers, summary composition in
     /// reducers. Output is byte-identical to [`run_symple`] under the same
     /// config whatever the store held and whichever attempts were faulted.
+    /// A run whose store ledgers do not balance at the end
+    /// ([`JobMetrics::check_ledgers`]) is an [`Error::LedgerImbalance`].
     pub fn run<G, U>(
         &self,
         g: &G,
@@ -277,6 +279,13 @@ impl<'a> SympleJob<'a> {
         if let (Some(start), Some(end)) = (io_start, store.io_counts()) {
             out.metrics.absorb_io(&end.since(&start));
         }
+        let chunks = segments.len() as u64;
+        let (checkpointed, cached) = match store {
+            ChunkStore::None => (0, 0),
+            ChunkStore::Checkpoint(_) => (chunks, 0),
+            ChunkStore::Cache(_) => (0, chunks),
+        };
+        out.metrics.check_ledgers(checkpointed, cached)?;
         Ok(out)
     }
 }
@@ -375,12 +384,15 @@ fn run_events_from<U: Uda>(uda: &U, mut state: U::State, events: &[U::Event]) ->
 
 /// Folds one key's mapper-ordered payload sequence into a final state.
 ///
-/// `ApplyInOrder` keeps a running concrete state: chains are applied,
-/// event payloads are re-executed concretely in place. `TreeCompose`
-/// collapses each *run of consecutive chains* with balanced composition
-/// (§3.6), resolving the running state only at `NeedsConcrete` barriers —
-/// an empty run between two barriers (or at either end) collapses to the
-/// untouched running state via [`collapse_chains`]'s empty-case rule.
+/// `ApplyInOrder` keeps a running concrete state: chains are applied to it
+/// straight from their bytes ([`apply_encoded_chain`], with scratch states
+/// cloned once per key), event payloads are re-executed concretely in
+/// place. `TreeCompose` needs every path of every chain at once, so it
+/// alone decodes owned chains: it collapses each *run of consecutive
+/// chains* with balanced composition (§3.6), resolving the running state
+/// only at `NeedsConcrete` barriers — an empty run between two barriers (or
+/// at either end) collapses to the untouched running state via
+/// [`collapse_chains`]'s empty-case rule.
 fn compose_payloads<U>(
     uda: &U,
     template: &U::State,
@@ -394,10 +406,25 @@ where
     match strategy {
         ReduceStrategy::ApplyInOrder => {
             let mut state = template.clone();
+            let mut scratch = [(); 3].map(|()| template.clone());
             for payload in payloads {
-                match decode_payload::<U::State, U::Event>(template, payload)? {
-                    DecodedPayload::Chain(chain) => state = apply_chain(&chain, &state)?,
-                    DecodedPayload::Events(events) => state = run_events_from(uda, state, &events)?,
+                match payload.split_first() {
+                    // The wire tier: a chain is applied as it is parsed.
+                    Some((&PAYLOAD_CHAIN, mut rd)) => {
+                        let applied = apply_encoded_chain(&mut scratch, &mut rd, &mut state);
+                        // As in `decode_payload`, which refuses leftover
+                        // bytes before anything is applied.
+                        if !matches!(applied, Err(Error::Wire(_))) && !rd.is_empty() {
+                            return Err(Error::Wire(WireError::TrailingBytes));
+                        }
+                        applied?;
+                    }
+                    _ => match decode_payload::<U::State, U::Event>(template, payload)? {
+                        DecodedPayload::Events(events) => {
+                            state = run_events_from(uda, state, &events)?;
+                        }
+                        DecodedPayload::Chain(_) => unreachable!("chains take the wire tier"),
+                    },
                 }
             }
             Ok(state)
@@ -922,6 +949,184 @@ mod tests {
                 "{strategy:?}"
             );
         }
+    }
+
+    /// A state whose aggregate comes *before* the scalar that decides a
+    /// path, so the wire tier stitches a path's vector before it knows
+    /// whether the path holds. Negative events are output, the others add
+    /// up in `len`.
+    struct VecFirstUda;
+    #[derive(Clone, Debug)]
+    struct VecFirst {
+        out: SymVector<i64>,
+        len: SymInt,
+    }
+    impl_sym_state!(VecFirst { out, len });
+    impl Uda for VecFirstUda {
+        type State = VecFirst;
+        type Event = i64;
+        type Output = Vec<i64>;
+        fn init(&self) -> VecFirst {
+            VecFirst {
+                out: SymVector::new(),
+                len: SymInt::new(0),
+            }
+        }
+        fn update(&self, s: &mut VecFirst, _ctx: &mut SymCtx, e: &i64) {
+            if *e < 0 {
+                s.out.push(*e);
+            } else {
+                s.len += *e;
+            }
+        }
+        fn result(&self, s: &VecFirst, _ctx: &mut SymCtx) -> Vec<i64> {
+            s.out.concrete_elems().expect("concrete")
+        }
+    }
+
+    /// One hand-built path: holds for `len < 3` (`low`) or for `len ≥ 3`.
+    fn vec_first_path(low: bool, build: impl FnOnce(&mut VecFirst)) -> VecFirst {
+        let mut s = VecFirstUda.init();
+        symple_core::state::make_state_symbolic(&mut s);
+        let mut ctx = SymCtx::symbolic();
+        assert!(if low {
+            s.len.lt(&mut ctx, 3)
+        } else {
+            s.len.ge(&mut ctx, 3)
+        });
+        build(&mut s);
+        s
+    }
+
+    /// A one-summary chain payload of `paths`, applied after a salvaged
+    /// cell that leaves `out = [-3]`, `len = 4` — so the second kind of path
+    /// is the one that holds and the running vector is not empty. The wire
+    /// tier (`ApplyInOrder`) must report what the owned tier (`TreeCompose`)
+    /// reports; `edit` corrupts the chain's bytes first.
+    fn after_salvaged_cell(
+        paths: Vec<VecFirst>,
+        edit: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<Vec<i64>> {
+        let uda = VecFirstUda;
+        let mut chain = Vec::new();
+        encode_chain_payload(&SummaryChain::single(Summary::new(paths)), &mut chain);
+        edit(&mut chain);
+        let payloads: [&[u8]; 2] = [&events_payload(&[-3, 4]), &chain];
+        let run = |strategy| {
+            compose_payloads(&uda, &uda.init(), &payloads, strategy)
+                .and_then(|state| extract_result(&uda, &state))
+        };
+        let wire = run(ReduceStrategy::ApplyInOrder);
+        assert_eq!(wire, run(ReduceStrategy::TreeCompose));
+        wire
+    }
+
+    /// An element no state can resolve: it references the vector itself,
+    /// which has no scalar transfer.
+    fn push_unresolvable(s: &mut VecFirst) {
+        s.out
+            .push_scalar(symple_core::types::scalar::SymScalar::Affine {
+                field: symple_core::state::FieldId(0),
+                a: 1,
+                b: 0,
+            });
+    }
+
+    #[test]
+    fn wire_tier_stitches_back_referenced_tails_onto_the_running_vector() {
+        let push = |elems: &'static [i64]| {
+            move |s: &mut VecFirst| elems.iter().for_each(|e| s.out.push(*e))
+        };
+
+        // R3's shape: the second path holds and its vector is its sibling's,
+        let whole = vec![
+            vec_first_path(true, push(&[7, 8])),
+            vec_first_path(false, push(&[7, 8])),
+        ];
+        // whole — two bytes on the wire (`has_tail`, 2) before `len`'s two.
+        let got = after_salvaged_cell(whole.clone(), |bytes| {
+            assert_eq!(bytes[bytes.len() - 4..][..2], [1, 2]);
+        });
+        assert_eq!(got, Ok(vec![-3, 7, 8]));
+
+        // Own leading elements (one of them symbolic: `len` is 4 by then),
+        // then the last two of the sibling's three.
+        let partial = vec![
+            vec_first_path(true, push(&[5, 7, 8])),
+            vec_first_path(false, |s| {
+                s.out.push_int(&s.len);
+                push(&[9, 7, 8])(s);
+            }),
+        ];
+        assert_eq!(
+            after_salvaged_cell(partial, |_| {}),
+            Ok(vec![-3, 4, 9, 7, 8])
+        );
+
+        // A back-reference is measured against the sibling's own two
+        // elements, not the three the stitched list holds by then.
+        let too_long = after_salvaged_cell(whole, |bytes| {
+            let n = bytes.len() - 3;
+            bytes[n] = 3;
+        });
+        assert_eq!(
+            too_long,
+            Err(Error::Wire(WireError::BackReference {
+                len: 3,
+                available: 2
+            }))
+        );
+    }
+
+    #[test]
+    fn wire_tier_raises_an_aggregate_error_only_for_the_path_that_holds() {
+        let fine = |s: &mut VecFirst| s.out.push(7);
+        let unresolvable = |r: Result<Vec<i64>>| matches!(r, Err(Error::Uda(_)));
+
+        // On the path the scalars rule out — after its vector was stitched.
+        let paths = vec![
+            vec_first_path(true, push_unresolvable),
+            vec_first_path(false, fine),
+        ];
+        assert_eq!(after_salvaged_cell(paths, |_| {}), Ok(vec![-3, 7]));
+
+        // On the path that holds, whichever comes first.
+        let paths = vec![
+            vec_first_path(true, fine),
+            vec_first_path(false, push_unresolvable),
+        ];
+        assert!(unresolvable(after_salvaged_cell(paths, |_| {})));
+        let paths = vec![
+            vec_first_path(false, push_unresolvable),
+            vec_first_path(true, fine),
+        ];
+        assert!(unresolvable(after_salvaged_cell(paths, |_| {})));
+
+        // Inherited whole from the ruled-out sibling: sharing its list must
+        // not lose the error.
+        let paths = vec![
+            vec_first_path(true, push_unresolvable),
+            vec_first_path(false, push_unresolvable),
+        ];
+        assert!(unresolvable(after_salvaged_cell(paths, |_| {})));
+    }
+
+    #[test]
+    fn wire_tier_wants_exactly_one_holding_path() {
+        let path = |low| vec_first_path(low, |_| {});
+        assert_eq!(
+            after_salvaged_cell(vec![path(true)], |_| {}),
+            Err(Error::IncompleteSummary)
+        );
+        assert_eq!(
+            after_salvaged_cell(vec![path(false), path(true), path(false)], |_| {}),
+            Err(Error::OverlappingSummary)
+        );
+        // Bytes after the chain are refused before either is reported.
+        assert_eq!(
+            after_salvaged_cell(vec![path(true)], |bytes| bytes.push(0)),
+            Err(Error::Wire(WireError::TrailingBytes))
+        );
     }
 
     #[test]

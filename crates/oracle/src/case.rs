@@ -264,6 +264,7 @@ pub fn error_variant(e: &Error) -> &'static str {
         Error::TaskPanicked { .. } => "TaskPanicked",
         Error::RetriesExhausted { .. } => "RetriesExhausted",
         Error::JobKilled { .. } => "JobKilled",
+        Error::LedgerImbalance { .. } => "LedgerImbalance",
     }
 }
 

@@ -12,7 +12,8 @@ use symple::mapreduce::metrics::{Fold, Value};
 use symple::mapreduce::segment::split_into_segments;
 use symple::mapreduce::{
     fold_metrics, run_baseline, run_baseline_sorted, run_scheduled, run_sequential_job, run_symple,
-    GroupBy, JobConfig, JobMetrics, SchedulerConfig,
+    CheckpointCtx, ChunkStore, GroupBy, JobConfig, JobMetrics, MemStore, SchedulerConfig,
+    SummaryCacheCtx, SympleJob,
 };
 
 /// Records are `(key, value)` pairs; order within a key is load-bearing.
@@ -234,6 +235,59 @@ proptest! {
             format!("{:?}", fold_metrics(fold_metrics(a, b), c)),
             format!("{:?}", fold_metrics(a, fold_metrics(b, c)))
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every count of the store ledgers is load-bearing. A real run under
+    /// either keying policy balances (`SympleJob::run` checks it, or it
+    /// would not have returned); forging any one count by any amount is a
+    /// typed `LedgerImbalance` that names the ledger it broke and reports
+    /// both sides.
+    #[test]
+    fn forged_store_ledgers_are_a_typed_error(
+        records in prop::collection::vec((0u8..6, -50i64..50), 1..200),
+        segments in 1usize..8,
+        cached in any::<bool>(),
+        which in 0usize..9,
+        by in 1u64..1_000,
+    ) {
+        let segs = split_into_segments(&records, segments, 32);
+        let store = MemStore::new();
+        let (checkpoints, cache) = (CheckpointCtx::new(&store, "ledgers"), SummaryCacheCtx::new(&store));
+        let (policy, chunks) = if cached {
+            (ChunkStore::Cache(&cache), (0, segs.len() as u64))
+        } else {
+            (ChunkStore::Checkpoint(&checkpoints), (segs.len() as u64, 0))
+        };
+        let job = SympleJob::new(JobConfig::default()).with_store(policy);
+        let real = job.run(&ByKey, &Turns, &segs).unwrap().metrics;
+        prop_assert_eq!(real.check_ledgers(chunks.0, chunks.1), Ok(()));
+        // The other policy's expectation does not fit this run.
+        prop_assert!(real.check_ledgers(chunks.1, chunks.0).is_err());
+
+        let mut forged = real;
+        let (count, ledger) = match which {
+            0 => (&mut forged.checkpoint_hits, "checkpoint"),
+            1 => (&mut forged.checkpoint_misses, "checkpoint"),
+            2 => (&mut forged.checkpoint_corrupt, "checkpoint"),
+            3 => (&mut forged.cache_hits, "cache"),
+            4 => (&mut forged.cache_misses, "cache"),
+            5 => (&mut forged.cache_corrupt, "cache"),
+            6 => (&mut forged.io_errors, "io_errors"),
+            7 => (&mut forged.io_retries, "io_errors"),
+            _ => (&mut forged.io_gave_up, "io_errors"),
+        };
+        *count += by;
+        match forged.check_ledgers(chunks.0, chunks.1) {
+            Err(Error::LedgerImbalance { ledger: broken, left, right }) => {
+                prop_assert!(broken.starts_with(ledger), "{} for {}", broken, ledger);
+                prop_assert_eq!(left.abs_diff(right), by);
+            }
+            other => prop_assert!(false, "forged count {} passed as {:?}", which, other),
+        }
     }
 }
 
