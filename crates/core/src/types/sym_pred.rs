@@ -209,6 +209,13 @@ impl<T: PredValue> SymPred<T> {
         &self.decisions
     }
 
+    /// Whether this pred's decision list is physically `other`'s
+    /// (diagnostics: lets tests pin that a clone or a decode allocated no
+    /// list of its own).
+    pub fn shares_storage_with(&self, other: &SymPred<T>) -> bool {
+        Arc::ptr_eq(&self.decisions, &other.decisions)
+    }
+
     /// The field id, set once the value has been made symbolic.
     pub fn field_id(&self) -> Option<FieldId> {
         self.id
@@ -423,13 +430,23 @@ impl<T: PredValue> SymField for SymPred<T> {
         } else {
             0
         };
-        let mut decisions = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            let arg = T::decode(buf)?;
-            let out = bool::decode(buf)?;
-            decisions.push((arg, out));
+        // The reduce side decodes into the same scratch state path after
+        // path, nearly always an undecided pred onto an undecided one: that
+        // case keeps its list, and any other refills it in place unless a
+        // clone still reads it.
+        if n > 0 || !self.decisions.is_empty() {
+            if Arc::get_mut(&mut self.decisions).is_none() {
+                self.decisions = Arc::new(Vec::new());
+            }
+            let decisions = Arc::get_mut(&mut self.decisions).expect("unique or just made");
+            decisions.clear();
+            decisions.reserve(n.min(64));
+            for _ in 0..n {
+                let arg = T::decode(buf)?;
+                let out = bool::decode(buf)?;
+                decisions.push((arg, out));
+            }
         }
-        self.decisions = Arc::new(decisions);
         self.id = Some(id);
         Ok(())
     }
@@ -691,6 +708,50 @@ mod tests {
         back.decode_field(&mut rd, FieldId(1), None).unwrap();
         assert!(rd.is_empty());
         assert_eq!(back, p);
+    }
+
+    #[test]
+    fn decode_reuses_the_decision_list() {
+        let encoded = |p: &SymPred<i64>| {
+            let mut buf = Vec::new();
+            p.encode_field(None, &mut buf);
+            buf
+        };
+        let mut decided = lt_pred();
+        decided.make_symbolic(FieldId(1));
+        decided.decisions = Arc::new(vec![(7, true), (-2, false)]);
+        let mut undecided = lt_pred();
+        undecided.set(33);
+
+        // Undecided onto undecided: the list is kept, shared or not.
+        let mut scratch = lt_pred();
+        let before = scratch.clone();
+        scratch
+            .decode_field(&mut &encoded(&undecided)[..], FieldId(1), None)
+            .unwrap();
+        assert_eq!(scratch, undecided);
+        assert!(scratch.shares_storage_with(&before));
+
+        // Decisions arriving while a clone reads the list: a fresh one, and
+        // the clone is untouched.
+        scratch
+            .decode_field(&mut &encoded(&decided)[..], FieldId(1), None)
+            .unwrap();
+        assert_eq!(scratch, decided);
+        assert!(!scratch.shares_storage_with(&before));
+        assert!(before.decisions().is_empty());
+
+        // Unique storage is refilled in place, and emptied in place.
+        let list = Arc::as_ptr(&scratch.decisions);
+        let mut other = decided.clone();
+        other.decisions = Arc::new(vec![(1, false)]);
+        for p in [&other, &undecided, &decided] {
+            scratch
+                .decode_field(&mut &encoded(p)[..], FieldId(1), None)
+                .unwrap();
+            assert_eq!(&scratch, p);
+            assert_eq!(Arc::as_ptr(&scratch.decisions), list);
+        }
     }
 
     #[test]

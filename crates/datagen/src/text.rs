@@ -6,6 +6,26 @@
 //! can be rendered to (and parsed from) log lines whose timestamps are
 //! `YYYY-MM-DD HH:MM:SS` strings, with filler columns standing in for the
 //! fields real logs carry but the queries discard.
+//!
+//! # What `parse_line` accepts
+//!
+//! Each parser is one strict forward pass over the line's bytes (the
+//! private `Cursor`), and it validates every column it reads:
+//!
+//! * the datetime is exactly 19 bytes, its numbers ASCII digits;
+//! * a numeric column is its literal prefix (`user_`, `q_`, …), then one or
+//!   more ASCII digits — decimal, or hex of either case for `q_` — and
+//!   nothing else: no sign, no space. Leading zeros beyond the printed
+//!   width are fine at any length; a value past the field type's maximum
+//!   is not;
+//! * a word column (`ok`/`fail`, `spam`/`ham`, the op and kind names)
+//!   matches one of its names byte for byte;
+//! * every such column ends at a `,`. The last `,` is what shows the filler
+//!   column to exist, so a line that ends before it is refused.
+//!
+//! Nothing after that last `,` is read: the filler may be empty, hold any
+//! bytes, and be followed by further columns. Any other byte that does not
+//! fit — a non-ASCII one included — makes the line `None`, never a panic.
 
 use crate::{AdImpression, BingQuery, GithubEvent, GithubOp, Tweet, WebEvent, WebEventKind};
 
@@ -44,32 +64,102 @@ pub fn format_datetime(epoch: i64, out: &mut String) {
     let _ = write!(out, "{y:04}-{m:02}-{d:02} {h:02}:{mi:02}:{s:02}");
 }
 
-/// Parses `YYYY-MM-DD HH:MM:SS` into an epoch second.
+/// Parses `YYYY-MM-DD HH:MM:SS` into an epoch second: exactly 19 bytes,
+/// ASCII digits only (no sign, no space padding), month 1–12, day 1–31
+/// (not checked against the month), hour 0–23, minute and second 0–59.
 pub fn parse_datetime(s: &str) -> Option<i64> {
-    let b = s.as_bytes();
-    if b.len() != 19
-        || b[4] != b'-'
-        || b[7] != b'-'
-        || b[10] != b' '
-        || b[13] != b':'
-        || b[16] != b':'
-    {
-        return None;
+    let mut c = Cursor(s.as_bytes());
+    let t = c.datetime()?;
+    c.0.is_empty().then_some(t)
+}
+
+const NOT_A_DIGIT: u8 = 0xff;
+
+/// `DIGIT[b]` is the value of the ASCII hex digit `b` (either case), and
+/// `NOT_A_DIGIT` for every other byte, so one load classifies a byte for
+/// both radixes: it is a digit of radix `r` iff `DIGIT[b] < r`.
+const DIGIT: [u8; 256] = {
+    let mut t = [NOT_A_DIGIT; 256];
+    let mut v = 0;
+    while v < 16 {
+        t[b"0123456789abcdef"[v] as usize] = v as u8;
+        t[b"0123456789ABCDEF"[v] as usize] = v as u8;
+        v += 1;
     }
-    let num = |r: std::ops::Range<usize>| -> Option<i64> { s.get(r)?.parse().ok() };
-    let (y, m, d) = (num(0..4)?, num(5..7)? as u32, num(8..10)? as u32);
-    let (h, mi, sec) = (num(11..13)?, num(14..16)?, num(17..19)?);
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) || h > 23 || mi > 59 || sec > 59 {
-        return None;
+    t
+};
+
+/// The unread rest of a line. Every `parse_line` is one forward pass of
+/// these reads, each of which consumes what it accepts or returns `None`.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    /// Consumes exactly `prefix`.
+    fn lit(&mut self, prefix: &[u8]) -> Option<()> {
+        self.0 = self.0.strip_prefix(prefix)?;
+        Some(())
     }
-    Some(days_from_civil(y, m, d) * 86_400 + h * 3_600 + mi * 60 + sec)
+
+    /// Consumes the 19 bytes of a `YYYY-MM-DD HH:MM:SS` stamp.
+    fn datetime(&mut self) -> Option<i64> {
+        let (b, rest) = self.0.split_first_chunk::<19>()?;
+        if b[4] != b'-' || b[7] != b'-' || b[10] != b' ' || b[13] != b':' || b[16] != b':' {
+            return None;
+        }
+        let two = |i: usize| -> Option<i64> {
+            let (hi, lo) = (DIGIT[b[i] as usize], DIGIT[b[i + 1] as usize]);
+            (hi < 10 && lo < 10).then(|| i64::from(hi * 10 + lo))
+        };
+        let (y, m, d) = (two(0)? * 100 + two(2)?, two(5)? as u32, two(8)? as u32);
+        let (h, mi, sec) = (two(11)?, two(14)?, two(17)?);
+        if !(1..=12).contains(&m) || !(1..=31).contains(&d) || h > 23 || mi > 59 || sec > 59 {
+            return None;
+        }
+        self.0 = rest;
+        Some(days_from_civil(y, m, d) * 86_400 + h * 3_600 + mi * 60 + sec)
+    }
+
+    /// Consumes one or more digits of `RADIX` (10 or 16) and the `,` that
+    /// ends the column: any number of leading zeros, `None` once the value
+    /// passes `u64::MAX`, on any other byte, and at the end of the line.
+    fn number<const RADIX: u64>(&mut self) -> Option<u64> {
+        let digit = |b: u8| {
+            let d = u64::from(DIGIT[b as usize]);
+            (d < RADIX).then_some(d)
+        };
+        let (&first, mut rest) = self.0.split_first()?;
+        let mut v = digit(first)?;
+        loop {
+            let (&b, tail) = rest.split_first()?;
+            rest = tail;
+            if b == b',' {
+                self.0 = rest;
+                return Some(v);
+            }
+            v = v.checked_mul(RADIX)?.checked_add(digit(b)?)?;
+        }
+    }
+
+    /// A decimal column (see [`Cursor::number`]) whose value fits `T`.
+    fn decimal<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        T::try_from(self.number::<10>()?).ok()
+    }
+
+    /// Consumes the bytes up to the next `,`, and the `,`.
+    fn word(&mut self) -> Option<&'a [u8]> {
+        let end = self.0.iter().position(|&b| b == b',')?;
+        let (word, rest) = self.0.split_at(end);
+        self.0 = &rest[1..];
+        Some(word)
+    }
 }
 
 /// Records that can be rendered to and parsed from a log line.
 ///
 /// `to_line` appends a line *without* the trailing newline; `parse_line`
 /// must accept exactly what `to_line` produced (round-trip identity is
-/// property-tested).
+/// property-tested). What else it accepts is the [module](self)'s accept
+/// set, held to the parser it replaced by `tests/text_parse.rs`.
 pub trait TextRecord: Sized {
     /// Appends the record as a log line.
     fn to_line(&self, out: &mut String);
@@ -120,14 +210,17 @@ impl TextRecord for GithubEvent {
         filler(self.repo_id ^ self.actor_id, out);
     }
     fn parse_line(line: &str) -> Option<Self> {
-        let mut cols = line.split(',');
-        let timestamp = parse_datetime(cols.next()?)?;
-        let repo_id = cols.next()?.strip_prefix("repo_")?.parse().ok()?;
-        let op_name = cols.next()?;
-        let op_code = GITHUB_OP_NAMES.iter().position(|n| *n == op_name)? as u32;
-        let op = GithubOp::from_code(op_code)?;
-        let actor_id = cols.next()?.strip_prefix("actor_")?.parse().ok()?;
-        let _ = cols.next()?; // filler
+        let mut c = Cursor(line.as_bytes());
+        let timestamp = c.datetime()?;
+        c.lit(b",repo_")?;
+        let repo_id = c.decimal()?;
+        let op_name = c.word()?;
+        let op_code = GITHUB_OP_NAMES
+            .iter()
+            .position(|n| n.as_bytes() == op_name)?;
+        let op = GithubOp::from_code(op_code as u32)?;
+        c.lit(b"actor_")?;
+        let actor_id = c.decimal()?;
         Some(GithubEvent {
             repo_id,
             op,
@@ -152,17 +245,19 @@ impl TextRecord for BingQuery {
         filler(self.user_id ^ self.query_hash, out);
     }
     fn parse_line(line: &str) -> Option<Self> {
-        let mut cols = line.split(',');
-        let timestamp = parse_datetime(cols.next()?)?;
-        let user_id = cols.next()?.strip_prefix("user_")?.parse().ok()?;
-        let geo = cols.next()?.strip_prefix("geo_")?.parse().ok()?;
-        let success = match cols.next()? {
-            "ok" => true,
-            "fail" => false,
+        let mut c = Cursor(line.as_bytes());
+        let timestamp = c.datetime()?;
+        c.lit(b",user_")?;
+        let user_id = c.decimal()?;
+        c.lit(b"geo_")?;
+        let geo = c.decimal()?;
+        let success = match c.word()? {
+            b"ok" => true,
+            b"fail" => false,
             _ => return None,
         };
-        let query_hash = u64::from_str_radix(cols.next()?.strip_prefix("q_")?, 16).ok()?;
-        let _ = cols.next()?;
+        c.lit(b"q_")?;
+        let query_hash = c.number::<16>()?;
         Some(BingQuery {
             user_id,
             geo,
@@ -187,16 +282,17 @@ impl TextRecord for Tweet {
         filler(self.hashtag_id ^ self.user_id, out);
     }
     fn parse_line(line: &str) -> Option<Self> {
-        let mut cols = line.split(',');
-        let timestamp = parse_datetime(cols.next()?)?;
-        let hashtag_id = cols.next()?.strip_prefix("tag_")?.parse().ok()?;
-        let user_id = cols.next()?.strip_prefix("user_")?.parse().ok()?;
-        let is_spam = match cols.next()? {
-            "spam" => true,
-            "ham" => false,
+        let mut c = Cursor(line.as_bytes());
+        let timestamp = c.datetime()?;
+        c.lit(b",tag_")?;
+        let hashtag_id = c.decimal()?;
+        c.lit(b"user_")?;
+        let user_id = c.decimal()?;
+        let is_spam = match c.word()? {
+            b"spam" => true,
+            b"ham" => false,
             _ => return None,
         };
-        let _ = cols.next()?;
         Some(Tweet {
             hashtag_id,
             user_id,
@@ -221,12 +317,14 @@ impl TextRecord for AdImpression {
         );
     }
     fn parse_line(line: &str) -> Option<Self> {
-        let mut cols = line.split(',');
-        let timestamp = parse_datetime(cols.next()?)?;
-        let advertiser_id = cols.next()?.strip_prefix("adv_")?.parse().ok()?;
-        let campaign_id = cols.next()?.strip_prefix("camp_")?.parse().ok()?;
-        let country = cols.next()?.strip_prefix("cc_")?.parse().ok()?;
-        let _ = cols.next()?;
+        let mut c = Cursor(line.as_bytes());
+        let timestamp = c.datetime()?;
+        c.lit(b",adv_")?;
+        let advertiser_id = c.decimal()?;
+        c.lit(b"camp_")?;
+        let campaign_id = c.decimal()?;
+        c.lit(b"cc_")?;
+        let country = c.decimal()?;
         Some(AdImpression {
             advertiser_id,
             campaign_id,
@@ -250,18 +348,19 @@ impl TextRecord for WebEvent {
         filler(self.user_id ^ self.item_id, out);
     }
     fn parse_line(line: &str) -> Option<Self> {
-        let mut cols = line.split(',');
-        let timestamp = parse_datetime(cols.next()?)?;
-        let user_id = cols.next()?.strip_prefix("user_")?.parse().ok()?;
-        let kind = match cols.next()? {
-            "search" => WebEventKind::Search,
-            "review" => WebEventKind::Review,
-            "purchase" => WebEventKind::Purchase,
-            "other" => WebEventKind::Other,
+        let mut c = Cursor(line.as_bytes());
+        let timestamp = c.datetime()?;
+        c.lit(b",user_")?;
+        let user_id = c.decimal()?;
+        let kind = match c.word()? {
+            b"search" => WebEventKind::Search,
+            b"review" => WebEventKind::Review,
+            b"purchase" => WebEventKind::Purchase,
+            b"other" => WebEventKind::Other,
             _ => return None,
         };
-        let item_id = cols.next()?.strip_prefix("item_")?.parse().ok()?;
-        let _ = cols.next()?;
+        c.lit(b"item_")?;
+        let item_id = c.decimal()?;
         Some(WebEvent {
             user_id,
             kind,
@@ -316,6 +415,17 @@ mod tests {
             "2015-01-01 24:00:00",
             "2015-01-01 00:60:00",
             "x015-01-01 00:00:00",
+            // `str::parse` took these signs, and with no lower bound on the
+            // hour "-1" passed the range check.
+            "2015-01-01 -1:00:00",
+            "2015-01-01 +1:00:00",
+            "+015-01-01 00:00:00",
+            "-015-01-01 00:00:00",
+            "2015-+1-01 00:00:00",
+            "2015-01-01 00:00:-0",
+            // 19 bytes with every separator in place, two of them one `é`.
+            "2015-01-01 00:00:\u{e9}",
+            "2015-01-01 00:00:000",
         ] {
             assert_eq!(parse_datetime(bad), None, "{bad}");
         }
@@ -401,5 +511,267 @@ mod tests {
         for (l, e) in lines.iter().zip(&events) {
             assert_eq!(GithubEvent::parse_line(l).as_ref(), Some(e));
         }
+    }
+
+    /// 2015-01-01 00:00:00, the stamp every accept-set row below starts with.
+    const STAMP: &str = "2015-01-01 00:00:00";
+    const STAMP_EPOCH: i64 = 1_420_070_400;
+    const U64_MAX: &str = "18446744073709551615";
+    const U64_MAX_PLUS_1: &str = "18446744073709551616";
+    /// 21 digits, 24 with its leading zeros.
+    const TWENTY_ONE_DIGITS: &str = "000100000000000000000000";
+    /// 40 zeros: leading zeros at a length no printed width reaches.
+    const ZEROS: &str = "0000000000000000000000000000000000000000";
+
+    /// Parses `STAMP`, then each row's columns, and compares with the row's
+    /// expectation: the exact record, or `None`.
+    fn assert_rows<R: TextRecord + PartialEq + std::fmt::Debug>(rows: &[(String, Option<R>)]) {
+        for (columns, want) in rows {
+            let line = format!("{STAMP},{columns}");
+            assert_eq!(&R::parse_line(&line), want, "{line}");
+        }
+        // The stamp itself is held to `parse_datetime`'s rules.
+        let (columns, want) = &rows[0];
+        assert!(want.is_some(), "row 0 is the canonical line");
+        for stamp in [
+            "+015-01-01 00:00:00",
+            "2015-01-01 -1:00:00",
+            "2015-01-01 00:00:0",
+        ] {
+            let line = format!("{stamp},{columns}");
+            assert_eq!(R::parse_line(&line), None, "{line}");
+        }
+    }
+
+    #[test]
+    fn bing_accept_set() {
+        let q = |user_id, geo, query_hash| {
+            Some(BingQuery {
+                user_id,
+                geo,
+                timestamp: STAMP_EPOCH,
+                success: false,
+                query_hash,
+            })
+        };
+        assert_rows(&[
+            (
+                "user_00000009,geo_044,fail,q_00000000deadbeef,0123456789abcdef".into(),
+                q(9, 44, 0xdead_beef),
+            ),
+            // Digit runs of any length, leading zeros included.
+            ("user_9,geo_4,fail,q_d,f".into(), q(9, 4, 0xd)),
+            (
+                format!("user_{ZEROS}9,geo_{ZEROS}44,fail,q_{ZEROS}deadbeef,f"),
+                q(9, 44, 0xdead_beef),
+            ),
+            // Each type's maximum, and one past it.
+            (
+                format!("user_{U64_MAX},geo_4294967295,fail,q_ffffffffffffffff,f"),
+                q(u64::MAX, u32::MAX, u64::MAX),
+            ),
+            (format!("user_{U64_MAX_PLUS_1},geo_044,fail,q_ff,f"), None),
+            (
+                format!("user_{TWENTY_ONE_DIGITS},geo_044,fail,q_ff,f"),
+                None,
+            ),
+            ("user_9,geo_4294967296,fail,q_ff,f".into(), None),
+            ("user_9,geo_044,fail,q_10000000000000000,f".into(), None),
+            (
+                "user_9,geo_044,fail,q_0ffffffffffffffff,f".into(),
+                q(9, 44, u64::MAX),
+            ),
+            // Hex in either case; decimal columns take no hex digit.
+            (
+                "user_9,geo_044,fail,q_DEADbeef,f".into(),
+                q(9, 44, 0xdead_beef),
+            ),
+            ("user_a,geo_044,fail,q_ff,f".into(), None),
+            ("user_9,geo_044,fail,q_fg,f".into(), None),
+            // The filler: empty, anything at all, more columns after it, missing.
+            ("user_9,geo_044,fail,q_ff,".into(), q(9, 44, 0xff)),
+            ("user_9,geo_044,fail,q_ff,\u{e9} +-".into(), q(9, 44, 0xff)),
+            (
+                "user_9,geo_044,fail,q_ff,f,extra,,columns".into(),
+                q(9, 44, 0xff),
+            ),
+            ("user_9,geo_044,fail,q_ff".into(), None),
+            ("user_9,geo_044,fail".into(), None),
+            // Signs, spaces and empty digit runs.
+            ("user_+0000009,geo_044,fail,q_ff,f".into(), None),
+            ("user_9,geo_+44,fail,q_ff,f".into(), None),
+            ("user_9,geo_044,fail,q_+ff,f".into(), None),
+            ("user_-9,geo_044,fail,q_ff,f".into(), None),
+            ("user_ 9,geo_044,fail,q_ff,f".into(), None),
+            ("user_,geo_044,fail,q_ff,f".into(), None),
+            ("user_9,geo_044,fail,q_,f".into(), None),
+            // Non-ASCII bytes in a validated column.
+            ("user_\u{ff19},geo_044,fail,q_ff,f".into(), None),
+            ("user_9,geo_044,fail,q_f\u{e9},f".into(), None),
+            ("user_9,geo_044,f\u{e9}il,q_ff,f".into(), None),
+            // Prefixes and words match byte for byte.
+            ("User_9,geo_044,fail,q_ff,f".into(), None),
+            ("user_9,geo_044,failed,q_ff,f".into(), None),
+            ("user_9,geo_044,,q_ff,f".into(), None),
+            (
+                "user_9,geo_044,ok,q_ff,f".into(),
+                q(9, 44, 0xff).map(|q| BingQuery { success: true, ..q }),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn github_accept_set() {
+        let e = |repo_id, op, actor_id| {
+            Some(GithubEvent {
+                repo_id,
+                op,
+                timestamp: STAMP_EPOCH,
+                actor_id,
+            })
+        };
+        assert_rows(&[
+            (
+                "repo_00000123,fork,actor_000045,0123456789abcdef".into(),
+                e(123, GithubOp::Fork, 45),
+            ),
+            (
+                format!("repo_{ZEROS}123,push,actor_{ZEROS}45,f"),
+                e(123, GithubOp::Push, 45),
+            ),
+            (
+                format!("repo_{U64_MAX},watch,actor_{U64_MAX},f"),
+                e(u64::MAX, GithubOp::Watch, u64::MAX),
+            ),
+            (format!("repo_{U64_MAX_PLUS_1},watch,actor_45,f"), None),
+            (format!("repo_123,watch,actor_{TWENTY_ONE_DIGITS},f"), None),
+            (
+                "repo_123,issue_close,actor_45,".into(),
+                e(123, GithubOp::IssueClose, 45),
+            ),
+            (
+                "repo_123,issue_close,actor_45,f,extra".into(),
+                e(123, GithubOp::IssueClose, 45),
+            ),
+            ("repo_123,issue_close,actor_45".into(), None),
+            ("repo_+123,fork,actor_45,f".into(), None),
+            ("repo_123,fork,actor_+45,f".into(), None),
+            ("repo_123,fork,actor_4f,f".into(), None),
+            ("repo_123,f\u{f6}rk,actor_45,f".into(), None),
+            ("repo_123,forks,actor_45,f".into(), None),
+            ("repo_12\u{ff13},fork,actor_45,f".into(), None),
+        ]);
+    }
+
+    #[test]
+    fn tweet_accept_set() {
+        let t = |hashtag_id, user_id, is_spam| {
+            Some(Tweet {
+                hashtag_id,
+                user_id,
+                timestamp: STAMP_EPOCH,
+                is_spam,
+            })
+        };
+        assert_rows(&[
+            (
+                "tag_00000003,user_00000007,spam,0123456789abcdef".into(),
+                t(3, 7, true),
+            ),
+            (format!("tag_{ZEROS}3,user_{ZEROS}7,ham,f"), t(3, 7, false)),
+            (
+                format!("tag_{U64_MAX},user_{U64_MAX},ham,f"),
+                t(u64::MAX, u64::MAX, false),
+            ),
+            (format!("tag_{U64_MAX_PLUS_1},user_7,ham,f"), None),
+            (format!("tag_3,user_{TWENTY_ONE_DIGITS},ham,f"), None),
+            ("tag_3,user_7,ham,".into(), t(3, 7, false)),
+            ("tag_3,user_7,ham,f,extra".into(), t(3, 7, false)),
+            ("tag_3,user_7,ham".into(), None),
+            ("tag_+3,user_7,ham,f".into(), None),
+            ("tag_3,user_+0000007,ham,f".into(), None),
+            ("tag_3,user_7,Ham,f".into(), None),
+            ("tag_3,user_7,sp\u{e4}m,f".into(), None),
+            ("tag_\u{ff13},user_7,ham,f".into(), None),
+        ]);
+    }
+
+    #[test]
+    fn impression_accept_set() {
+        let i = |advertiser_id, campaign_id, country| {
+            Some(AdImpression {
+                advertiser_id,
+                campaign_id,
+                timestamp: STAMP_EPOCH,
+                country,
+            })
+        };
+        assert_rows(&[
+            (
+                "adv_000500,camp_0003,cc_012,0123456789abcdef".into(),
+                i(500, 3, 12),
+            ),
+            (
+                format!("adv_{ZEROS}500,camp_{ZEROS}3,cc_{ZEROS}12,f"),
+                i(500, 3, 12),
+            ),
+            (
+                "adv_4294967295,camp_4294967295,cc_255,f".into(),
+                i(u32::MAX, u32::MAX, u8::MAX),
+            ),
+            ("adv_4294967296,camp_3,cc_012,f".into(), None),
+            ("adv_500,camp_4294967296,cc_012,f".into(), None),
+            ("adv_500,camp_3,cc_256,f".into(), None),
+            (format!("adv_500,camp_3,cc_{TWENTY_ONE_DIGITS},f"), None),
+            ("adv_500,camp_3,cc_012,".into(), i(500, 3, 12)),
+            ("adv_500,camp_3,cc_012,f,extra".into(), i(500, 3, 12)),
+            ("adv_500,camp_3,cc_012".into(), None),
+            ("adv_+500,camp_3,cc_012,f".into(), None),
+            ("adv_500,camp_+3,cc_012,f".into(), None),
+            ("adv_500,camp_3,cc_+12,f".into(), None),
+            ("adv_500,camp_3,cc_1\u{ff12},f".into(), None),
+        ]);
+    }
+
+    #[test]
+    fn web_event_accept_set() {
+        let e = |user_id, kind, item_id| {
+            Some(WebEvent {
+                user_id,
+                kind,
+                item_id,
+                timestamp: STAMP_EPOCH,
+            })
+        };
+        assert_rows(&[
+            (
+                "user_00000001,purchase,item_00000002,0123456789abcdef".into(),
+                e(1, WebEventKind::Purchase, 2),
+            ),
+            (
+                format!("user_{ZEROS}1,search,item_{ZEROS}2,f"),
+                e(1, WebEventKind::Search, 2),
+            ),
+            (
+                format!("user_{U64_MAX},other,item_{U64_MAX},f"),
+                e(u64::MAX, WebEventKind::Other, u64::MAX),
+            ),
+            (format!("user_{U64_MAX_PLUS_1},other,item_2,f"), None),
+            (format!("user_1,other,item_{TWENTY_ONE_DIGITS},f"), None),
+            (
+                "user_1,review,item_2,".into(),
+                e(1, WebEventKind::Review, 2),
+            ),
+            (
+                "user_1,review,item_2,f,extra".into(),
+                e(1, WebEventKind::Review, 2),
+            ),
+            ("user_1,review,item_2".into(), None),
+            ("user_+0000001,review,item_2,f".into(), None),
+            ("user_1,review,item_+2,f".into(), None),
+            ("user_1,reviews,item_2,f".into(), None),
+            ("user_1,revi\u{e9}w,item_2,f".into(), None),
+            ("user_1,review,item_\u{ff12},f".into(), None),
+        ]);
     }
 }

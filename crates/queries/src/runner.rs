@@ -74,6 +74,13 @@ impl Default for DataScale {
 /// Adapts a structured [`GroupBy`] to raw log-line input: each mapper
 /// parses the line (the dominant per-record cost in the paper's setup,
 /// §6.3) before extracting the key and projected event.
+///
+/// A line its record type's `parse_line` refuses is dropped like a record
+/// the inner `extract` filters out. The parse is strict about every column
+/// the record keeps — the datetime's shape and ranges, ASCII digits only
+/// (no sign) within the field's type, exact prefixes and words — and reads
+/// nothing of the filler column beyond the `,` that starts it; the whole
+/// accept set is in [`symple_datagen::text`]'s module doc.
 pub struct LineGroup<G>(pub G);
 
 impl<G> GroupBy for LineGroup<G>
