@@ -183,14 +183,6 @@ pub fn compose_summaries<S: SymState>(
     Ok(Summary::new(out))
 }
 
-/// Concatenates two chains: `earlier`'s summaries apply first.
-pub fn compose_chain<S: SymState>(
-    later: &SummaryChain<S>,
-    earlier: &SummaryChain<S>,
-) -> SummaryChain<S> {
-    later.clone().after(earlier.clone())
-}
-
 /// Collapses a chain into a single summary by symbolic composition.
 ///
 /// This is the expensive (cross-product) form; reducers that hold a

@@ -95,7 +95,7 @@ pub mod wire;
 pub use analysis::{analyze_uda, FieldReport, UdaAnalysis, VariantAnalysis};
 pub use ast::{eval_concrete, AstUda, Program};
 pub use bitset::BitSet256;
-pub use compose::{apply_chain, apply_summary, compose_chain, compose_summaries};
+pub use compose::{apply_chain, apply_summary, compose_summaries};
 pub use ctx::{ChoiceVector, FootprintOp, OpKind, SymCtx};
 pub use engine::{EngineConfig, ExploreStats, MergePolicy, SymbolicExecutor};
 pub use error::{Error, Result};
@@ -118,11 +118,10 @@ pub use validate::{validate_uda, UdaViolation};
 
 /// Convenience re-exports for UDA authors.
 pub mod prelude {
-    pub use crate::wire::{Wire, WireBorrow, WireError};
+    pub use crate::wire::{Wire, WireError};
     pub use crate::{
-        apply_chain, apply_summary, compose_chain, compose_summaries, impl_sym_state,
-        run_chunked_symbolic, run_sequential, EngineConfig, Error, MergePolicy, Result, Summary,
-        SummaryChain, SymBool, SymCtx, SymEnum, SymInt, SymPred, SymState, SymVector,
-        SymbolicExecutor, Uda,
+        apply_chain, apply_summary, compose_summaries, impl_sym_state, run_chunked_symbolic,
+        run_sequential, EngineConfig, Error, MergePolicy, Result, Summary, SummaryChain, SymBool,
+        SymCtx, SymEnum, SymInt, SymPred, SymState, SymVector, SymbolicExecutor, Uda,
     };
 }

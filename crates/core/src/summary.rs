@@ -53,11 +53,6 @@ impl<S: SymState> Summary<S> {
         self.paths.is_empty()
     }
 
-    /// Consumes the summary, returning its paths.
-    pub fn into_paths(self) -> Vec<S> {
-        self.paths
-    }
-
     /// Checks pairwise disjointness of the path constraints, as far as the
     /// canonical forms can decide it.
     ///
@@ -185,13 +180,6 @@ impl<S: SymState> SummaryChain<S> {
         self.summaries.iter().map(Summary::len).sum()
     }
 
-    /// Concatenates two chains: `earlier` applies first, then `self`.
-    pub fn after(self, earlier: SummaryChain<S>) -> SummaryChain<S> {
-        let mut summaries = earlier.summaries;
-        summaries.extend(self.summaries);
-        SummaryChain { summaries }
-    }
-
     /// Serializes the chain.
     pub fn encode(&self, buf: &mut Vec<u8>) {
         wire::put_uvarint(buf, self.summaries.len() as u64);
@@ -316,23 +304,6 @@ mod tests {
         // count and one flag byte — no sentinel bounds, no field count.
         let s = Summary::singleton(path(i64::MIN, i64::MAX, None));
         assert_eq!(s.to_bytes().len(), 2);
-    }
-
-    #[test]
-    fn chain_concatenation_order() {
-        let a = SummaryChain::single(Summary::singleton(path(0, 5, None)));
-        let b = SummaryChain::single(Summary::singleton(path(6, 9, None)));
-        let c = b.clone().after(a.clone());
-        assert_eq!(c.len(), 2);
-        assert_eq!(
-            c.summaries()[0].paths()[0].v.constraint(),
-            Interval::new(0, 5)
-        );
-        assert_eq!(
-            c.summaries()[1].paths()[0].v.constraint(),
-            Interval::new(6, 9)
-        );
-        assert_eq!(c.total_paths(), 2);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! MapReduce shuffle, and the whole point of SYMPLE is to shrink that
 //! shuffle. This module implements a small LEB128-style varint codec with
 //! zigzag encoding for signed values, plus a [`Wire`] trait implemented for
-//! the primitives, tuples and containers that records and summaries are
-//! built from.
+//! the primitives, tuples and containers that shuffle keys, projected events
+//! and summaries are built from. Input records are never encoded: they reach
+//! a job as text lines or in-memory structs.
 //!
 //! The format is self-contained and deterministic: equal values encode to
 //! equal bytes, which the shuffle relies on for byte-accurate accounting.
@@ -163,37 +164,18 @@ pub fn get_len(buf: &mut &[u8]) -> Result<usize, WireError> {
 
 /// Reads a length-prefixed string *in place*: the payload is validated as
 /// UTF-8 where it sits in `buf` and returned as a borrowed `&str` — no
-/// copy, no allocation. This is the zero-copy tier under both
-/// [`String::decode`] (which adds exactly one allocation to take
-/// ownership) and `<&str as WireBorrow>::decode_borrowed`.
+/// copy, no allocation. [`String::decode`] adds exactly one allocation to
+/// take ownership.
 pub fn get_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, WireError> {
     let n = get_len(buf)?;
     let b = get_bytes(buf, n)?;
     std::str::from_utf8(b).map_err(|_| WireError::InvalidUtf8)
 }
 
-/// Writes a length-prefixed string slice, byte-compatible with
-/// [`String::encode`].
+/// Writes a length-prefixed string slice (what [`String::encode`] writes).
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_uvarint(buf, s.len() as u64);
     buf.extend_from_slice(s.as_bytes());
-}
-
-/// Writes a length-prefixed byte slice: one length prefix, payload
-/// verbatim. Note this framing differs from `Vec::<u8>::encode`, which
-/// varint-encodes each element (bytes ≥ 0x80 would take two bytes);
-/// the borrowed record tier uses this verbatim framing so payloads can
-/// be returned without copying.
-pub fn put_raw_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_uvarint(buf, b.len() as u64);
-    buf.extend_from_slice(b);
-}
-
-/// Reads a length-prefixed byte slice in place (inverse of
-/// [`put_raw_bytes`]).
-pub fn get_raw_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
-    let n = get_len(buf)?;
-    get_bytes(buf, n)
 }
 
 /// Values that serialize to the SYMPLE wire format.
@@ -278,13 +260,11 @@ impl Wire for f64 {
 
 impl Wire for String {
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_uvarint(buf, self.len() as u64);
-        buf.extend_from_slice(self.as_bytes());
+        put_str(buf, self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        // Validate in place on the borrowed tier, then take ownership with
-        // a single exact-capacity allocation (`to_vec` + `from_utf8` used
-        // to copy twice on the error-checking path).
+        // Validate in place, then take ownership with a single
+        // exact-capacity allocation.
         Ok(get_str(buf)?.to_owned())
     }
 }
@@ -350,87 +330,6 @@ wire_tuple!(A: 0, B: 1);
 wire_tuple!(A: 0, B: 1, C: 2);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
-
-/// Zero-copy decoding tier: values that can be decoded *borrowing* from
-/// the wire buffer instead of owning their payload.
-///
-/// For every pair of [`Wire`] and `WireBorrow` impls over the same
-/// framing (`String` / `&str`), the two tiers are value-equal on every
-/// buffer: `T::decode(b)` succeeds iff `B::decode_borrowed(b)` succeeds,
-/// with equal values and equal cursor advance (pinned by property tests).
-/// Variable-length payloads (`&str`, `&[u8]`) are validated and returned
-/// in place — the only allocation in a borrowed decode chain is whatever
-/// the caller later chooses to own.
-pub trait WireBorrow<'a>: Sized {
-    /// Decodes a value that may borrow from `buf`, advancing it.
-    fn decode_borrowed(buf: &mut &'a [u8]) -> Result<Self, WireError>;
-}
-
-/// Fixed-size primitives have nothing to borrow; the borrowed tier is
-/// the owned tier.
-macro_rules! wire_borrow_owned {
-    ($($t:ty),*) => {$(
-        impl<'a> WireBorrow<'a> for $t {
-            fn decode_borrowed(buf: &mut &'a [u8]) -> Result<Self, WireError> {
-                <$t as Wire>::decode(buf)
-            }
-        }
-    )*};
-}
-
-wire_borrow_owned!(
-    u8,
-    u16,
-    u32,
-    u64,
-    usize,
-    i8,
-    i16,
-    i32,
-    i64,
-    isize,
-    bool,
-    f64,
-    ()
-);
-
-impl<'a> WireBorrow<'a> for &'a str {
-    fn decode_borrowed(buf: &mut &'a [u8]) -> Result<Self, WireError> {
-        get_str(buf)
-    }
-}
-
-impl<'a> WireBorrow<'a> for &'a [u8] {
-    fn decode_borrowed(buf: &mut &'a [u8]) -> Result<Self, WireError> {
-        get_raw_bytes(buf)
-    }
-}
-
-impl<'a, T: WireBorrow<'a>> WireBorrow<'a> for Option<T> {
-    fn decode_borrowed(buf: &mut &'a [u8]) -> Result<Self, WireError> {
-        match get_bytes(buf, 1)?[0] {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode_borrowed(buf)?)),
-            t => Err(WireError::InvalidTag(t)),
-        }
-    }
-}
-
-macro_rules! wire_borrow_tuple {
-    ($($name:ident),+) => {
-        impl<'a, $($name: WireBorrow<'a>),+> WireBorrow<'a> for ($($name,)+) {
-            fn decode_borrowed(buf: &mut &'a [u8]) -> Result<Self, WireError> {
-                Ok(($($name::decode_borrowed(buf)?,)+))
-            }
-        }
-    };
-}
-
-wire_borrow_tuple!(A);
-wire_borrow_tuple!(A, B);
-wire_borrow_tuple!(A, B, C);
-wire_borrow_tuple!(A, B, C, D);
-wire_borrow_tuple!(A, B, C, D, E);
 
 #[cfg(test)]
 mod tests {
@@ -514,6 +413,12 @@ mod tests {
     }
 
     #[test]
+    fn string_payload_must_be_utf8() {
+        let mut rd: &[u8] = &[2, 0xff, 0xfe];
+        assert_eq!(String::decode(&mut rd), Err(WireError::InvalidUtf8));
+    }
+
+    #[test]
     fn decode_bad_tags() {
         let mut rd: &[u8] = &[7];
         assert_eq!(bool::decode(&mut rd), Err(WireError::InvalidTag(7)));
@@ -561,69 +466,5 @@ mod tests {
                 out.len()
             );
         }
-    }
-
-    #[test]
-    fn borrowed_str_points_into_buffer() {
-        let buf = "symple".to_string().to_wire();
-        let mut rd = &buf[..];
-        let s = <&str>::decode_borrowed(&mut rd).unwrap();
-        assert_eq!(s, "symple");
-        assert!(rd.is_empty());
-        // Zero-copy: the &str must alias the wire buffer itself.
-        let payload = &buf[1..];
-        assert_eq!(s.as_bytes().as_ptr(), payload.as_ptr());
-    }
-
-    #[test]
-    fn borrowed_matches_owned_on_errors() {
-        // Truncated payload.
-        let mut rd: &[u8] = &[5, b'a', b'b'];
-        assert_eq!(
-            <&str>::decode_borrowed(&mut rd),
-            Err(WireError::UnexpectedEof)
-        );
-        // Invalid UTF-8 rejected without allocating.
-        let mut rd: &[u8] = &[2, 0xff, 0xfe];
-        assert_eq!(
-            <&str>::decode_borrowed(&mut rd),
-            Err(WireError::InvalidUtf8)
-        );
-        let mut rd: &[u8] = &[2, 0xff, 0xfe];
-        assert_eq!(String::decode(&mut rd), Err(WireError::InvalidUtf8));
-    }
-
-    #[test]
-    fn borrowed_raw_bytes_roundtrip() {
-        let mut buf = Vec::new();
-        put_raw_bytes(&mut buf, &[0x80, 0xff, 0]);
-        let mut rd = &buf[..];
-        let b = <&[u8]>::decode_borrowed(&mut rd).unwrap();
-        assert_eq!(b, &[0x80, 0xff, 0]);
-        assert!(rd.is_empty());
-        // Verbatim framing: high bytes occupy one byte each.
-        assert_eq!(buf.len(), 4);
-    }
-
-    #[test]
-    fn borrowed_tuple_mixes_tiers() {
-        let mut buf = Vec::new();
-        42u64.encode(&mut buf);
-        put_str(&mut buf, "key");
-        true.encode(&mut buf);
-        let mut rd = &buf[..];
-        let (n, s, f) = <(u64, &str, bool)>::decode_borrowed(&mut rd).unwrap();
-        assert_eq!((n, s, f), (42, "key", true));
-        assert!(rd.is_empty());
-    }
-
-    #[test]
-    fn borrowed_option_str() {
-        let buf = Some("v".to_string()).to_wire();
-        let mut rd = &buf[..];
-        assert_eq!(Option::<&str>::decode_borrowed(&mut rd), Ok(Some("v")));
-        let buf = Option::<String>::None.to_wire();
-        let mut rd = &buf[..];
-        assert_eq!(Option::<&str>::decode_borrowed(&mut rd), Ok(None));
     }
 }

@@ -10,7 +10,6 @@
 //! * **user sessions** — per-user query bursts with < 2-minute gaps (B3).
 
 use symple_core::rng::Rng64 as StdRng;
-use symple_core::wire::{Wire, WireError};
 
 /// One query-log row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,25 +24,6 @@ pub struct BingQuery {
     pub success: bool,
     /// Hash of the query text (unused by the queries; raw-record ballast).
     pub query_hash: u64,
-}
-
-impl Wire for BingQuery {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.user_id.encode(buf);
-        self.geo.encode(buf);
-        self.timestamp.encode(buf);
-        self.success.encode(buf);
-        self.query_hash.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(BingQuery {
-            user_id: u64::decode(buf)?,
-            geo: u32::decode(buf)?,
-            timestamp: i64::decode(buf)?,
-            success: bool::decode(buf)?,
-            query_hash: u64::decode(buf)?,
-        })
-    }
 }
 
 /// Generator configuration.
@@ -180,19 +160,6 @@ mod tests {
             .collect();
         let ok = others.iter().filter(|q| q.success).count();
         assert!(ok * 2 > others.len(), "other geos should mostly succeed");
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let q = BingQuery {
-            user_id: 5,
-            geo: 3,
-            timestamp: START_TS,
-            success: true,
-            query_hash: 9,
-        };
-        let mut rd = &q.to_wire()[..];
-        assert_eq!(BingQuery::decode(&mut rd).unwrap(), q);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! (the G1 pattern).
 
 use symple_core::rng::Rng64 as StdRng;
-use symple_core::wire::{self, Wire, WireError};
 
 /// A repository operation kind.
 ///
@@ -68,16 +67,6 @@ impl GithubOp {
     }
 }
 
-impl Wire for GithubOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(*self as u8);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let b = wire::get_bytes(buf, 1)?[0];
-        GithubOp::from_code(u32::from(b)).ok_or(WireError::InvalidTag(b))
-    }
-}
-
 /// One repository operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GithubEvent {
@@ -89,23 +78,6 @@ pub struct GithubEvent {
     pub timestamp: i64,
     /// Acting user (unused by the queries; part of the raw record).
     pub actor_id: u64,
-}
-
-impl Wire for GithubEvent {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.repo_id.encode(buf);
-        self.op.encode(buf);
-        self.timestamp.encode(buf);
-        self.actor_id.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(GithubEvent {
-            repo_id: u64::decode(buf)?,
-            op: GithubOp::decode(buf)?,
-            timestamp: i64::decode(buf)?,
-            actor_id: u64::decode(buf)?,
-        })
-    }
 }
 
 /// Generator configuration.
@@ -269,18 +241,5 @@ mod tests {
         }
         assert_eq!(GithubOp::from_code(99), None);
         assert!(GithubOp::ALL.len() as u32 == GithubOp::DOMAIN);
-    }
-
-    #[test]
-    fn event_wire_roundtrip() {
-        let e = GithubEvent {
-            repo_id: 77,
-            op: GithubOp::BranchDelete,
-            timestamp: 1_400_000_123,
-            actor_id: 9,
-        };
-        let buf = e.to_wire();
-        let mut rd = &buf[..];
-        assert_eq!(GithubEvent::decode(&mut rd).unwrap(), e);
     }
 }

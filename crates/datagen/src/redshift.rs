@@ -10,7 +10,6 @@
 //! * runs in which only a single campaign of an advertiser shows (R4).
 
 use symple_core::rng::Rng64 as StdRng;
-use symple_core::wire::{Wire, WireError};
 
 /// One ad impression row (the four used columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,23 +22,6 @@ pub struct AdImpression {
     pub timestamp: i64,
     /// Country code the impression was served in.
     pub country: u8,
-}
-
-impl Wire for AdImpression {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.advertiser_id.encode(buf);
-        self.campaign_id.encode(buf);
-        self.timestamp.encode(buf);
-        self.country.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(AdImpression {
-            advertiser_id: u32::decode(buf)?,
-            campaign_id: u32::decode(buf)?,
-            timestamp: i64::decode(buf)?,
-            country: u8::decode(buf)?,
-        })
-    }
 }
 
 /// Generator configuration.
@@ -213,17 +195,5 @@ mod tests {
             repeats > imps.len() / 4,
             "campaign runs too rare: {repeats}"
         );
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let i = AdImpression {
-            advertiser_id: 1,
-            campaign_id: 2,
-            timestamp: 3,
-            country: 4,
-        };
-        let mut rd = &i.to_wire()[..];
-        assert_eq!(AdImpression::decode(&mut rd).unwrap(), i);
     }
 }

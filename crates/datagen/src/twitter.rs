@@ -8,7 +8,6 @@
 //! spam burst once the (simulated) spam classifier catches on.
 
 use symple_core::rng::Rng64 as StdRng;
-use symple_core::wire::{Wire, WireError};
 
 /// One tweet row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,23 +20,6 @@ pub struct Tweet {
     pub timestamp: i64,
     /// Whether the spam classifier marked this tweet as spam.
     pub is_spam: bool,
-}
-
-impl Wire for Tweet {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.hashtag_id.encode(buf);
-        self.user_id.encode(buf);
-        self.timestamp.encode(buf);
-        self.is_spam.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Tweet {
-            hashtag_id: u64::decode(buf)?,
-            user_id: u64::decode(buf)?,
-            timestamp: i64::decode(buf)?,
-            is_spam: bool::decode(buf)?,
-        })
-    }
 }
 
 /// Generator configuration.
@@ -146,17 +128,5 @@ mod tests {
                 assert!(p >= 1, "hashtag {h} had no learning phase");
             }
         }
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let t = Tweet {
-            hashtag_id: 1,
-            user_id: 2,
-            timestamp: 3,
-            is_spam: true,
-        };
-        let mut rd = &t.to_wire()[..];
-        assert_eq!(Tweet::decode(&mut rd).unwrap(), t);
     }
 }

@@ -5,7 +5,6 @@
 //! than the evaluation figures; kept deliberately simple.
 
 use symple_core::rng::Rng64 as StdRng;
-use symple_core::wire::{self, Wire, WireError};
 
 /// What a user did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,21 +27,6 @@ impl WebEventKind {
     }
 }
 
-impl Wire for WebEventKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(*self as u8);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match wire::get_bytes(buf, 1)?[0] {
-            0 => Ok(WebEventKind::Search),
-            1 => Ok(WebEventKind::Review),
-            2 => Ok(WebEventKind::Purchase),
-            3 => Ok(WebEventKind::Other),
-            t => Err(WireError::InvalidTag(t)),
-        }
-    }
-}
-
 /// One user-activity event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WebEvent {
@@ -54,23 +38,6 @@ pub struct WebEvent {
     pub item_id: u64,
     /// Seconds since epoch; the stream is sorted by this field.
     pub timestamp: i64,
-}
-
-impl Wire for WebEvent {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.user_id.encode(buf);
-        self.kind.encode(buf);
-        self.item_id.encode(buf);
-        self.timestamp.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(WebEvent {
-            user_id: u64::decode(buf)?,
-            kind: WebEventKind::decode(buf)?,
-            item_id: u64::decode(buf)?,
-            timestamp: i64::decode(buf)?,
-        })
-    }
 }
 
 /// Generator configuration.
@@ -188,19 +155,5 @@ mod tests {
             .count();
         assert!(searches > 100);
         assert!(purchases > 10);
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let e = WebEvent {
-            user_id: 1,
-            kind: WebEventKind::Purchase,
-            item_id: 2,
-            timestamp: 3,
-        };
-        let mut rd = &e.to_wire()[..];
-        assert_eq!(WebEvent::decode(&mut rd).unwrap(), e);
-        let mut bad: &[u8] = &[9];
-        assert!(WebEventKind::decode(&mut bad).is_err());
     }
 }

@@ -18,9 +18,7 @@
 //! tail), which matters because chunk 0 is the one that runs concretely
 //! and is cache-keyed as such.
 
-use symple_core::wire::Wire;
-
-use crate::segment::{EncodedSegment, Segment};
+use crate::segment::Segment;
 
 /// A record sequence plus the rules for cutting it into cache-friendly
 /// chunks. The per-record hash must be a pure function of the record's
@@ -133,34 +131,6 @@ impl<R: Clone> Dataset<R> {
     }
 }
 
-impl<R: Clone + Wire> Dataset<R> {
-    /// The chunks in wire form: each chunk's records encoded into one
-    /// contiguous buffer, cut at the same content-defined boundaries as
-    /// [`Dataset::segments`]. This is the entry point for the zero-copy
-    /// decode tier — readers iterate with
-    /// [`EncodedSegment::for_each_borrowed`] and never materialize owned
-    /// records.
-    pub fn encoded_segments(&self) -> Vec<EncodedSegment> {
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        for (id, end) in self.boundaries().into_iter().enumerate() {
-            let records = &self.records[start..end];
-            let mut bytes = Vec::new();
-            for r in records {
-                r.encode(&mut bytes);
-            }
-            out.push(EncodedSegment {
-                id,
-                bytes,
-                record_count: records.len(),
-                raw_bytes: records.len() as u64 * self.raw_record_bytes,
-            });
-            start = end;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,25 +223,6 @@ mod tests {
         assert!(d.is_empty());
         assert!(d.segments().is_empty());
         assert!(d.boundaries().is_empty());
-    }
-
-    #[test]
-    fn encoded_segments_mirror_typed_segments() {
-        let records: Vec<i64> = (0..700).map(|i| (i * 37 + 5) % 211).collect();
-        let d = dataset(records);
-        let typed = d.segments();
-        let encoded = d.encoded_segments();
-        assert_eq!(typed.len(), encoded.len());
-        for (t, e) in typed.iter().zip(&encoded) {
-            assert_eq!(t.id, e.id);
-            assert_eq!(t.raw_bytes, e.raw_bytes);
-            assert_eq!(t.records.len(), e.record_count);
-            let back: Segment<i64> = e.decode_records().unwrap();
-            assert_eq!(back.records, t.records);
-            let mut borrowed = Vec::new();
-            e.for_each_borrowed(|r: i64| borrowed.push(r)).unwrap();
-            assert_eq!(borrowed, t.records);
-        }
     }
 
     #[test]

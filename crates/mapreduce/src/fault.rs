@@ -8,18 +8,20 @@
 //! re-executed SYMPLE map tasks are byte-identical: inject failures,
 //! re-run, compare.
 //!
-//! This plan/injector/ledger idiom — a declarative [`FaultPlan`], a
-//! counting [`FaultInjector`], tests that balance the two — extends to
-//! the storage layer in [`crate::store_io`]: there
-//! [`crate::store_io::StorageFaultPlan`] schedules disk faults (errno on
-//! the Nth op, torn writes, failed renames, latency) and
-//! [`crate::store_io::FaultIo`] injects them beneath the durable stores.
+//! The scheduler knows nothing of this module: it retries whatever
+//! returns [`Crashed`] or panics, and [`FaultInjector::around`] wraps a
+//! task body so that it does — the shape the storage layer already has,
+//! where [`crate::store_io::FaultIo`] wraps the I/O that the store engine
+//! retries and [`crate::store_io::StorageFaultPlan`] schedules the disk
+//! faults (errno on the Nth op, torn writes, failed renames, latency).
+//! In both, a declarative plan, a counting injector, and tests that
+//! balance the two.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::scheduler::TaskFaults;
+use crate::scheduler::{Attempt, Crashed};
 
 /// Declares which map attempts fail.
 ///
@@ -109,8 +111,41 @@ impl FaultInjector {
         self.completed.load(Ordering::SeqCst)
     }
 
+    /// Runs `body` as one attempt at `segment`'s task with the plan's
+    /// faults around it: the straggler delay and the panic come before the
+    /// body, the crash after it — the work is done, then lost with the
+    /// attempt, as when a mapper node dies. A speculative clone models
+    /// re-execution on another machine, outside the plan's attempt slots,
+    /// so it runs the bare body — which also keeps the injected counts
+    /// independent of host timing.
+    pub fn around<R>(
+        &self,
+        segment: usize,
+        attempt: Attempt,
+        body: impl FnOnce() -> R,
+    ) -> Result<R, Crashed> {
+        if attempt.speculative {
+            return Ok(body());
+        }
+        let delay = self.attempt_delay(segment, attempt.number);
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+        if self.attempt_panics(segment, attempt.number) {
+            panic!(
+                "injected panic: segment {segment} attempt {}",
+                attempt.number
+            );
+        }
+        let out = body();
+        if self.attempt_fails(segment, attempt.number) {
+            return Err(Crashed);
+        }
+        Ok(out)
+    }
+
     /// Whether this `(segment, attempt)` crashes. Counts the retry.
-    pub fn attempt_fails(&self, segment: usize, attempt: u32) -> bool {
+    fn attempt_fails(&self, segment: usize, attempt: u32) -> bool {
         let fails = self.plan.fail_always.contains(&segment)
             || match attempt {
                 1 => {
@@ -127,7 +162,7 @@ impl FaultInjector {
     }
 
     /// Whether this `(segment, attempt)` panics mid-flight. Counts it.
-    pub fn attempt_panics(&self, segment: usize, attempt: u32) -> bool {
+    fn attempt_panics(&self, segment: usize, attempt: u32) -> bool {
         let panics = attempt == 1 && self.plan.panic_first_attempt.contains(&segment);
         if panics {
             self.panics.fetch_add(1, Ordering::Relaxed);
@@ -136,7 +171,7 @@ impl FaultInjector {
     }
 
     /// Extra latency for this `(segment, attempt)`.
-    pub fn attempt_delay(&self, segment: usize, attempt: u32) -> Duration {
+    fn attempt_delay(&self, segment: usize, attempt: u32) -> Duration {
         if attempt == 1 && self.plan.straggle_first_attempt.contains(&segment) {
             self.plan.straggle_delay
         } else {
@@ -152,36 +187,6 @@ impl FaultInjector {
     /// Panics injected so far.
     pub fn panics(&self) -> u64 {
         self.panics.load(Ordering::Relaxed)
-    }
-}
-
-/// Adapts a segment-id-keyed [`FaultInjector`] onto the scheduler's
-/// task-index-keyed [`TaskFaults`] hook: `ids[task]` is the segment id of
-/// the task at that position in the scheduled slice.
-#[derive(Debug)]
-pub struct SegmentFaults<'a> {
-    injector: &'a FaultInjector,
-    ids: Vec<usize>,
-}
-
-impl<'a> SegmentFaults<'a> {
-    /// Builds the adapter from the scheduled segments' ids, in task order.
-    pub fn new(injector: &'a FaultInjector, ids: Vec<usize>) -> SegmentFaults<'a> {
-        SegmentFaults { injector, ids }
-    }
-}
-
-impl TaskFaults for SegmentFaults<'_> {
-    fn attempt_fails(&self, task: usize, attempt: u32) -> bool {
-        self.injector.attempt_fails(self.ids[task], attempt)
-    }
-
-    fn attempt_panics(&self, task: usize, attempt: u32) -> bool {
-        self.injector.attempt_panics(self.ids[task], attempt)
-    }
-
-    fn attempt_delay(&self, task: usize, attempt: u32) -> Duration {
-        self.injector.attempt_delay(self.ids[task], attempt)
     }
 }
 

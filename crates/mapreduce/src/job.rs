@@ -45,10 +45,10 @@
 use symple_core::engine::EngineConfig;
 use symple_core::error::{Error, Result};
 
-use crate::fault::{FaultInjector, SegmentFaults};
+use crate::fault::FaultInjector;
 use crate::groupby::Key;
 use crate::metrics::JobMetrics;
-use crate::scheduler::{run_scheduled, SchedulerConfig, TaskFaults};
+use crate::scheduler::{run_scheduled, SchedulerConfig};
 use crate::segment::Segment;
 use crate::shuffle::{transpose, Buckets, MergeRuns, Run};
 
@@ -243,10 +243,10 @@ fn payload_slices<'a, K: Key>(
 /// `map` is a segment's task; `commit` folds whatever else one task's
 /// output carries into the metrics and hands its emits to the shuffle (the
 /// driver charges their tallied volume itself); `reduce` turns one key's
-/// mapper-ordered payloads into its output. With `faults` attached, the
-/// plan's crashes, panics and stragglers are injected into map attempts,
-/// and once its kill budget is spent every further map task dies with
-/// [`Error::JobKilled`] instead of running.
+/// mapper-ordered payloads into its output. With `faults` attached, each
+/// map attempt runs inside [`FaultInjector::around`] — the plan's crashes,
+/// panics and stragglers — and once its kill budget is spent every further
+/// map task dies with [`Error::JobKilled`] instead of running.
 pub(crate) fn run_phases<R, M, K, O>(
     segments: &[Segment<R>],
     cfg: &JobConfig,
@@ -267,20 +267,21 @@ where
         ..JobMetrics::default()
     };
 
-    let adapter = faults.map(|f| SegmentFaults::new(f, segments.iter().map(|s| s.id).collect()));
-    let hook = adapter.as_ref().map(|a| a as &dyn TaskFaults);
-    let map_run = run_scheduled(segments, cfg.map_workers, &cfg.scheduler, hook, |_, seg| {
+    let map_run = run_scheduled(segments, cfg.map_workers, &cfg.scheduler, |attempt, seg| {
         let Some(f) = faults else {
-            return map(seg);
+            return Ok(map(seg));
         };
-        if let Some(done) = f.kill_check() {
-            return Err(Error::JobKilled { after_tasks: done });
-        }
-        let out = map(seg)?;
-        // Counted only after `map` returned, so whatever the task persisted
-        // itself is already durable when the kill budget sees it.
-        f.note_task_completed();
-        Ok(out)
+        f.around(seg.id, attempt, || {
+            if let Some(done) = f.kill_check() {
+                return Err(Error::JobKilled { after_tasks: done });
+            }
+            let out = map(seg)?;
+            // Counted only after `map` returned, so whatever the task
+            // persisted itself is already durable when the kill budget sees
+            // it — and before `around` decides whether the attempt crashes.
+            f.note_task_completed();
+            Ok(out)
+        })
     })?;
     metrics.map_cpu = map_run.timing.cpu;
     metrics.map_wall = map_run.timing.wall;
@@ -297,26 +298,26 @@ where
     }
 
     let reducer_inputs = transpose(mapper_runs, cfg.num_reducers.max(1));
+    let reduce_task = |runs: &Vec<ArenaRun<K>>| -> Result<Vec<(K, O)>> {
+        let mut out: Vec<(K, O)> = Vec::new();
+        let runs = runs.iter().map(|(index, arena)| (index, arena));
+        let mut cells = payload_slices(runs).peekable();
+        let mut payloads: Vec<&[u8]> = Vec::new();
+        while let Some((key, _, first)) = cells.next() {
+            payloads.clear();
+            payloads.push(first);
+            while let Some((_, _, more)) = cells.next_if(|(k, _, _)| *k == key) {
+                payloads.push(more);
+            }
+            out.push((key.clone(), reduce(&payloads)?));
+        }
+        Ok(out)
+    };
     let reduce_run = run_scheduled(
         &reducer_inputs,
         cfg.reduce_workers,
         &cfg.scheduler,
-        None,
-        |_, runs| {
-            let mut out: Vec<(K, O)> = Vec::new();
-            let runs = runs.iter().map(|(index, arena)| (index, arena));
-            let mut cells = payload_slices(runs).peekable();
-            let mut payloads: Vec<&[u8]> = Vec::new();
-            while let Some((key, _, first)) = cells.next() {
-                payloads.clear();
-                payloads.push(first);
-                while let Some((_, _, more)) = cells.next_if(|(k, _, _)| *k == key) {
-                    payloads.push(more);
-                }
-                out.push((key.clone(), reduce(&payloads)?));
-            }
-            Ok::<_, Error>(out)
-        },
+        |_, runs| Ok(reduce_task(runs)),
     )?;
     metrics.reduce_cpu = reduce_run.timing.cpu;
     metrics.reduce_wall = reduce_run.timing.wall;

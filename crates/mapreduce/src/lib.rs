@@ -85,13 +85,13 @@ pub mod symple_job;
 pub use baseline::{run_baseline, run_baseline_sorted};
 pub use chain::{fold_metrics, run_two_stage};
 pub use dataset::Dataset;
-pub use fault::{FaultInjector, FaultPlan, SegmentFaults};
+pub use fault::{FaultInjector, FaultPlan};
 pub use groupby::{GroupBy, Key};
 pub use job::{JobConfig, JobOutput, ReduceStrategy};
 pub use metrics::JobMetrics;
 pub use scheduler::{
-    run_scheduled, AttemptOutcome, AttemptRecord, PhaseTiming, ScheduledRun, SchedulerConfig,
-    SchedulerStats, TaskFaults,
+    run_scheduled, Attempt, AttemptOutcome, AttemptRecord, Crashed, PhaseTiming, ScheduledRun,
+    SchedulerConfig, SchedulerStats,
 };
 pub use segment::Segment;
 pub use sequential::run_sequential_job;

@@ -222,20 +222,6 @@ impl JobMetrics {
         self.map_cpu + self.reduce_cpu
     }
 
-    /// Total wall-clock across phases (map and reduce barriers).
-    pub fn total_wall(&self) -> Duration {
-        self.map_wall + self.reduce_wall
-    }
-
-    /// End-to-end throughput over the raw input, in MB/s.
-    pub fn throughput_mb_s(&self) -> f64 {
-        let secs = self.total_wall().as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        (self.input_bytes as f64 / 1.0e6) / secs
-    }
-
     /// Wall time a perfectly scheduled run would take with the given
     /// parallelism, derived from measured per-task CPU.
     ///
@@ -255,7 +241,7 @@ impl JobMetrics {
         map + reduce
     }
 
-    /// [`JobMetrics::throughput_mb_s`] under [`JobMetrics::modeled_wall`].
+    /// Throughput over the raw input, in MB/s, under [`JobMetrics::modeled_wall`].
     pub fn modeled_throughput_mb_s(&self, map_workers: usize, reduce_workers: usize) -> f64 {
         let secs = self.modeled_wall(map_workers, reduce_workers).as_secs_f64();
         if secs == 0.0 {
@@ -325,19 +311,12 @@ mod tests {
         let m = JobMetrics {
             map_cpu: Duration::from_secs(2),
             reduce_cpu: Duration::from_secs(1),
-            map_wall: Duration::from_secs(1),
-            reduce_wall: Duration::from_millis(500),
             input_bytes: 3_000_000,
             ..JobMetrics::default()
         };
         assert_eq!(m.total_cpu(), Duration::from_secs(3));
-        assert_eq!(m.total_wall(), Duration::from_millis(1500));
-        assert!((m.throughput_mb_s() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn throughput_zero_wall() {
-        let m = JobMetrics::default();
-        assert_eq!(m.throughput_mb_s(), 0.0);
+        // 2 s of map CPU over 2 workers + 1 s of reduce CPU on 1: 2 s modeled.
+        assert!((m.modeled_throughput_mb_s(2, 1) - 1.5).abs() < 1e-9);
+        assert_eq!(JobMetrics::default().modeled_throughput_mb_s(2, 1), 0.0);
     }
 }

@@ -8,14 +8,8 @@
 //! are ≈1 KB with many fields most queries discard, so raw size and
 //! in-memory size differ deliberately).
 //!
-//! An [`EncodedSegment`] is the same chunk still in wire form — one
-//! contiguous buffer of concatenated record encodings, as it would arrive
-//! from storage. Readers pick a tier: [`EncodedSegment::decode_records`]
-//! materializes owned records, while [`EncodedSegment::for_each_borrowed`]
-//! walks the buffer with [`WireBorrow`], so string- and byte-valued fields
-//! are validated in place and never copied out of the chunk.
-
-use symple_core::wire::{Wire, WireBorrow, WireError};
+//! Records reach a mapper as text lines (`TextRecord`) or as in-memory
+//! structs; nothing reads records from the summary wire format.
 
 /// One ordered chunk of the input, processed by one mapper.
 #[derive(Debug, Clone)]
@@ -47,74 +41,6 @@ impl<R> Segment<R> {
     /// Whether the segment holds no records.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-}
-
-/// One ordered chunk of the input still in wire form: the concatenated
-/// encodings of its records in a single contiguous buffer.
-///
-/// This is the shape a mapper actually receives from a store — bytes, not
-/// structs — and the entry point of the zero-copy decode tier: borrowed
-/// readers slice strings and byte fields straight out of `bytes` instead
-/// of allocating per record.
-#[derive(Debug, Clone)]
-pub struct EncodedSegment {
-    /// Position of this segment in the global input order (= mapper id).
-    pub id: usize,
-    /// Concatenated record encodings, in input order.
-    pub bytes: Vec<u8>,
-    /// Number of records encoded in `bytes`.
-    pub record_count: usize,
-    /// Raw bytes this segment occupies in storage (full records with all
-    /// fields), used for I/O accounting.
-    pub raw_bytes: u64,
-}
-
-impl EncodedSegment {
-    /// Encodes a typed segment into wire form.
-    pub fn from_segment<R: Wire>(seg: &Segment<R>) -> EncodedSegment {
-        let mut bytes = Vec::new();
-        for r in &seg.records {
-            r.encode(&mut bytes);
-        }
-        EncodedSegment {
-            id: seg.id,
-            bytes,
-            record_count: seg.records.len(),
-            raw_bytes: seg.raw_bytes,
-        }
-    }
-
-    /// Owned tier: materializes the records back into a [`Segment`].
-    pub fn decode_records<R: Wire>(&self) -> Result<Segment<R>, WireError> {
-        let mut rd = &self.bytes[..];
-        let mut records = Vec::with_capacity(self.record_count);
-        for _ in 0..self.record_count {
-            records.push(R::decode(&mut rd)?);
-        }
-        if !rd.is_empty() {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(Segment::new(self.id, records, self.raw_bytes))
-    }
-
-    /// Borrowed tier: walks the records in place, handing each to `f`
-    /// without copying variable-length fields out of the buffer. `B` is
-    /// the borrowed view of the record type (e.g. `(&str, i64)` for a
-    /// `(String, i64)` record).
-    pub fn for_each_borrowed<'a, B, F>(&'a self, mut f: F) -> Result<(), WireError>
-    where
-        B: WireBorrow<'a>,
-        F: FnMut(B),
-    {
-        let mut rd = &self.bytes[..];
-        for _ in 0..self.record_count {
-            f(B::decode_borrowed(&mut rd)?);
-        }
-        if !rd.is_empty() {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(())
     }
 }
 
@@ -167,52 +93,5 @@ mod tests {
     fn empty_input_yields_no_segments() {
         let segs = split_into_segments::<i64>(&[], 4, 10);
         assert!(segs.is_empty());
-    }
-
-    #[test]
-    fn encoded_segment_roundtrips_owned() {
-        let records: Vec<(String, i64)> = (0..20).map(|i| (format!("user-{i}"), i * 3)).collect();
-        let seg = Segment::new(7, records.clone(), 20 * 128);
-        let enc = EncodedSegment::from_segment(&seg);
-        assert_eq!(enc.id, 7);
-        assert_eq!(enc.record_count, 20);
-        assert_eq!(enc.raw_bytes, 20 * 128);
-        let back: Segment<(String, i64)> = enc.decode_records().unwrap();
-        assert_eq!(back.records, records);
-        assert_eq!(back.id, 7);
-        assert_eq!(back.raw_bytes, 20 * 128);
-    }
-
-    #[test]
-    fn borrowed_tier_reads_strings_in_place() {
-        let records: Vec<(String, i64)> = (0..10).map(|i| (format!("key-{i}"), i)).collect();
-        let seg = Segment::new(0, records.clone(), 0);
-        let enc = EncodedSegment::from_segment(&seg);
-        let buf_range = enc.bytes.as_ptr() as usize..enc.bytes.as_ptr() as usize + enc.bytes.len();
-        let mut seen = Vec::new();
-        enc.for_each_borrowed(|(name, v): (&str, i64)| {
-            // Zero-copy: every borrowed string aliases the segment buffer.
-            assert!(
-                buf_range.contains(&(name.as_ptr() as usize)),
-                "borrowed field must point into the segment buffer"
-            );
-            seen.push((name.to_owned(), v));
-        })
-        .unwrap();
-        assert_eq!(seen, records);
-    }
-
-    #[test]
-    fn borrowed_tier_rejects_trailing_and_truncated_buffers() {
-        let seg = Segment::new(0, vec![(String::from("a"), 1i64)], 0);
-        let mut enc = EncodedSegment::from_segment(&seg);
-        enc.bytes.push(0xff);
-        let trailing = enc.for_each_borrowed(|(_, _): (&str, i64)| {});
-        assert_eq!(trailing, Err(WireError::TrailingBytes));
-        enc.bytes.truncate(2);
-        let truncated = enc.for_each_borrowed(|(_, _): (&str, i64)| {});
-        assert_eq!(truncated, Err(WireError::UnexpectedEof));
-        let owned = enc.decode_records::<(String, i64)>();
-        assert_eq!(owned.unwrap_err(), WireError::UnexpectedEof);
     }
 }

@@ -19,7 +19,7 @@ use symple::mapreduce::scheduler::AttemptOutcome;
 use symple::mapreduce::segment::split_into_segments;
 use symple::mapreduce::{
     run_scheduled, run_symple, CheckpointCtx, ChunkStore, FaultInjector, FaultPlan, GroupBy,
-    JobConfig, JobMetrics, MemStore, SegmentFaults, SummaryCacheCtx, SympleJob,
+    JobConfig, JobMetrics, MemStore, SummaryCacheCtx, SympleJob,
 };
 
 struct ByKey;
@@ -204,11 +204,11 @@ proptest! {
             ..FaultPlan::default()
         };
         let injector = FaultInjector::new(plan);
-        let hook = SegmentFaults::new(&injector, (0..n_tasks).collect());
 
         let items: Vec<i64> = (0..n_tasks as i64).collect();
         let cfg = symple::mapreduce::SchedulerConfig::default();
-        let run = run_scheduled(&items, 4, &cfg, Some(&hook), |_, x| x * 3).unwrap();
+        let run = run_scheduled(&items, 4, &cfg, |a, x| injector.around(a.task, a, || x * 3))
+            .unwrap();
 
         prop_assert_eq!(run.results, items.iter().map(|x| x * 3).collect::<Vec<_>>());
         prop_assert_eq!(run.stats.attempts as usize, run.stats.records.len());

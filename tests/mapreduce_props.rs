@@ -129,7 +129,8 @@ proptest! {
             (i, x.wrapping_mul(31).wrapping_add(i as i64))
         };
         let run = |workers| {
-            let run = run_scheduled(&items, workers, &SchedulerConfig::default(), None, task);
+            let cfg = SchedulerConfig::default();
+            let run = run_scheduled(&items, workers, &cfg, |a, x| Ok(task(a.task, x)));
             run.map(|r| (r.results, r.timing)).unwrap()
         };
         let (one, t1) = run(1);
