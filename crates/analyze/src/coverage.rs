@@ -121,12 +121,10 @@ mod tests {
 
     #[test]
     fn signature_of_a_straight_line_uda_hits_sy008() {
-        // A trivial generated program: no branches → SY008 (straight-line)
+        // G1 only counts pushes: no branches → SY008 (straight-line)
         // fires, proving the analyzer pipeline reaches the bitmask.
-        let p = symple_core::ast::Program::parse_token("fields[i64=0] body[(iadd 0 ev)]").unwrap();
-        let variants = p.variants();
-        let uda = symple_core::ast::AstUda::new(p);
-        let sig = diag_signature(&symple_core::analyze_uda(&uda, &variants));
+        let g1 = symple_queries::registry::runner_by_id("G1").unwrap();
+        let sig = diag_signature(&g1.analyze());
         assert!(sig.codes().contains(&"SY008"), "{:?}", sig.codes());
     }
 }

@@ -32,7 +32,6 @@ fn config(idx: usize) -> EngineConfig {
         merge_policy: policies[idx % 3],
         max_total_paths: totals[(idx / 3) % 4],
         max_paths_per_record: per_record[(idx / 12) % 3],
-        ..EngineConfig::default()
     }
 }
 

@@ -229,18 +229,8 @@ impl UdaAnalysis {
         self.variants.iter().find_map(|v| v.error.as_deref())
     }
 
-    /// Indices of written-but-never-read fields.
-    pub fn dead_fields(&self) -> Vec<usize> {
-        self.fields
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.dead())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// The per-record live-path growth factor under a merge policy.
-    pub fn growth_factor(&self, policy: MergePolicy) -> usize {
+    fn growth_factor(&self, policy: MergePolicy) -> usize {
         match policy {
             MergePolicy::Never => self.max_branching(),
             MergePolicy::Eager | MergePolicy::HighWater => self.max_merged(),
@@ -349,7 +339,6 @@ impl EngineConfig {
             max_paths_per_record,
             max_total_paths,
             merge_policy,
-            ..EngineConfig::default()
         }
     }
 }
@@ -589,7 +578,7 @@ mod tests {
         assert!(f.written && f.rebound);
         assert!(f.guard_read, "lt is a guard read");
         assert!(f.result_read, "result returns the max");
-        assert!(a.dead_fields().is_empty());
+        assert!(!a.fields.iter().any(FieldReport::dead));
         // Rebinding paths converge across records → HighWater.
         let cfg = EngineConfig::from_analysis(&a);
         assert_eq!(cfg.merge_policy, MergePolicy::HighWater);
@@ -632,7 +621,7 @@ mod tests {
         let unused = &a.fields[1];
         assert!(unused.written && !unused.guard_read && !unused.result_read);
         assert!(unused.dead());
-        assert_eq!(a.dead_fields(), vec![1]);
+        assert!(!a.fields[0].dead());
         assert_eq!(a.fields[0].growth_step, 3, "used grows by the event");
         assert_eq!(unused.growth_step, 1);
         // No forks → merging is wasted work.
@@ -738,7 +727,6 @@ mod tests {
             max_paths_per_record: 4,
             max_total_paths: 1_000,
             merge_policy: MergePolicy::Never,
-            ..EngineConfig::default()
         };
         assert!(a.predicts_refusal(&doomed));
         // Restart fallback keeps the same UDA inside a generous bound.
@@ -746,7 +734,6 @@ mod tests {
             max_paths_per_record: 1_024,
             max_total_paths: 8,
             merge_policy: MergePolicy::Never,
-            ..EngineConfig::default()
         };
         assert!(!a.predicts_refusal(&fine));
         // Unmergeable, nothing rebinds → Never.
@@ -794,7 +781,7 @@ mod tests {
         let out = &a.fields[1];
         assert_eq!(out.kind, "vector");
         assert!(out.pushed >= 1 && out.pushed_symbolic >= 1);
-        assert!(a.dead_fields().is_empty());
+        assert!(!a.fields.iter().any(FieldReport::dead));
     }
 
     #[test]
@@ -806,7 +793,6 @@ mod tests {
             max_paths_per_record: 1_024,
             max_total_paths: 8,
             merge_policy: MergePolicy::Never,
-            ..EngineConfig::default()
         };
         let mut exec = SymbolicExecutor::new(&UnmergeableUda, cfg);
         for e in 0..12 {
@@ -904,7 +890,7 @@ mod tests {
         assert!(!f.written);
         assert!(f.result_read, "unperturbable → treated as read");
         assert!(!f.dead());
-        assert!(a.dead_fields().is_empty());
+        assert!(!a.fields.iter().any(FieldReport::dead));
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl BitSet256 {
         BitSet256 { words }
     }
 
-    /// Whether `self ⊆ other`.
-    pub fn is_subset(&self, other: &BitSet256) -> bool {
-        self.difference(other).is_empty()
-    }
-
     /// Iterates the members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         (0..BITSET_CAPACITY).filter(move |v| self.contains(*v))
@@ -176,8 +171,6 @@ mod tests {
         assert_eq!(a.intersect(&b), b);
         assert_eq!(a.union(&b), a);
         assert_eq!(a.difference(&b).len(), 10 - 4);
-        assert!(b.is_subset(&a));
-        assert!(!a.is_subset(&b));
         // Across word boundaries.
         let hi = BitSet256::singleton(200);
         assert!(hi.intersect(&a).is_empty());

@@ -6,7 +6,7 @@
 //! summaries can also be composed *symbolically* (`S₃ ∘ S₂`) before any
 //! concrete input is known — enabling tree-shaped reduction.
 //!
-//! Both operations reduce to one primitive, [`compose_state`]: rewriting a
+//! Both operations reduce to one primitive, `compose_state`: rewriting a
 //! later path (a function of its input `y`) in terms of an earlier path's
 //! input `x`, per field, discarding infeasible cross-products.
 
@@ -22,7 +22,7 @@ use crate::wire;
 /// output cannot satisfy the later path's constraint). Scalar fields are
 /// composed before aggregates so that infeasibility is detected before any
 /// vector substitution can observe an inconsistent state.
-pub fn compose_state<S: SymState>(later: &S, earlier: &S) -> Result<Option<S>> {
+fn compose_state<S: SymState>(later: &S, earlier: &S) -> Result<Option<S>> {
     let mut out = later.clone();
     let transfers = transfers_of(earlier);
     debug_assert_eq!(out.field_count(), earlier.field_count());
@@ -91,7 +91,7 @@ pub fn apply_chain<S: SymState>(chain: &SummaryChain<S>, state: &S) -> Result<S>
 ///   no longer composed;
 /// * no path holding is [`Error::IncompleteSummary`], a second one
 ///   [`Error::OverlappingSummary`];
-/// * as in [`compose_state`], a scalar field that rules a path out stops
+/// * as in `compose_state`, a scalar field that rules a path out stops
 ///   the composition of the scalars after it, and an aggregate's error —
 ///   met in field order here, before a later scalar has had its say — is
 ///   held until the scalars have let the path through.

@@ -31,12 +31,6 @@ struct Digit {
 }
 
 impl ChoiceVector {
-    /// An empty vector: the first run takes the first feasible outcome at
-    /// every branch.
-    pub fn new() -> ChoiceVector {
-        ChoiceVector::default()
-    }
-
     /// Number of recorded choice points.
     pub fn len(&self) -> usize {
         self.digits.len()
@@ -51,7 +45,7 @@ impl ChoiceVector {
     ///
     /// Pops trailing digits at their maximum and increments the last
     /// remaining digit. Returns `false` when the space is exhausted.
-    pub fn advance(&mut self) -> bool {
+    fn advance(&mut self) -> bool {
         while let Some(d) = self.digits.last() {
             if d.value + 1 < d.arity {
                 break;
@@ -65,11 +59,6 @@ impl ChoiceVector {
             }
             None => false,
         }
-    }
-
-    /// The digit values, for diagnostics and tests.
-    pub fn values(&self) -> Vec<u8> {
-        self.digits.iter().map(|d| d.value).collect()
     }
 
     /// Empties the vector, retaining its digit capacity so a recycled
@@ -161,7 +150,7 @@ pub struct SymCtx {
 impl SymCtx {
     fn with_mode(mode: Mode) -> SymCtx {
         SymCtx {
-            choices: ChoiceVector::new(),
+            choices: ChoiceVector::default(),
             pos: 0,
             mode,
             error: None,
@@ -218,16 +207,6 @@ impl SymCtx {
     /// Whether a sealed probe run attempted to fork (and was refused).
     pub fn fork_refused(&self) -> bool {
         self.fork_refused
-    }
-
-    /// Whether this context permits symbolic forks.
-    pub fn is_symbolic(&self) -> bool {
-        matches!(self.mode, Mode::Symbolic | Mode::Analysis)
-    }
-
-    /// Whether this context records an analysis footprint.
-    pub fn is_analysis(&self) -> bool {
-        self.mode == Mode::Analysis
     }
 
     /// Records a symbolic operation in the analysis footprint.
@@ -435,8 +414,6 @@ mod tests {
     #[test]
     fn analysis_mode_forks_and_records() {
         let mut ctx = SymCtx::analysis();
-        assert!(ctx.is_symbolic());
-        assert!(ctx.is_analysis());
         ctx.note_op(OpKind::Guard, Some(FieldId(1)), "lt", true);
         assert_eq!(ctx.choose(2), 0, "analysis forks like symbolic mode");
         assert!(!ctx.has_error());
@@ -464,7 +441,6 @@ mod tests {
     fn probe_refuses_forks_without_counting() {
         let mut ctx = SymCtx::probe();
         ctx.begin_probe();
-        assert!(ctx.is_symbolic(), "probe semantics are symbolic semantics");
         assert!(!ctx.fork_refused());
         assert_eq!(ctx.choose(2), 0, "refused forks pin outcome 0");
         assert!(ctx.fork_refused());
@@ -488,17 +464,18 @@ mod tests {
 
     #[test]
     fn choice_vector_values() {
-        let mut cv = ChoiceVector::new();
+        let values = |cv: &ChoiceVector| cv.digits.iter().map(|d| d.value).collect::<Vec<_>>();
+        let mut cv = ChoiceVector::default();
         assert!(cv.is_empty());
         assert!(!cv.advance());
         cv.digits.push(Digit { value: 0, arity: 2 });
         cv.digits.push(Digit { value: 0, arity: 3 });
         assert!(cv.advance());
-        assert_eq!(cv.values(), vec![0, 1]);
+        assert_eq!(values(&cv), vec![0, 1]);
         assert!(cv.advance());
-        assert_eq!(cv.values(), vec![0, 2]);
+        assert_eq!(values(&cv), vec![0, 2]);
         assert!(cv.advance());
-        assert_eq!(cv.values(), vec![1]);
+        assert_eq!(values(&cv), vec![1]);
         assert_eq!(cv.len(), 1);
     }
 }

@@ -14,6 +14,12 @@ use crate::uda::Uda;
 /// windows would roll back more than they save).
 const CALM_STREAK: u32 = 4;
 
+/// How many consecutive records one [`SymbolicExecutor::feed_slice`] batch
+/// window applies in place before it commits. Not an [`EngineConfig`]
+/// field: the value changes no summary and no statistic, and the only
+/// other one ever used — 0, no batching — doubled `parse_bound.B1`'s wall.
+const BATCH_WINDOW: usize = 32;
+
 /// When path merging is attempted (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergePolicy {
@@ -41,15 +47,6 @@ pub struct EngineConfig {
     pub max_total_paths: usize,
     /// When to attempt path merging.
     pub merge_policy: MergePolicy,
-    /// Batch-window size for [`SymbolicExecutor::feed_slice`]: after a
-    /// calm (fork-free) streak, up to this many consecutive records are
-    /// applied *in place* on the live paths instead of cloning per run,
-    /// rolling back to full exploration the moment one forks. `0`
-    /// disables batching. Output-invariant — summaries and
-    /// [`ExploreStats`] are byte-identical for every value — so this knob
-    /// is deliberately **excluded** from checkpoint/cache config
-    /// fingerprints.
-    pub batch_window: usize,
 }
 
 impl Default for EngineConfig {
@@ -58,7 +55,6 @@ impl Default for EngineConfig {
             max_paths_per_record: 64,
             max_total_paths: 8,
             merge_policy: MergePolicy::HighWater,
-            batch_window: 32,
         }
     }
 }
@@ -238,9 +234,9 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
     /// Semantically identical to calling [`SymbolicExecutor::feed`] per
     /// record — summaries, [`ExploreStats`], and errors all match byte
     /// for byte — but after a calm streak of fork-free records, windows of
-    /// up to [`EngineConfig::batch_window`] records are applied **in
-    /// place** on the live paths under a sealed probe context: one update
-    /// run per (record × path), zero clones, no merge/restart machinery.
+    /// up to `BATCH_WINDOW` (32) records are applied **in place** on the
+    /// live paths under a sealed probe context: one update run per
+    /// (record × path), zero clones, no merge/restart machinery.
     /// The moment a probe run forks or errors, the window rolls back to
     /// its snapshot and replays through full exploration.
     ///
@@ -248,13 +244,10 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
     /// is live: fork-free records with several live paths still reach the
     /// merger under that policy, and batching must not skip it.
     pub fn feed_slice(&mut self, events: &[U::Event]) -> Result<()> {
-        if self.cfg.batch_window == 0 {
-            return self.feed_all(events.iter());
-        }
         let mut i = 0;
         while i < events.len() {
             if self.batch_ready() {
-                let end = (i + self.cfg.batch_window).min(events.len());
+                let end = (i + BATCH_WINDOW).min(events.len());
                 i += self.apply_window(&events[i..end])?;
             } else {
                 self.feed(&events[i])?;
@@ -533,7 +526,6 @@ mod tests {
             max_paths_per_record: 4,
             max_total_paths: 1_000,
             merge_policy: MergePolicy::Never,
-            ..EngineConfig::default()
         };
         let mut exec = SymbolicExecutor::new(&uda, cfg);
         // Each record multiplies live paths; per-record bound trips.
@@ -554,7 +546,6 @@ mod tests {
             max_paths_per_record: 1_000,
             max_total_paths: 8,
             merge_policy: MergePolicy::Never,
-            ..EngineConfig::default()
         };
         let mut exec = SymbolicExecutor::new(&uda, cfg);
         for e in 0..10 {
@@ -685,21 +676,6 @@ mod tests {
         ca.encode(&mut a);
         cb.encode(&mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn feed_slice_with_zero_window_is_plain_feed() {
-        let events = mixed_stream(100);
-        let cfg = EngineConfig {
-            batch_window: 0,
-            ..EngineConfig::default()
-        };
-        let mut exec = SymbolicExecutor::new(&MixedUda, cfg);
-        exec.feed_slice(&events).unwrap();
-        let arena = exec.arena_stats();
-        assert_eq!(arena.batched_records, 0);
-        assert_eq!(arena.in_place_runs, 0);
-        assert_eq!(exec.stats().records, 100);
     }
 
     /// Satellite regression: exploring a forky record over a state with a

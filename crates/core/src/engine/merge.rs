@@ -18,7 +18,7 @@ use crate::state::SymState;
 /// Returns `true` (mutating `a`'s constraint) when the merge is sound:
 /// all transfer functions equal and the constraints differ in at most one
 /// field whose union is canonical.
-pub fn try_merge_into<S: SymState>(a: &mut S, b: &S) -> bool {
+fn try_merge_into<S: SymState>(a: &mut S, b: &S) -> bool {
     let n = a.field_count();
     debug_assert_eq!(n, b.field_count());
     if !(0..n).all(|i| a.field_ref_at(i).transfer_eq(b.field_ref_at(i))) {

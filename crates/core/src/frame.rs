@@ -34,7 +34,7 @@ pub const FRAME_VERSION: u8 = 2;
 ///
 /// Hand-rolled so the wire layer stays dependency-free; the table is
 /// computed at compile time.
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];
         let mut i = 0;

@@ -59,15 +59,6 @@ impl Interval {
         self.lb <= v && v <= self.ub
     }
 
-    /// Number of values in the interval, saturating at `u64::MAX`.
-    pub fn len(&self) -> u64 {
-        if self.is_empty() {
-            0
-        } else {
-            (self.ub as i128 - self.lb as i128 + 1).min(u64::MAX as i128) as u64
-        }
-    }
-
     /// Intersection of two constraints (used by summary composition).
     pub fn intersect(&self, other: &Interval) -> Interval {
         Interval {
@@ -298,8 +289,6 @@ mod tests {
         assert!(Interval::FULL.is_full());
         assert!(Interval::FULL.contains(i64::MIN));
         assert!(Interval::FULL.contains(i64::MAX));
-        assert_eq!(Interval::point(7).len(), 1);
-        assert_eq!(Interval::new(3, 7).len(), 5);
     }
 
     #[test]

@@ -76,7 +76,6 @@
 //! ```
 
 pub mod analysis;
-pub mod ast;
 pub mod bitset;
 pub mod compose;
 pub mod ctx;
@@ -93,7 +92,6 @@ pub mod validate;
 pub mod wire;
 
 pub use analysis::{analyze_uda, FieldReport, UdaAnalysis, VariantAnalysis};
-pub use ast::{eval_concrete, AstUda, Program};
 pub use bitset::BitSet256;
 pub use compose::{apply_chain, apply_summary, compose_summaries};
 pub use ctx::{ChoiceVector, FootprintOp, OpKind, SymCtx};

@@ -79,7 +79,7 @@ impl<S: SymState> Summary<S> {
     /// decoder knows the field count from its template, and each field sees
     /// the same field of the previous path so repeated content is written
     /// once (see [`crate::state::SymField::encode_field`]).
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         wire::put_uvarint(buf, self.paths.len() as u64);
         let mut prev: Option<&S> = None;
         for p in &self.paths {
@@ -121,11 +121,6 @@ impl<S: SymState> Summary<S> {
         let mut buf = Vec::new();
         self.encode(&mut buf);
         buf
-    }
-
-    /// Whether two summaries have identical canonical wire bytes.
-    pub fn byte_eq(&self, other: &Summary<S>) -> bool {
-        self.to_bytes() == other.to_bytes()
     }
 
     /// Multi-line rendering of the summary's canonical forms, used by the

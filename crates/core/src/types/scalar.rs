@@ -45,12 +45,6 @@ impl ScalarTransfer {
         }
     }
 
-    /// Evaluates the transfer at a concrete input.
-    pub fn eval(self, x: i64) -> Result<i64> {
-        let (a, b) = self.coeffs();
-        mul_add_checked(a, x, b)
-    }
-
     /// Composes `self ∘ prev`: feeds `prev`'s output into `self`.
     ///
     /// With `self = a·y + b` and `prev = p·x + q`, the composition is
@@ -63,11 +57,6 @@ impl ScalarTransfer {
             .ok_or(Error::ArithmeticOverflow { op: "compose" })?;
         let nb = mul_add_checked(a, q, b)?;
         Ok(ScalarTransfer::from_coeffs(na, nb))
-    }
-
-    /// Whether the transfer is constant.
-    pub fn is_const(self) -> bool {
-        matches!(self, ScalarTransfer::Const(_))
     }
 }
 
@@ -98,23 +87,10 @@ pub enum SymScalar {
 
 impl SymScalar {
     /// Builds a scalar from a field id and its transfer.
-    pub fn from_transfer(field: FieldId, t: ScalarTransfer) -> SymScalar {
+    fn from_transfer(field: FieldId, t: ScalarTransfer) -> SymScalar {
         match t {
             ScalarTransfer::Const(c) => SymScalar::Concrete(c),
             ScalarTransfer::Affine { a, b } => SymScalar::Affine { field, a, b },
-        }
-    }
-
-    /// Whether the scalar is concrete.
-    pub fn is_concrete(&self) -> bool {
-        matches!(self, SymScalar::Concrete(_))
-    }
-
-    /// The concrete value, if known.
-    pub fn concrete_value(&self) -> Option<i64> {
-        match self {
-            SymScalar::Concrete(v) => Some(*v),
-            SymScalar::Affine { .. } => None,
         }
     }
 
@@ -160,6 +136,12 @@ impl SymScalar {
 mod tests {
     use super::*;
 
+    /// The transfer at a concrete input: what composition must preserve.
+    fn eval(t: ScalarTransfer, x: i64) -> Result<i64> {
+        let (a, b) = t.coeffs();
+        mul_add_checked(a, x, b)
+    }
+
     #[test]
     fn coeffs_roundtrip() {
         assert_eq!(ScalarTransfer::from_coeffs(0, 7), ScalarTransfer::Const(7));
@@ -178,7 +160,7 @@ mod tests {
         let fg = f.compose(g).unwrap();
         assert_eq!(fg, ScalarTransfer::Affine { a: 6, b: -7 });
         for x in -5..5 {
-            assert_eq!(fg.eval(x).unwrap(), f.eval(g.eval(x).unwrap()).unwrap());
+            assert_eq!(eval(fg, x).unwrap(), eval(f, eval(g, x).unwrap()).unwrap());
         }
         // Composing onto a constant collapses to a constant.
         let fc = f.compose(ScalarTransfer::Const(10)).unwrap();
@@ -189,7 +171,7 @@ mod tests {
     fn compose_overflow_detected() {
         let f = ScalarTransfer::Affine { a: i64::MAX, b: 0 };
         assert!(f.compose(ScalarTransfer::Affine { a: 2, b: 0 }).is_err());
-        assert!(f.eval(2).is_err());
+        assert!(eval(f, 2).is_err());
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl SymBool {
     pub fn concrete_value(&self) -> Option<bool> {
         self.inner.concrete_value().map(|v| v == 1)
     }
-
-    /// The underlying enum (for diagnostics).
-    pub fn as_enum(&self) -> &SymEnum {
-        &self.inner
-    }
 }
 
 impl From<bool> for SymBool {
@@ -181,7 +176,7 @@ mod tests {
         b.assign(true);
         assert!(a.transfer_eq(&b));
         assert!(a.union_constraint(&b));
-        assert_eq!(a.as_enum().constraint_set(), 0b11);
+        assert_eq!(a.inner.constraint_set(), 0b11);
     }
 
     #[test]

@@ -82,20 +82,10 @@ impl SymEnum {
         }
     }
 
-    /// The domain size `n` (values are `0..n`).
-    pub fn domain(&self) -> u32 {
-        self.domain
-    }
-
     /// The low 64 values of the constraint set `S`, as a mask
     /// (convenience for the common small domains).
     pub fn constraint_set(&self) -> u64 {
         self.set.low_mask64()
-    }
-
-    /// The full constraint set `S` on the initial symbolic value.
-    pub fn constraint_bits(&self) -> BitSet256 {
-        self.set
     }
 
     /// The field id, set once the value has been made symbolic.
@@ -219,7 +209,7 @@ impl SymEnum {
     }
 
     /// Tests membership of the value in an arbitrary subset of the domain.
-    pub fn in_set(&mut self, ctx: &mut SymCtx, members: &BitSet256) -> bool {
+    fn in_set(&mut self, ctx: &mut SymCtx, members: &BitSet256) -> bool {
         if let Some(v) = self.bound {
             return members.contains(v);
         }
@@ -705,7 +695,7 @@ mod tests {
         let mut back = SymEnum::new(N, 0);
         back.decode_field(&mut &buf[..], FieldId(0), None).unwrap();
         assert_eq!(back, e);
-        assert_eq!(back.constraint_bits().len(), 1);
+        assert_eq!(back.set.len(), 1);
     }
 
     #[test]
@@ -718,13 +708,13 @@ mod tests {
         members.insert(150);
         ctx.begin_run();
         assert!(e.in_set(&mut ctx, &members));
-        assert_eq!(e.constraint_bits().len(), 2);
+        assert_eq!(e.set.len(), 2);
         ctx.advance();
         ctx.begin_run();
         let mut e = SymEnum::new(200, 0);
         e.make_symbolic(FieldId(0));
         assert!(!e.in_set(&mut ctx, &members));
-        assert_eq!(e.constraint_bits().len(), 198);
+        assert_eq!(e.set.len(), 198);
     }
 
     #[test]
@@ -747,7 +737,7 @@ mod tests {
             ctx.begin_run();
             let mut e = symbolic(6);
             let t = e.map_transition(&mut ctx, |v| (v + 1).min(5));
-            seen.push((t, e.constraint_bits().iter().collect::<Vec<_>>()));
+            seen.push((t, e.set.iter().collect::<Vec<_>>()));
             if !ctx.advance() {
                 break;
             }

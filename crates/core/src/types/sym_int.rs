@@ -118,11 +118,6 @@ impl SymInt {
         }
     }
 
-    /// The bit width.
-    pub fn width(&self) -> u8 {
-        self.width
-    }
-
     /// The extreme values `a·x + b` takes over the current constraint.
     fn value_bounds(&self) -> (i128, i128) {
         let lo = self.a as i128 * self.constraint.lb as i128 + self.b as i128;
@@ -873,7 +868,7 @@ mod tests {
         let mut v = SymInt::with_width(8, 0);
         v.make_symbolic(FieldId(0));
         assert_eq!(v.constraint(), Interval::new(-128, 127));
-        assert_eq!(v.width(), 8);
+        assert_eq!(v.width, 8);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! which is closed under updates (`max(max(x,c), e) = max(x, max(c,e))`)
 //! — so a running-extremum UDA explores **exactly one path** with **zero
 //! forks**, where the `if (max < e) max = e` formulation over `SymInt`
-//! pays a fork per chunk and a two-path summary. The `minmax` ablation
-//! bench quantifies the difference.
+//! pays a fork per chunk and a two-path summary. `symple-bench`'s
+//! `golden_cells` test pins both shapes (`ablations::minmax_shapes`).
 
 use std::cmp::Ordering;
 
@@ -106,11 +106,6 @@ impl SymMinMax {
         }
     }
 
-    /// The tracked extremum mode.
-    pub fn mode(&self) -> Extremum {
-        self.mode
-    }
-
     /// Folds a concrete value into the extremum — never forks.
     pub fn update(&mut self, e: i64) {
         self.acc = self.mode.fold(self.acc, e);
@@ -120,12 +115,6 @@ impl SymMinMax {
     pub fn assign(&mut self, v: i64) {
         self.acc = v;
         self.tracking_input = false;
-    }
-
-    /// The accumulated concrete extremum (the fold identity before the
-    /// first update).
-    pub fn accumulated(&self) -> i64 {
-        self.acc
     }
 
     /// The concrete value, if the input no longer participates.
@@ -615,7 +604,7 @@ mod tests {
         assert!(composed.compose_onto(&a, &prev_all).unwrap());
         // y = max(x,9) < 20 ⇔ x < 20; value = max(x, 9).
         assert_eq!(composed.constraint, Interval::new(i64::MIN, 19));
-        assert_eq!(composed.accumulated(), 9);
+        assert_eq!(composed.acc, 9);
         assert!(composed.tracking_input);
     }
 

@@ -204,38 +204,6 @@ impl<T: PredValue> SymPred<T> {
         matches!(self.held, Held::Unknown)
     }
 
-    /// The decisions recorded while unbound (diagnostics and tests).
-    pub fn decisions(&self) -> &[(T, bool)] {
-        &self.decisions
-    }
-
-    /// Whether this pred's decision list is physically `other`'s
-    /// (diagnostics: lets tests pin that a clone or a decode allocated no
-    /// list of its own).
-    pub fn shares_storage_with(&self, other: &SymPred<T>) -> bool {
-        Arc::ptr_eq(&self.decisions, &other.decisions)
-    }
-
-    /// The field id, set once the value has been made symbolic.
-    pub fn field_id(&self) -> Option<FieldId> {
-        self.id
-    }
-
-    /// The current value as a [`SymScalar`], for vector appends.
-    ///
-    /// `None` when the value is concretely unset (there is nothing to
-    /// report) or when `T` is not integer-like.
-    pub fn as_scalar(&self) -> Option<SymScalar> {
-        match &self.held {
-            Held::Set(v) => v.to_i64().map(SymScalar::Concrete),
-            Held::Unknown => {
-                let field = self.id?;
-                Some(SymScalar::Affine { field, a: 1, b: 0 })
-            }
-            Held::Unset => None,
-        }
-    }
-
     /// The value `a·v + b` over the held value `v`, as a [`SymScalar`].
     ///
     /// Lets UDAs report derived quantities such as time gaps
@@ -467,9 +435,9 @@ impl<T: PredValue> SymField for SymPred<T> {
 
     fn perturb(&mut self) -> bool {
         // Forget any concrete binding and flip the initial outcome: both
-        // future `eval` results and `as_scalar`/`affine_scalar` reports
-        // change, so any data or control dependence on this field shows
-        // up in the analyzer's liveness probe.
+        // future `eval` results and `affine_scalar` reports change, so any
+        // data or control dependence on this field shows up in the
+        // analyzer's liveness probe.
         self.held = Held::Unset;
         self.initial_outcome = !self.initial_outcome;
         true
@@ -536,7 +504,7 @@ mod tests {
             let mut p = lt_pred();
             p.make_symbolic(FieldId(0));
             let out = p.eval(&mut ctx, &10);
-            outcomes.push((out, p.decisions().to_vec()));
+            outcomes.push((out, p.decisions.to_vec()));
             if !ctx.advance() {
                 break;
             }
@@ -555,7 +523,7 @@ mod tests {
         let a = p.eval(&mut ctx, &10);
         let b = p.eval(&mut ctx, &10);
         assert_eq!(a, b);
-        assert_eq!(p.decisions().len(), 1);
+        assert_eq!(p.decisions.len(), 1);
         assert_eq!(ctx.choice_vector().len(), 1);
     }
 
@@ -584,7 +552,7 @@ mod tests {
         let _ = p.eval(&mut ctx, &10);
         p.set(42);
         assert_eq!(p.value(), Some(&42));
-        assert_eq!(p.decisions().len(), 1);
+        assert_eq!(p.decisions.len(), 1);
         assert!(p.is_concrete());
     }
 
@@ -632,7 +600,7 @@ mod tests {
         let prev_all = |_| prev.transfer();
         let mut composed = later.clone();
         assert!(composed.compose_onto(&prev, &prev_all).unwrap());
-        assert_eq!(composed.decisions(), &[(3, true), (10, true)]);
+        assert_eq!(*composed.decisions, [(3, true), (10, true)]);
         assert!(composed.is_unknown());
         // Conflicting decisions on the same argument → infeasible.
         let mut conflicting = lt_pred();
@@ -658,7 +626,7 @@ mod tests {
         b.make_symbolic(FieldId(0));
         b.decisions = Arc::new(vec![(5, true), (9, false)]);
         assert!(a.union_constraint(&b));
-        assert_eq!(a.decisions(), &[(5, true)]);
+        assert_eq!(*a.decisions, [(5, true)]);
     }
 
     #[test]
@@ -670,7 +638,7 @@ mod tests {
         b.make_symbolic(FieldId(0));
         b.decisions = Arc::new(vec![(5, true)]);
         assert!(a.union_constraint(&b));
-        assert_eq!(a.decisions(), &[(5, true)]);
+        assert_eq!(*a.decisions, [(5, true)]);
     }
 
     #[test]
@@ -730,7 +698,7 @@ mod tests {
             .decode_field(&mut &encoded(&undecided)[..], FieldId(1), None)
             .unwrap();
         assert_eq!(scratch, undecided);
-        assert!(scratch.shares_storage_with(&before));
+        assert!(Arc::ptr_eq(&scratch.decisions, &before.decisions));
 
         // Decisions arriving while a clone reads the list: a fresh one, and
         // the clone is untouched.
@@ -738,8 +706,8 @@ mod tests {
             .decode_field(&mut &encoded(&decided)[..], FieldId(1), None)
             .unwrap();
         assert_eq!(scratch, decided);
-        assert!(!scratch.shares_storage_with(&before));
-        assert!(before.decisions().is_empty());
+        assert!(!Arc::ptr_eq(&scratch.decisions, &before.decisions));
+        assert!(before.decisions.is_empty());
 
         // Unique storage is refilled in place, and emptied in place.
         let list = Arc::as_ptr(&scratch.decisions);
@@ -779,15 +747,15 @@ mod tests {
     }
 
     #[test]
-    fn as_scalar_forms() {
+    fn affine_scalar_forms() {
         let mut p = lt_pred();
-        assert_eq!(p.as_scalar(), None, "unset has no reportable value");
+        assert_eq!(p.affine_scalar(1, 0), None, "unset has no reportable value");
         p.set(42);
-        assert_eq!(p.as_scalar(), Some(SymScalar::Concrete(42)));
+        assert_eq!(p.affine_scalar(1, 0), Some(SymScalar::Concrete(42)));
         let mut p = lt_pred();
         p.make_symbolic(FieldId(3));
         assert_eq!(
-            p.as_scalar(),
+            p.affine_scalar(1, 0),
             Some(SymScalar::Affine {
                 field: FieldId(3),
                 a: 1,

@@ -25,7 +25,6 @@ use crate::state::{downcast, FieldFacts, FieldId, SymField, Transfers};
 use crate::types::scalar::{ScalarTransfer, SymScalar};
 use crate::types::sym_enum::SymEnum;
 use crate::types::sym_int::SymInt;
-use crate::types::sym_pred::{PredValue, SymPred};
 use crate::wire::{self, Wire, WireError};
 
 /// Element types storable in a [`SymVector`].
@@ -270,20 +269,6 @@ impl<T: VecElem> SymVector<T> {
                 let field = v.field_id().expect("symbolic SymEnum outside engine state");
                 self.push_scalar(SymScalar::Affine { field, a: 1, b: 0 });
             }
-        }
-    }
-
-    /// Appends the value held by a [`SymPred`], if it has one.
-    ///
-    /// Returns `false` (appending nothing) when the predicate's value is
-    /// concretely unset.
-    pub fn push_pred<P: PredValue>(&mut self, v: &SymPred<P>) -> bool {
-        match v.as_scalar() {
-            Some(s) => {
-                self.push_scalar(s);
-                true
-            }
-            None => false,
         }
     }
 
@@ -588,6 +573,7 @@ impl<T: VecElem> SymField for SymVector<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::sym_pred::SymPred;
     use proptest::prelude::*;
 
     #[test]
@@ -667,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn push_enum_and_pred() {
+    fn push_enum() {
         let mut e = SymEnum::new(4, 1);
         let mut v: SymVector<i64> = SymVector::new();
         v.push_enum(&e);
@@ -682,12 +668,6 @@ mod tests {
                 b: 0
             })
         );
-
-        let mut p: SymPred<i64> = SymPred::new(|a, b| a < b);
-        assert!(!v.push_pred(&p), "unset pred appends nothing");
-        p.set(9);
-        assert!(v.push_pred(&p));
-        assert_eq!(v.elems()[2], Elem::Concrete(9));
     }
 
     #[test]

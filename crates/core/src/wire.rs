@@ -124,12 +124,12 @@ pub fn get_uvarint(buf: &mut &[u8]) -> Result<u64, WireError> {
 }
 
 /// Zigzag-encodes a signed value so small magnitudes stay small.
-pub fn zigzag(v: i64) -> u64 {
+fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -160,22 +160,6 @@ pub fn get_len(buf: &mut &[u8]) -> Result<usize, WireError> {
         return Err(WireError::LengthOverflow(n));
     }
     Ok(n as usize)
-}
-
-/// Reads a length-prefixed string *in place*: the payload is validated as
-/// UTF-8 where it sits in `buf` and returned as a borrowed `&str` — no
-/// copy, no allocation. [`String::decode`] adds exactly one allocation to
-/// take ownership.
-pub fn get_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, WireError> {
-    let n = get_len(buf)?;
-    let b = get_bytes(buf, n)?;
-    std::str::from_utf8(b).map_err(|_| WireError::InvalidUtf8)
-}
-
-/// Writes a length-prefixed string slice (what [`String::encode`] writes).
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_uvarint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Values that serialize to the SYMPLE wire format.
@@ -260,12 +244,16 @@ impl Wire for f64 {
 
 impl Wire for String {
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_str(buf, self);
+        put_uvarint(buf, self.len() as u64);
+        buf.extend_from_slice(self.as_bytes());
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         // Validate in place, then take ownership with a single
         // exact-capacity allocation.
-        Ok(get_str(buf)?.to_owned())
+        let n = get_len(buf)?;
+        let bytes = get_bytes(buf, n)?;
+        let s = std::str::from_utf8(bytes).map_err(|_| WireError::InvalidUtf8)?;
+        Ok(s.to_owned())
     }
 }
 

@@ -23,11 +23,11 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use symple_analyze::diag_signature;
-use symple_core::ast::{eval_concrete, AstUda, Program};
 use symple_core::engine::{EngineConfig, ExploreStats, MergePolicy, SymbolicExecutor};
 use symple_core::rng::Rng64;
 use symple_core::uda::run_sequential;
 use symple_core::Result;
+use symple_oracle::ast::{eval_concrete, AstUda, Program};
 use symple_oracle::case::error_variant;
 use symple_oracle::{
     program_case, run_oracle_on, Cell, Depth, ExecutorKind, Finding, InputKind, OracleOptions,
@@ -170,7 +170,6 @@ fn probe(uda: &AstUda, events: &[i64]) -> (String, ExploreStats) {
         max_paths_per_record: 1024,
         max_total_paths: 8,
         merge_policy: MergePolicy::HighWater,
-        ..EngineConfig::default()
     };
     let mut ex = SymbolicExecutor::new(uda, cfg);
     let mut outcome = "ok".to_string();

@@ -8,10 +8,10 @@
 //! guards over symbolic state, resets that truncate summaries, and vector
 //! pushes of still-symbolic integers.
 
-use symple_core::ast::{
+use symple_core::rng::Rng64;
+use symple_oracle::ast::{
     CmpOp, Cond, FieldDecl, IntArg, IntOpKind, PredKind, Program, Stmt, MAX_STMTS,
 };
-use symple_core::rng::Rng64;
 
 /// Size bounds for generated programs.
 ///

@@ -15,7 +15,7 @@
 //!
 //! Entry points: [`run_fuzz`] (library) and the `symple-fuzz` CLI.
 //!
-//! [`Program`]: symple_core::ast::Program
+//! [`Program`]: symple_oracle::ast::Program
 
 pub mod coverage;
 pub mod fuzzer;

@@ -9,8 +9,8 @@
 //! bound after repeated application), the original is returned unchanged
 //! instead.
 
-use symple_core::ast::{CmpOp, Cond, FieldDecl, IntArg, IntOpKind, Program, Stmt, MAX_STMTS};
 use symple_core::rng::Rng64;
+use symple_oracle::ast::{CmpOp, Cond, FieldDecl, IntArg, IntOpKind, Program, Stmt, MAX_STMTS};
 
 use crate::gen::{gen_cond, gen_stmt, GenConfig};
 

@@ -5,12 +5,12 @@
 
 use proptest::prelude::*;
 
-use symple_core::ast::{eval_concrete, AstUda, Program};
 use symple_core::engine::{EngineConfig, MergePolicy, SymbolicExecutor};
 use symple_core::rng::Rng64;
 use symple_core::uda::{run_chunked_symbolic, run_sequential};
 use symple_core::{analyze_uda, Error};
 use symple_fuzz::{gen_program, mutate, GenConfig};
+use symple_oracle::ast::{eval_concrete, AstUda, Program};
 use symple_oracle::case::error_variant;
 use symple_oracle::InputKind;
 
@@ -48,7 +48,6 @@ proptest! {
             max_paths_per_record: 1024,
             max_total_paths: 8,
             merge_policy: MergePolicy::HighWater,
-            ..EngineConfig::default()
         };
         let a = analyze_uda(&uda, &variants);
         let b = analyze_uda(&uda, &variants);
@@ -72,7 +71,6 @@ proptest! {
             max_paths_per_record: 1024,
             max_total_paths: 8,
             merge_policy: MergePolicy::HighWater,
-            ..EngineConfig::default()
         };
         let analysis = analyze_uda(&uda, &variants);
         if analysis.any_exploded() {

@@ -221,9 +221,6 @@ pub fn config_fingerprint(cfg: &JobConfig) -> u64 {
     });
     word(u64::from(cfg.first_segment_concrete));
     word(u64::from(cfg.salvage_refused_chunks));
-    // `cfg.engine.batch_window` is deliberately absent: the batched fast
-    // path is byte-invariant (summaries and stats are identical for every
-    // window size), so checkpoints stay valid across batching changes.
     h
 }
 

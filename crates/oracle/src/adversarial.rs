@@ -207,7 +207,6 @@ mod tests {
             max_paths_per_record: 64,
             max_total_paths: 4,
             merge_policy: MergePolicy::Never,
-            ..EngineConfig::default()
         };
         let mut exec = SymbolicExecutor::new(&RestartProneUda, cfg);
         exec.feed_all(events.iter()).unwrap();

@@ -61,7 +61,7 @@ pub struct Artifact {
     /// Sabotage active when the finding was made.
     pub sabotage: Sabotage,
     /// For generated (fuzz) cases: the serialized UDA program
-    /// ([`symple_core::ast::Program::to_token`]), making the artifact
+    /// ([`crate::ast::Program::to_token`]), making the artifact
     /// self-contained — replay rebuilds the case from this token instead
     /// of the case registry. `None` for registry cases.
     pub program: Option<String>,

@@ -14,20 +14,23 @@
 //!
 //! Programs serialize to a compact single-line token (see
 //! [`Program::to_token`]) so a repro artifact can embed the exact UDA it
-//! failed on and replay it against any future tree.
+//! failed on and replay it against any future tree. That is why the
+//! module lives in this crate rather than in `symple-fuzz`:
+//! [`crate::fuzz_case`] parses the token on replay, and the fuzzer
+//! depends on the oracle, not the other way round.
 
 use std::sync::Arc;
 
-use crate::ctx::SymCtx;
-use crate::error::{Error, Result};
-use crate::state::{SymField, SymState};
-use crate::types::sym_bool::SymBool;
-use crate::types::sym_enum::SymEnum;
-use crate::types::sym_int::SymInt;
-use crate::types::sym_minmax::{Extremum, SymMinMax};
-use crate::types::sym_pred::SymPred;
-use crate::types::sym_vector::SymVector;
-use crate::uda::Uda;
+use symple_core::ctx::SymCtx;
+use symple_core::error::{Error, Result};
+use symple_core::state::{SymField, SymState};
+use symple_core::types::sym_bool::SymBool;
+use symple_core::types::sym_enum::SymEnum;
+use symple_core::types::sym_int::SymInt;
+use symple_core::types::sym_minmax::{Extremum, SymMinMax};
+use symple_core::types::sym_pred::SymPred;
+use symple_core::types::sym_vector::SymVector;
+use symple_core::uda::Uda;
 
 /// Maximum number of state fields a [`Program`] may declare.
 pub const MAX_FIELDS: usize = 16;
@@ -378,7 +381,7 @@ pub enum Stmt {
 /// fields contribute a singleton; vector fields their elements).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
-    /// State-field declarations, in [`crate::state::FieldId`] order.
+    /// State-field declarations, in [`symple_core::state::FieldId`] order.
     pub fields: Vec<FieldDecl>,
     /// Update statements, run in order for every event.
     pub body: Vec<Stmt>,
@@ -784,11 +787,11 @@ impl AstField {
 
 /// The dynamic-field aggregation state of an [`AstUda`].
 ///
-/// Every hand-written UDA uses [`crate::impl_sym_state!`] over a struct;
+/// Every hand-written UDA uses [`symple_core::impl_sym_state!`] over a struct;
 /// this is the one state in the tree that implements [`SymState`] by
 /// hand, over a `Vec` of fields whose shape is decided at runtime by the
 /// program's declarations. Field order is declaration order, matching
-/// [`crate::state::FieldId`] indices everywhere else.
+/// [`symple_core::state::FieldId`] indices everywhere else.
 #[derive(Debug, Clone)]
 pub struct AstState {
     fields: Vec<AstField>,
@@ -1443,8 +1446,8 @@ fn parse_field(tok: &str) -> std::result::Result<FieldDecl, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, MergePolicy};
-    use crate::uda::{run_chunked_symbolic, run_sequential};
+    use symple_core::engine::{EngineConfig, MergePolicy};
+    use symple_core::uda::{run_chunked_symbolic, run_sequential};
 
     /// A forky session-counter exercising every field kind. The int field
     /// is full-width: narrower ints trip the engine's conservative
@@ -1786,8 +1789,32 @@ mod tests {
         let p = kitchen_sink();
         let variants = p.variants();
         let uda = AstUda::new(p);
-        let a = crate::analysis::analyze_uda(&uda, &variants);
+        let a = symple_core::analysis::analyze_uda(&uda, &variants);
         assert_eq!(a.fields.len(), 6);
         assert!(a.max_branching() >= 1);
+    }
+
+    /// `AstState` is the one `SymState` written by hand rather than by
+    /// `impl_sym_state!`: `field_ref_at(i)` and `field_mut_at(i)` must be
+    /// `fields_ref()[i]` — same field (checked by address), same order.
+    #[test]
+    fn indexed_access_agrees_with_the_field_list() {
+        fn addr(f: &dyn SymField) -> *const () {
+            f as *const dyn SymField as *const ()
+        }
+        let mut s = AstUda::new(kitchen_sink()).init();
+        let listed: Vec<_> = s.fields_ref().into_iter().map(addr).collect();
+        assert_eq!(s.field_count(), listed.len());
+        assert_eq!(listed.len(), 6);
+        for (i, want) in listed.into_iter().enumerate() {
+            assert_eq!(addr(s.field_ref_at(i)), want, "field_ref_at({i})");
+            assert_eq!(addr(s.field_mut_at(i)), want, "field_mut_at({i})");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn indexed_access_past_the_end_panics() {
+        AstUda::new(kitchen_sink()).init().field_ref_at(6);
     }
 }

@@ -205,7 +205,6 @@ impl Cell {
             max_paths_per_record: 1024,
             max_total_paths: self.max_total_paths,
             merge_policy: self.merge_policy,
-            ..EngineConfig::default()
         }
     }
 

@@ -8,9 +8,9 @@
 //! program (`program:` key) and the input-generator token (`input-kind:`
 //! key). [`replay_case`] rebuilds the exact case from those two tokens.
 
-use symple_core::ast::{AstUda, Program};
 use symple_core::rng::Rng64;
 
+use crate::ast::{AstUda, Program};
 use crate::case::{CaseInput, DynCase, Sabotage, UdaCase};
 use crate::cell::Cell;
 

@@ -19,6 +19,10 @@
 //!   `(input, config)` reproducer.
 //! * [`artifact`] serializes reproducers as self-contained text files
 //!   that replay against any future tree.
+//! * [`ast`] is the bounded, serializable UDA language the fuzzer
+//!   (`symple-fuzz`) generates — [`ast::Program`], its [`ast::AstUda`]
+//!   adapter and an independent concrete interpreter — and [`fuzz_case`]
+//!   rebuilds a case from the `program:` token an artifact embeds.
 //!
 //! The `symple-oracle` binary fronts all of this: `--smoke` is the CI
 //! gate, `--deep --seed <s>` the fuzzing loop, `--replay <file>` the
@@ -27,6 +31,7 @@
 
 pub mod adversarial;
 pub mod artifact;
+pub mod ast;
 pub mod case;
 pub mod cases;
 pub mod cell;

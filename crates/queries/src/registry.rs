@@ -140,7 +140,7 @@ fn weblog_records(scale: &DataScale) -> Vec<symple_datagen::WebEvent> {
     })
 }
 
-fn redshift_records(scale: &DataScale, _condensed: bool) -> Vec<symple_datagen::AdImpression> {
+fn redshift_records(scale: &DataScale) -> Vec<symple_datagen::AdImpression> {
     generate_redshift(&RedshiftConfig {
         num_records: scale.records,
         num_advertisers: scale.groups.clamp(1, u64::from(u32::MAX)) as u32,
@@ -378,156 +378,137 @@ runner!(
     f1_variants
 );
 
-macro_rules! redshift_runner {
-    ($name:ident, $id:literal, $desc:literal, $condensed:expr, $e:expr, $i:expr, $p:expr,
-     $group:expr, $uda:expr, $variants:expr) => {
-        struct $name;
-        impl QueryRunner for $name {
-            fn info(&self) -> QueryInfo {
-                QueryInfo {
-                    id: $id,
-                    dataset: if $condensed { "RedShift-condensed" } else { "RedShift" },
-                    description: $desc,
-                    groups: "10K",
-                    uses_enum: $e,
-                    uses_int: $i,
-                    uses_pred: $p,
-                }
-            }
-            fn run(
-                &self,
-                scale: &DataScale,
-                backend: Backend,
-                job: &JobConfig,
-            ) -> Result<QueryReport> {
-                let raw = if $condensed {
-                    raw_sizes::REDSHIFT_CONDENSED
-                } else {
-                    raw_sizes::REDSHIFT
-                };
-                dispatch($group, &$uda, redshift_records(scale, $condensed), raw, scale, backend, job)
-            }
-            fn run_lines(
-                &self,
-                segments: &[Segment<String>],
-                backend: Backend,
-                job: &JobConfig,
-            ) -> Result<QueryReport> {
-                execute(&LineGroup($group), &$uda, segments, backend, job)
-            }
-            fn run_lines_job(
-                &self,
-                segments: &[Segment<String>],
-                job: &SympleJob<'_>,
-            ) -> Result<QueryReport> {
-                execute_job(&LineGroup($group), &$uda, segments, job)
-            }
-            fn raw_record_bytes(&self) -> u64 {
-                if $condensed {
-                    raw_sizes::REDSHIFT_CONDENSED
-                } else {
-                    raw_sizes::REDSHIFT
-                }
-            }
-            fn analyze(&self) -> symple_core::UdaAnalysis {
-                symple_core::analyze_uda(&$uda, &$variants())
-            }
-        }
-    };
+/// The [`QueryInfo`] of a RedShift query; a condensed variant differs
+/// from its full query in the dataset it names.
+fn redshift_info(
+    id: &'static str,
+    description: &'static str,
+    condensed: bool,
+    [uses_enum, uses_int, uses_pred]: [bool; 3],
+) -> QueryInfo {
+    QueryInfo {
+        id,
+        dataset: if condensed {
+            "RedShift-condensed"
+        } else {
+            "RedShift"
+        },
+        description,
+        groups: "10K",
+        uses_enum,
+        uses_int,
+        uses_pred,
+    }
 }
 
-redshift_runner!(
+runner!(
     R1Runner,
-    "R1",
-    "Number of impressions per advertiser",
-    false,
-    false,
-    true,
-    false,
+    redshift_info(
+        "R1",
+        "Number of impressions per advertiser",
+        false,
+        [false, true, false],
+    ),
+    raw_sizes::REDSHIFT,
+    redshift_records,
     R1Group,
     R1Uda,
     r1_variants
 );
-redshift_runner!(
+runner!(
     R2Runner,
-    "R2",
-    "List of advertisers operating only in a single country",
-    false,
-    true,
-    false,
-    true,
+    redshift_info(
+        "R2",
+        "List of advertisers operating only in a single country",
+        false,
+        [true, false, true],
+    ),
+    raw_sizes::REDSHIFT,
+    redshift_records,
     R2Group,
     R2Uda,
     r2_variants
 );
-redshift_runner!(
+runner!(
     R3Runner,
-    "R3",
-    "Cases for advertiser when their ads were not showing for more than 1 hour",
-    false,
-    false,
-    false,
-    true,
+    redshift_info(
+        "R3",
+        "Cases for advertiser when their ads were not showing for more than 1 hour",
+        false,
+        [false, false, true],
+    ),
+    raw_sizes::REDSHIFT,
+    redshift_records,
     R3Group,
     r3_uda(),
     r3_variants
 );
-redshift_runner!(
+runner!(
     R4Runner,
-    "R4",
-    "Lengths of runs for which only a single campaign by an advertiser is shown",
-    false,
-    false,
-    true,
-    true,
+    redshift_info(
+        "R4",
+        "Lengths of runs for which only a single campaign by an advertiser is shown",
+        false,
+        [false, true, true],
+    ),
+    raw_sizes::REDSHIFT,
+    redshift_records,
     R4Group,
     R4Uda,
     r4_variants
 );
-redshift_runner!(
+runner!(
     R1cRunner,
-    "R1c",
-    "R1 on the condensed (4-column) variant",
-    true,
-    false,
-    true,
-    false,
+    redshift_info(
+        "R1c",
+        "R1 on the condensed (4-column) variant",
+        true,
+        [false, true, false],
+    ),
+    raw_sizes::REDSHIFT_CONDENSED,
+    redshift_records,
     R1Group,
     R1Uda,
     r1_variants
 );
-redshift_runner!(
+runner!(
     R2cRunner,
-    "R2c",
-    "R2 on the condensed (4-column) variant",
-    true,
-    true,
-    false,
-    true,
+    redshift_info(
+        "R2c",
+        "R2 on the condensed (4-column) variant",
+        true,
+        [true, false, true],
+    ),
+    raw_sizes::REDSHIFT_CONDENSED,
+    redshift_records,
     R2Group,
     R2Uda,
     r2_variants
 );
-redshift_runner!(
+runner!(
     R3cRunner,
-    "R3c",
-    "R3 on the condensed (4-column) variant",
-    true,
-    false,
-    false,
-    true,
+    redshift_info(
+        "R3c",
+        "R3 on the condensed (4-column) variant",
+        true,
+        [false, false, true],
+    ),
+    raw_sizes::REDSHIFT_CONDENSED,
+    redshift_records,
     R3Group,
     r3_uda(),
     r3_variants
 );
-redshift_runner!(
+runner!(
     R4cRunner,
-    "R4c",
-    "R4 on the condensed (4-column) variant",
-    true,
-    false,
-    true,
-    true,
+    redshift_info(
+        "R4c",
+        "R4 on the condensed (4-column) variant",
+        true,
+        [false, true, true],
+    ),
+    raw_sizes::REDSHIFT_CONDENSED,
+    redshift_records,
     R4Group,
     R4Uda,
     r4_variants
@@ -619,37 +600,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_application_is_output_invariant_across_queries() {
-        // The batched fast path (`EngineConfig::batch_window`) must be
-        // invisible in every query's output on every backend that runs the
-        // symbolic engine: identical hashes with the window at its default
-        // and fully disabled.
-        let scale = DataScale {
-            records: 4_000,
-            groups: 40,
-            segments: 4,
-            seed: 13,
-            parse_lines: false,
-        };
-        let batched = JobConfig::default();
-        assert!(
-            batched.engine.batch_window > 0,
-            "default config must enable batching"
-        );
-        let mut unbatched = JobConfig::default();
-        unbatched.engine.batch_window = 0;
-        for q in all_queries() {
-            let id = q.info().id;
-            for backend in Backend::ALL {
-                let a = q.run(&scale, backend, &batched).unwrap();
-                let b = q.run(&scale, backend, &unbatched).unwrap();
-                assert_eq!(a.output_hash, b.output_hash, "query {id} on {backend:?}");
-                assert_eq!(a.output_rows, b.output_rows, "query {id} on {backend:?}");
-            }
-        }
-    }
-
     /// Raw log lines for `id`'s dataset at `scale` — the same generator
     /// `run` uses, materialized so tests can replay exact append deltas.
     fn lines_for(id: &str, scale: &DataScale) -> Vec<String> {
@@ -658,7 +608,7 @@ mod tests {
             b'B' => symple_datagen::to_lines(&bing_records(scale)),
             b'T' => symple_datagen::to_lines(&twitter_records(scale)),
             b'F' => symple_datagen::to_lines(&weblog_records(scale)),
-            b'R' => symple_datagen::to_lines(&redshift_records(scale, false)),
+            b'R' => symple_datagen::to_lines(&redshift_records(scale)),
             _ => panic!("unknown dataset for {id}"),
         }
     }
