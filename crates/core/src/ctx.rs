@@ -192,10 +192,11 @@ impl SymCtx {
         ctx
     }
 
-    /// Resets a sealed probe context for its next in-place run, keeping
-    /// allocated capacity.
-    pub fn begin_probe(&mut self) {
-        debug_assert!(self.sealed, "begin_probe on a non-probe context");
+    /// Returns the context to its just-constructed state — empty choice
+    /// vector, no latched error or refusal, no forks counted — keeping the
+    /// digit capacity: the engine's one exploration context is rewound per
+    /// path and its probe context per in-place run, and neither allocates.
+    pub(crate) fn rewind(&mut self) {
         self.choices.clear();
         self.pos = 0;
         self.error = None;
@@ -440,7 +441,7 @@ mod tests {
     #[test]
     fn probe_refuses_forks_without_counting() {
         let mut ctx = SymCtx::probe();
-        ctx.begin_probe();
+        ctx.rewind();
         assert!(!ctx.fork_refused());
         assert_eq!(ctx.choose(2), 0, "refused forks pin outcome 0");
         assert!(ctx.fork_refused());
@@ -448,18 +449,18 @@ mod tests {
         assert!(ctx.choice_vector().is_empty(), "no digit is appended");
         assert!(!ctx.has_error(), "refusal is not an error");
         // A reset probe forgets the refusal.
-        ctx.begin_probe();
+        ctx.rewind();
         assert!(!ctx.fork_refused());
     }
 
     #[test]
     fn probe_latches_errors_like_symbolic() {
         let mut ctx = SymCtx::probe();
-        ctx.begin_probe();
+        ctx.rewind();
         ctx.fail(Error::IncompleteSummary);
         assert!(ctx.has_error());
-        ctx.begin_probe();
-        assert!(!ctx.has_error(), "begin_probe clears latched errors");
+        ctx.rewind();
+        assert!(!ctx.has_error(), "rewind clears latched errors");
     }
 
     #[test]

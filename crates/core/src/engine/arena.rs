@@ -1,5 +1,12 @@
-//! Per-chunk exploration arena: recycled state generations, a reusable
-//! probe context, and rollback snapshots for batched event application.
+//! The executor's exploration arena: recycled state generations, the
+//! exploration and probe contexts, and rollback snapshots for batched
+//! event application.
+//!
+//! An arena lives as long as its executor, and a map task holds one
+//! executor for every key of its segment
+//! ([`SymbolicExecutor::reset`](crate::engine::SymbolicExecutor::reset)
+//! between keys), so everything here is allocated per *task*: a cell of
+//! three events costs no `Vec`.
 //!
 //! A chunk's exploration churns through `paths × choice-vectors` state
 //! values per record. Allocating each generation afresh (and dropping the
@@ -19,6 +26,9 @@
 //!   those snapshots ([`ArenaStats::state_clones`]) so tests can pin that
 //!   allocation scales with the *path count*, not path count × state
 //!   size.
+//! * **One exploration context** — the choice vector that enumerates a
+//!   path's feasible runs is rewound per path, not constructed, so its
+//!   digit buffer is allocated by the task's first fork and by no other.
 //! * **Batch window support** — the arena's snapshot buffer holds the
 //!   live path set captured at a batch-window boundary, and its probe
 //!   context is the reusable sealed [`SymCtx`] that
@@ -29,12 +39,14 @@
 //!
 //! The workspace forbids `unsafe`, so this is an arena in the recycling
 //! sense (generation pools + structural sharing), not a raw bump
-//! allocator: the same allocations are reused record after record, which
-//! is what the hot path actually needs.
+//! allocator: the same allocations are reused record after record and key
+//! after key, which is what the hot path actually needs.
 
 use crate::ctx::SymCtx;
 
-/// Allocation-behavior counters for one chunk's exploration.
+/// Allocation-behavior counters for one chunk's exploration (one key's
+/// events: [`SymbolicExecutor::reset`](crate::engine::SymbolicExecutor::reset)
+/// zeroes them).
 ///
 /// These are *diagnostics*, deliberately kept out of
 /// [`ExploreStats`](crate::engine::ExploreStats): that struct is
@@ -67,6 +79,8 @@ pub struct ExploreArena<S> {
     /// Live-path snapshot taken at a batch-window boundary; restored
     /// wholesale on rollback.
     pub(crate) snapshots: Vec<S>,
+    /// The symbolic context of full exploration, rewound per path.
+    pub(crate) explore: SymCtx,
     /// Reusable sealed probe context for in-place batched application.
     pub(crate) probe: SymCtx,
     /// Allocation-behavior counters.
@@ -79,6 +93,7 @@ impl<S> ExploreArena<S> {
         ExploreArena {
             out: Vec::new(),
             snapshots: Vec::new(),
+            explore: SymCtx::symbolic(),
             probe: SymCtx::probe(),
             stats: ArenaStats::default(),
         }

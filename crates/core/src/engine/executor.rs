@@ -1,13 +1,13 @@
 //! The symbolic executor: systematic path exploration with explosion
 //! control (§5.1–5.2 of the paper).
 
-use crate::ctx::SymCtx;
 use crate::engine::arena::{ArenaStats, ExploreArena};
 use crate::engine::merge::merge_paths;
 use crate::error::{Error, Result};
-use crate::state::make_state_symbolic;
-use crate::summary::{Summary, SummaryChain};
+use crate::state::{make_state_symbolic, SymState};
+use crate::summary::{encode_paths, paths_pairwise_disjoint, Summary, SummaryChain};
 use crate::uda::Uda;
+use crate::wire::put_uvarint;
 
 /// Consecutive fork-free records required before [`SymbolicExecutor::feed_slice`]
 /// opens a batch window (hysteresis against forky stretches, where probe
@@ -125,12 +125,18 @@ impl ExploreStats {
 pub struct SymbolicExecutor<'a, U: Uda> {
     uda: &'a U,
     cfg: EngineConfig,
+    /// The unknown symbolic state `x` every summary starts from: built
+    /// once, cloned by [`SymbolicExecutor::reset`] and by every restart.
+    start: U::State,
     paths: Vec<U::State>,
-    emitted: Vec<Summary<U::State>>,
+    /// The paths of the summaries restarts flushed, back to back;
+    /// `emitted_ends[i]` is where summary `i` ends.
+    emitted: Vec<U::State>,
+    emitted_ends: Vec<usize>,
     high_water: usize,
     stats: ExploreStats,
-    /// Recycled per-chunk allocations: generation buffers, batch-window
-    /// snapshots, and the reusable probe context.
+    /// Recycled allocations: generation buffers, batch-window snapshots,
+    /// and the exploration and probe contexts.
     arena: ExploreArena<U::State>,
     /// Consecutive fork-free records seen; gates the batched fast path.
     calm_streak: u32,
@@ -139,46 +145,69 @@ pub struct SymbolicExecutor<'a, U: Uda> {
 impl<'a, U: Uda> SymbolicExecutor<'a, U> {
     /// Creates an executor starting from the unknown symbolic state `x`.
     pub fn new(uda: &'a U, cfg: EngineConfig) -> SymbolicExecutor<'a, U> {
-        let mut fresh = uda.init();
-        make_state_symbolic(&mut fresh);
-        SymbolicExecutor {
+        let mut start = uda.init();
+        make_state_symbolic(&mut start);
+        let mut exec = SymbolicExecutor {
             uda,
             cfg,
-            paths: vec![fresh],
+            start,
+            paths: Vec::new(),
             emitted: Vec::new(),
+            emitted_ends: Vec::new(),
             high_water: 1,
-            stats: ExploreStats {
-                max_live_paths: 1,
-                ..ExploreStats::default()
-            },
+            stats: ExploreStats::default(),
             arena: ExploreArena::new(),
             calm_streak: 0,
-        }
+        };
+        exec.reset();
+        exec
+    }
+
+    /// Returns the executor to its just-constructed state keeping every
+    /// allocation, so one executor summarizes chunk after chunk (a map
+    /// task's keys). Valid at any point, also right after a `feed` returned
+    /// `Err`: the contexts are rewound before every use.
+    pub fn reset(&mut self) {
+        self.paths.clear();
+        self.paths.push(self.start.clone());
+        self.emitted.clear();
+        self.emitted_ends.clear();
+        self.high_water = 1;
+        self.stats = ExploreStats {
+            max_live_paths: 1,
+            ..ExploreStats::default()
+        };
+        self.arena.out.clear();
+        self.arena.snapshots.clear();
+        self.arena.stats = ArenaStats::default();
+        self.calm_streak = 0;
     }
 
     /// Processes one input record: every live path is re-executed under
     /// every feasible choice vector.
     pub fn feed(&mut self, e: &U::Event) -> Result<()> {
         self.stats.records += 1;
-        self.arena.out.clear();
+        let out = &mut self.arena.out;
+        let ctx = &mut self.arena.explore;
+        out.clear();
         let forks_before = self.stats.forks;
         for path in &self.paths {
-            let mut ctx = SymCtx::symbolic();
+            ctx.rewind();
             loop {
                 // A shallow snapshot: aggregate fields share structure
                 // with `path` until written (COW at the type level).
                 let mut s = path.clone();
                 self.arena.stats.state_clones += 1;
                 ctx.begin_run();
-                self.uda.update(&mut s, &mut ctx, e);
+                self.uda.update(&mut s, ctx, e);
                 if let Some(err) = ctx.take_error() {
                     return Err(err);
                 }
-                self.arena.out.push(s);
+                out.push(s);
                 self.stats.runs += 1;
-                if self.arena.out.len() > self.cfg.max_paths_per_record {
+                if out.len() > self.cfg.max_paths_per_record {
                     return Err(Error::PathExplosion {
-                        paths: self.arena.out.len(),
+                        paths: out.len(),
                         bound: self.cfg.max_paths_per_record,
                     });
                 }
@@ -189,7 +218,6 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
             self.stats.forks += ctx.forks_taken();
         }
 
-        let out = &mut self.arena.out;
         let do_merge = match self.cfg.merge_policy {
             MergePolicy::Eager => out.len() > 1,
             MergePolicy::HighWater => out.len() > self.high_water,
@@ -204,7 +232,7 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
         self.stats.max_live_paths = self.stats.max_live_paths.max(out.len());
         // Generation swap: the new paths move in, the previous generation
         // becomes the next record's (cleared) output buffer.
-        std::mem::swap(&mut self.paths, &mut self.arena.out);
+        std::mem::swap(&mut self.paths, out);
         self.calm_streak = if self.stats.forks == forks_before {
             self.calm_streak.saturating_add(1)
         } else {
@@ -276,7 +304,7 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
         self.arena.stats.snapshot_states += live as u64;
         for (j, e) in window.iter().enumerate() {
             for k in 0..live {
-                self.arena.probe.begin_probe();
+                self.arena.probe.rewind();
                 self.uda
                     .update(&mut self.paths[k], &mut self.arena.probe, e);
                 if self.arena.probe.fork_refused() || self.arena.probe.has_error() {
@@ -328,38 +356,59 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
     /// fresh symbolic state (§5.2's fallback: the mapper emits multiple
     /// summaries that the reducer applies in order).
     fn flush_restart(&mut self) {
-        let done = Summary::new(std::mem::take(&mut self.paths));
-        debug_assert!(
-            done.paths_pairwise_disjoint(),
-            "engine emitted overlapping path constraints"
-        );
-        self.emitted.push(done);
-        let mut fresh = self.uda.init();
-        make_state_symbolic(&mut fresh);
-        self.paths = vec![fresh];
+        debug_assert_disjoint(&self.paths);
+        self.emitted.append(&mut self.paths);
+        self.emitted_ends.push(self.emitted.len());
+        self.paths.push(self.start.clone());
         self.high_water = 1;
         self.stats.restarts += 1;
     }
 
-    /// Completes the chunk, returning the summary chain and statistics.
-    pub fn finish(mut self) -> (SummaryChain<U::State>, ExploreStats) {
-        let last = Summary::new(std::mem::take(&mut self.paths));
-        debug_assert!(
-            last.paths_pairwise_disjoint(),
-            "engine emitted overlapping path constraints"
-        );
-        self.emitted.push(last);
-        (SummaryChain::new(self.emitted), self.stats)
+    /// Appends the chunk's summary chain — the flushed summaries, then the
+    /// live paths — in the bytes [`SummaryChain::encode`] writes for what
+    /// [`SymbolicExecutor::finish`] returns, without building the chain.
+    pub fn encode_chain(&self, buf: &mut Vec<u8>) {
+        debug_assert_disjoint(&self.paths);
+        put_uvarint(buf, self.emitted_ends.len() as u64 + 1);
+        let mut from = 0;
+        for &end in &self.emitted_ends {
+            encode_paths(&self.emitted[from..end], buf);
+            from = end;
+        }
+        encode_paths(&self.paths, buf);
     }
+
+    /// Completes the chunk, returning the summary chain and statistics.
+    pub fn finish(self) -> (SummaryChain<U::State>, ExploreStats) {
+        debug_assert_disjoint(&self.paths);
+        let mut summaries = Vec::with_capacity(self.emitted_ends.len() + 1);
+        let (mut emitted, mut from) = (self.emitted.into_iter(), 0);
+        for end in self.emitted_ends {
+            summaries.push(Summary::new(emitted.by_ref().take(end - from).collect()));
+            from = end;
+        }
+        summaries.push(Summary::new(self.paths));
+        (SummaryChain::new(summaries), self.stats)
+    }
+}
+
+/// Debug builds check each summary as it is completed.
+fn debug_assert_disjoint<S: SymState>(paths: &[S]) {
+    debug_assert!(
+        paths_pairwise_disjoint(paths),
+        "engine emitted overlapping path constraints"
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compose::{apply_chain, apply_summary};
+    use crate::ctx::SymCtx;
     use crate::impl_sym_state;
     use crate::interval::Interval;
     use crate::types::sym_int::SymInt;
+    use proptest::prelude::*;
 
     struct MaxUda;
 
@@ -744,6 +793,147 @@ mod tests {
             fork_clones <= 8,
             "fork over a big state took {fork_clones} clones"
         );
+    }
+
+    /// Every way a chunk can go: calm stretches that batch (`e % 4 == 0`),
+    /// one- and three-way forking records (the latter trips a small
+    /// per-record bound mid-record), restarts under a small total bound,
+    /// and an overflow that a probe window meets first (`e >= 1000`).
+    struct ForkyUda;
+
+    #[derive(Clone, Debug)]
+    struct ForkyState {
+        a: SymInt,
+        b: SymInt,
+        c: SymInt,
+    }
+    impl_sym_state!(ForkyState { a, b, c });
+
+    impl Uda for ForkyUda {
+        type State = ForkyState;
+        type Event = i64;
+        type Output = i64;
+        fn init(&self) -> ForkyState {
+            ForkyState {
+                a: SymInt::new(0),
+                b: SymInt::new(0),
+                c: SymInt::new(0),
+            }
+        }
+        fn update(&self, s: &mut ForkyState, ctx: &mut SymCtx, e: &i64) {
+            if *e >= 1000 {
+                s.c.add(ctx, i64::MAX / 2);
+                return;
+            }
+            s.c.add(ctx, 1);
+            if e % 4 != 0 && s.a.lt(ctx, *e) {
+                s.a.assign(*e);
+            }
+            if e % 4 == 3 {
+                if s.b.gt(ctx, -*e) {
+                    s.b.assign(-*e);
+                }
+                if s.c.lt(ctx, *e) {
+                    s.c.add(ctx, *e);
+                }
+            }
+        }
+        fn result(&self, s: &ForkyState, _ctx: &mut SymCtx) -> i64 {
+            s.c.concrete_value().unwrap_or(0)
+        }
+    }
+
+    /// Feeds each stream to a fresh executor and to `reused` after a
+    /// `reset()`: outcome, statistics and chain bytes must agree, whatever
+    /// the previous stream left behind. Returns each stream's outcome.
+    fn assert_reuse_is_invisible(cfg: EngineConfig, streams: &[Vec<i64>]) -> Vec<Result<()>> {
+        let mut reused = SymbolicExecutor::new(&ForkyUda, cfg);
+        let mut outcomes = Vec::new();
+        for events in streams {
+            let mut fresh = SymbolicExecutor::new(&ForkyUda, cfg);
+            let want = fresh.feed_slice(events);
+            reused.reset();
+            assert_eq!(reused.feed_slice(events), want);
+            assert_eq!(reused.stats(), fresh.stats());
+            assert_eq!(reused.arena_stats(), fresh.arena_stats());
+            if want.is_ok() {
+                let mut in_place = Vec::new();
+                reused.encode_chain(&mut in_place);
+                let (chain, stats) = fresh.finish();
+                assert_eq!(in_place, chain.to_bytes());
+                assert_eq!(reused.stats(), stats);
+            }
+            outcomes.push(want);
+        }
+        outcomes
+    }
+
+    #[test]
+    fn reset_after_a_refusal_mid_record_leaves_no_trace() {
+        let calm = vec![4i64; 12];
+        // Forks, then a three-way record over several live paths: the
+        // per-record bound trips with `out` half filled.
+        let exploding = [vec![1, 5, 9, 3, 7, 11], calm.clone()].concat();
+        // The overflow is met inside a batch window: the probe latches it,
+        // the window rolls back, the replay reports it.
+        let overflowing = [calm.clone(), vec![1000, 1000, 1000, 4]].concat();
+        let restarting = vec![1, 5, 9, 13, 17, 21, 4, 4];
+        let cfg = EngineConfig {
+            max_paths_per_record: 4,
+            max_total_paths: 3,
+            merge_policy: MergePolicy::Never,
+        };
+        let streams = [exploding, calm, overflowing, restarting, vec![]];
+        let outcomes = assert_reuse_is_invisible(cfg, &streams);
+        assert!(matches!(outcomes[0], Err(Error::PathExplosion { .. })));
+        assert_eq!(outcomes[1], Ok(()));
+        assert!(matches!(outcomes[2], Err(Error::ArithmeticOverflow { .. })));
+        assert_eq!(outcomes[3], Ok(()));
+
+        let mut exec = SymbolicExecutor::new(&ForkyUda, cfg);
+        exec.feed_slice(&streams[3]).unwrap();
+        assert!(exec.stats().restarts > 0, "the fixture must restart");
+        exec.feed_slice(&streams[2]).unwrap_err();
+        assert!(exec.arena_stats().rollbacks > 0, "the probe must meet it");
+    }
+
+    #[test]
+    fn reset_forgets_the_high_water_mark() {
+        // Under `HighWater` a mark left at 3 would keep the second
+        // stream's three paths from reaching the merger.
+        let cfg = EngineConfig::default();
+        let streams = [vec![1, 5, 9, 3], vec![5, 2, 10]];
+        let mut exec = SymbolicExecutor::new(&ForkyUda, cfg);
+        exec.feed_slice(&streams[0]).unwrap();
+        assert!(exec.live_paths().len() >= 3);
+        exec.reset();
+        exec.feed_slice(&streams[1]).unwrap();
+        assert!(exec.stats().merges >= 1, "the fixture must merge");
+        assert_reuse_is_invisible(cfg, &streams);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// One executor, `reset()` between streams, is a fresh executor per
+        /// stream — chain bytes, `ExploreStats`, arena counters and errors —
+        /// under every merge policy and bounds small enough to restart and
+        /// to refuse.
+        #[test]
+        fn a_reset_executor_is_a_fresh_executor(
+            streams in prop::collection::vec(
+                prop::collection::vec(prop_oneof![Just(4i64), Just(8), 0i64..40, 990i64..1010], 0..50),
+                1..6,
+            ),
+            policy in 0usize..3,
+            max_paths_per_record in 2usize..9,
+            max_total_paths in 1usize..6,
+        ) {
+            let merge_policy =
+                [MergePolicy::Eager, MergePolicy::HighWater, MergePolicy::Never][policy];
+            let cfg = EngineConfig { max_paths_per_record, max_total_paths, merge_policy };
+            assert_reuse_is_invisible(cfg, &streams);
+        }
     }
 
     #[test]

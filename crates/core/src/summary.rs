@@ -26,6 +26,42 @@ pub struct Summary<S: SymState> {
     paths: Vec<S>,
 }
 
+/// Serializes one summary's paths (wire v2; §2.3: compact network
+/// transfers): the path count, then every path's fields in template order.
+/// The decoder knows the field count from its template, and each field sees
+/// the same field of the previous path so repeated content is written once
+/// (see [`crate::state::SymField::encode_field`]).
+///
+/// Every summary is written by this function, whether it sits in a
+/// [`Summary`] or still in the executor that explored it.
+pub(crate) fn encode_paths<S: SymState>(paths: &[S], buf: &mut Vec<u8>) {
+    wire::put_uvarint(buf, paths.len() as u64);
+    let mut prev: Option<&S> = None;
+    for p in paths {
+        for i in 0..p.field_count() {
+            p.field_ref_at(i)
+                .encode_field(prev.map(|prev| prev.field_ref_at(i)), buf);
+        }
+        prev = Some(p);
+    }
+}
+
+/// [`Summary::paths_pairwise_disjoint`] over paths not (yet) wrapped in a
+/// summary.
+pub(crate) fn paths_pairwise_disjoint<S: SymState>(paths: &[S]) -> bool {
+    for i in 0..paths.len() {
+        for j in (i + 1)..paths.len() {
+            let fi = paths[i].fields_ref();
+            let fj = paths[j].fields_ref();
+            let all_overlap = fi.iter().zip(&fj).all(|(a, b)| a.constraint_overlaps(*b));
+            if all_overlap {
+                return false;
+            }
+        }
+    }
+    true
+}
+
 impl<S: SymState> Summary<S> {
     /// Wraps a set of explored paths as a summary.
     pub fn new(paths: Vec<S>) -> Summary<S> {
@@ -61,34 +97,12 @@ impl<S: SymState> Summary<S> {
     /// unless the same argument was decided both ways. Used as a validity
     /// diagnostic in tests.
     pub fn paths_pairwise_disjoint(&self) -> bool {
-        for i in 0..self.paths.len() {
-            for j in (i + 1)..self.paths.len() {
-                let fi = self.paths[i].fields_ref();
-                let fj = self.paths[j].fields_ref();
-                let all_overlap = fi.iter().zip(&fj).all(|(a, b)| a.constraint_overlaps(*b));
-                if all_overlap {
-                    return false;
-                }
-            }
-        }
-        true
+        paths_pairwise_disjoint(&self.paths)
     }
 
-    /// Serializes the summary (wire v2; §2.3: compact network transfers):
-    /// the path count, then every path's fields in template order. The
-    /// decoder knows the field count from its template, and each field sees
-    /// the same field of the previous path so repeated content is written
-    /// once (see [`crate::state::SymField::encode_field`]).
+    /// Serializes the summary: [`encode_paths`] over its paths.
     fn encode(&self, buf: &mut Vec<u8>) {
-        wire::put_uvarint(buf, self.paths.len() as u64);
-        let mut prev: Option<&S> = None;
-        for p in &self.paths {
-            for i in 0..p.field_count() {
-                p.field_ref_at(i)
-                    .encode_field(prev.map(|prev| prev.field_ref_at(i)), buf);
-            }
-            prev = Some(p);
-        }
+        encode_paths(&self.paths, buf);
     }
 
     /// Deserializes a summary.
@@ -175,12 +189,19 @@ impl<S: SymState> SummaryChain<S> {
         self.summaries.iter().map(Summary::len).sum()
     }
 
-    /// Serializes the chain.
+    /// Serializes the chain: the summary count, then each summary.
     pub fn encode(&self, buf: &mut Vec<u8>) {
         wire::put_uvarint(buf, self.summaries.len() as u64);
         for s in &self.summaries {
             s.encode(buf);
         }
+    }
+
+    /// Appends the bytes of `SummaryChain::single(Summary::singleton(path))`
+    /// without building either: what a concretely executed chunk ships.
+    pub fn encode_singleton(path: &S, buf: &mut Vec<u8>) {
+        wire::put_uvarint(buf, 1);
+        encode_paths(std::slice::from_ref(path), buf);
     }
 
     /// Deserializes a chain; see [`Summary::decode`] for `template`.

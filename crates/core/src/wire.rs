@@ -276,12 +276,18 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// Appends a slice the way `Vec<T>` encodes: the length, then each element.
+/// For callers whose elements sit in a larger buffer.
+pub fn put_slice<T: Wire>(buf: &mut Vec<u8>, items: &[T]) {
+    put_uvarint(buf, items.len() as u64);
+    for v in items {
+        v.encode(buf);
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_uvarint(buf, self.len() as u64);
-        for v in self {
-            v.encode(buf);
-        }
+        put_slice(buf, self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let n = get_len(buf)?;

@@ -8,7 +8,7 @@
 
 use symple_core::error::{Error, Result};
 use symple_core::uda::{run_sequential, Uda};
-use symple_core::wire::Wire;
+use symple_core::wire::{put_slice, Wire};
 
 use crate::groupby::{sorted_groups, GroupBy};
 use crate::job::{run_phases, Emits, JobConfig, JobOutput};
@@ -34,8 +34,8 @@ where
         // encoded for the shuffle and tallied at emit time.
         |seg| {
             let mut emits = Emits::new(cfg.num_reducers);
-            for (k, events) in sorted_groups(g, &seg.records) {
-                emits.emit(k, |buf| events.encode(buf));
+            for (k, events) in sorted_groups(g, &seg.records).iter() {
+                emits.emit(k.clone(), |buf| put_slice(buf, events));
             }
             Ok(emits)
         },

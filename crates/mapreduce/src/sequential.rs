@@ -1,13 +1,12 @@
 //! The single-thread sequential baseline of the multi-core evaluation
 //! (§6.2): "reads data sequentially and executes the UDA concretely."
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use symple_core::error::Result;
 use symple_core::uda::{run_sequential, Uda};
 
-use crate::groupby::GroupBy;
+use crate::groupby::{sorted_groups, GroupBy};
 use crate::job::JobOutput;
 use crate::metrics::JobMetrics;
 use crate::segment::Segment;
@@ -30,23 +29,11 @@ where
         ..JobMetrics::default()
     };
 
-    let mut groups: HashMap<G::Key, Vec<G::Event>> = HashMap::new();
-    let mut pairs = Vec::new();
-    for seg in segments {
-        for r in &seg.records {
-            pairs.clear();
-            g.extract_all(r, &mut pairs);
-            for (k, e) in pairs.drain(..) {
-                groups.entry(k).or_default().push(e);
-            }
-        }
-    }
-
+    let groups = sorted_groups(g, segments.iter().flat_map(|seg| &seg.records));
     let mut results = Vec::with_capacity(groups.len());
-    for (key, events) in groups {
-        results.push((key, run_sequential(uda, events.iter())?));
+    for (key, events) in groups.iter() {
+        results.push((key.clone(), run_sequential(uda, events)?));
     }
-    results.sort_by(|a, b| a.0.cmp(&b.0));
     metrics.groups = results.len() as u64;
     let elapsed = start.elapsed();
     metrics.map_wall = elapsed;

@@ -31,12 +31,12 @@ use symple_core::engine::{ExploreStats, SymbolicExecutor};
 use symple_core::error::{Error, Result};
 use symple_core::frame::{fnv1a, fnv1a_words, FrameMeta};
 use symple_core::state::SymState;
-use symple_core::summary::{Summary, SummaryChain};
+use symple_core::summary::SummaryChain;
 use symple_core::uda::{extract_result, run_concrete_state, Uda};
-use symple_core::wire::{get_bytes, get_len, get_uvarint, put_uvarint, Wire, WireError};
+use symple_core::wire::{get_bytes, get_len, get_uvarint, put_slice, put_uvarint, Wire, WireError};
 
 use crate::fault::FaultInjector;
-use crate::groupby::{sorted_groups, GroupBy, Key};
+use crate::groupby::{sorted_groups, GroupBy, Groups, Key};
 use crate::job::{run_phases, Emits, JobConfig, JobOutput, ReduceStrategy};
 use crate::metrics::JobMetrics;
 use crate::segment::Segment;
@@ -316,19 +316,10 @@ fn is_engine_refusal(e: &Error) -> bool {
     )
 }
 
-/// Appends a summary chain as a tagged shuffle payload.
-fn encode_chain_payload<S: SymState>(chain: &SummaryChain<S>, buf: &mut Vec<u8>) {
-    buf.push(PAYLOAD_CHAIN);
-    chain.encode(buf);
-}
-
 /// Appends a refused chunk's raw events as a tagged shuffle payload.
 fn encode_events_payload<E: Wire>(events: &[E], buf: &mut Vec<u8>) {
     buf.push(PAYLOAD_EVENTS);
-    put_uvarint(buf, events.len() as u64);
-    for e in events {
-        e.encode(buf);
-    }
+    put_slice(buf, events);
 }
 
 /// A decoded shuffle payload: either a composable summary chain or a
@@ -507,7 +498,7 @@ fn collapse_chains<S: SymState>(chains: &[SummaryChain<S>], template: &S) -> Res
 
 /// Digest of a chunk's grouped input — the frame-metadata component that
 /// detects checkpoints taken over different data.
-fn input_digest<K: Wire, E: Wire>(groups: &[(K, Vec<E>)]) -> u64 {
+fn input_digest<K: Wire, E: Wire>(groups: &Groups<K, E>) -> u64 {
     // One reused buffer and a word-wise fold: this runs over every input
     // event of every checkpointed map task, so the byte-serial FNV plus a
     // chunk-sized allocation would eat most of the checkpoint overhead
@@ -515,9 +506,9 @@ fn input_digest<K: Wire, E: Wire>(groups: &[(K, Vec<E>)]) -> u64 {
     let mut h = fnv1a(b"symple.chunk.input");
     let mut buf = Vec::with_capacity(256);
     put_uvarint(&mut buf, groups.len() as u64);
-    for (k, events) in groups {
+    for (k, events) in groups.iter() {
         k.encode(&mut buf);
-        events.encode(&mut buf);
+        put_slice(&mut buf, events);
         h = fnv1a_words(h, &buf);
         buf.clear();
     }
@@ -592,13 +583,15 @@ fn decode_checkpoint_payload<K: Key>(
 
 /// Executes one chunk's per-key aggregation: concrete for the globally
 /// first segment, symbolic otherwise, salvaging engine refusals as
-/// `NeedsConcrete` event payloads when the config allows. `groups` must
-/// ascend by key.
+/// `NeedsConcrete` event payloads when the config allows. One executor
+/// serves every key, [`SymbolicExecutor::reset`] between them, and writes
+/// each chain straight into the emit arena: the task allocates per segment,
+/// not per `(key, chunk)` cell.
 fn compute_chunk<U, K>(
     uda: &U,
     seg_id: usize,
     cfg: &JobConfig,
-    groups: Vec<(K, Vec<U::Event>)>,
+    groups: &Groups<K, U::Event>,
 ) -> Result<(Emits<K>, ExploreStats, u64)>
 where
     U: Uda,
@@ -608,33 +601,38 @@ where
     let mut emits = Emits::new(cfg.num_reducers);
     let mut stats = ExploreStats::default();
     let mut salvaged = 0u64;
-    for (key, events) in groups {
+    let mut exec = SymbolicExecutor::new(uda, cfg.engine);
+    for (key, events) in groups.iter() {
         if seg_id == 0 && cfg.first_segment_concrete {
             // The globally first segment holds every present key's first
             // chunk: run concretely from the true initial state (§2.2).
             // Errors here would hit sequential execution identically, so
             // they propagate rather than salvage.
-            let state = run_concrete_state(uda, events.iter())?;
-            let chain = SummaryChain::single(Summary::singleton(state));
-            emits.emit(key, |buf| encode_chain_payload(&chain, buf));
+            let state = run_concrete_state(uda, events)?;
+            emits.emit(key.clone(), |buf| {
+                buf.push(PAYLOAD_CHAIN);
+                SummaryChain::encode_singleton(&state, buf);
+            });
             continue;
         }
-        let mut exec = SymbolicExecutor::new(uda, cfg.engine);
+        exec.reset();
         // `feed_slice` engages the batched fast path on calm stretches;
         // it is byte-identical to per-record `feed` (executor tests pin
         // this), so summaries and caches are unaffected.
-        match exec.feed_slice(&events) {
+        match exec.feed_slice(events) {
             Ok(()) => {
-                let (chain, s) = exec.finish();
-                stats.absorb(s);
-                emits.emit(key, |buf| encode_chain_payload(&chain, buf));
+                stats.absorb(exec.stats());
+                emits.emit(key.clone(), |buf| {
+                    buf.push(PAYLOAD_CHAIN);
+                    exec.encode_chain(buf);
+                });
             }
             Err(e) if cfg.salvage_refused_chunks && is_engine_refusal(&e) => {
                 // Degraded completion: ship the raw events instead of
                 // failing the job; the reducer re-executes them
                 // concretely once the prefix state is resolved.
                 salvaged += 1;
-                emits.emit(key, |buf| encode_events_payload(&events, buf));
+                emits.emit(key.clone(), |buf| encode_events_payload(events, buf));
             }
             Err(e) => return Err(e),
         }
@@ -666,7 +664,7 @@ where
     };
 
     let Some(key) = store.key(seg.id, cfg, || input_digest(&groups)) else {
-        let (emits, stats, salvaged) = compute_chunk(uda, seg.id, cfg, groups)?;
+        let (emits, stats, salvaged) = compute_chunk(uda, seg.id, cfg, &groups)?;
         return Ok(output(emits, stats, salvaged));
     };
     let status = match store.lookup(&key) {
@@ -685,7 +683,7 @@ where
         ChunkLookup::Miss => ChunkStatus::Miss,
         ChunkLookup::Corrupt => ChunkStatus::Corrupt,
     };
-    let (emits, stats, salvaged) = compute_chunk(uda, seg.id, cfg, groups)?;
+    let (emits, stats, salvaged) = compute_chunk(uda, seg.id, cfg, &groups)?;
     store.save(&key, &encode_checkpoint_payload(&emits, &stats, salvaged));
     Ok(MapTaskOutput {
         status: Some(status),
@@ -701,6 +699,7 @@ mod tests {
     use crate::store::MemStore;
     use symple_core::ctx::SymCtx;
     use symple_core::impl_sym_state;
+    use symple_core::summary::Summary;
     use symple_core::types::{sym_bool::SymBool, sym_int::SymInt, sym_vector::SymVector};
 
     struct ByMod;
@@ -752,9 +751,9 @@ mod tests {
 
     type Output = Result<JobOutput<u8, Vec<i64>>>;
 
-    fn chain_payload(chain: &SummaryChain<RunsState>) -> Vec<u8> {
-        let mut buf = Vec::new();
-        encode_chain_payload(chain, &mut buf);
+    fn chain_payload<S: SymState>(chain: &SummaryChain<S>) -> Vec<u8> {
+        let mut buf = vec![PAYLOAD_CHAIN];
+        chain.encode(&mut buf);
         buf
     }
 
@@ -886,7 +885,7 @@ mod tests {
         let expect =
             extract_result(&uda, &run_concrete_state(&uda, events.iter()).unwrap()).unwrap();
 
-        let empty_chain = chain_payload(&SummaryChain::new(vec![]));
+        let empty_chain = chain_payload(&SummaryChain::<RunsState>::new(vec![]));
         let events_payload = events_payload(&events);
 
         for strategy in [ReduceStrategy::ApplyInOrder, ReduceStrategy::TreeCompose] {
@@ -1008,8 +1007,7 @@ mod tests {
         edit: impl FnOnce(&mut Vec<u8>),
     ) -> Result<Vec<i64>> {
         let uda = VecFirstUda;
-        let mut chain = Vec::new();
-        encode_chain_payload(&SummaryChain::single(Summary::new(paths)), &mut chain);
+        let mut chain = chain_payload(&SummaryChain::single(Summary::new(paths)));
         edit(&mut chain);
         let payloads: [&[u8]; 2] = [&events_payload(&[-3, 4]), &chain];
         let run = |strategy| {
@@ -1144,7 +1142,7 @@ mod tests {
         }
 
         let mut emits = Emits::new(3);
-        emits.emit(1u8, |buf| encode_chain_payload(&chain, buf));
+        emits.emit(1u8, |buf| buf.extend(chain_payload(&chain)));
         emits.emit(4u8, |buf| encode_events_payload(&[7i64], buf));
         let mut frame = encode_checkpoint_payload(&emits, &ExploreStats::default(), 1);
         // A frame's payload does not depend on the reducer count it was
@@ -1202,6 +1200,47 @@ mod tests {
             matches!(hard, Err(Error::PathExplosion { .. })),
             "salvage off must restore hard failure, got {hard:?}"
         );
+    }
+
+    #[test]
+    fn a_refused_cell_leaves_its_neighbours_and_the_task_stats_alone() {
+        // Keys 0 and 2 fork once (evens, then an odd); key 1 opens on an
+        // odd, forks three ways and trips the bound with the executor's
+        // output half written — and the same executor serves key 2 next.
+        let mut cfg = JobConfig::default();
+        cfg.engine.max_paths_per_record = 2;
+        let records = [10, 1, 2, 20, 6, 12, 5, 11, 7, 22];
+        let groups = sorted_groups(&ByMod, &records);
+        let (emits, stats, salvaged) = compute_chunk(&RunsUda, 1, &cfg, &groups).unwrap();
+
+        // Every cell on its own: a fresh executor, an owned chain.
+        let mut want = Vec::new();
+        let mut want_stats = ExploreStats::default();
+        for (key, events) in groups.iter() {
+            let mut exec = SymbolicExecutor::new(&RunsUda, cfg.engine);
+            want.push(match exec.feed_slice(events) {
+                Ok(()) => {
+                    let (chain, cell_stats) = exec.finish();
+                    want_stats.absorb(cell_stats);
+                    (*key, chain_payload(&chain))
+                }
+                Err(_) => (*key, events_payload(events)),
+            });
+        }
+        let tags: Vec<u8> = want.iter().map(|(_, payload)| payload[0]).collect();
+        assert_eq!(tags, [PAYLOAD_CHAIN, PAYLOAD_EVENTS, PAYLOAD_CHAIN]);
+        let got: Vec<_> = emits.cells().map(|(k, p)| (*k, p.to_vec())).collect();
+        assert_eq!(got, want);
+        assert_eq!((stats, salvaged), (want_stats, 1));
+        assert!(stats.forks > 0, "the ordinary cells must fork");
+
+        // And through the job: segment 0 concrete, segment 1 as above.
+        let segments = split_into_segments(&[records, records].concat(), 2, 64);
+        let sym = run_symple(&ByMod, &RunsUda, &segments, &cfg).unwrap();
+        let base = run_baseline(&ByMod, &RunsUda, &segments, &cfg).unwrap();
+        assert_eq!(sym.results, base.results);
+        assert_eq!(sym.metrics.chunks_salvaged_concrete, 1);
+        assert_eq!(sym.metrics.explore, stats);
     }
 
     #[test]
