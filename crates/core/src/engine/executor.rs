@@ -408,6 +408,8 @@ mod tests {
     use crate::impl_sym_state;
     use crate::interval::Interval;
     use crate::types::sym_int::SymInt;
+    use crate::types::sym_pred::SymPred;
+    use crate::types::sym_vector::SymVector;
     use proptest::prelude::*;
 
     struct MaxUda;
@@ -735,7 +737,7 @@ mod tests {
 
     #[derive(Clone, Debug)]
     struct VecLogState {
-        log: crate::types::sym_vector::SymVector<i64>,
+        log: SymVector<i64>,
         min: SymInt,
     }
     impl_sym_state!(VecLogState { log, min });
@@ -746,7 +748,7 @@ mod tests {
         type Output = i64;
         fn init(&self) -> VecLogState {
             VecLogState {
-                log: crate::types::sym_vector::SymVector::new(),
+                log: SymVector::new(),
                 min: SymInt::new(0),
             }
         }
@@ -793,6 +795,67 @@ mod tests {
             fork_clones <= 8,
             "fork over a big state took {fork_clones} clones"
         );
+    }
+
+    /// The gap detector of B1, B2 and R3: forks on a chunk's first record
+    /// only, then reports `(start, length)` of every gap on both paths.
+    struct GapUda;
+
+    #[derive(Clone, Debug)]
+    struct GapState {
+        prev: SymPred<i64>,
+        out: SymVector<i64>,
+    }
+    impl_sym_state!(GapState { prev, out });
+
+    impl Uda for GapUda {
+        type State = GapState;
+        type Event = i64;
+        type Output = usize;
+        fn init(&self) -> GapState {
+            GapState {
+                prev: SymPred::new(|prev: &i64, cur: &i64| cur - prev < 10)
+                    .with_initial_outcome(true),
+                out: SymVector::new(),
+            }
+        }
+        fn update(&self, s: &mut GapState, ctx: &mut SymCtx, ts: &i64) {
+            if !s.prev.eval(ctx, ts) {
+                s.out.push_scalar(s.prev.affine_scalar(1, 0).unwrap());
+                s.out.push_scalar(s.prev.affine_scalar(-1, *ts).unwrap());
+            }
+            s.prev.set(*ts);
+        }
+        fn result(&self, s: &GapState, _ctx: &mut SymCtx) -> usize {
+            s.out.len()
+        }
+    }
+
+    #[test]
+    fn output_pushed_inside_batch_windows_costs_a_cell_per_window() {
+        // A gap every third record: 2 000 records, ≈ 1 300 elements a path.
+        let stream: Vec<i64> = (0..2_000).map(|i| i * 4 + (i % 3) * 10).collect();
+        let mut exec = SymbolicExecutor::new(&GapUda, EngineConfig::default());
+        exec.feed_slice(&stream).unwrap();
+        let (stats, arena) = (exec.stats(), exec.arena_stats());
+        let paths = exec.live_paths();
+        assert_eq!(paths.len(), 2);
+        // A window's snapshot shares each path's tail cell, so the first
+        // push of a (window, path) opens a cell and the rest of the window
+        // grows it in place; a record explored the slow way clones the
+        // state and opens a cell for what it pushes.
+        let windows = arena.snapshot_states / paths.len() as u64;
+        let slow_records = stats.records - arena.batched_records;
+        assert!(slow_records <= 8, "{arena:?}");
+        for path in paths {
+            assert!(path.out.len() >= 1_300);
+            let cells = path.out.cells() as u64;
+            assert!(
+                cells <= windows + slow_records + 1,
+                "{cells} cells, {windows} windows, {slow_records} slow records"
+            );
+            assert!(path.out.len() as u64 >= 16 * cells);
+        }
     }
 
     /// Every way a chunk can go: calm stretches that batch (`e % 4 == 0`),

@@ -11,12 +11,25 @@
 //! vector, so the unknown prefix produced by earlier chunks cannot affect
 //! control flow and needs no constraint.
 //!
-//! Internally the vector is a **persistent list**: path exploration clones
-//! the whole aggregation state once per explored run, and a `Vec` payload
-//! would make that clone — and therefore the whole engine — quadratic in
-//! the output size. Structural sharing makes clones `O(1)` and lets
-//! sibling paths share their common prefix, which also makes the
-//! merge-time equality check `O(divergence)` instead of `O(length)`.
+//! Internally the vector is a **persistent list of cells**: path
+//! exploration clones the whole aggregation state once per explored run,
+//! and a `Vec` payload would make that clone — and therefore the whole
+//! engine — quadratic in the output size. Structural sharing makes clones
+//! `O(1)` and lets sibling paths share their common prefix, which also makes
+//! the merge-time equality check `O(divergence)` instead of `O(length)`.
+//!
+//! A cell holds up to `NODE_CAP` (64) consecutive elements (the first
+//! inline, the others in a `Vec`), so a long output costs an allocation, a
+//! free and a pointer chase per *cell*, not per element, and a cell that
+//! stays at one element costs what a one-element node did. The one rule that
+//! keeps this sound: **a cell is grown in place only while exactly one
+//! handle, and no `prev` link, refers to it** (`Arc::get_mut` on the tail
+//! succeeds). Whoever else could see a cell — a clone, a forked sibling, a
+//! batch window's snapshot, a younger cell chained onto it — holds a
+//! reference to it, so the test fails and the push opens a cell of its own
+//! instead. Every holder of a cell therefore sees all of it, for as long as
+//! it holds it: no per-handle "visible length" is needed, and two handles at
+//! the same cell hold equal lists.
 
 use std::sync::Arc;
 
@@ -84,11 +97,104 @@ impl<T> Elem<T> {
     }
 }
 
+/// Elements per cell. Large enough that a long output pays for a cell a few
+/// times per hundred elements, small enough that the elements a push may
+/// have to leave behind in a shared cell (and the one reservation a hostile
+/// run header can cause) stay a couple of kilobytes.
+const NODE_CAP: usize = 64;
+
 /// A persistent cons cell; `prev` points toward the front of the vector.
 #[derive(Debug)]
 struct Node<T> {
-    elem: Elem<T>,
+    /// The element that opened the cell, its oldest. Inline, so that a cell
+    /// that never gets a second element — most cells, where sibling paths
+    /// push in turn — is one allocation, as a one-element node was.
+    first: Elem<T>,
+    /// Up to `NODE_CAP - 1` elements after `first`, oldest first. Grown only
+    /// through `Arc::get_mut`, that is never while anyone else can see it.
+    rest: Vec<Elem<T>>,
     prev: Option<Arc<Node<T>>>,
+}
+
+impl<T> Node<T> {
+    fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
+
+    /// The elements, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &Elem<T>> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+}
+
+/// Reads a list newest element first, a slice of a cell at a time — the one
+/// walk behind equality, the wire encoder and back-reference decoding.
+struct Cursor<'a, T> {
+    /// The cell being read; `None` past the oldest element.
+    cell: Option<&'a Arc<Node<T>>>,
+    /// How many of `cell`'s elements, counted from its oldest, are still to
+    /// come.
+    left: usize,
+}
+
+impl<'a, T> Cursor<'a, T> {
+    fn new(tail: &'a Option<Arc<Node<T>>>) -> Cursor<'a, T> {
+        Cursor {
+            cell: tail.as_ref(),
+            left: tail.as_ref().map_or(0, |cell| cell.len()),
+        }
+    }
+
+    /// Whether both cursors stand at the same place in the same physical
+    /// cell (or both at the end): what is still to come is then one shared
+    /// list, equal without being read. Cursors that walk in step get here
+    /// by entering a shared cell together.
+    fn shares_rest_with(&self, other: &Cursor<'_, T>) -> bool {
+        self.left == other.left
+            && match (self.cell, other.cell) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            }
+    }
+
+    /// How many of the elements still to come lie in one slice: what is left
+    /// of the cell's `rest`, then its `first`.
+    fn contiguous(&self) -> usize {
+        match self.left {
+            0 | 1 => self.left,
+            left => left - 1,
+        }
+    }
+
+    /// The next elements — at most `max`, contiguous in one cell, oldest
+    /// first within the slice — or `None` if `max` is 0 or the oldest
+    /// element is behind.
+    fn next_slice(&mut self, max: usize) -> Option<&'a [Elem<T>]> {
+        let cell = self.cell.filter(|_| max > 0)?;
+        let n = self.contiguous().min(max);
+        let slice = match self.left - 1 {
+            0 => std::slice::from_ref(&cell.first),
+            rest => &cell.rest[rest - n..rest],
+        };
+        self.left -= n;
+        if self.left == 0 {
+            *self = Cursor::new(&cell.prev);
+        }
+        Some(slice)
+    }
+
+    /// The next `n` elements in append order: collected as at most two
+    /// slices per cell touched (not one entry per element), oldest first.
+    fn oldest_first(mut self, mut n: usize) -> impl Iterator<Item = &'a Elem<T>> + Clone {
+        let mut slices = Vec::new();
+        while let Some(slice) = self.next_slice(n) {
+            n -= slice.len();
+            slices.push(slice);
+        }
+        slices.reverse();
+        slices.into_iter().flatten()
+    }
 }
 
 /// An append-only vector of possibly-symbolic elements with `O(1)` clone.
@@ -119,8 +225,8 @@ impl<T: VecElem> Default for SymVector<T> {
 
 impl<T: VecElem> Drop for SymVector<T> {
     fn drop(&mut self) {
-        // Unlink iteratively: the default recursive drop of a long cons
-        // chain would overflow the stack. A node that is still shared
+        // Unlink cell by cell: the default recursive drop of a long cons
+        // chain would overflow the stack. A cell that is still shared
         // stops the walk — its remaining chain stays alive with the other
         // owner, whose own drop will continue the work.
         let mut cur = self.tail.take();
@@ -135,49 +241,48 @@ impl<T: VecElem> Drop for SymVector<T> {
 
 impl<T: VecElem> PartialEq for SymVector<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.sym_len == other.sym_len && lists_eq(&self.tail, &other.tail)
+        self.len == other.len && self.sym_len == other.sym_len && lists_eq(self, other)
     }
 }
 
-/// Element-wise equality with a structural-sharing shortcut: once both
-/// cursors reach the same node, the remaining prefix is shared and equal.
-fn lists_eq<T: VecElem>(a: &Option<Arc<Node<T>>>, b: &Option<Arc<Node<T>>>) -> bool {
-    let (mut x, mut y) = (a, b);
-    loop {
-        match (x, y) {
-            (None, None) => return true,
-            (Some(nx), Some(ny)) => {
-                if Arc::ptr_eq(nx, ny) {
-                    return true;
-                }
-                if nx.elem != ny.elem {
-                    return false;
-                }
-                x = &nx.prev;
-                y = &ny.prev;
-            }
-            _ => return false,
+/// Element-wise equality of two lists of one length, with a
+/// structural-sharing shortcut: once both cursors reach the same cell, the
+/// remaining prefix is shared and equal.
+fn lists_eq<T: VecElem>(a: &SymVector<T>, b: &SymVector<T>) -> bool {
+    let (mut x, mut y) = (Cursor::new(&a.tail), Cursor::new(&b.tail));
+    while !x.shares_rest_with(&y) {
+        let n = x.contiguous().min(y.contiguous());
+        if n == 0 || x.next_slice(n) != y.next_slice(n) {
+            return false;
         }
     }
+    true
 }
 
 /// How many trailing (newest) elements two lists have in common. Reaching
-/// a node both lists share ends the walk: everything older is shared too.
+/// a cell both lists share ends the walk: everything older is shared too.
 fn common_tail_len<T: VecElem>(a: &SymVector<T>, b: &SymVector<T>) -> usize {
-    let (mut x, mut y) = (&a.tail, &b.tail);
-    let mut n = 0;
-    while let (Some(nx), Some(ny)) = (x, y) {
-        if Arc::ptr_eq(nx, ny) {
+    let (mut x, mut y) = (Cursor::new(&a.tail), Cursor::new(&b.tail));
+    let mut common = 0;
+    loop {
+        if x.shares_rest_with(&y) {
             return a.len;
         }
-        if nx.elem != ny.elem {
-            break;
+        let n = x.contiguous().min(y.contiguous());
+        let (Some(xs), Some(ys)) = (x.next_slice(n), y.next_slice(n)) else {
+            return common;
+        };
+        let same = xs
+            .iter()
+            .rev()
+            .zip(ys.iter().rev())
+            .take_while(|(p, q)| p == q)
+            .count();
+        common += same;
+        if same < n {
+            return common;
         }
-        n += 1;
-        x = &nx.prev;
-        y = &ny.prev;
     }
-    n
 }
 
 impl<T: VecElem> SymVector<T> {
@@ -191,23 +296,74 @@ impl<T: VecElem> SymVector<T> {
         }
     }
 
-    /// The nodes, newest first.
+    /// The cells, newest first.
     fn nodes(&self) -> impl Iterator<Item = &Node<T>> {
         std::iter::successors(self.tail.as_deref(), |n| n.prev.as_deref())
     }
 
-    fn push_elem(&mut self, elem: Elem<T>) {
-        if elem.is_sym() {
-            self.sym_len += 1;
-        }
-        self.tail = Some(Arc::new(Node {
-            elem,
-            prev: self.tail.take(),
-        }));
-        self.len += 1;
+    /// The elements in append order.
+    fn iter(&self) -> impl Iterator<Item = &Elem<T>> + Clone {
+        Cursor::new(&self.tail).oldest_first(self.len)
     }
 
-    /// Whether this vector's list physically shares its newest node with
+    fn push_elem(&mut self, elem: Elem<T>) {
+        self.push_sized(elem, 1);
+    }
+
+    /// Appends `elem`: in place when this handle is the tail cell's only
+    /// holder and the cell has room, into a new cell with room for `expect`
+    /// elements otherwise. Either way the tail cell is this handle's alone
+    /// afterwards.
+    fn push_sized(&mut self, elem: Elem<T>, expect: usize) {
+        self.sym_len += usize::from(elem.is_sym());
+        self.len += 1;
+        match self.tail.as_mut().and_then(Arc::get_mut) {
+            Some(cell) if cell.len() < NODE_CAP => cell.rest.push(elem),
+            _ => {
+                let cell = Node {
+                    first: elem,
+                    rest: Vec::with_capacity(expect.clamp(1, NODE_CAP) - 1),
+                    prev: self.tail.take(),
+                };
+                self.tail = Some(Arc::new(cell));
+            }
+        }
+    }
+
+    /// Appends `n` elements drawn from `next`, stopping at its first error;
+    /// what was drawn before it stays appended. The writable cell is looked
+    /// up once per cell filled, not once per element. `room` caps what is
+    /// reserved ahead of the elements actually arriving — an `n` read off
+    /// the wire promises nothing.
+    fn extend<E>(
+        &mut self,
+        n: usize,
+        room: usize,
+        mut next: impl FnMut() -> std::result::Result<Elem<T>, E>,
+    ) -> std::result::Result<(), E> {
+        let mut left = n;
+        while left > 0 {
+            self.push_sized(next()?, left.min(room));
+            left -= 1;
+            let cell = self
+                .tail
+                .as_mut()
+                .and_then(Arc::get_mut)
+                .expect("a push leaves the tail cell to this handle alone");
+            let fill = left.min(NODE_CAP - cell.len());
+            cell.rest.reserve(fill.min(room));
+            for _ in 0..fill {
+                let elem = next()?;
+                self.sym_len += usize::from(elem.is_sym());
+                self.len += 1;
+                cell.rest.push(elem);
+            }
+            left -= fill;
+        }
+        Ok(())
+    }
+
+    /// Whether this vector's list physically shares its newest cell with
     /// `other` (diagnostics: lets tests pin that clones are O(1)
     /// structure-sharing snapshots rather than deep copies).
     pub fn shares_storage_with(&self, other: &SymVector<T>) -> bool {
@@ -216,6 +372,13 @@ impl<T: VecElem> SymVector<T> {
             (None, None) => true,
             _ => false,
         }
+    }
+
+    /// How many cells (allocations) this vector's list is chained from,
+    /// shared ones included (diagnostics: lets tests pin that output costs
+    /// per cell, not per element).
+    pub fn cells(&self) -> usize {
+        self.nodes().count()
     }
 
     /// Appends a concrete element.
@@ -284,8 +447,8 @@ impl<T: VecElem> SymVector<T> {
 
     /// The elements in append order (allocates; diagnostics and tests).
     pub fn elems(&self) -> Vec<Elem<T>> {
-        let mut out: Vec<_> = self.nodes().map(|n| n.elem.clone()).collect();
-        out.reverse();
+        let mut out = Vec::with_capacity(self.len);
+        out.extend(self.iter().cloned());
         out
     }
 
@@ -293,17 +456,20 @@ impl<T: VecElem> SymVector<T> {
     ///
     /// Used by `Result` functions, which run on a fully concretized state.
     pub fn concrete_elems(&self) -> Result<Vec<T>> {
-        self.elems()
-            .into_iter()
-            .map(|e| match e {
-                Elem::Concrete(v) => Ok(v),
-                Elem::Sym(_) => Err(Error::Uda(
-                    "vector still holds symbolic elements; result extraction requires a \
-                     fully concrete state"
-                        .into(),
-                )),
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.len);
+        for elem in self.iter() {
+            match elem {
+                Elem::Concrete(v) => out.push(v.clone()),
+                Elem::Sym(_) => {
+                    return Err(Error::Uda(
+                        "vector still holds symbolic elements; result extraction requires a \
+                         fully concrete state"
+                            .into(),
+                    ))
+                }
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -354,26 +520,26 @@ impl<T: VecElem> SymVector<T> {
         let header = wire::get_len(buf)?;
         let mut out = base.clone();
         let mut held = Ok(());
-        let mut push = |out: &mut SymVector<T>, e: Elem<T>| {
-            out.push_elem(match (e, transfers) {
-                (Elem::Sym(s), Some(t)) => substitute(s, t).unwrap_or_else(|err| {
-                    if held.is_ok() {
-                        held = Err(err);
-                    }
-                    Elem::Sym(s)
-                }),
-                (e, _) => e,
-            });
+        let mut stitch = |e: Elem<T>| match (e, transfers) {
+            (Elem::Sym(s), Some(t)) => substitute(s, t).unwrap_or_else(|err| {
+                if held.is_ok() {
+                    held = Err(err);
+                }
+                Elem::Sym(s)
+            }),
+            (e, _) => e,
         };
         for _ in 0..header >> 1 {
             let run = wire::get_len(buf)?;
-            for _ in 0..run >> 1 {
-                let e = if run & 1 != 0 {
-                    Elem::Sym(SymScalar::decode_affine(buf)?)
-                } else {
-                    Elem::Concrete(T::decode(buf)?)
-                };
-                push(&mut out, e);
+            // An element is a byte on the wire at least: a run header sizes
+            // no reservation beyond what is left of the buffer.
+            let (n, room) = (run >> 1, buf.len());
+            if run & 1 != 0 {
+                out.extend(n, room, || {
+                    SymScalar::decode_affine(buf).map(|s| stitch(Elem::Sym(s)))
+                })?;
+            } else {
+                out.extend(n, room, || T::decode(buf).map(Elem::Concrete))?;
             }
         }
         if header & 1 != 0 {
@@ -390,10 +556,12 @@ impl<T: VecElem> SymVector<T> {
                 // The whole of it: share the list instead of copying it.
                 out = prev.clone();
             } else {
-                let shared: Vec<_> = prev.nodes().take(n as usize).collect();
-                for node in shared.into_iter().rev() {
-                    push(&mut out, node.elem.clone());
-                }
+                let n = n as usize; // at most `prev.len`
+                let mut shared = Cursor::new(&prev.tail).oldest_first(n);
+                out.extend(n, n, || {
+                    let elem = shared.next().expect("checked against prev.len above");
+                    Ok::<_, WireError>(stitch(elem.clone()))
+                })?;
             }
         }
         *self = out;
@@ -405,9 +573,7 @@ impl<T: VecElem> SymField for SymVector<T> {
     fn make_symbolic(&mut self, id: FieldId) {
         // The unknown prefix lives in earlier chunks; the local vector
         // starts empty (hyperobject-style, §4.5).
-        self.tail = None;
-        self.len = 0;
-        self.sym_len = 0;
+        *self = SymVector::new(); // dropped cell by cell, not recursively
         self.id = Some(id);
     }
 
@@ -442,10 +608,10 @@ impl<T: VecElem> SymField for SymVector<T> {
         // elements, substituting symbolic references through the earlier
         // path's transfers.
         let mut stitched = prev.clone();
-        for e in self.elems() {
+        for e in self.iter() {
             stitched.push_elem(match e {
-                Elem::Sym(s) => substitute(s, transfers)?,
-                concrete => concrete,
+                Elem::Sym(s) => substitute(*s, transfers)?,
+                concrete => concrete.clone(),
             });
         }
         *self = stitched;
@@ -466,14 +632,21 @@ impl<T: VecElem> SymField for SymVector<T> {
         let shared = prev
             .and_then(downcast::<SymVector<T>>)
             .map_or(0, |p| common_tail_len(self, p));
-        let mut own: Vec<&Elem<T>> = self.nodes().skip(shared).map(|n| &n.elem).collect();
-        own.reverse();
-        let same_kind = |a: &&Elem<T>, b: &&Elem<T>| a.is_sym() == b.is_sym();
-        let runs = own.chunk_by(same_kind).count() as u64;
+        let own = self.iter().take(self.len - shared);
+        let (mut runs, mut kind) = (0u64, None);
+        for e in own.clone() {
+            if kind != Some(e.is_sym()) {
+                kind = Some(e.is_sym());
+                runs += 1;
+            }
+        }
         wire::put_uvarint(buf, runs << 1 | u64::from(shared > 0));
-        for run in own.chunk_by(same_kind) {
-            wire::put_uvarint(buf, (run.len() as u64) << 1 | u64::from(run[0].is_sym()));
-            for e in run {
+        let mut rest = own;
+        while let Some(first) = rest.clone().next() {
+            let symbolic = first.is_sym();
+            let run = rest.clone().take_while(|e| e.is_sym() == symbolic).count();
+            wire::put_uvarint(buf, (run as u64) << 1 | u64::from(symbolic));
+            for e in rest.by_ref().take(run) {
                 match e {
                     Elem::Concrete(v) => v.encode(buf),
                     Elem::Sym(SymScalar::Affine { field, a, b }) => {
@@ -522,8 +695,8 @@ impl<T: VecElem> SymField for SymVector<T> {
 
     fn facts(&self) -> FieldFacts {
         let mut refs: Vec<FieldId> = self
-            .elems()
-            .iter()
+            .nodes()
+            .flat_map(Node::iter)
             .filter_map(|e| match e {
                 Elem::Sym(SymScalar::Affine { field, .. }) => Some(*field),
                 _ => None,
@@ -556,7 +729,6 @@ impl<T: VecElem> SymField for SymVector<T> {
 
     fn describe(&self) -> String {
         let items: Vec<String> = self
-            .elems()
             .iter()
             .map(|e| match e {
                 Elem::Concrete(v) => format!("{v:?}"),
@@ -915,8 +1087,33 @@ mod tests {
                 available: 0
             })
         );
-        // A run that promises more elements than the buffer holds.
+        // A run that promises more elements than the buffer holds: by a
+        // hundred, and by 2^31 — which must fail on the missing bytes, not
+        // on a 48 GiB reservation.
         assert_eq!(decode(&[2, 200, 1, 2], None), Err(WireError::UnexpectedEof));
+        let mut long_run = vec![2u8];
+        wire::put_uvarint(&mut long_run, 1 << 32);
+        long_run.extend([1, 2]);
+        assert_eq!(decode(&long_run, None), Err(WireError::UnexpectedEof));
+        // A 2^62-element run header and a run count of `u64::MAX >> 1` are
+        // no lengths at all.
+        let mut huge_run = vec![2u8];
+        wire::put_uvarint(&mut huge_run, 1 << 63);
+        assert_eq!(
+            decode(&huge_run, None),
+            Err(WireError::LengthOverflow(1 << 63))
+        );
+        let mut many_runs = Vec::new();
+        wire::put_uvarint(&mut many_runs, u64::MAX - 1);
+        assert_eq!(
+            decode(&many_runs, None),
+            Err(WireError::LengthOverflow(u64::MAX - 1))
+        );
+        // … and one that is a length, 2^31 runs, ends where the bytes do.
+        let mut runs = Vec::new();
+        wire::put_uvarint(&mut runs, 1 << 32);
+        runs.extend([2, 7]);
+        assert_eq!(decode(&runs, None), Err(WireError::UnexpectedEof));
     }
 
     proptest! {
@@ -954,6 +1151,102 @@ mod tests {
         ]
     }
 
+    proptest! {
+        /// Up to six live handles under random interleavings of push (one
+        /// element, or a burst that crosses cell boundaries), clone —
+        /// so the next push on either side is a push on a clone — and
+        /// drop, each against a plain `Vec` of its own. After every step
+        /// every handle still reads as its model: a push through one
+        /// handle never shows through another, which is what "a cell two
+        /// handles share never grows" means.
+        #[test]
+        fn handles_behave_like_independent_vecs(
+            ops in prop::collection::vec((0u8..5, any::<usize>(), 1usize..80, elem()), 1..60),
+        ) {
+            let mut live: Vec<(SymVector<i64>, Vec<Elem<i64>>)> =
+                vec![(SymVector::new(), Vec::new())];
+            for (op, at, burst, e) in ops {
+                let at = at % live.len();
+                match op {
+                    0 | 1 => {
+                        live[at].0.push_elem(e.clone());
+                        live[at].1.push(e);
+                    }
+                    2 => {
+                        for k in 0..burst {
+                            let e = if k % 7 == 0 { e.clone() } else { Elem::Concrete(k as i64 % 3) };
+                            live[at].0.push_elem(e.clone());
+                            live[at].1.push(e);
+                        }
+                    }
+                    3 if live.len() < 6 => {
+                        let copy = live[at].clone();
+                        live.push(copy);
+                    }
+                    _ if live.len() > 1 => drop(live.swap_remove(at)),
+                    _ => {}
+                }
+                for (i, (v, model)) in live.iter().enumerate() {
+                    prop_assert_eq!(&v.elems(), model);
+                    prop_assert_eq!(v.len(), model.len());
+                    prop_assert_eq!(v.is_concrete(), !model.iter().any(Elem::is_sym));
+                    prop_assert!(v.cells() <= model.len());
+                    for (other, other_model) in &live {
+                        prop_assert_eq!(v == other, model == other_model);
+                    }
+                    let prev = &live[(i + 1) % live.len()].0;
+                    roundtrip_after(v, Some(prev));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ten_thousand_pushes_on_a_sole_owner_cost_a_cell_per_64() {
+        let mut v: SymVector<i64> = SymVector::new();
+        for i in 0..10_000 {
+            v.push(i);
+        }
+        assert!(
+            v.cells() <= 10_000usize.div_ceil(NODE_CAP) + 1,
+            "{}",
+            v.cells()
+        );
+        assert_eq!(v.concrete_elems().unwrap(), (0..10_000).collect::<Vec<_>>());
+        // A clone that comes and goes does not end in-place growth.
+        let before = v.cells();
+        drop(v.clone());
+        v.push(10_000);
+        assert_eq!(v.cells(), before);
+    }
+
+    #[test]
+    fn forked_siblings_own_one_cell_each_and_share_the_rest() {
+        let mut base: SymVector<i64> = SymVector::new();
+        for i in 0..100 {
+            base.push(i);
+        }
+        let (mut a, mut b) = (base.clone(), base.clone());
+        a.push(7);
+        b.push(8);
+        for sibling in [&a, &b] {
+            assert_eq!(sibling.cells(), base.cells() + 1);
+            let own = sibling.tail.as_ref().unwrap();
+            assert_eq!(own.len(), 1, "the shared cell did not grow");
+            assert!(Arc::ptr_eq(
+                own.prev.as_ref().unwrap(),
+                base.tail.as_ref().unwrap()
+            ));
+        }
+        assert_eq!(base.len(), 100);
+        assert_eq!(base.concrete_elems().unwrap(), (0..100).collect::<Vec<_>>());
+        // Each sibling's own cell is its alone: the next push stays in it.
+        a.push(9);
+        assert_eq!(a.cells(), base.cells() + 1);
+        assert_eq!(a.concrete_elems().unwrap()[99..], [99, 7, 9]);
+        assert_eq!(b.concrete_elems().unwrap()[99..], [99, 8]);
+    }
+
     #[test]
     fn string_vector_concrete_roundtrip() {
         let mut v: SymVector<String> = SymVector::new();
@@ -980,10 +1273,17 @@ mod tests {
     #[test]
     fn deep_list_drop_does_not_overflow_stack() {
         // A naive recursive Drop on the cons list would blow the stack.
+        // Cloning before each push keeps the tail shared, so every element
+        // opens a cell: 200 000 cells, not 3 125.
         let mut v: SymVector<i64> = SymVector::new();
         for i in 0..200_000 {
+            let held = v.clone();
             v.push(i);
+            drop(held);
         }
+        assert_eq!(v.cells(), 200_000);
+        let mut reset = v.clone();
         drop(v);
+        reset.make_symbolic(FieldId(0)); // the last owner, dropped by assignment
     }
 }

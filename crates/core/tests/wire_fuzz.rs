@@ -76,12 +76,26 @@ fn assert_tiers_agree(
 ) -> Result<(), TestCaseError> {
     let encoded = |s: Kitchen| Summary::singleton(s).to_bytes();
     let mut owned_rd = bytes;
-    let owned = SummaryChain::decode(&template(), &mut owned_rd)
+    let decoded = SummaryChain::decode(&template(), &mut owned_rd);
+    let consumed = bytes.len() - owned_rd.len();
+    // The allocation ceiling: whatever lengths the bytes claim, a decoded
+    // vector is chained from no more cells than bytes were read (+ 1).
+    for path in decoded
+        .iter()
+        .flat_map(|c| c.summaries())
+        .flat_map(|s| s.paths())
+    {
+        prop_assert!(path.v.cells() <= consumed + 1);
+    }
+    let owned = decoded
         .map_err(Error::Wire)
         .and_then(|chain| apply_chain(&chain, start));
     let mut wire_rd = bytes;
     let mut state = start.clone();
-    let wire = apply_encoded_chain(scratch, &mut wire_rd, &mut state).map(|()| state);
+    let applied = apply_encoded_chain(scratch, &mut wire_rd, &mut state);
+    let consumed = bytes.len() - wire_rd.len();
+    prop_assert!(state.v.cells() <= start.v.cells() + consumed + 1);
+    let wire = applied.map(|()| state);
     prop_assert_eq!(wire.map(encoded), owned.map(encoded));
     prop_assert_eq!(wire_rd, owned_rd);
     Ok(())
