@@ -3,7 +3,8 @@
 //! records, one text line per cell under `tests/golden/cells.txt`.
 //!
 //! A line pins what must not move commit over commit — the output
-//! fingerprint (equal to the sequential specification's, byte for byte),
+//! fingerprint (checked in the same process against the sequential run
+//! at the same scale, and across segment counts),
 //! the group count, the shuffle and summary byte counts and the
 //! exploration counters. Nothing timed is recorded: speed is the
 //! business of `benchmark/` at 1M records. If a change to these numbers
@@ -37,10 +38,12 @@ fn golden_path() -> String {
 }
 
 /// One measured cell: its name (`G1 SYMPLE 8seg`), its output
-/// fingerprint and its golden line (the name, then every pinned field).
+/// fingerprint, the sequential run's fingerprint at the same scale, and
+/// its golden line (the name, then every pinned field).
 struct Cell {
     name: String,
     hash: u64,
+    sequential: u64,
     line: String,
 }
 
@@ -52,6 +55,10 @@ fn measure_cells() -> Vec<Cell> {
         for segments in SEGMENTS {
             let mut scale = measurement_scale(id, RECORDS);
             scale.segments = segments;
+            let sequential = runner
+                .run(&scale, Backend::Sequential, &job)
+                .unwrap_or_else(|e| panic!("{id} Sequential {segments}seg: {e}"))
+                .output_hash;
             for backend in BACKENDS {
                 let name = format!("{id} {} {segments}seg", backend.label());
                 let run = runner
@@ -79,6 +86,7 @@ fn measure_cells() -> Vec<Cell> {
                 cells.push(Cell {
                     name,
                     hash: run.output_hash,
+                    sequential,
                     line,
                 });
             }
@@ -91,20 +99,31 @@ fn measure_cells() -> Vec<Cell> {
 fn golden_cells() {
     let cells = measure_cells();
 
+    // Checked before anything is written, so a regenerated file cannot pin
+    // a wrong answer: every execution strategy yields the sequential
+    // answer, and a query's input does not depend on how it is split, so
+    // its 2- and 8-segment rows share one fingerprint.
+    for cell in &cells {
+        assert_eq!(
+            cell.hash, cell.sequential,
+            "`{}` disagrees with the sequential run",
+            cell.name
+        );
+    }
+    for query in cells.chunks(BACKENDS.len() * SEGMENTS.len()) {
+        for cell in query {
+            assert_eq!(
+                cell.hash, query[0].hash,
+                "`{}` and `{}` disagree",
+                cell.name, query[0].name
+            );
+        }
+    }
+
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         let text: String = cells.iter().map(|c| format!("{}\n", c.line)).collect();
         std::fs::write(golden_path(), text).unwrap();
         return;
-    }
-
-    // Every execution strategy yields the sequential answer, so the two
-    // backends of a (query, segments) pair share one fingerprint.
-    for pair in cells.chunks(2) {
-        assert_eq!(
-            pair[0].hash, pair[1].hash,
-            "`{}` and `{}` disagree",
-            pair[0].name, pair[1].name
-        );
     }
 
     let golden: Vec<&str> = GOLDEN.lines().collect();

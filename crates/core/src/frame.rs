@@ -20,6 +20,8 @@
 //! are evidence of an operator-visible configuration or data change, not
 //! of storage rot.
 
+use std::hash::Hasher;
+
 use crate::wire::{get_bytes, get_len, get_uvarint, put_uvarint};
 
 /// Magic prefix of every checkpoint frame ("SYmple CheckPoint").
@@ -62,7 +64,8 @@ fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// FNV-1a over a byte slice — the deterministic digest used for engine
-/// configuration fingerprints and chunk input digests.
+/// configuration fingerprints and store namespaces (chunk input digests
+/// use [`WordHasher`]).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
 }
@@ -77,23 +80,104 @@ pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Word-at-a-time FNV fold: same xor-multiply structure as
-/// [`fnv1a_extend`] but consuming 8 bytes per multiply, with the
-/// byte-at-a-time tail for the remainder. Checkpointed map tasks digest
-/// every grouped input event, so the byte-serial fold would dominate the
-/// checkpoint overhead budget on large chunks. Produces different values
-/// than [`fnv1a_extend`] — callers pick one and stick with it.
-pub fn fnv1a_words(mut h: u64, bytes: &[u8]) -> u64 {
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h ^= u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A word-at-a-time [`Hasher`]: the digest of a chunk's grouped input
+/// (the store's content address) and of every output row
+/// (`QueryReport::output_hash`).
+///
+/// Each step xors one 64-bit word into the state, multiplies by an odd
+/// constant and xor-shifts. For a fixed word a step is a bijection of the
+/// state, so two inputs of one shape that differ in exactly one word never
+/// collide; the xor-shift carries high bits down, so — unlike an FNV-style
+/// xor-multiply fold, where flipping bit 63 of any two words cancels — a
+/// difference cannot ride in the top bit untouched. [`Hasher::write`]
+/// reads whole little-endian words and pads a trailing partial word,
+/// tagged with its length in the top byte and stepped with a second
+/// multiplier; an integer of up to 64 bits is one word, whatever its
+/// width. [`Hasher::finish`] runs a final avalanche so every input bit
+/// reaches every output bit.
+///
+/// Deterministic across runs and builds. `std` hashes an integer slice as
+/// its in-memory bytes, so a vector's digest differs between little- and
+/// big-endian hosts. Unkeyed: it resists accidental and structural
+/// collisions, not a deliberate 2^32 birthday search.
+#[derive(Debug, Clone, Copy)]
+pub struct WordHasher(u64);
+
+impl WordHasher {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    const TAIL_MUL: u64 = 0xd6e8_feb8_6659_fd93;
+
+    /// A hasher in its fixed initial state.
+    pub const fn new() -> WordHasher {
+        WordHasher(Self::SEED)
     }
-    for &b in chunks.remainder() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+
+    #[inline]
+    fn step(&mut self, word: u64, mul: u64) {
+        let x = (self.0 ^ word).wrapping_mul(mul);
+        self.0 = x ^ (x >> 29);
     }
-    h
+}
+
+impl Default for WordHasher {
+    fn default() -> WordHasher {
+        WordHasher::new()
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.step(
+                u64::from_le_bytes(w.try_into().expect("8-byte chunk")),
+                Self::WORD_MUL,
+            );
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            word[7] = tail.len() as u8;
+            self.step(u64::from_le_bytes(word), Self::TAIL_MUL);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(n.into());
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.step(n, Self::WORD_MUL);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        x ^ (x >> 33)
+    }
 }
 
 /// The identity a checkpoint frame claims: which chunk it holds and under
@@ -231,6 +315,7 @@ pub fn decode_frame(bytes: &[u8], expect: &FrameMeta) -> FrameCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const META: FrameMeta = FrameMeta {
         chunk_index: 7,
@@ -340,5 +425,80 @@ mod tests {
     fn fnv_digest_is_order_sensitive() {
         assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
         assert_eq!(fnv1a_extend(fnv1a(b"ab"), b"cd"), fnv1a(b"abcd"));
+    }
+
+    fn word_digest(bytes: &[u8]) -> u64 {
+        let mut h = WordHasher::new();
+        h.write(bytes);
+        h.finish()
+    }
+
+    /// The collision a xor-multiply word fold had: flipping bit 63 of two
+    /// words shifts its state by exactly 2^63 at every step, so the second
+    /// flip cancels the first.
+    #[test]
+    fn flipping_bit_63_of_any_two_words_changes_the_digest() {
+        let mut rng = crate::rng::Rng64::seed_from_u64(63);
+        for words in [2usize, 3, 5, 9] {
+            let base: Vec<u8> = (0..words * 8).map(|_| rng.gen::<u64>() as u8).collect();
+            let digest = word_digest(&base);
+            for i in 0..words {
+                for j in i + 1..words {
+                    let mut flipped = base.clone();
+                    flipped[i * 8 + 7] ^= 0x80;
+                    flipped[j * 8 + 7] ^= 0x80;
+                    assert_ne!(
+                        word_digest(&flipped),
+                        digest,
+                        "words {i} and {j} of {words}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_hasher_separates_lengths_and_write_kinds() {
+        // A padded tail is tagged with its length: trailing zero bytes count.
+        assert_ne!(word_digest(b"ab"), word_digest(b"ab\0"));
+        assert_ne!(word_digest(b""), word_digest(b"\0"));
+        // Seven bytes whose tagged word equals an eight-byte word's value.
+        assert_ne!(word_digest(b"abcdefg"), word_digest(b"abcdefg\x07"));
+        // Integer writes are one word each, independent of width.
+        let int = |f: &dyn Fn(&mut WordHasher)| {
+            let mut h = WordHasher::new();
+            f(&mut h);
+            h.finish()
+        };
+        assert_eq!(int(&|h| h.write_u8(7)), int(&|h| h.write_u64(7)));
+        assert_eq!(int(&|h| h.write_i64(-1)), int(&|h| h.write_u64(u64::MAX)));
+        assert_eq!(int(&|h| h.write_u64(7)), word_digest(&7u64.to_le_bytes()));
+        assert_ne!(int(&|h| h.write_u64(7)), int(&|h| h.write_u64(8)));
+    }
+
+    proptest! {
+        /// Two byte strings of one length that differ in exactly one
+        /// (possibly partial, trailing) word never digest equal: every step
+        /// is a bijection of the state for a fixed word.
+        #[test]
+        fn a_one_word_difference_never_collides(
+            bytes in prop::collection::vec(any::<u8>(), 1..80),
+            at in any::<u16>(),
+            xor in 1u64..=u64::MAX,
+        ) {
+            let words = bytes.len().div_ceil(8);
+            let start = (at as usize % words) * 8;
+            let end = (start + 8).min(bytes.len());
+            // Keep the xor inside the bytes that exist, and nonzero there.
+            let mut mask = xor.to_le_bytes();
+            if mask[..end - start].iter().all(|&b| b == 0) {
+                mask[0] = 1;
+            }
+            let mut other = bytes.clone();
+            for (b, m) in other[start..end].iter_mut().zip(mask) {
+                *b ^= m;
+            }
+            prop_assert_ne!(word_digest(&bytes), word_digest(&other));
+        }
     }
 }

@@ -29,7 +29,12 @@ pub trait Uda: Send + Sync {
     /// The per-record event type produced by the groupby.
     type Event;
     /// The aggregation result type.
-    type Output;
+    ///
+    /// `Hash` because a job's output is fingerprinted by value: every
+    /// `(key, output)` row goes through [`std::hash::Hash`] into a
+    /// [`crate::frame::WordHasher`], and backends must agree on the
+    /// fingerprint to agree with the sequential run (§2.3).
+    type Output: std::hash::Hash;
 
     /// The initial (concrete) aggregation state.
     fn init(&self) -> Self::State;

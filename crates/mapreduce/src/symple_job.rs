@@ -25,11 +25,13 @@
 //!   content; both save *inside* the map task, so whatever a killed run
 //!   finished is there for the next one.
 
+use std::hash::Hasher;
+
 use symple_core::compose::{apply_encoded_chain, apply_summary, tree_collapse};
 use symple_core::ctx::SymCtx;
 use symple_core::engine::{ExploreStats, SymbolicExecutor};
 use symple_core::error::{Error, Result};
-use symple_core::frame::{fnv1a, fnv1a_words, FrameMeta};
+use symple_core::frame::{FrameMeta, WordHasher};
 use symple_core::state::SymState;
 use symple_core::summary::SummaryChain;
 use symple_core::uda::{extract_result, run_concrete_state, Uda};
@@ -499,20 +501,23 @@ fn collapse_chains<S: SymState>(chains: &[SummaryChain<S>], template: &S) -> Res
 /// Digest of a chunk's grouped input — the frame-metadata component that
 /// detects checkpoints taken over different data.
 fn input_digest<K: Wire, E: Wire>(groups: &Groups<K, E>) -> u64 {
-    // One reused buffer and a word-wise fold: this runs over every input
-    // event of every checkpointed map task, so the byte-serial FNV plus a
-    // chunk-sized allocation would eat most of the checkpoint overhead
-    // budget (the ≤5% bench gate).
-    let mut h = fnv1a(b"symple.chunk.input");
+    // One reused buffer and a word-wise hash: this runs over every input
+    // event of every stored map task, so a byte-serial hash plus a
+    // chunk-sized allocation would eat most of the store's overhead budget.
+    // The group count and each group's wire bytes are self-delimiting, so
+    // one write per group digests the chunk's whole encoding.
+    let mut h = WordHasher::new();
+    h.write(b"symple.chunk.input");
     let mut buf = Vec::with_capacity(256);
     put_uvarint(&mut buf, groups.len() as u64);
     for (k, events) in groups.iter() {
         k.encode(&mut buf);
         put_slice(&mut buf, events);
-        h = fnv1a_words(h, &buf);
+        h.write(&buf);
         buf.clear();
     }
-    fnv1a_words(h, &buf)
+    h.write(&buf);
+    h.finish()
 }
 
 /// Serializes a completed chunk for its store frame: the cell count, every

@@ -164,7 +164,7 @@ where
     G: GroupBy,
     G::Record: symple_datagen::TextRecord + Clone,
     U: Uda<Event = G::Event>,
-    U::Output: Send + std::fmt::Debug,
+    U::Output: Send,
 {
     if scale.parse_lines {
         let lines = symple_datagen::to_lines(&records);

@@ -1,10 +1,10 @@
 //! Uniform execution of any query on any backend, with output
 //! fingerprinting for cross-backend validation.
 
-use std::fmt::Debug;
+use std::hash::{Hash, Hasher};
 
 use symple_core::error::Result;
-use symple_core::frame::{fnv1a, fnv1a_extend};
+use symple_core::frame::WordHasher;
 use symple_core::uda::Uda;
 use symple_mapreduce::{
     run_baseline, run_baseline_sorted, run_sequential_job, run_symple, GroupBy, JobConfig,
@@ -102,39 +102,27 @@ where
 pub struct QueryReport {
     /// Phase metrics from the job.
     pub metrics: JobMetrics,
-    /// Order-independent fingerprint of the results, for cross-backend
-    /// equality checks.
+    /// Fingerprint of the key-sorted results ([`hash_results`]), for
+    /// cross-backend equality checks.
     pub output_hash: u64,
     /// Number of result rows (groups with output).
     pub output_rows: u64,
 }
 
-/// An FNV-1a state that text is formatted *into*: hashing a row's debug
-/// rendering builds no `String`.
-struct FnvSink(u64);
-
-impl std::fmt::Write for FnvSink {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0 = fnv1a_extend(self.0, s.as_bytes());
-        Ok(())
-    }
-}
-
-/// Fingerprints a result set via its debug rendering (results arrive
-/// key-sorted, so equal outputs hash equally).
-pub fn hash_results<K: Debug, O: Debug>(results: &[(K, O)]) -> u64 {
-    use std::fmt::Write;
-    let mut h: u64 = 0;
-    for (k, o) in results {
-        let mut row = FnvSink(fnv1a(b""));
-        write!(row, "{k:?}|{o:?}").expect("the sink never fails");
-        h = h.wrapping_mul(31).wrapping_add(row.0);
-    }
-    h
+/// Fingerprints a result set by value: each `(key, output)` row goes
+/// through [`Hash`] into a fresh [`WordHasher`], and the row digests fold
+/// as `h·31 + row`. Results arrive key-sorted, so equal outputs hash
+/// equally, and the fold's order sensitivity catches ordering bugs.
+pub fn hash_results<K: Hash, O: Hash>(results: &[(K, O)]) -> u64 {
+    results.iter().fold(0, |h, row| {
+        let mut digest = WordHasher::new();
+        row.hash(&mut digest);
+        h.wrapping_mul(31).wrapping_add(digest.finish())
+    })
 }
 
 impl QueryReport {
-    fn of<K: Debug, O: Debug>(out: JobOutput<K, O>) -> QueryReport {
+    fn of<K: Hash, O: Hash>(out: JobOutput<K, O>) -> QueryReport {
         QueryReport {
             metrics: out.metrics,
             output_hash: hash_results(&out.results),
@@ -154,7 +142,7 @@ pub fn execute<G, U>(
 where
     G: GroupBy,
     U: Uda<Event = G::Event>,
-    U::Output: Send + Debug,
+    U::Output: Send,
 {
     Ok(QueryReport::of(match backend {
         Backend::Sequential => run_sequential_job(g, uda, segments)?,
@@ -178,7 +166,7 @@ pub fn execute_job<G, U>(
 where
     G: GroupBy,
     U: Uda<Event = G::Event>,
-    U::Output: Send + Debug,
+    U::Output: Send,
 {
     Ok(QueryReport::of(job.run(g, uda, segments)?))
 }
@@ -186,6 +174,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `hash_results` of the rows in `hash_is_pinned`: per row, words
+    /// `key, len, elements…` stepped from the seed, then the avalanche.
+    const PINNED: u64 = 0x8a00_c4e0_148f_478b;
 
     #[test]
     fn hash_distinguishes_results() {
@@ -196,15 +188,23 @@ mod tests {
     }
 
     #[test]
-    fn hash_is_the_fnv_fold_of_each_rows_debug_text() {
-        // Pinned against the definition: streaming the text into the hash
-        // must give what hashing the rendered `String` gave.
-        let rows = vec![(7u32, vec![1i64, -2]), (9, vec![])];
-        let expect = rows.iter().fold(0u64, |h, (k, o)| {
-            h.wrapping_mul(31)
-                .wrapping_add(fnv1a(format!("{k:?}|{o:?}").as_bytes()))
-        });
-        assert_eq!(hash_results(&rows), expect);
+    fn hash_is_pinned() {
+        // A silent redefinition of the fingerprint fails here before it
+        // reaches `golden/cells.txt`.
+        let rows = vec![(7u32, vec![1i64, -2]), (9, vec![]), (11, vec![i64::MIN])];
+        assert_eq!(hash_results(&rows), PINNED);
+        assert_eq!(hash_results::<u32, Vec<i64>>(&[]), 0);
+    }
+
+    #[test]
+    fn hash_sees_where_vectors_split() {
+        // Length prefixes keep row and element boundaries apart.
+        let split = vec![(1u32, vec![1i64]), (2, vec![2])];
+        let joined = vec![(1u32, vec![1i64, 2])];
+        assert_ne!(hash_results(&split), hash_results(&joined));
+        let empty = vec![(1u32, Vec::<i64>::new())];
+        let zero = vec![(1u32, vec![0i64])];
+        assert_ne!(hash_results(&empty), hash_results(&zero));
     }
 
     #[test]

@@ -7,11 +7,15 @@
 use proptest::prelude::*;
 
 use symple::core::frame::fnv1a;
+use symple::core::prelude::*;
+use symple::core::wire::{put_slice, put_uvarint, Wire};
 use symple::datagen::{
     generate_bing, generate_github, generate_redshift, generate_twitter, to_lines, BingConfig,
     GithubConfig, RedshiftConfig, TwitterConfig,
 };
-use symple::mapreduce::{Dataset, JobConfig, MemStore, SummaryCacheCtx};
+use symple::mapreduce::{
+    ChunkStore, Dataset, GroupBy, JobConfig, MemStore, Segment, SummaryCacheCtx, SympleJob,
+};
 use symple::queries::runner_by_id;
 use symple::queries::Backend;
 
@@ -271,4 +275,86 @@ proptest! {
         prop_assert_eq!(healed.metrics.cache_corrupt, 0, "{}", id);
         prop_assert_eq!(healed.output_hash, plain.output_hash, "{}", id);
     }
+}
+
+struct ByKey;
+impl GroupBy for ByKey {
+    type Record = (u8, i64);
+    type Key = u8;
+    type Event = i64;
+    fn extract(&self, r: &(u8, i64)) -> Option<(u8, i64)> {
+        Some(*r)
+    }
+}
+
+struct Sum;
+
+#[derive(Clone, Debug)]
+struct SumState {
+    sum: SymInt,
+}
+symple::core::impl_sym_state!(SumState { sum });
+
+impl Uda for Sum {
+    type State = SumState;
+    type Event = i64;
+    type Output = i64;
+    fn init(&self) -> SumState {
+        SumState {
+            sum: SymInt::new(0),
+        }
+    }
+    fn update(&self, s: &mut SumState, ctx: &mut SymCtx, e: &i64) {
+        s.sum.add(ctx, *e);
+    }
+    fn result(&self, s: &SumState, _ctx: &mut SymCtx) -> i64 {
+        s.sum.concrete_value().expect("concrete")
+    }
+}
+
+/// Two one-key chunks whose grouped input — group count, key, events: the
+/// input digest's first write after its tag — wire-encodes to 17 bytes
+/// that differ only in bit 7 of bytes 7 and 15, bit 63 of the first two
+/// words. A xor-multiply word fold digested them equal, so the second job
+/// was served the first one's cached summary and returned its sum. Each
+/// chunk must be its own cache entry and return its own answer.
+#[test]
+fn chunks_differing_in_two_top_bits_are_distinct_cache_entries() {
+    let a = [-67, -8_515, -1, -292_556_668_707_139i64];
+    let b = [-67, -1_057_091, -11_081_691_996_483, -1i64];
+    let encode = |events: &[i64]| {
+        let mut buf = Vec::new();
+        put_uvarint(&mut buf, 1);
+        0u8.encode(&mut buf);
+        put_slice(&mut buf, events);
+        buf
+    };
+    let diff: Vec<(usize, u8)> = encode(&a)
+        .iter()
+        .zip(encode(&b))
+        .enumerate()
+        .filter(|(_, (x, y))| *x != y)
+        .map(|(i, (x, y))| (i, x ^ y))
+        .collect();
+    assert_eq!(encode(&a).len(), 17);
+    assert_eq!(
+        diff,
+        [(7, 0x80), (15, 0x80)],
+        "the scenario's two flipped bits"
+    );
+
+    let cache = MemStore::new();
+    let ctx = SummaryCacheCtx::new(&cache);
+    let job = SympleJob::new(JobConfig::default()).with_store(ChunkStore::Cache(&ctx));
+    for (events, sum) in [(&a, -292_556_668_715_722i64), (&b, -11_081_693_053_642)] {
+        let segs = [Segment::new(0, events.map(|e| (0u8, e)).to_vec(), 0)];
+        let cached = job.run(&ByKey, &Sum, &segs).unwrap();
+        assert_eq!(cached.results, [(0u8, sum)], "{events:?}");
+        assert_eq!(
+            (cached.metrics.cache_hits, cached.metrics.cache_misses),
+            (0, 1),
+            "{events:?} must not be served another chunk's entry"
+        );
+    }
+    assert_eq!(cache.entry_count(), 2);
 }
