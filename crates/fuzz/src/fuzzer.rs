@@ -143,7 +143,7 @@ pub fn fuzz_matrix() -> Vec<Cell> {
             ..base
         },
         Cell {
-            executor: ExecutorKind::MapReduceTree,
+            executor: ExecutorKind::ChunkedTree,
             chunks: 3,
             ..base
         },

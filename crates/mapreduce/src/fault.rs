@@ -13,7 +13,7 @@
 //! task body so that it does — the shape the storage layer already has,
 //! where [`crate::store_io::FaultIo`] wraps the I/O that the store engine
 //! retries and [`crate::store_io::StorageFaultPlan`] schedules the disk
-//! faults (errno on the Nth op, torn writes, failed renames, latency).
+//! faults (errno on the Nth op, torn writes, failed renames).
 //! In both, a declarative plan, a counting injector, and tests that
 //! balance the two.
 

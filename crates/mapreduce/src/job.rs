@@ -52,19 +52,6 @@ use crate::scheduler::{run_scheduled, SchedulerConfig};
 use crate::segment::Segment;
 use crate::shuffle::{transpose, Buckets, MergeRuns, Run};
 
-/// How a SYMPLE reducer combines a key's summary chains (§3.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReduceStrategy {
-    /// Apply each mapper's chain to the running concrete state, in order —
-    /// linear work in the number of chains, no cross products.
-    #[default]
-    ApplyInOrder,
-    /// Collapse all chains into one summary by balanced symbolic
-    /// composition first (the associativity of §3.6; tree-parallel in a
-    /// real deployment), then apply once.
-    TreeCompose,
-}
-
 /// Configuration for one groupby-aggregate job.
 #[derive(Debug, Clone, Copy)]
 pub struct JobConfig {
@@ -77,8 +64,6 @@ pub struct JobConfig {
     pub reduce_workers: usize,
     /// Symbolic-engine tuning (SYMPLE jobs only).
     pub engine: EngineConfig,
-    /// How reducers combine summary chains.
-    pub reduce_strategy: ReduceStrategy,
     /// Whether the globally first segment's mapper runs the UDA
     /// *concretely* from the true initial state (Figure 2's "partial
     /// aggregation"). Disable to force symbolic execution in every mapper,
@@ -108,7 +93,6 @@ impl Default for JobConfig {
             map_workers: cores,
             reduce_workers: cores,
             engine: EngineConfig::default(),
-            reduce_strategy: ReduceStrategy::default(),
             first_segment_concrete: true,
             salvage_refused_chunks: true,
             scheduler: SchedulerConfig::default(),

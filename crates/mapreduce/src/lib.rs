@@ -87,7 +87,7 @@ pub use chain::{fold_metrics, run_two_stage};
 pub use dataset::Dataset;
 pub use fault::{FaultInjector, FaultPlan};
 pub use groupby::{GroupBy, Key};
-pub use job::{JobConfig, JobOutput, ReduceStrategy};
+pub use job::{JobConfig, JobOutput};
 pub use metrics::JobMetrics;
 pub use scheduler::{
     run_scheduled, Attempt, AttemptOutcome, AttemptRecord, Crashed, PhaseTiming, ScheduledRun,
@@ -107,7 +107,7 @@ pub use store::{
     DiskStore as DiskCheckpointStore, DiskStore as DiskSummaryCache, FrameStore as SummaryCache,
 };
 pub use store_io::{
-    FaultIo, IoCounts, IoLedger, RealIo, RetryPolicy, StorageFaultKind, StorageFaultPlan,
-    StoreEngine, StoreIo, DEFAULT_FAILURE_BUDGET,
+    FaultIo, IoCounts, RealIo, RetryPolicy, StorageFaultKind, StorageFaultPlan, StoreIo,
+    DEFAULT_FAILURE_BUDGET,
 };
 pub use symple_job::{run_symple, run_symple_streaming, ChunkStore, SympleJob};

@@ -84,8 +84,8 @@ pub struct JobMetrics {
     /// Storage operations re-attempted after a transient I/O error, across
     /// every store attached to the run (checkpoint and summary cache).
     pub io_retries: u64,
-    /// Storage operations that ultimately failed — retries exhausted, the
-    /// backoff deadline spent, or a permanent error (`ENOSPC`, `EROFS`).
+    /// Storage operations that ultimately failed — retries exhausted or a
+    /// permanent error (`ENOSPC`, `EROFS`).
     pub io_gave_up: u64,
     /// I/O errors the attached stores observed. Excludes `NotFound`, which
     /// is a miss, not a fault; `io_errors == io_retries + io_gave_up`.

@@ -42,8 +42,10 @@ use symple_core::frame::{
     FRAME_VERSION,
 };
 
-use crate::job::{JobConfig, ReduceStrategy};
-use crate::store_io::{IoCounts, RetryPolicy, StoreEngine, StoreIo};
+use crate::job::JobConfig;
+use crate::store_io::{
+    IoCounts, RealIo, RetryPolicy, StoreEngine, StoreIo, DEFAULT_FAILURE_BUDGET,
+};
 
 /// Where frames live. Implementations store and retrieve *opaque frame
 /// bytes* keyed by `(namespace, id)`; all framing, checksumming and
@@ -227,12 +229,11 @@ pub fn config_fingerprint(cfg: &JobConfig) -> u64 {
 /// Fingerprint of every [`JobConfig`] knob that shapes a cached summary —
 /// the cache policy's namespace.
 ///
-/// Extends [`config_fingerprint`] — frame version, all
+/// [`config_fingerprint`] — frame version, all
 /// [`symple_core::engine::EngineConfig`] knobs (including analyzer-derived
 /// auto-tuning, which flows through `cfg.engine`),
-/// `first_segment_concrete`, and `salvage_refused_chunks` — with the
-/// reduce strategy, folded under a cache-domain tag so checkpoint and
-/// cache hashes never collide.
+/// `first_segment_concrete`, and `salvage_refused_chunks` — folded under a
+/// cache-domain tag so checkpoint and cache hashes never collide.
 ///
 /// Deliberately **excluded**: `num_reducers`, `map_workers`,
 /// `reduce_workers`, and the scheduler knobs. Those control parallelism
@@ -242,15 +243,7 @@ pub fn config_fingerprint(cfg: &JobConfig) -> u64 {
 /// The exclusion is pinned (in both directions) by
 /// `fingerprint_covers_exactly_the_output_shaping_knobs`.
 pub fn cache_config_fingerprint(cfg: &JobConfig) -> u64 {
-    let mut h = fnv1a_extend(config_fingerprint(cfg), b"symple.cache.v1");
-    h = fnv1a_extend(
-        h,
-        &[match cfg.reduce_strategy {
-            ReduceStrategy::ApplyInOrder => 0,
-            ReduceStrategy::TreeCompose => 1,
-        }],
-    );
-    h
+    fnv1a_extend(config_fingerprint(cfg), b"symple.cache.v1")
 }
 
 /// Content digest of one chunk for cache addressing.
@@ -397,8 +390,8 @@ impl FrameStore for MemStore {
 /// makes a config change's (or a finished job's) dead entries trivially
 /// identifiable and reclaimable.
 ///
-/// Every byte moves through an injectable [`StoreIo`] under a
-/// [`StoreEngine`]: transient errors are retried per [`RetryPolicy`], and
+/// Every byte moves through an injectable [`StoreIo`] under a retry
+/// engine: transient errors are retried per [`RetryPolicy`], and
 /// past the failure budget the store demotes to a no-op backend — loads
 /// answer `Ok(None)`, saves succeed without writing — so a dying disk
 /// degrades the job to correct-but-unpersisted instead of failing it.
@@ -418,7 +411,8 @@ impl DiskStore {
     /// Opens (creating if needed) a store rooted at `root`, on the real
     /// filesystem with the default retry policy and failure budget.
     pub fn new(root: impl Into<PathBuf>) -> io::Result<DiskStore> {
-        DiskStore::with_engine(root.into(), StoreEngine::real())
+        let policy = RetryPolicy::default();
+        DiskStore::with_io(root, Arc::new(RealIo), policy, DEFAULT_FAILURE_BUDGET)
     }
 
     /// Opens a store whose filesystem access runs through `io` under
@@ -430,10 +424,8 @@ impl DiskStore {
         policy: RetryPolicy,
         failure_budget: u64,
     ) -> io::Result<DiskStore> {
-        DiskStore::with_engine(root.into(), StoreEngine::new(io, policy, failure_budget))
-    }
-
-    fn with_engine(root: PathBuf, engine: StoreEngine) -> io::Result<DiskStore> {
+        let root = root.into();
+        let engine = StoreEngine::new(io, policy, failure_budget);
         // Best-effort: a root that cannot be created yet is not fatal —
         // every save retries `create_dir_all`, loads degrade to misses,
         // and a disk that stays broken demotes the store through the
@@ -483,18 +475,15 @@ impl FrameStore for DiskStore {
             .engine
             .run(|io| io.write(&tmp, frame))
             .and_then(|()| self.engine.run(|io| io.rename(&tmp, &path)));
-        if let Err(e) = commit {
+        if commit.is_err() {
             // Whether the write died (possibly leaving a torn prefix) or
             // the rename did (leaving an intact orphan), the tmp file must
             // not survive: a later crash-recovery sweep or ENOSPC budget
             // should never find stray `.tmp` litter. Best-effort — the
             // frame at `path` is still either the old one or absent.
             let _ = self.engine.run(|io| io.remove(&tmp));
-            return Err(e);
         }
-        // Durability point: a no-op on RealIo (the commit is the rename),
-        // but injectable, so slow/failing barriers are simulatable.
-        self.engine.run(|io| io.sync(&path))
+        commit
     }
 
     fn quarantine(&self, namespace: u64, id: u64, reason: &str) {
@@ -753,9 +742,6 @@ mod tests {
         let mut m = base;
         m.salvage_refused_chunks = !m.salvage_refused_chunks;
         assert_ne!(cache_config_fingerprint(&m), fp, "salvage_refused_chunks");
-        let mut m = base;
-        m.reduce_strategy = ReduceStrategy::TreeCompose;
-        assert_ne!(cache_config_fingerprint(&m), fp, "reduce_strategy");
 
         // Pure-parallelism knobs deliberately do NOT invalidate entries:
         // the same dataset on a different machine must stay warm.

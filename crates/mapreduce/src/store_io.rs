@@ -9,18 +9,17 @@
 //! This module makes that layer injectable, extending the deterministic
 //! [`crate::fault::FaultPlan`] idiom from task execution to storage:
 //!
-//! * [`StoreIo`] — the six primitive operations a store needs (read,
-//!   write, rename, create_dir, remove, plus a `sync` point);
+//! * [`StoreIo`] — the five primitive operations a store needs (read,
+//!   write, rename, create_dir, remove);
 //! * [`RealIo`] — `std::fs`, byte-for-byte the pre-trait behavior;
-//! * [`FaultIo`] — a seed-driven injector that fails the Nth operation
-//!   with a chosen errno, tears a write at an arbitrary byte offset,
-//!   fails a rename after the tmp file landed, and injects latency for
-//!   slow-disk simulation — while keeping ledger counters the chaos
-//!   tests balance against the store's own accounting;
-//! * [`RetryPolicy`] — attempt cap, deterministic exponential backoff
-//!   with seeded jitter, and a per-op backoff deadline, so transient
+//! * [`FaultIo`] — a seed-driven injector over [`RealIo`] that fails the
+//!   Nth operation with a chosen errno, tears a write at an arbitrary byte
+//!   offset, and fails a rename after the tmp file landed — while keeping
+//!   ledger counters the chaos tests balance against the store's own
+//!   accounting;
+//! * [`RetryPolicy`] — attempt cap and a doubling backoff, so transient
 //!   faults are retried and permanent ones escalate;
-//! * [`StoreEngine`] — the disk store's retry/ledger/demotion harness:
+//! * `StoreEngine` — the disk store's retry/ledger/demotion harness:
 //!   when an engine exceeds its failure budget it
 //!   *demotes* the store to a no-op backend (loads miss, saves vanish),
 //!   so the job completes correct-but-uncached instead of failing —
@@ -62,15 +61,11 @@ pub trait StoreIo: Send + Sync {
 
     /// Removes the file at `path`.
     fn remove(&self, path: &Path) -> io::Result<()>;
-
-    /// Durability point after a commit. [`RealIo`] keeps this a no-op —
-    /// the stores' crash contract (old frame or new frame, never torn)
-    /// comes from tmp + rename, and the pre-trait code issued no fsync —
-    /// but the hook exists so injectors can fault or delay the barrier.
-    fn sync(&self, path: &Path) -> io::Result<()>;
 }
 
-/// The production backend: `std::fs`, unchanged semantics.
+/// The production backend: `std::fs`, unchanged semantics. The stores'
+/// crash contract (old frame or new frame, never torn) comes from tmp +
+/// rename; no fsync is issued.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealIo;
 
@@ -93,10 +88,6 @@ impl StoreIo for RealIo {
 
     fn remove(&self, path: &Path) -> io::Result<()> {
         std::fs::remove_file(path)
-    }
-
-    fn sync(&self, _path: &Path) -> io::Result<()> {
-        Ok(())
     }
 }
 
@@ -159,8 +150,6 @@ pub struct StorageFaultPlan {
     /// Rename indices that fail *after* the tmp file landed: the write
     /// succeeded, the commit did not.
     pub fail_rename: Vec<u64>,
-    /// Every Nth operation stalls this long first (slow-disk simulation).
-    pub latency_every: Option<(u64, Duration)>,
     /// SABOTAGE ONLY: tear the write but report success — a deliberately
     /// buggy injector. The chaos harness's negated self-test proves the
     /// ledger-balance check catches this (the injector claims an error
@@ -191,39 +180,28 @@ impl StorageFaultPlan {
 }
 
 /// A [`StoreIo`] that injects the faults a [`StorageFaultPlan`] schedules,
-/// delegating everything else to an inner backend. Counters record what
-/// was actually injected so tests can balance them against the store's
-/// [`IoLedger`].
-pub struct FaultIo<I: StoreIo = RealIo> {
-    inner: I,
+/// delegating everything else to [`RealIo`]. Counters record what was
+/// actually injected so tests can balance them against the store's I/O
+/// ledger.
+pub struct FaultIo {
     plan: StorageFaultPlan,
     ops: AtomicU64,
     writes: AtomicU64,
     renames: AtomicU64,
     injected_errors: AtomicU64,
     torn_writes: AtomicU64,
-    latency_injections: AtomicU64,
 }
 
-impl FaultIo<RealIo> {
+impl FaultIo {
     /// An injector over the real filesystem.
-    pub fn new(plan: StorageFaultPlan) -> FaultIo<RealIo> {
-        FaultIo::wrapping(RealIo, plan)
-    }
-}
-
-impl<I: StoreIo> FaultIo<I> {
-    /// An injector over an arbitrary inner backend.
-    pub fn wrapping(inner: I, plan: StorageFaultPlan) -> FaultIo<I> {
+    pub fn new(plan: StorageFaultPlan) -> FaultIo {
         FaultIo {
-            inner,
             plan,
             ops: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             renames: AtomicU64::new(0),
             injected_errors: AtomicU64::new(0),
             torn_writes: AtomicU64::new(0),
-            latency_injections: AtomicU64::new(0),
         }
     }
 
@@ -244,21 +222,9 @@ impl<I: StoreIo> FaultIo<I> {
         self.torn_writes.load(Ordering::SeqCst)
     }
 
-    /// Operations that were stalled by injected latency.
-    pub fn latency_injections(&self) -> u64 {
-        self.latency_injections.load(Ordering::SeqCst)
-    }
-
-    /// Advances the global op sequence; injects latency and scheduled
-    /// op-level faults.
+    /// Advances the global op sequence; injects scheduled op-level faults.
     fn gate(&self) -> io::Result<()> {
         let n = self.ops.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some((every, delay)) = self.plan.latency_every {
-            if every > 0 && n.is_multiple_of(every) {
-                self.latency_injections.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(delay);
-            }
-        }
         if let Some(&(_, kind)) = self.plan.fail_op.iter().find(|(op, _)| *op == n) {
             self.injected_errors.fetch_add(1, Ordering::SeqCst);
             return Err(kind.to_error());
@@ -267,10 +233,10 @@ impl<I: StoreIo> FaultIo<I> {
     }
 }
 
-impl<I: StoreIo> StoreIo for FaultIo<I> {
+impl StoreIo for FaultIo {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         self.gate()?;
-        self.inner.read(path)
+        RealIo.read(path)
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -280,7 +246,7 @@ impl<I: StoreIo> StoreIo for FaultIo<I> {
             // The torn prefix really lands: that is what a power cut or
             // full disk leaves behind for the frame layer to catch.
             let torn = &bytes[..offset.min(bytes.len())];
-            self.inner.write(path, torn)?;
+            RealIo.write(path, torn)?;
             self.torn_writes.fetch_add(1, Ordering::SeqCst);
             self.injected_errors.fetch_add(1, Ordering::SeqCst);
             if self.plan.silent_tear {
@@ -289,7 +255,7 @@ impl<I: StoreIo> StoreIo for FaultIo<I> {
             }
             return Err(io::Error::other("injected torn write"));
         }
-        self.inner.write(path, bytes)
+        RealIo.write(path, bytes)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -301,22 +267,17 @@ impl<I: StoreIo> StoreIo for FaultIo<I> {
             self.injected_errors.fetch_add(1, Ordering::SeqCst);
             return Err(io::Error::other("injected rename failure"));
         }
-        self.inner.rename(from, to)
+        RealIo.rename(from, to)
     }
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
         self.gate()?;
-        self.inner.create_dir_all(path)
+        RealIo.create_dir_all(path)
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
         self.gate()?;
-        self.inner.remove(path)
-    }
-
-    fn sync(&self, path: &Path) -> io::Result<()> {
-        self.gate()?;
-        self.inner.sync(path)
+        RealIo.remove(path)
     }
 }
 
@@ -324,37 +285,22 @@ impl<I: StoreIo> StoreIo for FaultIo<I> {
 // Retry policy
 // ---------------------------------------------------------------------------
 
-/// When to retry a failed storage operation and how long to wait.
-///
-/// Backoff for attempt `k` (1-based) is `backoff_base * 2^(k-1)` plus a
-/// deterministic jitter of up to half that, derived from
-/// `(JITTER_SEED, op sequence, attempt)` — reproducible run to run, yet
-/// decorrelated across concurrent ops. An op stops retrying when the
-/// attempt cap is reached or the *summed* backoff it has scheduled would
-/// exceed `op_deadline`; the deadline is accounted in scheduled (virtual)
-/// time so fault schedules stay deterministic regardless of host speed.
+/// When to retry a failed storage operation and how long to wait: at most
+/// `max_attempts` tries, the first retry after `backoff`, each further
+/// retry after twice the previous wait.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts per operation (1 = never retry).
     pub max_attempts: u32,
-    /// First retry's base backoff; doubles each further attempt.
-    pub backoff_base: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub backoff_cap: Duration,
-    /// Budget on the summed backoff scheduled for one operation.
-    pub op_deadline: Duration,
+    /// The wait before the first retry; doubles each further retry.
+    pub backoff: Duration,
 }
-
-/// Seed for the deterministic backoff jitter.
-const JITTER_SEED: u64 = 0x10_5eed;
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
-            backoff_base: Duration::from_micros(500),
-            backoff_cap: Duration::from_millis(10),
-            op_deadline: Duration::from_millis(50),
+            backoff: Duration::from_micros(500),
         }
     }
 }
@@ -364,9 +310,7 @@ impl RetryPolicy {
     pub fn no_retries() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
-            op_deadline: Duration::ZERO,
+            backoff: Duration::ZERO,
         }
     }
 
@@ -374,28 +318,15 @@ impl RetryPolicy {
     /// at test speed.
     pub fn instant() -> RetryPolicy {
         RetryPolicy {
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
+            backoff: Duration::ZERO,
             ..RetryPolicy::default()
         }
     }
 
-    /// The backoff scheduled before retrying `attempt` (1-based) of the
-    /// engine's `op`-th operation. Pure function of the policy and its
-    /// arguments.
-    pub fn backoff(&self, op: u64, attempt: u32) -> Duration {
-        let exp = self
-            .backoff_base
-            .saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
-        let exp = exp.min(self.backoff_cap);
-        let half = exp.as_nanos() as u64 / 2;
-        if half == 0 {
-            return exp;
-        }
-        let mut rng = Rng64::seed_from_u64(
-            JITTER_SEED ^ op.rotate_left(17) ^ u64::from(attempt).rotate_left(41),
-        );
-        (exp + Duration::from_nanos(rng.gen_range(0..=half))).min(self.backoff_cap)
+    /// The wait before retry number `retry` (1-based).
+    fn wait_before(&self, retry: u32) -> Duration {
+        let doublings = retry.saturating_sub(1).min(31);
+        self.backoff.saturating_mul(1 << doublings)
     }
 }
 
@@ -404,7 +335,7 @@ impl RetryPolicy {
 /// semantic (`NotFound`) and resource-state kinds (`StorageFull`,
 /// `ReadOnlyFilesystem`, `PermissionDenied`, …) escalate immediately: no
 /// number of retries un-fills a disk.
-pub fn is_transient(e: &io::Error) -> bool {
+fn is_transient(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::Interrupted
@@ -422,7 +353,7 @@ pub fn is_transient(e: &io::Error) -> bool {
 /// `io_errors == io_retries + io_gave_up` — every observed error is
 /// followed by exactly one decision.
 #[derive(Debug, Default)]
-pub struct IoLedger {
+pub(crate) struct IoLedger {
     io_retries: AtomicU64,
     io_gave_up: AtomicU64,
     io_errors: AtomicU64,
@@ -431,7 +362,7 @@ pub struct IoLedger {
 
 impl IoLedger {
     /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> IoCounts {
+    pub(crate) fn snapshot(&self) -> IoCounts {
         IoCounts {
             io_retries: self.io_retries.load(Ordering::SeqCst),
             io_gave_up: self.io_gave_up.load(Ordering::SeqCst),
@@ -441,14 +372,15 @@ impl IoLedger {
     }
 }
 
-/// A snapshot of an [`IoLedger`] — also the unit of per-job attribution:
-/// stores outlive jobs, so the driver records `end.since(&start)`.
+/// A snapshot of a store's I/O ledger — also the unit of per-job
+/// attribution: stores outlive jobs, so the driver records
+/// `end.since(&start)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoCounts {
     /// Transient-error attempts that were retried.
     pub io_retries: u64,
-    /// Operations that ultimately failed (retries exhausted, deadline
-    /// spent, or a permanent error).
+    /// Operations that ultimately failed (retries exhausted or a
+    /// permanent error).
     pub io_gave_up: u64,
     /// I/O errors observed (excluding `NotFound`, which is a miss).
     pub io_errors: u64,
@@ -482,53 +414,44 @@ pub const DEFAULT_FAILURE_BUDGET: u64 = 4;
 /// Once `io_gave_up` reaches the failure budget the engine trips
 /// [`StoreEngine::demoted`]; the owning store then answers loads with a
 /// miss and drops saves, completing the job correct-but-uncached.
-pub struct StoreEngine {
+pub(crate) struct StoreEngine {
     io: Arc<dyn StoreIo>,
     policy: RetryPolicy,
     ledger: IoLedger,
     failure_budget: u64,
     demoted: AtomicBool,
-    op_seq: AtomicU64,
 }
 
 impl StoreEngine {
     /// An engine over an injectable backend.
-    pub fn new(io: Arc<dyn StoreIo>, policy: RetryPolicy, failure_budget: u64) -> StoreEngine {
+    pub(crate) fn new(
+        io: Arc<dyn StoreIo>,
+        policy: RetryPolicy,
+        failure_budget: u64,
+    ) -> StoreEngine {
         StoreEngine {
             io,
             policy,
             ledger: IoLedger::default(),
             failure_budget: failure_budget.max(1),
             demoted: AtomicBool::new(false),
-            op_seq: AtomicU64::new(0),
         }
     }
 
-    /// The production engine: [`RealIo`], default policy and budget.
-    pub fn real() -> StoreEngine {
-        StoreEngine::new(
-            Arc::new(RealIo),
-            RetryPolicy::default(),
-            DEFAULT_FAILURE_BUDGET,
-        )
-    }
-
     /// Whether the failure budget has tripped.
-    pub fn demoted(&self) -> bool {
+    pub(crate) fn demoted(&self) -> bool {
         self.demoted.load(Ordering::SeqCst)
     }
 
     /// The engine's I/O outcome counters.
-    pub fn ledger(&self) -> &IoLedger {
+    pub(crate) fn ledger(&self) -> &IoLedger {
         &self.ledger
     }
 
     /// Runs `f` against the backend under the retry policy. `NotFound`
     /// passes through uncounted (semantic absence, not an I/O fault);
     /// every other error is tallied and either retried or escalated.
-    pub fn run<T>(&self, f: impl Fn(&dyn StoreIo) -> io::Result<T>) -> io::Result<T> {
-        let op = self.op_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut scheduled = Duration::ZERO;
+    pub(crate) fn run<T>(&self, f: impl Fn(&dyn StoreIo) -> io::Result<T>) -> io::Result<T> {
         let mut attempt = 1u32;
         loop {
             match f(self.io.as_ref()) {
@@ -536,18 +459,15 @@ impl StoreEngine {
                 Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(e),
                 Err(e) => {
                     self.ledger.io_errors.fetch_add(1, Ordering::SeqCst);
-                    let backoff = self.policy.backoff(op, attempt);
-                    let out_of_road = attempt >= self.policy.max_attempts
-                        || scheduled + backoff > self.policy.op_deadline;
-                    if !is_transient(&e) || out_of_road {
+                    if !is_transient(&e) || attempt >= self.policy.max_attempts {
                         self.note_gave_up();
                         return Err(e);
                     }
                     self.ledger.io_retries.fetch_add(1, Ordering::SeqCst);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
+                    let wait = self.policy.wait_before(attempt);
+                    if !wait.is_zero() {
+                        std::thread::sleep(wait);
                     }
-                    scheduled += backoff;
                     attempt += 1;
                 }
             }
@@ -601,9 +521,6 @@ mod tests {
             Ok(())
         }
         fn remove(&self, _path: &Path) -> io::Result<()> {
-            Ok(())
-        }
-        fn sync(&self, _path: &Path) -> io::Result<()> {
             Ok(())
         }
     }
@@ -677,20 +594,20 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_and_capped() {
-        let p = RetryPolicy::default();
-        for op in [1u64, 7, 99] {
-            for attempt in 1..=6 {
-                let a = p.backoff(op, attempt);
-                let b = p.backoff(op, attempt);
-                assert_eq!(a, b, "same (op, attempt) must schedule identically");
-                assert!(a <= p.backoff_cap);
-            }
+    fn backoff_doubles_per_retry_and_instant_never_sleeps() {
+        let default = RetryPolicy::default();
+        let waits: Vec<Duration> = (1..=4).map(|retry| default.wait_before(retry)).collect();
+        assert_eq!(waits, [500, 1000, 2000, 4000].map(Duration::from_micros));
+        // The most a default-policy operation ever sleeps: two retries.
+        let total: Duration = (1..default.max_attempts)
+            .map(|r| default.wait_before(r))
+            .sum();
+        assert_eq!(total, Duration::from_micros(1500));
+
+        for (policy, attempts) in [(RetryPolicy::instant(), 3), (RetryPolicy::no_retries(), 1)] {
+            assert_eq!(policy.max_attempts, attempts);
+            assert!((1..=64).all(|retry| policy.wait_before(retry).is_zero()));
         }
-        // Exponential growth until the cap kicks in.
-        assert!(p.backoff(1, 2) > p.backoff(1, 1));
-        // Different ops jitter differently (decorrelated waiters).
-        assert_ne!(p.backoff(1, 1), p.backoff(2, 1));
     }
 
     #[test]

@@ -27,19 +27,18 @@
 
 use std::hash::Hasher;
 
-use symple_core::compose::{apply_encoded_chain, apply_summary, tree_collapse};
+use symple_core::compose::apply_encoded_chain;
 use symple_core::ctx::SymCtx;
 use symple_core::engine::{ExploreStats, SymbolicExecutor};
 use symple_core::error::{Error, Result};
 use symple_core::frame::{FrameMeta, WordHasher};
-use symple_core::state::SymState;
 use symple_core::summary::SummaryChain;
 use symple_core::uda::{extract_result, run_concrete_state, Uda};
 use symple_core::wire::{get_bytes, get_len, get_uvarint, put_slice, put_uvarint, Wire, WireError};
 
 use crate::fault::FaultInjector;
 use crate::groupby::{sorted_groups, GroupBy, Groups, Key};
-use crate::job::{run_phases, Emits, JobConfig, JobOutput, ReduceStrategy};
+use crate::job::{run_phases, Emits, JobConfig, JobOutput};
 use crate::metrics::JobMetrics;
 use crate::segment::Segment;
 use crate::store::{
@@ -204,7 +203,7 @@ impl<'a> ChunkStore<'a> {
 /// type handed to [`SympleJob::run`].
 #[derive(Clone, Copy)]
 pub struct SympleJob<'a> {
-    /// Parallelism, engine, reduce-strategy and scheduler knobs.
+    /// Parallelism, engine, first-segment, salvage and scheduler knobs.
     pub cfg: JobConfig,
     /// Where completed map chunks are looked up and persisted.
     pub store: ChunkStore<'a>,
@@ -273,7 +272,7 @@ impl<'a> SympleJob<'a> {
                 task.emits
             },
             |payloads| {
-                let state = compose_payloads(uda, &template, payloads, cfg.reduce_strategy)?;
+                let state = compose_payloads(uda, &template, payloads)?;
                 extract_result(uda, &state)
             },
         )?;
@@ -324,41 +323,25 @@ fn encode_events_payload<E: Wire>(events: &[E], buf: &mut Vec<u8>) {
     put_slice(buf, events);
 }
 
-/// A decoded shuffle payload: either a composable summary chain or a
-/// `NeedsConcrete` event list awaiting its prefix state.
-enum DecodedPayload<S: SymState, E> {
-    /// A symbolic summary chain.
-    Chain(SummaryChain<S>),
-    /// Raw events for concrete re-execution.
-    Events(Vec<E>),
-}
-
-/// Decodes a tagged shuffle payload, which must hold nothing else.
-fn decode_payload<S: SymState, E: Wire>(
-    template: &S,
-    payload: &[u8],
-) -> Result<DecodedPayload<S, E>> {
-    let Some((&tag, mut rd)) = payload.split_first() else {
-        return Err(Error::Wire(WireError::UnexpectedEof));
-    };
-    let decoded = match tag {
-        PAYLOAD_CHAIN => {
-            DecodedPayload::Chain(SummaryChain::decode(template, &mut rd).map_err(Error::Wire)?)
+/// Decodes a `NeedsConcrete` shuffle payload, which must hold nothing but
+/// its tag and events.
+fn decode_events<E: Wire>(payload: &[u8]) -> Result<Vec<E>> {
+    let mut rd = match payload.split_first() {
+        Some((&PAYLOAD_EVENTS, rd)) => rd,
+        Some((&other, _)) => {
+            return Err(Error::Uda(format!("unknown shuffle payload tag {other}")))
         }
-        PAYLOAD_EVENTS => {
-            let n = get_len(&mut rd).map_err(Error::Wire)?;
-            let mut events = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                events.push(E::decode(&mut rd).map_err(Error::Wire)?);
-            }
-            DecodedPayload::Events(events)
-        }
-        other => return Err(Error::Uda(format!("unknown shuffle payload tag {other}"))),
+        None => return Err(Error::Wire(WireError::UnexpectedEof)),
     };
+    let n = get_len(&mut rd).map_err(Error::Wire)?;
+    let mut events = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        events.push(E::decode(&mut rd).map_err(Error::Wire)?);
+    }
     if !rd.is_empty() {
         return Err(Error::Wire(WireError::TrailingBytes));
     }
-    Ok(decoded)
+    Ok(events)
 }
 
 /// Runs the UDA concretely over `events` *continuing from* `state` — the
@@ -377,67 +360,34 @@ fn run_events_from<U: Uda>(uda: &U, mut state: U::State, events: &[U::Event]) ->
 
 /// Folds one key's mapper-ordered payload sequence into a final state.
 ///
-/// `ApplyInOrder` keeps a running concrete state: chains are applied to it
+/// A running concrete state starts at `template`: chains are applied to it
 /// straight from their bytes ([`apply_encoded_chain`], with scratch states
 /// cloned once per key), event payloads are re-executed concretely in
-/// place. `TreeCompose` needs every path of every chain at once, so it
-/// alone decodes owned chains: it collapses each *run of consecutive
-/// chains* with balanced composition (§3.6), resolving the running state
-/// only at `NeedsConcrete` barriers — an empty run between two barriers (or
-/// at either end) collapses to the untouched running state via
-/// [`collapse_chains`]'s empty-case rule.
-fn compose_payloads<U>(
-    uda: &U,
-    template: &U::State,
-    payloads: &[&[u8]],
-    strategy: ReduceStrategy,
-) -> Result<U::State>
+/// place. The §3.6 tree reduction is not a way the job runs: the oracle's
+/// `chunked-tree` column holds it against the sequential result.
+fn compose_payloads<U>(uda: &U, template: &U::State, payloads: &[&[u8]]) -> Result<U::State>
 where
     U: Uda,
     U::Event: Wire,
 {
-    match strategy {
-        ReduceStrategy::ApplyInOrder => {
-            let mut state = template.clone();
-            let mut scratch = [(); 3].map(|()| template.clone());
-            for payload in payloads {
-                match payload.split_first() {
-                    // The wire tier: a chain is applied as it is parsed.
-                    Some((&PAYLOAD_CHAIN, mut rd)) => {
-                        let applied = apply_encoded_chain(&mut scratch, &mut rd, &mut state);
-                        // As in `decode_payload`, which refuses leftover
-                        // bytes before anything is applied.
-                        if !matches!(applied, Err(Error::Wire(_))) && !rd.is_empty() {
-                            return Err(Error::Wire(WireError::TrailingBytes));
-                        }
-                        applied?;
-                    }
-                    _ => match decode_payload::<U::State, U::Event>(template, payload)? {
-                        DecodedPayload::Events(events) => {
-                            state = run_events_from(uda, state, &events)?;
-                        }
-                        DecodedPayload::Chain(_) => unreachable!("chains take the wire tier"),
-                    },
+    let mut state = template.clone();
+    let mut scratch = [(); 3].map(|()| template.clone());
+    for payload in payloads {
+        match payload.split_first() {
+            // The wire tier: a chain is applied as it is parsed.
+            Some((&PAYLOAD_CHAIN, mut rd)) => {
+                let applied = apply_encoded_chain(&mut scratch, &mut rd, &mut state);
+                // Leftover bytes are refused ahead of any error the apply
+                // reported, unless the chain itself did not parse.
+                if !matches!(applied, Err(Error::Wire(_))) && !rd.is_empty() {
+                    return Err(Error::Wire(WireError::TrailingBytes));
                 }
+                applied?;
             }
-            Ok(state)
-        }
-        ReduceStrategy::TreeCompose => {
-            let mut state = template.clone();
-            let mut pending: Vec<SummaryChain<U::State>> = Vec::new();
-            for payload in payloads {
-                match decode_payload::<U::State, U::Event>(template, payload)? {
-                    DecodedPayload::Chain(chain) => pending.push(chain),
-                    DecodedPayload::Events(events) => {
-                        state = collapse_chains(&pending, &state)?;
-                        pending.clear();
-                        state = run_events_from(uda, state, &events)?;
-                    }
-                }
-            }
-            collapse_chains(&pending, &state)
+            _ => state = run_events_from(uda, state, &decode_events(payload)?)?,
         }
     }
+    Ok(state)
 }
 
 /// Runs a groupby-aggregate job the SYMPLE way: symbolic UDA in mappers,
@@ -473,29 +423,6 @@ where
     U::Output: Send,
 {
     run_symple(g, uda, segments, cfg)
-}
-
-/// Collapses a key's summary chains into one final state (§3.6: the
-/// balanced-tree composition path).
-///
-/// An empty chain set — a key whose every mapper emitted an empty chain,
-/// or the degenerate no-chain case — contributes no summaries, and
-/// `tree_collapse(&[])` is an [`Error::IncompleteSummary`]; the correct
-/// result is the untouched initial state, so that case short-circuits to
-/// `template.clone()` instead of erroring. The same rule makes salvaged
-/// `NeedsConcrete` chunks compose at chain boundaries: `template` here is
-/// the *running* state mid-sequence, and an empty run of chains between
-/// two concrete barriers must pass it through unchanged.
-fn collapse_chains<S: SymState>(chains: &[SummaryChain<S>], template: &S) -> Result<S> {
-    let summaries: Vec<_> = chains
-        .iter()
-        .flat_map(|c| c.summaries().iter().cloned())
-        .collect();
-    if summaries.is_empty() {
-        return Ok(template.clone());
-    }
-    let collapsed = tree_collapse(&summaries)?;
-    apply_summary(&collapsed, template)
 }
 
 /// Digest of a chunk's grouped input — the frame-metadata component that
@@ -702,8 +629,10 @@ mod tests {
     use crate::baseline::run_baseline;
     use crate::segment::split_into_segments;
     use crate::store::MemStore;
+    use symple_core::compose::apply_chain;
     use symple_core::ctx::SymCtx;
     use symple_core::impl_sym_state;
+    use symple_core::state::SymState;
     use symple_core::summary::Summary;
     use symple_core::types::{sym_bool::SymBool, sym_int::SymInt, sym_vector::SymVector};
 
@@ -842,48 +771,10 @@ mod tests {
     }
 
     #[test]
-    fn tree_compose_matches_apply_in_order() {
-        let records: Vec<i64> = (0..400).map(|i| (i * 11 + 5) % 89).collect();
-        let segments = split_into_segments(&records, 5, 64);
-        let mut cfg = JobConfig::default();
-        let in_order = run_symple(&ByMod, &RunsUda, &segments, &cfg).unwrap();
-        cfg.reduce_strategy = crate::job::ReduceStrategy::TreeCompose;
-        let tree = run_symple(&ByMod, &RunsUda, &segments, &cfg).unwrap();
-        assert_eq!(in_order.results, tree.results);
-    }
-
-    #[test]
-    fn collapse_chains_empty_cases_yield_initial_state() {
-        // The TreeCompose reduce path flat-maps chain summaries into
-        // `tree_collapse`, which errors on an empty slice — so a key whose
-        // chains are all empty (or absent entirely) must short-circuit to
-        // the untouched initial state instead.
-        let template = RunsUda.init();
-
-        // No chains at all.
-        let state = collapse_chains::<RunsState>(&[], &template).unwrap();
-        assert_eq!(extract_result(&RunsUda, &state).unwrap(), Vec::<i64>::new());
-
-        // Chains present but each holds zero summaries.
-        let empties = vec![
-            SummaryChain::<RunsState>::new(vec![]),
-            SummaryChain::<RunsState>::new(vec![]),
-        ];
-        let state = collapse_chains(&empties, &template).unwrap();
-        assert_eq!(extract_result(&RunsUda, &state).unwrap(), Vec::<i64>::new());
-
-        // A singleton chain still collapses normally.
-        let single = vec![SummaryChain::single(Summary::singleton(template.clone()))];
-        let state = collapse_chains(&single, &template).unwrap();
-        assert_eq!(extract_result(&RunsUda, &state).unwrap(), Vec::<i64>::new());
-    }
-
-    #[test]
     fn salvaged_concrete_composes_at_chain_boundaries_both_orders() {
-        // Satellite: a `NeedsConcrete` chunk adjacent to an *empty* chain
-        // must compose correctly in both orders, under both reduce
-        // strategies. The empty chain contributes nothing; the salvaged
-        // events must see exactly the running prefix state.
+        // A `NeedsConcrete` chunk adjacent to an *empty* chain must compose
+        // correctly in both orders. The empty chain contributes nothing;
+        // the salvaged events must see exactly the running prefix state.
         let uda = RunsUda;
         let template = uda.init();
         let events: Vec<i64> = vec![2, 4, 6, 8, 1, 2, 3];
@@ -893,31 +784,29 @@ mod tests {
         let empty_chain = chain_payload(&SummaryChain::<RunsState>::new(vec![]));
         let events_payload = events_payload(&events);
 
-        for strategy in [ReduceStrategy::ApplyInOrder, ReduceStrategy::TreeCompose] {
-            // Empty chain first, then the salvaged chunk.
-            let payloads: Vec<&[u8]> = vec![&empty_chain, &events_payload];
-            let state = compose_payloads(&uda, &template, &payloads, strategy).unwrap();
-            assert_eq!(
-                extract_result(&uda, &state).unwrap(),
-                expect,
-                "empty-then-concrete, {strategy:?}"
-            );
+        // Empty chain first, then the salvaged chunk.
+        let payloads: Vec<&[u8]> = vec![&empty_chain, &events_payload];
+        let state = compose_payloads(&uda, &template, &payloads).unwrap();
+        assert_eq!(
+            extract_result(&uda, &state).unwrap(),
+            expect,
+            "empty-then-concrete"
+        );
 
-            // Salvaged chunk first, then the empty chain.
-            let payloads: Vec<&[u8]> = vec![&events_payload, &empty_chain];
-            let state = compose_payloads(&uda, &template, &payloads, strategy).unwrap();
-            assert_eq!(
-                extract_result(&uda, &state).unwrap(),
-                expect,
-                "concrete-then-empty, {strategy:?}"
-            );
-        }
+        // Salvaged chunk first, then the empty chain.
+        let payloads: Vec<&[u8]> = vec![&events_payload, &empty_chain];
+        let state = compose_payloads(&uda, &template, &payloads).unwrap();
+        assert_eq!(
+            extract_result(&uda, &state).unwrap(),
+            expect,
+            "concrete-then-empty"
+        );
     }
 
     #[test]
     fn salvaged_between_real_chains_matches_sequential() {
         // chain(prefix) → NeedsConcrete(middle) → chain(suffix) equals
-        // one sequential pass, under both strategies.
+        // one sequential pass.
         let uda = RunsUda;
         let template = uda.init();
         let prefix: Vec<i64> = vec![2, 4, 1];
@@ -944,15 +833,9 @@ mod tests {
         };
         let middle_events = events_payload(&middle);
 
-        for strategy in [ReduceStrategy::ApplyInOrder, ReduceStrategy::TreeCompose] {
-            let payloads: Vec<&[u8]> = vec![&prefix_chain, &middle_events, &suffix_chain];
-            let state = compose_payloads(&uda, &template, &payloads, strategy).unwrap();
-            assert_eq!(
-                extract_result(&uda, &state).unwrap(),
-                expect,
-                "{strategy:?}"
-            );
-        }
+        let payloads: Vec<&[u8]> = vec![&prefix_chain, &middle_events, &suffix_chain];
+        let state = compose_payloads(&uda, &template, &payloads).unwrap();
+        assert_eq!(extract_result(&uda, &state).unwrap(), expect);
     }
 
     /// A state whose aggregate comes *before* the scalar that decides a
@@ -1005,22 +888,30 @@ mod tests {
     /// A one-summary chain payload of `paths`, applied after a salvaged
     /// cell that leaves `out = [-3]`, `len = 4` — so the second kind of path
     /// is the one that holds and the running vector is not empty. The wire
-    /// tier (`ApplyInOrder`) must report what the owned tier (`TreeCompose`)
-    /// reports; `edit` corrupts the chain's bytes first.
+    /// tier must report what the owned tier reports — the salvaged events
+    /// run concretely, the chain decoded whole, refused if bytes trail it,
+    /// then applied; `edit` corrupts the chain's bytes first.
     fn after_salvaged_cell(
         paths: Vec<VecFirst>,
         edit: impl FnOnce(&mut Vec<u8>),
     ) -> Result<Vec<i64>> {
         let uda = VecFirstUda;
+        let salvaged = [-3, 4];
         let mut chain = chain_payload(&SummaryChain::single(Summary::new(paths)));
         edit(&mut chain);
-        let payloads: [&[u8]; 2] = [&events_payload(&[-3, 4]), &chain];
-        let run = |strategy| {
-            compose_payloads(&uda, &uda.init(), &payloads, strategy)
-                .and_then(|state| extract_result(&uda, &state))
-        };
-        let wire = run(ReduceStrategy::ApplyInOrder);
-        assert_eq!(wire, run(ReduceStrategy::TreeCompose));
+        let payloads: [&[u8]; 2] = [&events_payload(&salvaged), &chain];
+        let wire = compose_payloads(&uda, &uda.init(), &payloads)
+            .and_then(|state| extract_result(&uda, &state));
+
+        let owned = run_concrete_state(&uda, &salvaged).and_then(|state| {
+            let mut rd = &chain[1..];
+            let decoded = SummaryChain::decode(&uda.init(), &mut rd).map_err(Error::Wire)?;
+            if !rd.is_empty() {
+                return Err(Error::Wire(WireError::TrailingBytes));
+            }
+            extract_result(&uda, &apply_chain(&decoded, &state)?)
+        });
+        assert_eq!(wire, owned);
         wire
     }
 
@@ -1138,10 +1029,10 @@ mod tests {
         let template = uda.init();
         let chain = SummaryChain::single(Summary::singleton(template.clone()));
         for mut payload in [chain_payload(&chain), events_payload(&[2, 4, 1])] {
-            assert!(decode_payload::<RunsState, i64>(&template, &payload).is_ok());
+            assert!(compose_payloads(&uda, &template, &[&payload]).is_ok());
             payload.push(0);
             assert!(matches!(
-                decode_payload::<RunsState, i64>(&template, &payload),
+                compose_payloads(&uda, &template, &[&payload]),
                 Err(Error::Wire(WireError::TrailingBytes))
             ));
         }
@@ -1463,9 +1354,6 @@ mod tests {
         let mut m = base;
         m.salvage_refused_chunks = false;
         flips.push(("salvage_refused_chunks", m));
-        let mut m = base;
-        m.reduce_strategy = crate::job::ReduceStrategy::TreeCompose;
-        flips.push(("reduce_strategy", m));
 
         for (name, cfg) in &flips {
             let out = run_cached(&segments, cfg, &ctx).unwrap();

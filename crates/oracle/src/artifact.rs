@@ -271,7 +271,7 @@ mod tests {
                 kept: Some(vec![3, 7, 11]),
             },
             cell: Cell {
-                executor: ExecutorKind::MapReduceTree,
+                executor: ExecutorKind::ChunkedTree,
                 chunks: 4,
                 merge_policy: MergePolicy::Never,
                 max_total_paths: 2,

@@ -11,7 +11,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use symple_core::compose::apply_chain;
+use symple_core::compose::{apply_chain, apply_summary, tree_collapse};
 use symple_core::error::{Error, Result};
 use symple_core::uda::{extract_result, run_concrete_state, run_sequential, summarize_chunk, Uda};
 use symple_core::wire::Wire;
@@ -195,7 +195,7 @@ pub trait DynCase: Send + Sync {
     fn id(&self) -> &'static str;
 
     /// Whether this case can run under `cell` at all. Restart-heavy cases
-    /// opt out of [`ExecutorKind::MapReduceTree`]: symbolic composition of
+    /// opt out of [`ExecutorKind::ChunkedTree`]: symbolic composition of
     /// unmergeable multi-summary chains is exponential by nature (the
     /// restart fallback exists precisely because such chains must be
     /// applied in order), so those cells would hang, not disagree.
@@ -346,9 +346,12 @@ where
     F: Fn(u64, usize) -> Vec<U::Event> + Send + Sync,
 {
     /// The oracle's own chunked executor. Mirrors
-    /// [`symple_core::uda::run_chunked_symbolic`], with two extensions the
-    /// matrix needs: an all-symbolic mode (`first_segment_concrete =
-    /// false`) and the sabotage hooks.
+    /// [`symple_core::uda::run_chunked_symbolic`], with three extensions
+    /// the matrix needs: an all-symbolic mode (`first_segment_concrete =
+    /// false`), the sabotage hooks, and the tree mode of
+    /// [`ExecutorKind::ChunkedTree`], which collapses every chunk's
+    /// summaries with [`tree_collapse`] and applies the result once — an
+    /// input with no symbolic summaries leaves the running state as it is.
     fn run_chunked(
         &self,
         events: &[U::Event],
@@ -380,8 +383,18 @@ where
         if sabotage == Sabotage::ReorderChunks {
             chains.reverse();
         }
-        for chain in &chains {
-            state = apply_chain(chain, &state)?;
+        if cell.executor == ExecutorKind::ChunkedTree {
+            let summaries: Vec<_> = chains
+                .iter()
+                .flat_map(|chain| chain.summaries().iter().cloned())
+                .collect();
+            if !summaries.is_empty() {
+                state = apply_summary(&tree_collapse(&summaries)?, &state)?;
+            }
+        } else {
+            for chain in &chains {
+                state = apply_chain(chain, &state)?;
+            }
         }
         extract_result(&self.uda, &state)
     }
@@ -627,7 +640,7 @@ where
     }
 
     fn supports(&self, cell: &Cell) -> bool {
-        self.tree_compose_ok || cell.executor != ExecutorKind::MapReduceTree
+        self.tree_compose_ok || cell.executor != ExecutorKind::ChunkedTree
     }
 
     fn analyze(&self) -> Option<symple_core::UdaAnalysis> {

@@ -9,7 +9,7 @@
 //! makes the whole matrix an oracle.
 
 use symple_core::engine::{EngineConfig, MergePolicy};
-use symple_mapreduce::{FaultPlan, JobConfig, ReduceStrategy};
+use symple_mapreduce::{FaultPlan, JobConfig};
 
 /// Which parallel executor a cell drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,10 +17,12 @@ pub enum ExecutorKind {
     /// In-process chunked execution: first chunk concrete, rest symbolic,
     /// summaries applied in order (`run_chunked_symbolic` semantics).
     ChunkedSymbolic,
+    /// The same chunks, their summaries collapsed by balanced tree
+    /// composition (§3.6) and applied once: the associativity the paper's
+    /// tree reduction rests on, held against the sequential run.
+    ChunkedTree,
     /// The full MapReduce job with in-order chain application.
     MapReduce,
-    /// The MapReduce job with balanced tree composition in reducers.
-    MapReduceTree,
     /// The MapReduce job killed mid-flight after half its map tasks
     /// complete, then resumed from an in-memory checkpoint store. The
     /// rendered output is the *resumed* run's — the soundness theorem
@@ -47,8 +49,8 @@ impl ExecutorKind {
     pub fn as_str(self) -> &'static str {
         match self {
             ExecutorKind::ChunkedSymbolic => "chunked-symbolic",
+            ExecutorKind::ChunkedTree => "chunked-tree",
             ExecutorKind::MapReduce => "mapreduce",
-            ExecutorKind::MapReduceTree => "mapreduce-tree",
             ExecutorKind::CrashResume => "crash-resume",
             ExecutorKind::WarmResweep => "warm-resweep",
             ExecutorKind::FaultedStore => "faulted-store",
@@ -59,8 +61,8 @@ impl ExecutorKind {
     pub fn parse(s: &str) -> Option<ExecutorKind> {
         Some(match s {
             "chunked-symbolic" => ExecutorKind::ChunkedSymbolic,
+            "chunked-tree" => ExecutorKind::ChunkedTree,
             "mapreduce" => ExecutorKind::MapReduce,
-            "mapreduce-tree" => ExecutorKind::MapReduceTree,
             "crash-resume" => ExecutorKind::CrashResume,
             "warm-resweep" => ExecutorKind::WarmResweep,
             "faulted-store" => ExecutorKind::FaultedStore,
@@ -71,7 +73,10 @@ impl ExecutorKind {
     /// Whether the cell runs through the MapReduce stack (and therefore
     /// emits per-key results rather than a single output).
     pub fn is_mapreduce(self) -> bool {
-        !matches!(self, ExecutorKind::ChunkedSymbolic)
+        !matches!(
+            self,
+            ExecutorKind::ChunkedSymbolic | ExecutorKind::ChunkedTree
+        )
     }
 }
 
@@ -217,11 +222,6 @@ impl Cell {
             map_workers: 2,
             reduce_workers: 2,
             engine: self.engine(),
-            reduce_strategy: if self.executor == ExecutorKind::MapReduceTree {
-                ReduceStrategy::TreeCompose
-            } else {
-                ReduceStrategy::ApplyInOrder
-            },
             first_segment_concrete: self.first_segment_concrete,
             // Salvage stays on so an engine refusal degrades to concrete
             // re-execution in every executor: the matrix then compares
@@ -281,7 +281,7 @@ pub fn smoke_matrix() -> Vec<Cell> {
             ..base
         },
         Cell {
-            executor: ExecutorKind::MapReduceTree,
+            executor: ExecutorKind::ChunkedTree,
             chunks: 3,
             ..base
         },
@@ -332,21 +332,34 @@ pub fn deep_matrix() -> Vec<Cell> {
             }
         }
     }
-    for executor in [ExecutorKind::MapReduce, ExecutorKind::MapReduceTree] {
-        for &chunks in &[1usize, 3, 6] {
-            for &merge_policy in &[MergePolicy::HighWater, MergePolicy::Never] {
-                for faults in [FaultKind::None, FaultKind::FailFirst, FaultKind::FailTwice] {
-                    for &first_segment_concrete in &[true, false] {
-                        cells.push(Cell {
-                            executor,
-                            chunks,
-                            merge_policy,
-                            max_total_paths: 8,
-                            first_segment_concrete,
-                            faults,
-                        });
-                    }
+    for &chunks in &[1usize, 3, 6] {
+        for &merge_policy in &[MergePolicy::HighWater, MergePolicy::Never] {
+            for faults in [FaultKind::None, FaultKind::FailFirst, FaultKind::FailTwice] {
+                for &first_segment_concrete in &[true, false] {
+                    cells.push(Cell {
+                        executor: ExecutorKind::MapReduce,
+                        chunks,
+                        merge_policy,
+                        max_total_paths: 8,
+                        first_segment_concrete,
+                        faults,
+                    });
                 }
+            }
+        }
+    }
+    // The tree column has no fault axis: map-task faults never reach it.
+    for &chunks in &[1usize, 3, 6] {
+        for &merge_policy in &[MergePolicy::HighWater, MergePolicy::Never] {
+            for &first_segment_concrete in &[true, false] {
+                cells.push(Cell {
+                    executor: ExecutorKind::ChunkedTree,
+                    chunks,
+                    merge_policy,
+                    max_total_paths: 8,
+                    first_segment_concrete,
+                    faults: FaultKind::None,
+                });
             }
         }
     }
@@ -379,8 +392,8 @@ mod tests {
     fn token_round_trips() {
         for e in [
             ExecutorKind::ChunkedSymbolic,
+            ExecutorKind::ChunkedTree,
             ExecutorKind::MapReduce,
-            ExecutorKind::MapReduceTree,
             ExecutorKind::CrashResume,
             ExecutorKind::WarmResweep,
             ExecutorKind::FaultedStore,
@@ -410,8 +423,8 @@ mod tests {
         for m in [&smoke, &deep] {
             for e in [
                 ExecutorKind::ChunkedSymbolic,
+                ExecutorKind::ChunkedTree,
                 ExecutorKind::MapReduce,
-                ExecutorKind::MapReduceTree,
                 ExecutorKind::CrashResume,
                 ExecutorKind::WarmResweep,
                 ExecutorKind::FaultedStore,

@@ -437,6 +437,36 @@ mod tests {
     }
 
     #[test]
+    fn chunked_tree_cells_see_a_lost_tail_and_reordered_chunks() {
+        // The tree column composes the oracle's own chunks, so both
+        // chunk-level sabotages reach it: a lost tail shows on OVF (a plain
+        // sum), a reorder on VEC (order-sensitive output).
+        let tree = Cell {
+            executor: ExecutorKind::ChunkedTree,
+            ..Cell::default_chunked(3)
+        };
+        for (case, sabotage) in [
+            ("OVF", Sabotage::DropLastEvent),
+            ("VEC", Sabotage::ReorderChunks),
+        ] {
+            let report = run_oracle(&OracleOptions {
+                sabotage,
+                case_filter: Some(case.into()),
+                matrix: Some(vec![tree]),
+                ..quick_opts()
+            });
+            assert!(
+                report
+                    .findings
+                    .iter()
+                    .any(|f| f.original_cell.executor == ExecutorKind::ChunkedTree),
+                "{case} under {sabotage:?}: {:#?}",
+                report.findings
+            );
+        }
+    }
+
+    #[test]
     fn stale_checkpoint_sabotage_is_flagged_only_when_validation_is_bypassed() {
         // OVF again: a plain sum, so resuming from checkpoints recorded
         // for a tail-dropped input visibly changes the output.

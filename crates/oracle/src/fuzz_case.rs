@@ -202,7 +202,7 @@ impl DynCase for FuzzCase {
 ///
 /// The tree-composition opt-out is decided *deterministically from the
 /// program itself* (via the static analyzer): any program whose abstract
-/// update can branch opts out of [`crate::cell::ExecutorKind::MapReduceTree`]
+/// update can branch opts out of [`crate::cell::ExecutorKind::ChunkedTree`]
 /// cells, because symbolic composition of restart-heavy multi-summary
 /// chains is exponential — those cells would hang, not disagree. Replay
 /// re-derives the same decision from the embedded token, so a shrunk
@@ -278,7 +278,7 @@ mod tests {
         let p = Program::parse_token("fields[i64=0] body[(iadd 0 ev)]").unwrap();
         let case = program_case(p, InputKind::Uniform).unwrap();
         let tree = Cell {
-            executor: ExecutorKind::MapReduceTree,
+            executor: ExecutorKind::ChunkedTree,
             ..Cell::default_chunked(3)
         };
         assert!(case.supports(&tree));
@@ -293,7 +293,7 @@ mod tests {
                 .unwrap();
         let case = program_case(p, InputKind::Skewed).unwrap();
         let tree = Cell {
-            executor: ExecutorKind::MapReduceTree,
+            executor: ExecutorKind::ChunkedTree,
             ..Cell::default_chunked(3)
         };
         assert!(!case.supports(&tree));

@@ -170,7 +170,7 @@ mod tests {
         let fails = |_i: &CaseInput, c: &Cell| c.chunks >= 2;
         let input = CaseInput::full(0, 10);
         let cell = Cell {
-            executor: ExecutorKind::MapReduceTree,
+            executor: ExecutorKind::ChunkedTree,
             chunks: 8,
             merge_policy: MergePolicy::Never,
             max_total_paths: 2,

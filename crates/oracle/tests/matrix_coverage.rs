@@ -26,7 +26,7 @@ fn every_case_supports_the_full_smoke_sweep_modulo_tree() {
     // other cell must run for every case, or the matrix quietly thins out.
     for case in all_cases() {
         for cell in smoke_matrix().iter().chain(deep_matrix().iter()) {
-            if cell.executor != ExecutorKind::MapReduceTree {
+            if cell.executor != ExecutorKind::ChunkedTree {
                 assert!(
                     case.supports(cell),
                     "case {} rejects non-tree cell {}",

@@ -2,7 +2,7 @@
 //! evaluation queries, across backends, scales and configurations.
 
 use symple::core::engine::{EngineConfig, MergePolicy};
-use symple::mapreduce::{JobConfig, ReduceStrategy};
+use symple::mapreduce::JobConfig;
 use symple::queries::{all_queries, runner_by_id, Backend, DataScale};
 
 fn scale(records: usize, groups: u64, segments: usize) -> DataScale {
@@ -138,30 +138,6 @@ fn forced_symbolic_first_segment_agrees() {
         let reference = q.run(&s, Backend::Baseline, &JobConfig::default()).unwrap();
         let r = q.run(&s, Backend::Symple, &job).unwrap();
         assert_eq!(r.output_hash, reference.output_hash, "{id}");
-    }
-}
-
-#[test]
-fn tree_compose_strategy_agrees() {
-    // §3.6's associative tree reduction must give identical results to
-    // in-order application, for every query.
-    let scale_cfg = scale(5_000, 40, 7);
-    for q in all_queries() {
-        let id = q.info().id;
-        let apply = q
-            .run(&scale_cfg, Backend::Symple, &JobConfig::default())
-            .unwrap();
-        let tree = q
-            .run(
-                &scale_cfg,
-                Backend::Symple,
-                &JobConfig {
-                    reduce_strategy: ReduceStrategy::TreeCompose,
-                    ..JobConfig::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(apply.output_hash, tree.output_hash, "{id}");
     }
 }
 

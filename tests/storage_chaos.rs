@@ -2,7 +2,7 @@
 //! query runs against disk-backed checkpoint and summary-cache stores
 //! whose I/O goes through a [`FaultIo`] injector, across schedules that
 //! fail loads, tear saves at arbitrary byte offsets, kill renames after
-//! the tmp file landed, and stall operations. The invariants:
+//! the tmp file landed. The invariants:
 //!
 //! * **Byte-identical** — a job over a faulted store produces exactly the
 //!   output of an uncached run; faults only ever cost recompute.
@@ -16,7 +16,6 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -131,7 +130,7 @@ struct Schedule {
 
 /// The schedule matrix: load faults (transient and permanent), a save
 /// torn at several byte offsets, a rename that dies after the tmp file
-/// landed, a mid-job timeout, and a slow disk.
+/// landed, and a mid-job timeout.
 fn schedules() -> Vec<Schedule> {
     let mut list = vec![
         Schedule {
@@ -165,15 +164,6 @@ fn schedules() -> Vec<Schedule> {
             name: "mid-job-timeout",
             plan: StorageFaultPlan {
                 fail_op: vec![(8, StorageFaultKind::TimedOut)],
-                ..StorageFaultPlan::default()
-            },
-            policy: RetryPolicy::instant(),
-            budget: DEFAULT_FAILURE_BUDGET,
-        },
-        Schedule {
-            name: "slow-disk",
-            plan: StorageFaultPlan {
-                latency_every: Some((4, Duration::from_micros(10))),
                 ..StorageFaultPlan::default()
             },
             policy: RetryPolicy::instant(),
@@ -359,6 +349,67 @@ fn enospc_during_save_leaves_no_tmp_and_demotes() {
             .run_lines_cached(&segs, &job, &clean_ctx)
             .expect("heal run");
         assert_eq!(heal.output_hash, plain.output_hash, "{id}: heal diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A rename that dies after the tmp file landed, with no retry to rescue
+/// it (`fail_rename` errors are transient, so every other schedule retries
+/// them into a commit): the save gives up, its orphaned tmp file is swept,
+/// and the entry is simply absent — the next clean run misses that one
+/// chunk and heals it.
+#[test]
+fn failed_rename_without_retries_leaves_no_tmp_and_no_entry() {
+    for id in ["G1", "R4"] {
+        let runner = runner_by_id(id).expect("registry id");
+        let job = JobConfig::default();
+        let data = dataset_for(id, 7);
+        let segs = data.segments();
+        let chunks = segs.len() as u64;
+        let plain = runner
+            .run_lines(&segs, Backend::Symple, &job)
+            .expect("reference run");
+
+        let dir = scratch_dir("rename");
+        let plan = StorageFaultPlan {
+            fail_rename: vec![1],
+            ..StorageFaultPlan::default()
+        };
+        let io = Arc::new(FaultIo::new(plan));
+        let policy = RetryPolicy::no_retries();
+        let store = DiskStore::with_io(&dir, io, policy, DEFAULT_FAILURE_BUDGET)
+            .expect("open faulted cache");
+        let report = runner
+            .run_lines_cached(&segs, &job, &SummaryCacheCtx::new(&store))
+            .expect("faulted run");
+
+        assert_eq!(
+            report.output_hash, plain.output_hash,
+            "{id}: output diverged"
+        );
+        assert_eq!(report.metrics.cache_misses, chunks, "{id}: cold run");
+        assert_eq!(report.metrics.io_errors, 1, "{id}");
+        assert_eq!(report.metrics.io_gave_up, 1, "{id}: exactly one give-up");
+        assert!(!store.demoted(), "{id}: one give-up is inside the budget");
+        let tmp = files_containing(&dir, ".tmp");
+        assert!(tmp.is_empty(), "{id}: failed rename left tmp files {tmp:?}");
+        let entries = files_containing(&dir, ".sum").len() as u64;
+        assert_eq!(entries, chunks - 1, "{id}: the failed entry must be absent");
+
+        // The next clean run misses that chunk once; the one after is whole.
+        let clean = DiskStore::new(&dir).expect("open clean cache");
+        let clean_ctx = SummaryCacheCtx::new(&clean);
+        let heal = runner
+            .run_lines_cached(&segs, &job, &clean_ctx)
+            .expect("heal run");
+        assert_eq!(heal.output_hash, plain.output_hash, "{id}: heal diverged");
+        assert_eq!(heal.metrics.cache_misses, 1, "{id}: heal run");
+        assert_eq!(heal.metrics.cache_corrupt, 0, "{id}: heal run");
+        let settled = runner
+            .run_lines_cached(&segs, &job, &clean_ctx)
+            .expect("settled run");
+        assert_eq!(settled.metrics.cache_hits, chunks, "{id}: settled run");
+        assert_eq!(settled.output_hash, plain.output_hash, "{id}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
