@@ -12,7 +12,7 @@
 use symple_core::rng::Rng64 as StdRng;
 
 /// One query-log row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BingQuery {
     /// Querying user.
     pub user_id: u64,

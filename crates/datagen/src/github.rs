@@ -68,7 +68,7 @@ impl GithubOp {
 }
 
 /// One repository operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GithubEvent {
     /// The repository.
     pub repo_id: u64,

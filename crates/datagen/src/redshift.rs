@@ -12,7 +12,7 @@
 use symple_core::rng::Rng64 as StdRng;
 
 /// One ad impression row (the four used columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AdImpression {
     /// Advertiser (the grouping key for R1–R4).
     pub advertiser_id: u32,

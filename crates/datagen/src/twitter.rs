@@ -10,7 +10,7 @@
 use symple_core::rng::Rng64 as StdRng;
 
 /// One tweet row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tweet {
     /// Hashtag the tweet is grouped by.
     pub hashtag_id: u64,

@@ -7,7 +7,7 @@
 use symple_core::rng::Rng64 as StdRng;
 
 /// What a user did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum WebEventKind {
     /// Searched for an item.
@@ -28,7 +28,7 @@ impl WebEventKind {
 }
 
 /// One user-activity event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WebEvent {
     /// The acting user (the groupby key in Figure 1).
     pub user_id: u64,

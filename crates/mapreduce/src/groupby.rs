@@ -24,8 +24,9 @@ impl<T: Hash + Eq + Ord + Clone + Debug + Send + Sync + Wire + 'static> Key for 
 /// record fields that are used by the UDAs", §6.2). Returning `None`
 /// filters the record out.
 pub trait GroupBy: Send + Sync {
-    /// Raw input record type.
-    type Record: Send + Sync;
+    /// Raw input record type. `Hash` feeds the chunk store's content key,
+    /// which is taken over a chunk's records before anything parses them.
+    type Record: Send + Sync + Hash;
     /// Grouping key type.
     type Key: Key;
     /// Projected event type fed to the UDA.
@@ -88,9 +89,8 @@ impl<K, E> Groups<K, E> {
 }
 
 /// Groups records into per-key event lists that retain the record order,
-/// sorted by key: the order map tasks emit in, which makes a chunk's input
-/// digest and stored frame deterministic and keeps every shuffle run
-/// key-sorted.
+/// sorted by key: the order map tasks emit in, which makes a chunk's
+/// stored frame deterministic and keeps every shuffle run key-sorted.
 pub(crate) fn sorted_groups<'r, G: GroupBy>(
     g: &G,
     records: impl IntoIterator<Item = &'r G::Record>,

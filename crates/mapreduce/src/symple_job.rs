@@ -25,13 +25,11 @@
 //!   content; both save *inside* the map task, so whatever a killed run
 //!   finished is there for the next one.
 
-use std::hash::Hasher;
-
 use symple_core::compose::apply_encoded_chain;
 use symple_core::ctx::SymCtx;
 use symple_core::engine::{ExploreStats, SymbolicExecutor};
 use symple_core::error::{Error, Result};
-use symple_core::frame::{FrameMeta, WordHasher};
+use symple_core::frame::FrameMeta;
 use symple_core::summary::SummaryChain;
 use symple_core::uda::{extract_result, run_concrete_state, Uda};
 use symple_core::wire::{get_bytes, get_len, get_uvarint, put_slice, put_uvarint, Wire, WireError};
@@ -43,7 +41,7 @@ use crate::metrics::JobMetrics;
 use crate::segment::Segment;
 use crate::store::{
     self, cache_config_fingerprint, cache_meta, checkpoint_namespace, chunk_cache_digest,
-    config_fingerprint, CheckpointCtx, ChunkLookup, FrameStore, SummaryCacheCtx,
+    config_fingerprint, records_digest, CheckpointCtx, ChunkLookup, FrameStore, SummaryCacheCtx,
 };
 use crate::store_io::IoCounts;
 
@@ -110,13 +108,13 @@ impl<'a> ChunkStore<'a> {
     }
 
     /// Policy, part one: the key a chunk is filed under, or `None` without
-    /// a store. `input_digest` is only called when a store needs it: the
-    /// store-less path never hashes its events.
+    /// a store. `records_digest` is only called when a store needs it: the
+    /// store-less path never hashes its records.
     fn key(
         &self,
         seg_id: usize,
         cfg: &JobConfig,
-        input_digest: impl FnOnce() -> u64,
+        records_digest: impl FnOnce() -> u64,
     ) -> Option<ChunkKey> {
         match self {
             ChunkStore::None => None,
@@ -125,13 +123,13 @@ impl<'a> ChunkStore<'a> {
                 meta: FrameMeta {
                     chunk_index: seg_id as u64,
                     config_hash: config_fingerprint(cfg),
-                    input_digest: input_digest(),
+                    input_digest: records_digest(),
                 },
             }),
             ChunkStore::Cache(_) => {
                 let namespace = cache_config_fingerprint(cfg);
                 let runs_concrete = seg_id == 0 && cfg.first_segment_concrete;
-                let digest = chunk_cache_digest(input_digest(), runs_concrete);
+                let digest = chunk_cache_digest(records_digest(), runs_concrete);
                 Some(ChunkKey {
                     namespace,
                     meta: cache_meta(namespace, digest),
@@ -425,28 +423,6 @@ where
     run_symple(g, uda, segments, cfg)
 }
 
-/// Digest of a chunk's grouped input — the frame-metadata component that
-/// detects checkpoints taken over different data.
-fn input_digest<K: Wire, E: Wire>(groups: &Groups<K, E>) -> u64 {
-    // One reused buffer and a word-wise hash: this runs over every input
-    // event of every stored map task, so a byte-serial hash plus a
-    // chunk-sized allocation would eat most of the store's overhead budget.
-    // The group count and each group's wire bytes are self-delimiting, so
-    // one write per group digests the chunk's whole encoding.
-    let mut h = WordHasher::new();
-    h.write(b"symple.chunk.input");
-    let mut buf = Vec::with_capacity(256);
-    put_uvarint(&mut buf, groups.len() as u64);
-    for (k, events) in groups.iter() {
-        k.encode(&mut buf);
-        put_slice(&mut buf, events);
-        h.write(&buf);
-        buf.clear();
-    }
-    h.write(&buf);
-    h.finish()
-}
-
 /// Serializes a completed chunk for its store frame: the cell count, every
 /// cell in key order as `key ‖ payload length ‖ payload` — independent of
 /// how many reducers the cells were bucketed for — then the stats and
@@ -572,9 +548,11 @@ where
     Ok((emits, stats, salvaged))
 }
 
-/// One SYMPLE map task: lookup → decode → hit, or compute → save. The
-/// only policy-specific part is the key ([`ChunkStore::key`]); the save
-/// happens here, inside the task, so a finished chunk outlives its job.
+/// One SYMPLE map task: digest → lookup → decode → hit, or parse and
+/// group → compute → save. The key is taken over the raw records, so a
+/// hit parses and groups nothing. The only policy-specific part is the
+/// key ([`ChunkStore::key`]); the save happens here, inside the task, so a
+/// finished chunk outlives its job.
 fn map_task<G, U>(
     g: &G,
     uda: &U,
@@ -586,27 +564,21 @@ where
     G: GroupBy,
     U: Uda<Event = G::Event>,
 {
-    let groups = sorted_groups(g, &seg.records);
-    let output = |emits, stats, salvaged| MapTaskOutput {
+    let compute = || compute_chunk(uda, seg.id, cfg, &sorted_groups(g, &seg.records));
+    let output = |(emits, stats, salvaged), status| MapTaskOutput {
         emits,
         stats,
         salvaged,
         raw_bytes: seg.raw_bytes,
-        status: None,
+        status,
     };
 
-    let Some(key) = store.key(seg.id, cfg, || input_digest(&groups)) else {
-        let (emits, stats, salvaged) = compute_chunk(uda, seg.id, cfg, &groups)?;
-        return Ok(output(emits, stats, salvaged));
+    let Some(key) = store.key(seg.id, cfg, || records_digest::<G, U>(&seg.records)) else {
+        return Ok(output(compute()?, None));
     };
     let status = match store.lookup(&key) {
         ChunkLookup::Hit(payload) => match decode_checkpoint_payload(&payload, cfg.num_reducers) {
-            Ok((emits, stats, salvaged)) => {
-                return Ok(MapTaskOutput {
-                    status: Some(ChunkStatus::Hit),
-                    ..output(emits, stats, salvaged)
-                });
-            }
+            Ok(chunk) => return Ok(output(chunk, Some(ChunkStatus::Hit))),
             Err(e) => {
                 store.quarantine(&key, &format!("payload decode: {e}"));
                 ChunkStatus::Corrupt
@@ -615,12 +587,9 @@ where
         ChunkLookup::Miss => ChunkStatus::Miss,
         ChunkLookup::Corrupt => ChunkStatus::Corrupt,
     };
-    let (emits, stats, salvaged) = compute_chunk(uda, seg.id, cfg, &groups)?;
+    let (emits, stats, salvaged) = compute()?;
     store.save(&key, &encode_checkpoint_payload(&emits, &stats, salvaged));
-    Ok(MapTaskOutput {
-        status: Some(status),
-        ..output(emits, stats, salvaged)
-    })
+    Ok(output((emits, stats, salvaged), Some(status)))
 }
 
 #[cfg(test)]
@@ -1251,9 +1220,8 @@ mod tests {
         let segments = split_into_segments(&records, 4, 64);
         let cfg = JobConfig::default();
         let key_of = |seg: &Segment<i64>| {
-            let groups = sorted_groups(&ByMod, &seg.records);
             chunk_cache_digest(
-                input_digest(&groups),
+                records_digest::<ByMod, RunsUda>(&seg.records),
                 seg.id == 0 && cfg.first_segment_concrete,
             )
         };

@@ -7,6 +7,7 @@
 //! self-contained and immune to serialization drift of the event types.
 
 use std::fmt::Debug;
+use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,7 +19,7 @@ use symple_core::wire::Wire;
 use symple_mapreduce::segment::split_into_segments;
 use symple_mapreduce::{
     CheckpointCtx, ChunkStore, DiskStore, FaultInjector, FaultIo, FaultPlan, FrameStore, GroupBy,
-    JobOutput, MemStore, RetryPolicy, StorageFaultPlan, SummaryCacheCtx, SympleJob,
+    JobOutput, MemStore, RetryPolicy, Segment, StorageFaultPlan, SummaryCacheCtx, SympleJob,
 };
 
 use crate::cell::{Cell, ExecutorKind, FaultKind};
@@ -285,13 +286,33 @@ impl<E> SingleKey<E> {
     }
 }
 
+/// One event as a MapReduce record. The chunk store keys a chunk by its
+/// records' [`Hash`], and not every event type has one (GPS's `(f64,
+/// f64)` does not), so a record hashes its event's wire bytes.
+#[derive(Clone)]
+struct WireRecord<E>(E);
+
+impl<E: Wire> Hash for WireRecord<E> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut buf = Vec::new();
+        self.0.encode(&mut buf);
+        state.write(&buf);
+    }
+}
+
 impl<E: Clone + Debug + Send + Sync + Wire + 'static> GroupBy for SingleKey<E> {
-    type Record = E;
+    type Record = WireRecord<E>;
     type Key = u8;
     type Event = E;
-    fn extract(&self, r: &E) -> Option<(u8, E)> {
-        Some((0, r.clone()))
+    fn extract(&self, r: &WireRecord<E>) -> Option<(u8, E)> {
+        Some((0, r.0.clone()))
     }
+}
+
+/// `events` split into `chunks` MapReduce segments.
+fn to_segments<E: Clone>(events: &[E], chunks: usize) -> Vec<Segment<WireRecord<E>>> {
+    let records: Vec<WireRecord<E>> = events.iter().cloned().map(WireRecord).collect();
+    split_into_segments(&records, chunks.max(1), 8)
 }
 
 /// A concrete case: a UDA and its seeded event generator.
@@ -415,7 +436,7 @@ where
         cell: &Cell,
         sabotage: Sabotage,
     ) -> Result<JobOutput<u8, U::Output>> {
-        let segments = split_into_segments(events, cell.chunks.max(1), 8);
+        let segments = to_segments(events, cell.chunks);
         let group = SingleKey::<U::Event>::new();
         let job = SympleJob::new(cell.job());
         let store = MemStore::new();
@@ -424,7 +445,7 @@ where
         if sabotage == Sabotage::StaleCheckpoint {
             let mut stale: Vec<U::Event> = events.to_vec();
             stale.pop();
-            let stale_segments = split_into_segments(&stale, cell.chunks.max(1), 8);
+            let stale_segments = to_segments(&stale, cell.chunks);
             let _ = job.with_store(ChunkStore::Checkpoint(&ctx)).run(
                 &group,
                 &self.uda,
@@ -471,7 +492,7 @@ where
         cell: &Cell,
         sabotage: Sabotage,
     ) -> Result<JobOutput<u8, U::Output>> {
-        let segments = split_into_segments(events, cell.chunks.max(1), 8);
+        let segments = to_segments(events, cell.chunks);
         let group = SingleKey::<U::Event>::new();
         let job = SympleJob::new(cell.job());
         let cache = MemStore::new();
@@ -480,7 +501,7 @@ where
         // Cold pass over the shortened input ("yesterday's log").
         let mut cold: Vec<U::Event> = events.to_vec();
         cold.pop();
-        let cold_segments = split_into_segments(&cold, cell.chunks.max(1), 8);
+        let cold_segments = to_segments(&cold, cell.chunks);
         let _ = job
             .with_store(ChunkStore::Cache(&ctx))
             .run(&group, &self.uda, &cold_segments);
@@ -536,7 +557,7 @@ where
         sabotage: Sabotage,
     ) -> Result<JobOutput<u8, U::Output>> {
         static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-        let segments = split_into_segments(events, cell.chunks.max(1), 8);
+        let segments = to_segments(events, cell.chunks);
         let group = SingleKey::<U::Event>::new();
         let job = SympleJob::new(cell.job());
         let dir = std::env::temp_dir().join(format!(
@@ -599,7 +620,7 @@ where
         if events.is_empty() {
             return NO_GROUPS.to_string();
         }
-        let segments = split_into_segments(&events, cell.chunks.max(1), 8);
+        let segments = to_segments(&events, cell.chunks);
         let out = match cell.executor {
             ExecutorKind::CrashResume => self.run_crash_resume(&events, cell, sabotage),
             ExecutorKind::WarmResweep => self.run_warm_resweep(&events, cell, sabotage),
@@ -704,7 +725,7 @@ where
         if events.is_empty() || cell.faults == FaultKind::None {
             return None;
         }
-        let segments = split_into_segments(&events, cell.chunks.max(1), 8);
+        let segments = to_segments(&events, cell.chunks);
         let expected_retries = cell.faults.expected_retries(segments.len());
         let group = SingleKey::<U::Event>::new();
         let injector = FaultInjector::new(cell.faults.plan(segments.len()));

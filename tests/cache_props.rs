@@ -312,12 +312,14 @@ impl Uda for Sum {
     }
 }
 
-/// Two one-key chunks whose grouped input — group count, key, events: the
-/// input digest's first write after its tag — wire-encodes to 17 bytes
-/// that differ only in bit 7 of bytes 7 and 15, bit 63 of the first two
-/// words. A xor-multiply word fold digested them equal, so the second job
-/// was served the first one's cached summary and returned its sum. Each
-/// chunk must be its own cache entry and return its own answer.
+/// Two one-key chunks whose grouped input — group count, key, events —
+/// wire-encodes to 17 bytes that differ only in bit 7 of bytes 7 and 15,
+/// bit 63 of the first two words. When the chunk key digested that
+/// encoding, a xor-multiply word fold digested them equal, so the second
+/// job was served the first one's cached summary and returned its sum.
+/// The key now digests the raw `(u8, i64)` records instead, and the
+/// scenario holds it to the same rule: each chunk must be its own cache
+/// entry and return its own answer.
 #[test]
 fn chunks_differing_in_two_top_bits_are_distinct_cache_entries() {
     let a = [-67, -8_515, -1, -292_556_668_707_139i64];
