@@ -894,6 +894,14 @@ mod tests {
     }
 
     #[test]
+    fn opaque_fields_never_agree_for_update() {
+        let o = OpaqueField { v: 3 };
+        // Not even with an equal copy: the trait default keeps a type the
+        // engine cannot see into out of every batch window's group.
+        assert!(!o.agrees_for_update(&o.clone()));
+    }
+
+    #[test]
     fn path_growth_matrix_shapes() {
         let a = analyze_uda(&UnmergeableUda, &[("event", 0)]);
         assert_eq!(a.path_growth(MergePolicy::Never, 4), vec![1, 2, 4, 8, 16]);

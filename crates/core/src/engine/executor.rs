@@ -9,11 +9,6 @@ use crate::summary::{encode_paths, paths_pairwise_disjoint, Summary, SummaryChai
 use crate::uda::Uda;
 use crate::wire::put_uvarint;
 
-/// Consecutive fork-free records required before [`SymbolicExecutor::feed_slice`]
-/// opens a batch window (hysteresis against forky stretches, where probe
-/// windows would roll back more than they save).
-const CALM_STREAK: u32 = 4;
-
 /// How many consecutive records one [`SymbolicExecutor::feed_slice`] batch
 /// window applies in place before it commits. Not an [`EngineConfig`]
 /// field: the value changes no summary and no statistic, and the only
@@ -64,7 +59,10 @@ impl Default for EngineConfig {
 pub struct ExploreStats {
     /// Input records processed.
     pub records: u64,
-    /// Update-function runs (≥ records; each run explores one path).
+    /// Update-function runs (≥ records; each run explores one path). A
+    /// batch window counts a run per record and live path, as
+    /// [`SymbolicExecutor::feed`] does, also for the paths it replays
+    /// instead of running ([`ArenaStats::replayed_runs`]).
     pub runs: u64,
     /// Branch forks taken.
     pub forks: u64,
@@ -135,11 +133,9 @@ pub struct SymbolicExecutor<'a, U: Uda> {
     emitted_ends: Vec<usize>,
     high_water: usize,
     stats: ExploreStats,
-    /// Recycled allocations: generation buffers, batch-window snapshots,
-    /// and the exploration and probe contexts.
+    /// Recycled allocations: generation buffers, batch-window snapshots
+    /// and path groups, and the exploration and probe contexts.
     arena: ExploreArena<U::State>,
-    /// Consecutive fork-free records seen; gates the batched fast path.
-    calm_streak: u32,
 }
 
 impl<'a, U: Uda> SymbolicExecutor<'a, U> {
@@ -157,7 +153,6 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
             high_water: 1,
             stats: ExploreStats::default(),
             arena: ExploreArena::new(),
-            calm_streak: 0,
         };
         exec.reset();
         exec
@@ -180,7 +175,6 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
         self.arena.out.clear();
         self.arena.snapshots.clear();
         self.arena.stats = ArenaStats::default();
-        self.calm_streak = 0;
     }
 
     /// Processes one input record: every live path is re-executed under
@@ -190,7 +184,6 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
         let out = &mut self.arena.out;
         let ctx = &mut self.arena.explore;
         out.clear();
-        let forks_before = self.stats.forks;
         for path in &self.paths {
             ctx.rewind();
             loop {
@@ -233,11 +226,6 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
         // Generation swap: the new paths move in, the previous generation
         // becomes the next record's (cleared) output buffer.
         std::mem::swap(&mut self.paths, out);
-        self.calm_streak = if self.stats.forks == forks_before {
-            self.calm_streak.saturating_add(1)
-        } else {
-            0
-        };
 
         if self.paths.len() > self.cfg.max_total_paths {
             self.flush_restart();
@@ -261,12 +249,21 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
     ///
     /// Semantically identical to calling [`SymbolicExecutor::feed`] per
     /// record — summaries, [`ExploreStats`], and errors all match byte
-    /// for byte — but after a calm streak of fork-free records, windows of
-    /// up to `BATCH_WINDOW` (32) records are applied **in place** on the
-    /// live paths under a sealed probe context: one update run per
-    /// (record × path), zero clones, no merge/restart machinery.
+    /// for byte — but records are applied in windows of up to
+    /// `BATCH_WINDOW` (32), **in place** on the live paths under a sealed
+    /// probe context: zero clones, no merge/restart machinery. A window
+    /// opens on every record. Live paths that agree for update
+    /// ([`SymField::agrees_for_update`](crate::state::SymField::agrees_for_update))
+    /// on every field share one run per record, on the first of them;
+    /// the others take its result when the window commits
+    /// ([`SymField::replay_from`](crate::state::SymField::replay_from)).
+    /// [`ExploreStats::runs`] still counts a run per record and live path,
+    /// as `feed` does.
+    ///
     /// The moment a probe run forks or errors, the window rolls back to
-    /// its snapshot and replays through full exploration.
+    /// its snapshot: the records before the anomalous one, known calm,
+    /// are applied in place again, and the anomalous one goes through
+    /// full exploration.
     ///
     /// Under [`MergePolicy::Eager`] windows open only while a single path
     /// is live: fork-free records with several live paths still reach the
@@ -285,54 +282,78 @@ impl<'a, U: Uda> SymbolicExecutor<'a, U> {
         Ok(())
     }
 
-    /// Whether the batched fast path may open a window right now.
+    /// Whether the batched fast path may open a window right now. A path
+    /// count past the per-record bound must reach `feed`, which refuses it.
     fn batch_ready(&self) -> bool {
-        self.calm_streak >= CALM_STREAK
-            && !self.paths.is_empty()
-            && (self.cfg.merge_policy != MergePolicy::Eager || self.paths.len() == 1)
+        let live = self.paths.len();
+        live > 0
+            && live <= self.cfg.max_paths_per_record
+            && (self.cfg.merge_policy != MergePolicy::Eager || live == 1)
     }
 
     /// Applies one batch window in place, rolling back to the snapshot
-    /// and replaying through [`SymbolicExecutor::feed`] if any record
-    /// forks or errors. Returns how many of `window`'s records were
-    /// consumed (all of them on commit; up to and including the
+    /// if any record forks or errors: the calm records before it are
+    /// applied in place again and it goes through
+    /// [`SymbolicExecutor::feed`]. Returns how many of `window`'s records
+    /// were consumed (all of them on commit; up to and including the
     /// anomalous record on rollback).
     fn apply_window(&mut self, window: &[U::Event]) -> Result<usize> {
-        let live = self.paths.len();
         self.arena.snapshots.clear();
         self.arena.snapshots.extend(self.paths.iter().cloned());
-        self.arena.stats.snapshot_states += live as u64;
-        for (j, e) in window.iter().enumerate() {
-            for k in 0..live {
-                self.arena.probe.rewind();
-                self.uda
-                    .update(&mut self.paths[k], &mut self.arena.probe, e);
-                if self.arena.probe.fork_refused() || self.arena.probe.has_error() {
-                    // Restore the window-entry paths and replay the
-                    // committed prefix plus this record the slow way;
-                    // statistics were not yet applied for any of them, so
-                    // the replay accounts them exactly once.
-                    std::mem::swap(&mut self.paths, &mut self.arena.snapshots);
-                    self.arena.snapshots.clear();
-                    self.arena.stats.rollbacks += 1;
-                    self.calm_streak = 0;
-                    for e2 in &window[..=j] {
-                        self.feed(e2)?;
-                    }
-                    return Ok(j + 1);
+        self.arena.stats.snapshot_states += self.paths.len() as u64;
+        self.arena.group(&self.paths);
+        let Some(j) = self.run_leads(window) else {
+            self.arena.snapshots.clear();
+            self.commit(window.len());
+            return Ok(window.len());
+        };
+        // Restore the window-entry paths. Statistics were not yet applied
+        // for any record of the window, so what follows accounts each
+        // exactly once.
+        std::mem::swap(&mut self.paths, &mut self.arena.snapshots);
+        self.arena.snapshots.clear();
+        self.arena.stats.rollbacks += 1;
+        if j > 0 {
+            let calm = self.run_leads(&window[..j]);
+            debug_assert!(calm.is_none(), "a calm prefix runs calm again");
+            self.commit(j);
+        }
+        self.feed(&window[j])?;
+        Ok(j + 1)
+    }
+
+    /// Runs `events` in place on the group leads, in record order; the
+    /// index of the first record that forks or errors on some lead.
+    fn run_leads(&mut self, events: &[U::Event]) -> Option<usize> {
+        let probe = &mut self.arena.probe;
+        for (j, e) in events.iter().enumerate() {
+            for &k in &self.arena.leads {
+                probe.rewind();
+                self.uda.update(&mut self.paths[k], probe, e);
+                if probe.fork_refused() || probe.has_error() {
+                    return Some(j);
                 }
             }
         }
-        // Window committed: account the batched records exactly as the
-        // slow path would have (one run per record × path, no forks).
-        let n = window.len() as u64;
+        None
+    }
+
+    /// Commits the first `n` records of the open window, which its leads
+    /// ran: the followers replay them, and the statistics account them
+    /// exactly as the slow path would have (a run per record × live path,
+    /// no forks).
+    fn commit(&mut self, n: usize) {
+        self.arena.replay_followers(&mut self.paths);
+        let (n, live, leads) = (
+            n as u64,
+            self.paths.len() as u64,
+            self.arena.leads.len() as u64,
+        );
         self.stats.records += n;
-        self.stats.runs += n * live as u64;
+        self.stats.runs += n * live;
         self.arena.stats.batched_records += n;
-        self.arena.stats.in_place_runs += n * live as u64;
-        self.calm_streak = self.calm_streak.saturating_add(window.len() as u32);
-        self.arena.snapshots.clear();
-        Ok(window.len())
+        self.arena.stats.in_place_runs += n * leads;
+        self.arena.stats.replayed_runs += n * (live - leads);
     }
 
     /// The currently live paths (diagnostics; e.g. the Figure 3 demo
@@ -858,6 +879,121 @@ mod tests {
         }
     }
 
+    /// `feed_slice` against per-record `feed` over one stream: outcome,
+    /// statistics and chain bytes agree. Returns the batched run's arena
+    /// counters.
+    fn assert_batching_is_invisible<U: Uda<Event = i64>>(
+        uda: &U,
+        cfg: EngineConfig,
+        events: &[i64],
+    ) -> ArenaStats {
+        let mut per_record = SymbolicExecutor::new(uda, cfg);
+        let want = per_record.feed_all(events);
+        let mut batched = SymbolicExecutor::new(uda, cfg);
+        assert_eq!(batched.feed_slice(events), want);
+        assert_eq!(batched.stats(), per_record.stats());
+        if want.is_ok() {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            per_record.encode_chain(&mut a);
+            batched.encode_chain(&mut b);
+            assert_eq!(a, b, "chain bytes differ");
+        }
+        batched.arena_stats()
+    }
+
+    #[test]
+    fn agreeing_paths_run_each_record_once() {
+        // After the first record the gap detector's two paths hold one
+        // `prev` and differ only in `out` and in the first decision.
+        let stream: Vec<i64> = (0..200).map(|i| i * 4 + (i % 3) * 10).collect();
+        for merge_policy in [MergePolicy::HighWater, MergePolicy::Never] {
+            let cfg = EngineConfig {
+                merge_policy,
+                ..EngineConfig::default()
+            };
+            let arena = assert_batching_is_invisible(&GapUda, cfg, &stream);
+            assert_eq!(arena.batched_records, 199, "{arena:?}");
+            assert_eq!(arena.in_place_runs, 199, "{arena:?}");
+            assert_eq!(arena.replayed_runs, 199, "{arena:?}");
+        }
+    }
+
+    /// The gap detector plus a counter that only the first record's gap
+    /// path bumps (until a multiple of 5 rebinds it) and a running minimum
+    /// that forks on events of 990 and up: groups form, dissolve and form
+    /// again, and windows fork midway.
+    struct GapCountUda;
+
+    #[derive(Clone, Debug)]
+    struct GapCountState {
+        prev: SymPred<i64>,
+        out: SymVector<i64>,
+        n: SymInt,
+        lo: SymInt,
+    }
+    impl_sym_state!(GapCountState { prev, out, n, lo });
+
+    impl Uda for GapCountUda {
+        type State = GapCountState;
+        type Event = i64;
+        type Output = usize;
+        fn init(&self) -> GapCountState {
+            GapCountState {
+                prev: SymPred::new(|prev: &i64, cur: &i64| cur - prev < 10),
+                out: SymVector::new(),
+                n: SymInt::new(0),
+                lo: SymInt::new(0),
+            }
+        }
+        fn update(&self, s: &mut GapCountState, ctx: &mut SymCtx, ts: &i64) {
+            if !s.prev.eval(ctx, ts) {
+                s.out.push_scalar(s.prev.affine_scalar(-1, *ts).unwrap());
+                if ts % 3 == 0 {
+                    s.n += 1;
+                }
+            }
+            if ts % 5 == 0 {
+                s.n.assign(ts % 2);
+            }
+            if *ts >= 990 && s.lo.gt(ctx, -ts) {
+                s.lo.assign(-ts);
+            }
+            s.prev.set(*ts);
+        }
+        fn result(&self, s: &GapCountState, _ctx: &mut SymCtx) -> usize {
+            s.out.len()
+        }
+    }
+
+    #[test]
+    fn groups_dissolve_and_form_again_per_window() {
+        // 3 forks the paths apart in `n`; 20 rebinds it, but only the next
+        // window regroups; 995 forks the running minimum mid-window.
+        let stream: Vec<i64> = [3, 4, 7, 8, 11, 13, 14, 16, 17, 19]
+            .into_iter()
+            .chain(20..80)
+            .chain([995, 1000, 1003])
+            .chain(1004..1040)
+            .collect();
+        let arena = assert_batching_is_invisible(&GapCountUda, EngineConfig::default(), &stream);
+        assert!(arena.replayed_runs > 0, "{arena:?}");
+        assert!(arena.in_place_runs > arena.batched_records, "{arena:?}");
+        assert!(arena.rollbacks >= 2, "{arena:?}");
+    }
+
+    #[test]
+    fn a_fork_on_a_windows_last_record_explores_only_that_record() {
+        let mut events = vec![1i64; BATCH_WINDOW - 1];
+        events.push(-100);
+        events.extend([2; 10]);
+        let arena = assert_batching_is_invisible(&MixedUda, EngineConfig::default(), &events);
+        assert_eq!(arena.rollbacks, 1, "{arena:?}");
+        // The 31 calm records before the fork are applied in place again.
+        assert_eq!(arena.batched_records, events.len() as u64 - 1, "{arena:?}");
+        // One path, two runs of the forking record: its only clones.
+        assert_eq!(arena.state_clones, 2, "{arena:?}");
+    }
+
     /// Every way a chunk can go: calm stretches that batch (`e % 4 == 0`),
     /// one- and three-way forking records (the latter trips a small
     /// per-record bound mid-record), restarts under a small total bound,
@@ -996,6 +1132,26 @@ mod tests {
                 [MergePolicy::Eager, MergePolicy::HighWater, MergePolicy::Never][policy];
             let cfg = EngineConfig { max_paths_per_record, max_total_paths, merge_policy };
             assert_reuse_is_invisible(cfg, &streams);
+        }
+
+        /// Grouped windows are per-record `feed`: chain bytes,
+        /// `ExploreStats` and errors, over streams that fork mid-window,
+        /// under every merge policy and bounds small enough to restart and
+        /// to refuse. `ForkyUda`'s live paths are disjoint in some `SymInt`
+        /// interval, so they never agree and nothing is replayed.
+        #[test]
+        fn grouped_windows_are_per_record_feed(
+            events in prop::collection::vec(prop_oneof![0i64..40, 990i64..1010], 0..80),
+            policy in 0usize..3,
+            max_paths_per_record in 2usize..9,
+            max_total_paths in 1usize..6,
+        ) {
+            let merge_policy =
+                [MergePolicy::Eager, MergePolicy::HighWater, MergePolicy::Never][policy];
+            let cfg = EngineConfig { max_paths_per_record, max_total_paths, merge_policy };
+            assert_batching_is_invisible(&GapCountUda, cfg, &events);
+            let arena = assert_batching_is_invisible(&ForkyUda, cfg, &events);
+            prop_assert_eq!(arena.replayed_runs, 0);
         }
     }
 

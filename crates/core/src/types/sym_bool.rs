@@ -94,6 +94,14 @@ impl SymField for SymBool {
     fn transfer(&self) -> Option<ScalarTransfer> {
         self.inner.transfer()
     }
+    fn agrees_for_update(&self, other: &dyn SymField) -> bool {
+        downcast::<SymBool>(other).is_some_and(|o| self.inner.agrees_for_update(&o.inner))
+    }
+    fn replay_from(&mut self, lead: &dyn SymField, mark: usize) {
+        if let Some(lead) = downcast::<SymBool>(lead) {
+            self.inner.replay_from(&lead.inner, mark);
+        }
+    }
     fn encode_field(&self, _prev: Option<&dyn SymField>, buf: &mut Vec<u8>) {
         self.inner.encode_field(None, buf);
     }
@@ -132,6 +140,18 @@ impl SymField for SymBool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn agreement_is_equality_and_replay_copies_the_lead() {
+        let mut lead = SymBool::new(false);
+        lead.make_symbolic(FieldId(0));
+        let mut follower = lead;
+        assert!(lead.agrees_for_update(&follower));
+        lead.assign(true);
+        assert!(!lead.agrees_for_update(&follower));
+        follower.replay_from(&lead, 0);
+        assert_eq!(follower, lead);
+    }
 
     #[test]
     fn concrete_get_never_forks() {

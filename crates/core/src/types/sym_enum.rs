@@ -310,6 +310,20 @@ impl SymField for SymEnum {
         })
     }
 
+    /// Equal in every part: the bound value and the constraint set that
+    /// `transfer_eq` and `constraint_eq` compare, and the domain (which
+    /// decides `assign`'s range check) and the id, shared by every path of
+    /// one state anyway.
+    fn agrees_for_update(&self, other: &dyn SymField) -> bool {
+        downcast::<SymEnum>(other).is_some_and(|o| self == o)
+    }
+
+    fn replay_from(&mut self, lead: &dyn SymField, _mark: usize) {
+        if let Some(lead) = downcast::<SymEnum>(lead) {
+            *self = *lead;
+        }
+    }
+
     fn encode_field(&self, _prev: Option<&dyn SymField>, buf: &mut Vec<u8>) {
         let at = buf.len();
         buf.push(0);
@@ -408,6 +422,25 @@ impl SymField for SymEnum {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn agreement_is_equality_and_replay_copies_the_lead() {
+        let mut ctx = SymCtx::symbolic();
+        let mut lead = SymEnum::new(4, 0);
+        lead.make_symbolic(FieldId(0));
+        let (mut follower, mut other) = (lead, lead);
+        assert!(lead.agrees_for_update(&other));
+        other.eq_c(&mut ctx, 2); // narrows the set only
+        assert!(!lead.agrees_for_update(&other), "sets differ");
+        lead.assign(&mut ctx, 3);
+        assert!(!lead.agrees_for_update(&follower), "bound values differ");
+        assert!(
+            !SymEnum::new(4, 1).agrees_for_update(&SymEnum::new(5, 1)),
+            "domains differ"
+        );
+        follower.replay_from(&lead, 0);
+        assert_eq!(follower, lead);
+    }
 
     fn symbolic(domain: u32) -> SymEnum {
         let mut e = SymEnum::new(domain, 0);

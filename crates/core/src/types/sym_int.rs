@@ -513,6 +513,20 @@ impl SymField for SymInt {
         Some(ScalarTransfer::from_coeffs(self.a, self.b))
     }
 
+    /// Equal in every part: the transfer and the constraint that
+    /// `transfer_eq` and `constraint_eq` compare, and the width (which
+    /// decides overflow) and the id (which `as_scalar` reports) that every
+    /// path of one state shares anyway.
+    fn agrees_for_update(&self, other: &dyn SymField) -> bool {
+        downcast::<SymInt>(other).is_some_and(|o| self == o)
+    }
+
+    fn replay_from(&mut self, lead: &dyn SymField, _mark: usize) {
+        if let Some(lead) = downcast::<SymInt>(lead) {
+            *self = *lead;
+        }
+    }
+
     fn encode_field(&self, _prev: Option<&dyn SymField>, buf: &mut Vec<u8>) {
         let at = buf.len();
         buf.push(0);
@@ -620,6 +634,24 @@ mod tests {
         let mut s = SymInt::new(0);
         s.make_symbolic(FieldId(0));
         s
+    }
+
+    #[test]
+    fn agreement_is_equality_and_replay_copies_the_lead() {
+        let mut ctx = SymCtx::symbolic();
+        let (mut lead, mut other) = (symbolic(), symbolic());
+        assert!(lead.agrees_for_update(&other));
+        other.gt(&mut ctx, 10); // narrows the constraint only
+        assert!(!lead.agrees_for_update(&other), "constraints differ");
+        let mut follower = lead;
+        lead += 3;
+        assert!(!lead.agrees_for_update(&follower), "transfers differ");
+        assert!(
+            !SymInt::with_width(8, 0).agrees_for_update(&SymInt::new(0)),
+            "widths differ"
+        );
+        follower.replay_from(&lead, follower.replay_mark());
+        assert_eq!(follower, lead);
     }
 
     #[test]

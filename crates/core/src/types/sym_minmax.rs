@@ -306,6 +306,19 @@ impl SymField for SymMinMax {
         self.concrete_value().map(ScalarTransfer::Const)
     }
 
+    /// Equal in every part: the mode, accumulator and input tracking that
+    /// `transfer_eq` compares, the constraint of `constraint_eq`, and the
+    /// id, shared by every path of one state anyway.
+    fn agrees_for_update(&self, other: &dyn SymField) -> bool {
+        downcast::<SymMinMax>(other).is_some_and(|o| self == o)
+    }
+
+    fn replay_from(&mut self, lead: &dyn SymField, _mark: usize) {
+        if let Some(lead) = downcast::<SymMinMax>(lead) {
+            *self = *lead;
+        }
+    }
+
     fn encode_field(&self, _prev: Option<&dyn SymField>, buf: &mut Vec<u8>) {
         let at = buf.len();
         buf.push(0);
@@ -436,6 +449,22 @@ mod tests {
     use crate::impl_sym_state;
     use crate::uda::Uda;
     use proptest::prelude::*;
+
+    #[test]
+    fn agreement_is_equality_and_replay_copies_the_lead() {
+        let mut ctx = SymCtx::symbolic();
+        let mut lead = SymMinMax::new(Extremum::Max);
+        lead.make_symbolic(FieldId(0));
+        let (mut follower, mut other) = (lead, lead);
+        assert!(lead.agrees_for_update(&other));
+        other.lt(&mut ctx, 10); // narrows the constraint only
+        assert!(!lead.agrees_for_update(&other), "constraints differ");
+        lead.update(7);
+        assert!(!lead.agrees_for_update(&follower), "accumulators differ");
+        assert!(!SymMinMax::new(Extremum::Min).agrees_for_update(&SymMinMax::new(Extremum::Max)));
+        follower.replay_from(&lead, 0);
+        assert_eq!(follower, lead);
+    }
 
     struct MaxUda;
 

@@ -361,6 +361,24 @@ impl<T: PredValue> SymField for SymPred<T> {
         }
     }
 
+    /// Equal held values, and equal decisions while the value is unknown:
+    /// `eval` reads the decision list only then, and nothing else reads it.
+    fn agrees_for_update(&self, other: &dyn SymField) -> bool {
+        downcast::<SymPred<T>>(other).is_some_and(|o| {
+            self.held == o.held
+                && (!matches!(self.held, Held::Unknown) || self.constraint_eq(other))
+        })
+    }
+
+    /// Adopts the lead's held value and keeps this path's decisions: a
+    /// window's runs add none (a new decision is a fork, which rolls the
+    /// window back).
+    fn replay_from(&mut self, lead: &dyn SymField, _mark: usize) {
+        if let Some(lead) = downcast::<SymPred<T>>(lead) {
+            self.held = lead.held.clone();
+        }
+    }
+
     fn encode_field(&self, _prev: Option<&dyn SymField>, buf: &mut Vec<u8>) {
         let held = match &self.held {
             Held::Unknown => HELD_UNKNOWN,
@@ -554,6 +572,53 @@ mod tests {
         assert_eq!(p.value(), Some(&42));
         assert_eq!(p.decisions.len(), 1);
         assert!(p.is_concrete());
+    }
+
+    /// The two sides of a fork on `eval(10)` from unknown `x`.
+    fn forked() -> (SymPred<i64>, SymPred<i64>) {
+        let mut ctx = SymCtx::symbolic();
+        let mut sides = Vec::new();
+        loop {
+            ctx.begin_run();
+            let mut p = lt_pred();
+            p.make_symbolic(FieldId(0));
+            p.eval(&mut ctx, &10);
+            sides.push(p);
+            if !ctx.advance() {
+                break;
+            }
+        }
+        let no = sides.pop().unwrap();
+        (sides.pop().unwrap(), no)
+    }
+
+    #[test]
+    fn agreement_ignores_decisions_once_a_value_is_held() {
+        let (mut yes, mut no) = forked();
+        assert!(!yes.agrees_for_update(&no), "unknown, opposite decisions");
+        assert!(yes.agrees_for_update(&yes.clone()));
+        yes.set(7);
+        no.set(7);
+        assert!(yes.agrees_for_update(&no), "one value, opposite decisions");
+        no.set(8);
+        assert!(!yes.agrees_for_update(&no), "different values");
+        let mut unset = lt_pred();
+        assert!(!unset.agrees_for_update(&yes));
+        unset.set(7);
+        assert!(unset.agrees_for_update(&yes));
+    }
+
+    #[test]
+    fn replay_adopts_the_held_value_and_keeps_decisions() {
+        let (mut lead, mut follower) = forked();
+        lead.set(7);
+        follower.set(7);
+        let mark = lead.replay_mark();
+        lead.set(12);
+        follower.replay_from(&lead, mark);
+        assert_eq!(follower.value(), Some(&12));
+        assert_eq!(*follower.decisions, vec![(10, false)]);
+        assert!(follower.agrees_for_update(&lead));
     }
 
     #[test]

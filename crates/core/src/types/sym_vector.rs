@@ -11,6 +11,14 @@
 //! vector, so the unknown prefix produced by earlier chunks cannot affect
 //! control flow and needs no constraint.
 //!
+//! The executor leans on the same contract: a vector always
+//! [agrees for update](SymField::agrees_for_update), so live paths that
+//! differ only in their output share one run per record inside a batch
+//! window, and the others take the lead's appended elements when it commits
+//! ([`SymField::replay_from`]). An `update` that branched on `len()` (or on
+//! anything else it read back from a vector) would break this contract and
+//! with it the summaries of every path that was replayed.
+//!
 //! Internally the vector is a **persistent list of cells**: path
 //! exploration clones the whole aggregation state once per explored run,
 //! and a `Vec` payload would make that clone — and therefore the whole
@@ -622,6 +630,29 @@ impl<T: VecElem> SymField for SymVector<T> {
         None
     }
 
+    /// Always: `update` never reads a vector (the module doc's contract),
+    /// so two paths' vectors cannot make their runs differ.
+    fn agrees_for_update(&self, other: &dyn SymField) -> bool {
+        downcast::<SymVector<T>>(other).is_some()
+    }
+
+    fn replay_mark(&self) -> usize {
+        self.len
+    }
+
+    /// Appends what `lead` appended since `mark`: `sym_len` follows the
+    /// elements, and the whole window costs this handle at most one cell
+    /// per `NODE_CAP` elements.
+    fn replay_from(&mut self, lead: &dyn SymField, mark: usize) {
+        let Some(lead) = downcast::<SymVector<T>>(lead) else {
+            return;
+        };
+        let n = lead.len - mark;
+        let mut tail = Cursor::new(&lead.tail).oldest_first(n);
+        self.extend(n, n, || Ok(tail.next().expect("n ≤ lead.len").clone()))
+            .unwrap_or_else(|never: std::convert::Infallible| match never {});
+    }
+
     /// Wire v2: `(runs << 1) | has_tail`, then the path's own leading
     /// elements as runs — `(len << 1) | symbolic`, then `len` concrete
     /// elements or `len` affine `(field, a, b)` triples — then, with
@@ -902,6 +933,55 @@ mod tests {
         });
         let prev_all = |_| unset.transfer();
         assert!(later.compose_onto(&prev_vec, &prev_all).is_err());
+    }
+
+    #[test]
+    fn replay_appends_exactly_the_leads_tail() {
+        let sym = |b| {
+            Elem::Sym(SymScalar::Affine {
+                field: FieldId(0),
+                a: -1,
+                b,
+            })
+        };
+        let push = |v: &mut SymVector<i64>, e: &Elem<i64>| v.push_elem(e.clone());
+        let mut lead: SymVector<i64> = SymVector::new();
+        lead.make_symbolic(FieldId(1));
+        push(&mut lead, &sym(4));
+        // The follower differs in what it holds, not in what is to come.
+        let mut follower = lead.clone();
+        push(&mut lead, &Elem::Concrete(9));
+        assert!(lead.agrees_for_update(&follower));
+        let mark = lead.replay_mark();
+        let window: Vec<Elem<i64>> = (0..150)
+            .map(|i| {
+                if i % 3 == 0 {
+                    sym(i)
+                } else {
+                    Elem::Concrete(i)
+                }
+            })
+            .collect();
+        for e in &window {
+            push(&mut lead, e);
+        }
+        let cells = follower.cells();
+        follower.replay_from(&lead, mark);
+        let want: Vec<_> = [sym(4)].into_iter().chain(window.iter().cloned()).collect();
+        assert_eq!(follower.elems(), want);
+        assert_eq!(follower.len(), 151);
+        assert_eq!(
+            follower.sym_len, 51,
+            "one symbolic element in three, plus the first"
+        );
+        assert!(!follower.is_concrete());
+        // The follower's tail cell is the lead's too, so the tail goes into
+        // new cells, one per NODE_CAP elements.
+        assert_eq!(follower.cells() - cells, 150usize.div_ceil(NODE_CAP));
+        // An empty tail appends nothing.
+        let before = follower.elems();
+        follower.replay_from(&lead, lead.replay_mark());
+        assert_eq!(follower.elems(), before);
     }
 
     #[test]

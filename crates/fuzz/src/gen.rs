@@ -45,15 +45,42 @@ impl Default for GenConfig {
 /// behavior class worth covering.
 const WIDTHS: [u8; 4] = [8, 16, 32, 64];
 
+/// One program in this many opens with the gap detector behind B1, B2
+/// and R3: a predicate guard that pushes the event to a vector, then the
+/// predicate takes the event. From the second record on its two paths
+/// differ only in that vector and in the guard's first decision, so a
+/// batch window runs them once and replays the vector's tail onto the
+/// other; the rest of the body is random as usual.
+const GAP_SHAPE_ONE_IN: u32 = 4;
+
 /// Generates one random well-typed program.
 pub fn gen_program(rng: &mut Rng64, cfg: &GenConfig) -> Program {
-    let nfields = rng.gen_range(1..=cfg.max_fields.max(1));
-    let fields: Vec<FieldDecl> = (0..nfields).map(|_| gen_field(rng)).collect();
+    let gap_shape = cfg.max_fields >= 2 && rng.gen_range(0..GAP_SHAPE_ONE_IN) == 0;
+    let nfields = rng.gen_range(1 + usize::from(gap_shape)..=cfg.max_fields.max(1));
+    let mut fields: Vec<FieldDecl> = (0..nfields).map(|_| gen_field(rng)).collect();
+    let mut body = Vec::new();
+    if gap_shape {
+        fields[0] = gen_pred(rng);
+        fields[1] = FieldDecl::Vec;
+        body.push(Stmt::If {
+            cond: Cond::Pred {
+                f: 0,
+                arg: IntArg::Event,
+            },
+            then: vec![Stmt::VecPush {
+                f: 1,
+                arg: IntArg::Event,
+            }],
+            els: Vec::new(),
+        });
+        body.push(Stmt::PredSet {
+            f: 0,
+            arg: IntArg::Event,
+        });
+    }
 
     let nstmts = rng.gen_range(1..=cfg.max_stmts.clamp(1, MAX_STMTS));
-    let body: Vec<Stmt> = (0..nstmts)
-        .map(|_| gen_stmt(rng, &fields, cfg.max_depth))
-        .collect();
+    body.extend((0..nstmts).map(|_| gen_stmt(rng, &fields, cfg.max_depth)));
 
     let p = Program { fields, body };
     debug_assert!(p.typecheck().is_ok(), "generator broke typing: {p:?}");
@@ -81,15 +108,19 @@ fn gen_field(rng: &mut Rng64) -> FieldDecl {
         5 => FieldDecl::MinMax {
             max: rng.gen_bool(0.5),
         },
-        6 => FieldDecl::Pred {
-            kind: match rng.gen_range(0u32..3) {
-                0 => PredKind::Lt,
-                1 => PredKind::Le,
-                _ => PredKind::Gt,
-            },
-            window: rng.gen_range(2usize..=4),
-        },
+        6 => gen_pred(rng),
         _ => FieldDecl::Vec,
+    }
+}
+
+fn gen_pred(rng: &mut Rng64) -> FieldDecl {
+    FieldDecl::Pred {
+        kind: match rng.gen_range(0u32..3) {
+            0 => PredKind::Lt,
+            1 => PredKind::Le,
+            _ => PredKind::Gt,
+        },
+        window: rng.gen_range(2usize..=4),
     }
 }
 

@@ -524,9 +524,9 @@ where
             continue;
         }
         exec.reset();
-        // `feed_slice` engages the batched fast path on calm stretches;
-        // it is byte-identical to per-record `feed` (executor tests pin
-        // this), so summaries and caches are unaffected.
+        // `feed_slice` applies calm records in place, once per group of
+        // agreeing live paths; it is byte-identical to per-record `feed`
+        // (executor tests pin this), so summaries and caches are unaffected.
         match exec.feed_slice(events) {
             Ok(()) => {
                 stats.absorb(exec.stats());
