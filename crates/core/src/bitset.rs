@@ -106,9 +106,31 @@ impl BitSet256 {
         BitSet256 { words }
     }
 
-    /// Iterates the members in ascending order.
+    /// Iterates the members in ascending order, a word at a time: each
+    /// step takes the lowest set bit and clears it, so the cost is the
+    /// number of members, not the capacity.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..BITSET_CAPACITY).filter(move |v| self.contains(*v))
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut w = word;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let bit = w.trailing_zeros();
+                    w &= w - 1;
+                    i as u32 * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// The largest member, if any.
+    fn max(&self) -> Option<u32> {
+        let (i, w) = self
+            .words
+            .iter()
+            .enumerate()
+            .rev()
+            .find(|(_, w)| **w != 0)?;
+        Some(i as u32 * 64 + 63 - w.leading_zeros())
     }
 
     /// Encodes only the words a domain of the given size needs.
@@ -127,7 +149,7 @@ impl BitSet256 {
             *w = wire::get_uvarint(buf)?;
         }
         let s = BitSet256 { words };
-        if let Some(stray) = s.difference(&BitSet256::full(domain)).iter().last() {
+        if let Some(stray) = s.difference(&BitSet256::full(domain)).max() {
             return Err(WireError::OutOfDomain {
                 value: u64::from(stray),
                 domain: u64::from(domain),
@@ -140,6 +162,100 @@ impl BitSet256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference `iter` must equal: a scan of the whole capacity.
+    fn naive(s: &BitSet256) -> Vec<u32> {
+        (0..BITSET_CAPACITY).filter(|v| s.contains(*v)).collect()
+    }
+
+    /// A set over all four words: dense (`a`) or thinned (`a & b`), plus
+    /// the word-edge members `edges` picks.
+    fn set_of(a: &[u64], b: &[u64], dense: bool, edges: u8) -> BitSet256 {
+        let mut words = [0u64; WORDS];
+        for (w, (a, b)) in words.iter_mut().zip(a.iter().zip(b)) {
+            *w = if dense { *a } else { a & b };
+        }
+        let mut s = BitSet256 { words };
+        for (i, v) in [0, 63, 64, 127, 128, 255].into_iter().enumerate() {
+            if edges & (1 << i) != 0 {
+                s.insert(v);
+            }
+        }
+        s
+    }
+
+    const DOMAINS: [u32; 7] = [1, 6, 63, 64, 65, 200, 256];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn iter_is_the_naive_scan(
+            a in prop::collection::vec(any::<u64>(), WORDS),
+            b in prop::collection::vec(any::<u64>(), WORDS),
+            dense in any::<bool>(),
+            edges in any::<u8>(),
+        ) {
+            let s = set_of(&a, &b, dense, edges);
+            prop_assert_eq!(s.iter().collect::<Vec<_>>(), naive(&s));
+            prop_assert_eq!(s.max(), naive(&s).last().copied());
+        }
+
+        /// Whatever the words on the wire, a decode either names the
+        /// highest member outside the domain or returns the set itself.
+        #[test]
+        fn decode_reports_the_highest_stray_or_accepts(
+            a in prop::collection::vec(any::<u64>(), WORDS),
+            b in prop::collection::vec(any::<u64>(), WORDS),
+            dense in any::<bool>(),
+            edges in any::<u8>(),
+        ) {
+            let s = set_of(&a, &b, dense, edges);
+            for domain in DOMAINS {
+                let sent = (domain.div_ceil(64) as usize).max(1);
+                let mut words = s.words;
+                words[sent..].fill(0);
+                let sent = BitSet256 { words };
+                let mut buf = Vec::new();
+                sent.encode_for_domain(domain, &mut buf);
+                let stray = naive(&sent).into_iter().rfind(|v| *v >= domain);
+                let want = match stray {
+                    Some(v) => Err(WireError::OutOfDomain {
+                        value: u64::from(v),
+                        domain: u64::from(domain),
+                    }),
+                    None => Ok(sent),
+                };
+                prop_assert_eq!(BitSet256::decode_for_domain(domain, &mut &buf[..]), want);
+                // The same set cut down to the domain is always accepted.
+                let inside = sent.intersect(&BitSet256::full(domain));
+                let mut buf = Vec::new();
+                inside.encode_for_domain(domain, &mut buf);
+                prop_assert_eq!(BitSet256::decode_for_domain(domain, &mut &buf[..]), Ok(inside));
+            }
+        }
+    }
+
+    #[test]
+    fn iter_on_the_empty_the_full_and_the_word_edges() {
+        assert_eq!(BitSet256::EMPTY.iter().next(), None);
+        assert_eq!(BitSet256::EMPTY.max(), None);
+        let full = BitSet256::full(256);
+        assert_eq!(
+            full.iter().collect::<Vec<_>>(),
+            (0..256).collect::<Vec<_>>()
+        );
+        assert_eq!(full.max(), Some(255));
+        let edges = set_of(&[0; 4], &[0; 4], true, u8::MAX);
+        assert_eq!(edges.iter().collect::<Vec<_>>(), [0, 63, 64, 127, 128, 255]);
+        for domain in DOMAINS {
+            assert_eq!(
+                BitSet256::full(domain).iter().collect::<Vec<_>>(),
+                (0..domain).collect::<Vec<_>>()
+            );
+        }
+    }
 
     #[test]
     fn full_and_membership() {

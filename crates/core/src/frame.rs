@@ -20,7 +20,7 @@
 //! are evidence of an operator-visible configuration or data change, not
 //! of storage rot.
 
-use std::hash::Hasher;
+use std::hash::{BuildHasher, Hasher};
 
 use crate::wire::{get_bytes, get_len, get_uvarint, put_uvarint};
 
@@ -128,7 +128,15 @@ pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
 /// Deterministic across runs and builds. `std` hashes an integer slice as
 /// its in-memory bytes, so a vector's digest differs between little- and
 /// big-endian hosts. Unkeyed: it resists accidental and structural
-/// collisions, not a deliberate 2^32 birthday search.
+/// collisions, not a deliberate search. In particular the difference a
+/// step leaves in the state does not depend on the state when the word's
+/// difference is bit 63 alone — it becomes bits 63 and 34 — so a word
+/// that flips bit 63, followed by one that flips bits 63 and 34, collides
+/// whatever the state.
+///
+/// Its keyed use is [`KeyedWordHasher`], the map-side grouping's hash
+/// table: there the keys come from input files, so a hash an adversary
+/// can predict would let crafted keys pile into one bucket.
 #[derive(Debug, Clone, Copy)]
 pub struct WordHasher(u64);
 
@@ -147,6 +155,23 @@ impl WordHasher {
         let x = (self.0 ^ word).wrapping_mul(mul);
         self.0 = x ^ (x >> 29);
     }
+
+    /// [`Hasher::write`], each word passed through `whiten` first.
+    #[inline]
+    fn absorb(&mut self, bytes: &[u8], whiten: impl Fn(u64) -> u64) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let word = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+            self.step(whiten(word), Self::WORD_MUL);
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            word[7] = tail.len() as u8;
+            self.step(whiten(u64::from_le_bytes(word)), Self::TAIL_MUL);
+        }
+    }
 }
 
 impl Default for WordHasher {
@@ -158,20 +183,7 @@ impl Default for WordHasher {
 impl Hasher for WordHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.step(
-                u64::from_le_bytes(w.try_into().expect("8-byte chunk")),
-                Self::WORD_MUL,
-            );
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            word[7] = tail.len() as u8;
-            self.step(u64::from_le_bytes(word), Self::TAIL_MUL);
-        }
+        self.absorb(bytes, |word| word);
     }
 
     #[inline]
@@ -206,6 +218,85 @@ impl Hasher for WordHasher {
         x ^= x >> 33;
         x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
         x ^ (x >> 33)
+    }
+}
+
+/// [`WordHasher`] under a secret key: the hash of a hash table whose keys
+/// come from input files (the map-side grouping's staging table).
+///
+/// The key sets the start state and an odd multiplier every word passes
+/// through before the step folds it in. The multiplier is what hides the
+/// hash: the unkeyed step's seed-free collision needs the second word to
+/// differ from its twin in bits 63 and 34 *after* whitening, which takes
+/// knowing the key's low 30 bits. A one-word key (every integer key) is a
+/// secret permutation of the state before the avalanche. Hashes differ
+/// from [`WordHasher`]'s and between keys, so they must never be stored.
+///
+/// A hasher in its initial state is also its own [`BuildHasher`]: the
+/// table copies it for every key.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyedWordHasher {
+    inner: WordHasher,
+    key: u64,
+}
+
+impl KeyedWordHasher {
+    /// A hasher keyed by `seed`; draw the seed at random (from
+    /// [`std::hash::RandomState`], say) so that no input can aim at it.
+    pub fn new(seed: u64) -> KeyedWordHasher {
+        let mut inner = WordHasher::new();
+        inner.write_u64(seed);
+        KeyedWordHasher {
+            key: inner.finish() | 1,
+            inner,
+        }
+    }
+}
+
+impl BuildHasher for KeyedWordHasher {
+    type Hasher = KeyedWordHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> KeyedWordHasher {
+        *self
+    }
+}
+
+impl Hasher for KeyedWordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let key = self.key;
+        self.inner.absorb(bytes, |word| word.wrapping_mul(key));
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(n.into());
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.inner.write_u64(n.wrapping_mul(self.key));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.inner.finish()
     }
 }
 
@@ -531,6 +622,43 @@ mod tests {
         assert_eq!(int(&|h| h.write_i64(-1)), int(&|h| h.write_u64(u64::MAX)));
         assert_eq!(int(&|h| h.write_u64(7)), word_digest(&7u64.to_le_bytes()));
         assert_ne!(int(&|h| h.write_u64(7)), int(&|h| h.write_u64(8)));
+    }
+
+    /// The unkeyed step's seed-free collision, and the keyed hasher
+    /// keeping the same two inputs apart under every key tried.
+    #[test]
+    fn a_keyed_hasher_hides_the_two_word_collision() {
+        let mut rng = crate::rng::Rng64::seed_from_u64(34);
+        let base: Vec<u8> = (0..24).map(|_| rng.gen::<u64>() as u8).collect();
+        let mut twin = base.clone();
+        twin[7] ^= 0x80; // word 0: bit 63
+        twin[15] ^= 0x80; // word 1: bits 63 …
+        twin[12] ^= 0x04; // … and 34
+        assert_eq!(word_digest(&twin), word_digest(&base));
+        let keyed = |seed, bytes: &[u8]| {
+            let mut h = KeyedWordHasher::new(seed);
+            h.write(bytes);
+            h.finish()
+        };
+        for seed in 0..256 {
+            assert_ne!(keyed(seed, &twin), keyed(seed, &base), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn keyed_hashes_depend_on_the_key_not_the_integer_width() {
+        let int = |seed, f: &dyn Fn(&mut KeyedWordHasher)| {
+            let mut h = KeyedWordHasher::new(seed).build_hasher();
+            f(&mut h);
+            h.finish()
+        };
+        assert_eq!(int(5, &|h| h.write_u8(7)), int(5, &|h| h.write_u64(7)));
+        assert_eq!(int(5, &|h| h.write_u32(7)), int(5, &|h| h.write_usize(7)));
+        assert_ne!(int(5, &|h| h.write_u64(7)), int(6, &|h| h.write_u64(7)));
+        assert_ne!(int(5, &|h| h.write_u64(7)), int(5, &|h| h.write_u64(8)));
+        let mut unkeyed = WordHasher::new();
+        unkeyed.write_u64(7);
+        assert_ne!(int(0, &|h| h.write_u64(7)), unkeyed.finish());
     }
 
     proptest! {

@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::or_fun_call)]
 
 //! # symple-core
 //!

@@ -88,7 +88,7 @@ impl SymField for SymBool {
     }
     fn compose_onto(&mut self, prev: &dyn SymField, transfers: &Transfers<'_>) -> Result<bool> {
         let prev = downcast::<SymBool>(prev)
-            .ok_or(crate::error::Error::Uda("field type mismatch".into()))?;
+            .ok_or_else(|| crate::error::Error::Uda("field type mismatch".into()))?;
         self.inner.compose_onto(&prev.inner, transfers)
     }
     fn transfer(&self) -> Option<ScalarTransfer> {

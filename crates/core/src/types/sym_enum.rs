@@ -276,7 +276,8 @@ impl SymField for SymEnum {
     }
 
     fn compose_onto(&mut self, prev: &dyn SymField, _transfers: &Transfers<'_>) -> Result<bool> {
-        let prev = downcast::<SymEnum>(prev).ok_or(Error::Uda("field type mismatch".into()))?;
+        let prev =
+            downcast::<SymEnum>(prev).ok_or_else(|| Error::Uda("field type mismatch".into()))?;
         debug_assert_eq!(
             self.domain, prev.domain,
             "composed enums must share a domain"

@@ -473,7 +473,8 @@ impl SymField for SymInt {
     }
 
     fn compose_onto(&mut self, prev: &dyn SymField, _transfers: &Transfers<'_>) -> Result<bool> {
-        let prev = downcast::<SymInt>(prev).ok_or(Error::Uda("field type mismatch".into()))?;
+        let prev =
+            downcast::<SymInt>(prev).ok_or_else(|| Error::Uda("field type mismatch".into()))?;
         debug_assert_eq!(
             self.width, prev.width,
             "composed SymInts must share a width"

@@ -266,7 +266,8 @@ impl SymField for SymMinMax {
     }
 
     fn compose_onto(&mut self, prev: &dyn SymField, _transfers: &Transfers<'_>) -> Result<bool> {
-        let prev = downcast::<SymMinMax>(prev).ok_or(Error::Uda("field type mismatch".into()))?;
+        let prev =
+            downcast::<SymMinMax>(prev).ok_or_else(|| Error::Uda("field type mismatch".into()))?;
         debug_assert_eq!(self.mode, prev.mode, "composed extrema must share a mode");
         if !self.tracking_input {
             // Later path discarded its input: only the constraint on `y`

@@ -310,7 +310,8 @@ impl<T: PredValue> SymField for SymPred<T> {
     }
 
     fn compose_onto(&mut self, prev: &dyn SymField, _transfers: &Transfers<'_>) -> Result<bool> {
-        let prev = downcast::<SymPred<T>>(prev).ok_or(Error::Uda("field type mismatch".into()))?;
+        let prev =
+            downcast::<SymPred<T>>(prev).ok_or_else(|| Error::Uda("field type mismatch".into()))?;
         match &prev.held {
             Held::Unknown => {
                 // Decisions cannot be discharged yet: both lists constrain

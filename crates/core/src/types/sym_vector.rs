@@ -610,8 +610,8 @@ impl<T: VecElem> SymField for SymVector<T> {
     }
 
     fn compose_onto(&mut self, prev: &dyn SymField, transfers: &Transfers<'_>) -> Result<bool> {
-        let prev =
-            downcast::<SymVector<T>>(prev).ok_or(Error::Uda("field type mismatch".into()))?;
+        let prev = downcast::<SymVector<T>>(prev)
+            .ok_or_else(|| Error::Uda("field type mismatch".into()))?;
         // Start from the earlier chunk's (shared) list and append our own
         // elements, substituting symbolic references through the earlier
         // path's transfers.

@@ -7,8 +7,9 @@
 
 use std::collections::HashMap;
 use std::fmt::Debug;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 
+use symple_core::frame::KeyedWordHasher;
 use symple_core::wire::Wire;
 
 /// Grouping keys: hashable (for partitioning), ordered (for deterministic
@@ -98,11 +99,28 @@ pub(crate) fn sorted_groups<'r, G: GroupBy>(
 where
     G::Record: 'r,
 {
+    // The staging table's keys come from the input, so its hash is keyed
+    // afresh per call, from std's random source.
+    let seed = RandomState::new().build_hasher().finish();
+    sorted_groups_keyed(g, records, KeyedWordHasher::new(seed))
+}
+
+/// [`sorted_groups`] with the staging table's hasher given. The result
+/// does not depend on it: slots are numbered by first appearance and the
+/// index is sorted by key.
+fn sorted_groups_keyed<'r, G: GroupBy>(
+    g: &G,
+    records: impl IntoIterator<Item = &'r G::Record>,
+    hasher: KeyedWordHasher,
+) -> Groups<G::Key, G::Event>
+where
+    G::Record: 'r,
+{
     // Stage every event once, in record order. Consecutive events of one
     // key are a run, filed as `(the key's slot, end)` when the next key
     // shows up: a key is hashed once per run, not once per event.
     let records = records.into_iter();
-    let mut slots: HashMap<G::Key, u32> = HashMap::new();
+    let mut slots: HashMap<G::Key, u32, _> = HashMap::with_hasher(hasher);
     let mut runs: Vec<(u32, u32)> = Vec::new();
     let mut events = Vec::with_capacity(records.size_hint().0);
     let mut open: Option<G::Key> = None;
@@ -244,6 +262,22 @@ mod tests {
     fn all_filtered() {
         assert_eq!(sorted_groups(&ByMod(2), &[-1, -2]).len(), 0);
         assert_matches_model(&ByMod(2), &[-1, -2]);
+    }
+
+    #[test]
+    fn grouping_does_not_depend_on_the_hash_key() {
+        // Fan-out (multiples of 7), filtered (negatives) and interleaved.
+        let records: Vec<i64> = (0..300).map(|i| (i * 37 % 211) - 15).collect();
+        let g = ByMod(23);
+        let flat = |seed| {
+            let groups = sorted_groups_keyed(&g, &records, KeyedWordHasher::new(seed));
+            (groups.index, groups.events)
+        };
+        let want = flat(1);
+        assert_eq!(want.0.len(), 23);
+        for seed in [2, u64::MAX, 0x5eed] {
+            assert_eq!(flat(seed), want, "seed {seed}");
+        }
     }
 
     #[test]
