@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use crate::case::{outputs_agree, CaseInput, Sabotage};
+use crate::case::{outputs_agree, CaseInput, DynCase, Sabotage};
 use crate::cases::case_by_id;
 use crate::cell::{parse_policy, policy_str, Cell, ExecutorKind, FaultKind};
 
@@ -44,6 +44,26 @@ impl ReproKind {
             "fault-nondeterminism" => ReproKind::FaultNondet,
             _ => return None,
         })
+    }
+
+    /// For a determinism-probe kind: the invariant its probe holds, and
+    /// the probe's violation on one cell, if it sees one.
+    pub(crate) fn probe(
+        self,
+        case: &dyn DynCase,
+        input: &CaseInput,
+        cell: &Cell,
+    ) -> (&'static str, Option<String>) {
+        match self {
+            ReproKind::Mismatch => unreachable!("a mismatch is found by comparison, not a probe"),
+            ReproKind::SummaryNondet => {
+                ("byte-identical summaries", case.summary_nondet(input, cell))
+            }
+            ReproKind::FaultNondet => (
+                "deterministic fault recovery",
+                case.fault_nondet(input, cell),
+            ),
+        }
     }
 }
 
@@ -234,24 +254,18 @@ impl Artifact {
                     ReplayOutcome::Reproduced { expected, actual }
                 })
             }
-            ReproKind::SummaryNondet => Ok(match case.summary_nondet(&self.input, &self.cell) {
-                Some(v) => ReplayOutcome::Reproduced {
-                    expected: "deterministic summaries".into(),
-                    actual: v,
-                },
-                None => ReplayOutcome::NotReproduced {
-                    actual: "deterministic summaries".into(),
-                },
-            }),
-            ReproKind::FaultNondet => Ok(match case.fault_nondet(&self.input, &self.cell) {
-                Some(v) => ReplayOutcome::Reproduced {
-                    expected: "deterministic fault recovery".into(),
-                    actual: v,
-                },
-                None => ReplayOutcome::NotReproduced {
-                    actual: "deterministic fault recovery".into(),
-                },
-            }),
+            kind => {
+                let (invariant, violation) = kind.probe(case.as_ref(), &self.input, &self.cell);
+                Ok(match violation {
+                    Some(actual) => ReplayOutcome::Reproduced {
+                        expected: invariant.into(),
+                        actual,
+                    },
+                    None => ReplayOutcome::NotReproduced {
+                        actual: invariant.into(),
+                    },
+                })
+            }
         }
     }
 }

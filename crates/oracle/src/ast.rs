@@ -1,7 +1,7 @@
 //! Generated UDAs: a bounded, serializable AST over the symbolic data
 //! types, plus an independent concrete reference interpreter.
 //!
-//! The fuzzer (crate `symple-fuzz`) generates random well-typed
+//! The fuzzer ([`crate::fuzz`]) generates random well-typed
 //! [`Program`]s, wraps them in [`AstUda`] — an ordinary [`Uda`] whose
 //! state is a dynamic field list — and differential-checks every
 //! executor against [`eval_concrete`], which evaluates the same AST over
@@ -14,10 +14,8 @@
 //!
 //! Programs serialize to a compact single-line token (see
 //! [`Program::to_token`]) so a repro artifact can embed the exact UDA it
-//! failed on and replay it against any future tree. That is why the
-//! module lives in this crate rather than in `symple-fuzz`:
-//! [`crate::fuzz_case`] parses the token on replay, and the fuzzer
-//! depends on the oracle, not the other way round.
+//! failed on and replay it against any future tree: [`crate::fuzz_case`]
+//! parses the token on replay.
 
 use std::sync::Arc;
 
@@ -1446,7 +1444,7 @@ fn parse_field(tok: &str) -> std::result::Result<FieldDecl, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symple_core::engine::{EngineConfig, MergePolicy};
+    use symple_core::engine::EngineConfig;
     use symple_core::uda::{run_chunked_symbolic, run_sequential};
 
     /// A forky session-counter exercising every field kind. The int field
@@ -1563,11 +1561,7 @@ mod tests {
         let expect = eval_concrete(&p, &events).unwrap();
         let uda = AstUda::new(p);
         for chunks in 1..=6 {
-            for policy in [
-                MergePolicy::Eager,
-                MergePolicy::HighWater,
-                MergePolicy::Never,
-            ] {
+            for policy in crate::cell::POLICIES {
                 let cfg = EngineConfig {
                     merge_policy: policy,
                     ..EngineConfig::default()

@@ -1,231 +1,107 @@
-//! Differential soundness oracle CLI.
-//!
-//! ```text
-//! symple-oracle --smoke                      # CI gate (< 2 min)
-//! symple-oracle --deep --seed 7              # full-matrix fuzzing sweep
-//! symple-oracle --smoke --case OVF           # one case only
-//! symple-oracle --smoke --sabotage reorder-chunks   # self-test: must find a bug
-//! symple-oracle --replay target/oracle/repro-G1-mismatch-123.txt
-//! ```
-//!
-//! Exit codes: `0` clean sweep / artifact no longer reproduces, `1`
-//! findings / artifact reproduced, `2` usage error.
+//! Differential soundness oracle CLI: `--smoke` is the CI gate, `--deep
+//! --seed <s>` the full-matrix sweep, `--replay <file>` the regression
+//! check, and `--sabotage <kind>` a self-test that must fail. `--help`
+//! prints the flags and exit codes.
 
-use std::path::PathBuf;
+mod front;
+
 use std::process::ExitCode;
 
-use symple_oracle::{run_oracle, Artifact, Depth, OracleOptions, ReplayOutcome, Sabotage};
+use front::{print_findings, sabotage_note, value, Cli};
+use symple_oracle::{all_cases, case_by_id, run_oracle, Depth, Sabotage};
 
-const USAGE: &str = "\
+const HEAD: &str = "\
 symple-oracle: differential soundness oracle for the SYMPLE engine
 
 USAGE:
     symple-oracle --smoke [OPTIONS]         quick sweep (CI gate)
     symple-oracle --deep  [OPTIONS]         full-matrix sweep
-    symple-oracle --replay <ARTIFACT>       re-run a repro artifact
+    symple-oracle --replay <ARTIFACT>       re-run a repro artifact";
 
-OPTIONS:
-    --seed <u64>          master seed for input generation (default 0)
-    --case <ID>           sweep a single case (G1..G4, B1..B3, T1,
+const OPTIONS: &str = "    --case <ID>           sweep a single case (G1..G4, B1..B3, T1,
                           R1..R4, F1, GPS, OVF, RST, VEC)
-    --sabotage <KIND>     deliberately break an executor:
-                          drop-last-event | reorder-chunks (chunked)
-                          | stale-checkpoint (crash-resume: trust forged
-                          checkpoint frames, skipping metadata validation)
-                          | forged-cache-entry (warm-resweep: trust a cache
-                          frame filed under a colliding key)
-                          (self-test: the sweep must then FAIL)
     --analyze-first       run the static analyzer over each case first and
                           skip matrix cells it predicts the engine will
                           refuse (PathExplosion) — no differential signal
-                          there, only wasted path growth
-    --artifact-dir <DIR>  where repro files go (default target/oracle)
-    --no-artifacts        do not write repro files
-    --help                this text
-
-EXIT CODES:
-    0  clean sweep, or replayed artifact no longer reproduces
-    1  findings, or replayed artifact still reproduces
-    2  usage error";
-
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}\n\n{USAGE}");
-    ExitCode::from(2)
-}
+                          there, only wasted path growth";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-
+    // Both matrices run every executor, so every sabotage is observable.
+    let cli = Cli::new(HEAD, OPTIONS, "target/oracle", Sabotage::ALL[1..].to_vec());
     let mut depth = None;
-    let mut replay = None;
-    let mut opts = OracleOptions::new(Depth::Smoke);
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let value = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        match arg {
+    let mut case_filter: Option<String> = None;
+    let mut analyze_first = false;
+    let (mut opts, replay) = match cli.parse(|flag, args| {
+        match flag {
             "--smoke" | "--deep" => {
-                let d = if arg == "--smoke" {
+                let d = if flag == "--smoke" {
                     Depth::Smoke
                 } else {
                     Depth::Deep
                 };
-                if depth.is_some() && depth != Some(d) {
-                    return usage_error("--smoke and --deep are mutually exclusive");
+                if depth.is_some_and(|old| old != d) {
+                    return Err("--smoke and --deep are mutually exclusive".into());
                 }
                 depth = Some(d);
             }
-            "--replay" => match value(&mut i) {
-                Some(p) => replay = Some(PathBuf::from(p)),
-                None => return usage_error("--replay needs a file"),
-            },
-            "--seed" => match value(&mut i).and_then(|v| v.parse::<u64>().ok()) {
-                Some(s) => opts.seed = s,
-                None => return usage_error("--seed needs a u64"),
-            },
-            "--case" => match value(&mut i) {
-                Some(c) => opts.case_filter = Some(c),
-                None => return usage_error("--case needs an id"),
-            },
-            "--sabotage" => match value(&mut i).as_deref().and_then(Sabotage::parse) {
-                Some(s) => opts.sabotage = s,
-                None => {
-                    return usage_error(
-                        "--sabotage needs drop-last-event, reorder-chunks, stale-checkpoint, or forged-cache-entry",
-                    )
-                }
-            },
-            "--artifact-dir" => match value(&mut i) {
-                Some(d) => opts.artifact_dir = PathBuf::from(d),
-                None => return usage_error("--artifact-dir needs a path"),
-            },
-            "--no-artifacts" => opts.write_artifacts = false,
-            "--analyze-first" => opts.analyze_first = true,
-            other => return usage_error(&format!("unknown argument {other:?}")),
+            "--case" => case_filter = Some(value(args, flag, "an id")?),
+            "--analyze-first" => analyze_first = true,
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-
-    if let Some(path) = replay {
-        if depth.is_some() {
-            return usage_error("--replay cannot be combined with --smoke/--deep");
-        }
-        return run_replay(&path);
-    }
-
-    let Some(depth) = depth else {
-        return usage_error("pick one of --smoke, --deep, or --replay");
+        Ok(true)
+    }) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
-    if let Some(filter) = &opts.case_filter {
-        if symple_oracle::case_by_id(filter).is_none() {
+
+    if let Some(path) = &replay {
+        if depth.is_some() {
+            return cli.usage_error("--replay cannot be combined with --smoke/--deep");
+        }
+        return cli.replay(path);
+    }
+    let Some(depth) = depth else {
+        return cli.usage_error("pick one of --smoke, --deep, or --replay");
+    };
+    if let Some(filter) = &case_filter {
+        if case_by_id(filter).is_none() {
             // A typo'd filter would otherwise sweep zero cases and PASS.
-            let ids: Vec<&str> = symple_oracle::all_cases().iter().map(|c| c.id()).collect();
-            return usage_error(&format!(
+            let ids: Vec<&str> = all_cases().iter().map(|c| c.id()).collect();
+            return cli.usage_error(&format!(
                 "unknown case {filter:?}; valid cases: {}",
                 ids.join(", ")
             ));
         }
     }
     opts.depth = depth;
-    run_sweep(&opts)
-}
+    opts.case_filter = case_filter;
+    opts.analyze_first = analyze_first;
 
-fn run_sweep(opts: &OracleOptions) -> ExitCode {
-    let mode = match opts.depth {
-        Depth::Smoke => "smoke",
-        Depth::Deep => "deep",
-    };
     println!(
-        "symple-oracle: {mode} sweep, seed {}{}{}",
+        "symple-oracle: {} sweep, seed {}{}{}",
+        format!("{depth:?}").to_lowercase(),
         opts.seed,
         opts.case_filter
             .as_deref()
             .map(|c| format!(", case {c}"))
             .unwrap_or_default(),
-        if opts.sabotage != Sabotage::None {
-            format!(", SABOTAGE {}", opts.sabotage.as_str())
-        } else {
-            String::new()
-        },
+        sabotage_note(opts.sabotage),
     );
-
-    let report = run_oracle(opts);
+    let report = run_oracle(&opts);
     println!(
         "ran {} differential comparisons and {} determinism probes{}",
         report.comparisons,
         report.probes,
-        if opts.analyze_first {
+        if analyze_first {
             format!(" (skipped {} predicted-refusal cells)", report.skipped)
         } else {
             String::new()
         },
     );
-
     if report.clean() {
         println!("PASS: every cell agreed with the sequential reference");
         return ExitCode::SUCCESS;
     }
-
-    println!("FAIL: {} finding(s)", report.findings.len());
-    for f in &report.findings {
-        println!();
-        println!(
-            "  [{}] case {} — {}",
-            f.artifact.kind.as_str(),
-            f.artifact.case,
-            f.artifact.cell.describe()
-        );
-        println!(
-            "    input: seed={} len={} kept={}",
-            f.artifact.input.seed,
-            f.artifact.input.len,
-            f.artifact.input.kept_str()
-        );
-        println!("    expected: {}", f.artifact.expected);
-        println!("    actual:   {}", f.artifact.actual);
-        match &f.path {
-            Some(p) => println!("    repro: {}", p.display()),
-            None => println!("    repro: (not written)"),
-        }
-    }
+    print_findings(&report.findings);
     ExitCode::FAILURE
-}
-
-fn run_replay(path: &PathBuf) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return usage_error(&format!("cannot read {}: {e}", path.display())),
-    };
-    let artifact = match Artifact::parse(&text) {
-        Ok(a) => a,
-        Err(e) => return usage_error(&format!("cannot parse {}: {e}", path.display())),
-    };
-    println!(
-        "replaying {} ({} on case {}, {})",
-        path.display(),
-        artifact.kind.as_str(),
-        artifact.case,
-        artifact.cell.describe()
-    );
-    match artifact.replay() {
-        Ok(ReplayOutcome::Reproduced { expected, actual }) => {
-            println!("REPRODUCED");
-            println!("  expected: {expected}");
-            println!("  actual:   {actual}");
-            ExitCode::FAILURE
-        }
-        Ok(ReplayOutcome::NotReproduced { actual }) => {
-            println!("not reproduced — current tree agrees ({actual})");
-            ExitCode::SUCCESS
-        }
-        Err(e) => usage_error(&e),
-    }
 }

@@ -62,6 +62,17 @@ pub enum Sabotage {
 }
 
 impl Sabotage {
+    /// Every kind, `None` first: the one list the token parse, both CLIs'
+    /// usage text and the fuzzer's choice of sabotages all read.
+    pub const ALL: [Sabotage; 6] = [
+        Sabotage::None,
+        Sabotage::DropLastEvent,
+        Sabotage::ReorderChunks,
+        Sabotage::StaleCheckpoint,
+        Sabotage::ForgedCacheEntry,
+        Sabotage::DroppedTear,
+    ];
+
     /// Stable artifact token.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -76,15 +87,27 @@ impl Sabotage {
 
     /// Parses an artifact token.
     pub fn parse(s: &str) -> Option<Sabotage> {
-        Some(match s {
-            "none" => Sabotage::None,
-            "drop-last-event" => Sabotage::DropLastEvent,
-            "reorder-chunks" => Sabotage::ReorderChunks,
-            "stale-checkpoint" => Sabotage::StaleCheckpoint,
-            "forged-cache-entry" => Sabotage::ForgedCacheEntry,
-            "dropped-tear" => Sabotage::DroppedTear,
-            _ => return None,
-        })
+        Sabotage::ALL.into_iter().find(|k| k.as_str() == s)
+    }
+
+    /// The executor kinds whose cells this sabotage breaks.
+    pub fn targets(self) -> &'static [ExecutorKind] {
+        match self {
+            Sabotage::None => &[],
+            Sabotage::DropLastEvent | Sabotage::ReorderChunks => {
+                &[ExecutorKind::ChunkedSymbolic, ExecutorKind::ChunkedTree]
+            }
+            Sabotage::StaleCheckpoint => &[ExecutorKind::CrashResume],
+            Sabotage::ForgedCacheEntry => &[ExecutorKind::WarmResweep],
+            Sabotage::DroppedTear => &[ExecutorKind::FaultedStore],
+        }
+    }
+
+    /// Whether some cell of `matrix` runs an executor this sabotage
+    /// breaks. A sweep it does not reach never applies it, so its
+    /// self-test would pass whatever the tree does.
+    pub(crate) fn reaches(self, matrix: &[Cell]) -> bool {
+        matrix.iter().any(|c| self.targets().contains(&c.executor))
     }
 }
 
@@ -200,19 +223,14 @@ pub trait DynCase: Send + Sync {
     /// unmergeable multi-summary chains is exponential by nature (the
     /// restart fallback exists precisely because such chains must be
     /// applied in order), so those cells would hang, not disagree.
-    fn supports(&self, cell: &Cell) -> bool {
-        let _ = cell;
-        true
-    }
+    fn supports(&self, cell: &Cell) -> bool;
 
     /// Static analysis of the case's UDA over its registered event
     /// variants, or `None` when the case has no variants (the analyzer
     /// needs one representative event per behavioral variant to abstractly
     /// interpret `update`). Used by `--analyze-first` to skip cells the
     /// analyzer predicts the engine will refuse.
-    fn analyze(&self) -> Option<symple_core::UdaAnalysis> {
-        None
-    }
+    fn analyze(&self) -> Option<symple_core::UdaAnalysis>;
 
     /// Renders the sequential reference result for `input`.
     fn run_reference(&self, input: &CaseInput) -> String;
@@ -236,15 +254,11 @@ pub trait DynCase: Send + Sync {
     /// artifacts so replay rebuilds the exact case without re-running the
     /// generator. `None` for registry cases, whose UDA is named by
     /// [`DynCase::id`].
-    fn program_token(&self) -> Option<String> {
-        None
-    }
+    fn program_token(&self) -> Option<String>;
 
     /// Adversarial input-generator token for generated cases. `None` for
     /// registry cases, whose generator is implied by the case id.
-    fn input_kind_token(&self) -> Option<String> {
-        None
-    }
+    fn input_kind_token(&self) -> Option<String>;
 }
 
 /// Maps an [`Error`] to its variant name — differential comparison treats
@@ -269,7 +283,7 @@ pub fn error_variant(e: &Error) -> &'static str {
     }
 }
 
-fn render<O: Debug>(r: Result<O>) -> String {
+pub(crate) fn render<O: Debug>(r: Result<O>) -> String {
     match r {
         Ok(o) => format!("Ok({o:?})"),
         Err(e) => format!("Err({})", error_variant(&e)),
@@ -322,6 +336,8 @@ pub struct UdaCase<U: Uda, F> {
     generate: F,
     tree_compose_ok: bool,
     variants: Vec<(&'static str, U::Event)>,
+    /// A generated case's program and input-kind tokens.
+    tokens: Option<(String, &'static str)>,
 }
 
 impl<U, F> UdaCase<U, F>
@@ -337,6 +353,7 @@ where
             generate,
             tree_compose_ok: true,
             variants: Vec::new(),
+            tokens: None,
         }
     }
 
@@ -351,6 +368,13 @@ where
     /// [`DynCase::analyze`] (and with it `--analyze-first`) for this case.
     pub fn with_variants(mut self, variants: Vec<(&'static str, U::Event)>) -> UdaCase<U, F> {
         self.variants = variants;
+        self
+    }
+
+    /// Marks a generated case: artifacts embed its program and input-kind
+    /// tokens, from which replay rebuilds it.
+    pub(crate) fn with_tokens(mut self, program: String, input_kind: &'static str) -> Self {
+        self.tokens = Some((program, input_kind));
         self
     }
 
@@ -765,6 +789,14 @@ where
     fn events_debug(&self, input: &CaseInput) -> String {
         format!("{:?}", self.events(input))
     }
+
+    fn program_token(&self) -> Option<String> {
+        self.tokens.as_ref().map(|t| t.0.clone())
+    }
+
+    fn input_kind_token(&self) -> Option<String> {
+        self.tokens.as_ref().map(|t| t.1.to_string())
+    }
 }
 
 #[cfg(test)]
@@ -795,15 +827,9 @@ mod tests {
 
     #[test]
     fn sabotage_tokens_round_trip() {
-        for s in [
-            Sabotage::None,
-            Sabotage::DropLastEvent,
-            Sabotage::ReorderChunks,
-            Sabotage::StaleCheckpoint,
-            Sabotage::ForgedCacheEntry,
-            Sabotage::DroppedTear,
-        ] {
+        for s in Sabotage::ALL {
             assert_eq!(Sabotage::parse(s.as_str()), Some(s));
+            assert_eq!(s.targets().is_empty(), s == Sabotage::None);
         }
         assert_eq!(Sabotage::parse("?"), None);
     }

@@ -45,6 +45,16 @@ pub enum ExecutorKind {
 }
 
 impl ExecutorKind {
+    /// Every executor, in matrix column order.
+    pub const ALL: [ExecutorKind; 6] = [
+        ExecutorKind::ChunkedSymbolic,
+        ExecutorKind::ChunkedTree,
+        ExecutorKind::MapReduce,
+        ExecutorKind::CrashResume,
+        ExecutorKind::WarmResweep,
+        ExecutorKind::FaultedStore,
+    ];
+
     /// Stable artifact token.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -59,15 +69,7 @@ impl ExecutorKind {
 
     /// Parses an artifact token.
     pub fn parse(s: &str) -> Option<ExecutorKind> {
-        Some(match s {
-            "chunked-symbolic" => ExecutorKind::ChunkedSymbolic,
-            "chunked-tree" => ExecutorKind::ChunkedTree,
-            "mapreduce" => ExecutorKind::MapReduce,
-            "crash-resume" => ExecutorKind::CrashResume,
-            "warm-resweep" => ExecutorKind::WarmResweep,
-            "faulted-store" => ExecutorKind::FaultedStore,
-            _ => return None,
-        })
+        ExecutorKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
 
     /// Whether the cell runs through the MapReduce stack (and therefore
@@ -92,6 +94,9 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every fault plan kind.
+    pub const ALL: [FaultKind; 3] = [FaultKind::None, FaultKind::FailFirst, FaultKind::FailTwice];
+
     /// Stable artifact token.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -103,12 +108,7 @@ impl FaultKind {
 
     /// Parses an artifact token.
     pub fn parse(s: &str) -> Option<FaultKind> {
-        Some(match s {
-            "none" => FaultKind::None,
-            "fail-first" => FaultKind::FailFirst,
-            "fail-twice" => FaultKind::FailTwice,
-            _ => return None,
-        })
+        FaultKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
 
     /// The concrete [`FaultPlan`] for a job with `num_segments` segments.
@@ -157,14 +157,16 @@ pub fn policy_str(p: MergePolicy) -> &'static str {
     }
 }
 
+/// Every merge policy, in the order the deep matrix sweeps them.
+pub(crate) const POLICIES: [MergePolicy; 3] = [
+    MergePolicy::Eager,
+    MergePolicy::HighWater,
+    MergePolicy::Never,
+];
+
 /// Parses a [`MergePolicy`] artifact token.
 pub fn parse_policy(s: &str) -> Option<MergePolicy> {
-    Some(match s {
-        "eager" => MergePolicy::Eager,
-        "high-water" => MergePolicy::HighWater,
-        "never" => MergePolicy::Never,
-        _ => return None,
-    })
+    POLICIES.into_iter().find(|&p| policy_str(p) == s)
 }
 
 /// One cell of the execution matrix.
@@ -310,14 +312,9 @@ pub fn smoke_matrix() -> Vec<Cell> {
 /// The deep matrix: the near-full cross product the `--deep` mode sweeps.
 pub fn deep_matrix() -> Vec<Cell> {
     let mut cells = Vec::new();
-    let policies = [
-        MergePolicy::Eager,
-        MergePolicy::HighWater,
-        MergePolicy::Never,
-    ];
 
     for &chunks in &[1usize, 2, 3, 5, 8] {
-        for &merge_policy in &policies {
+        for merge_policy in POLICIES {
             for &max_total_paths in &[2usize, 8, 64] {
                 for &first_segment_concrete in &[true, false] {
                     cells.push(Cell {
@@ -390,24 +387,13 @@ mod tests {
 
     #[test]
     fn token_round_trips() {
-        for e in [
-            ExecutorKind::ChunkedSymbolic,
-            ExecutorKind::ChunkedTree,
-            ExecutorKind::MapReduce,
-            ExecutorKind::CrashResume,
-            ExecutorKind::WarmResweep,
-            ExecutorKind::FaultedStore,
-        ] {
+        for e in ExecutorKind::ALL {
             assert_eq!(ExecutorKind::parse(e.as_str()), Some(e));
         }
-        for f in [FaultKind::None, FaultKind::FailFirst, FaultKind::FailTwice] {
+        for f in FaultKind::ALL {
             assert_eq!(FaultKind::parse(f.as_str()), Some(f));
         }
-        for p in [
-            MergePolicy::Eager,
-            MergePolicy::HighWater,
-            MergePolicy::Never,
-        ] {
+        for p in POLICIES {
             assert_eq!(parse_policy(policy_str(p)), Some(p));
         }
         assert_eq!(ExecutorKind::parse("bogus"), None);
@@ -421,23 +407,18 @@ mod tests {
         assert!(deep.len() > smoke.len());
         // Every executor appears in both.
         for m in [&smoke, &deep] {
-            for e in [
-                ExecutorKind::ChunkedSymbolic,
-                ExecutorKind::ChunkedTree,
-                ExecutorKind::MapReduce,
-                ExecutorKind::CrashResume,
-                ExecutorKind::WarmResweep,
-                ExecutorKind::FaultedStore,
-            ] {
+            for e in ExecutorKind::ALL {
                 assert!(m.iter().any(|c| c.executor == e), "{e:?} missing");
             }
+            // So `symple-oracle` can offer every sabotage at either depth.
+            assert!(crate::Sabotage::ALL[1..].iter().all(|s| s.reaches(m)));
         }
     }
 
     #[test]
     fn fault_plans_match_expected_retries() {
         for n in [1usize, 2, 5] {
-            for f in [FaultKind::None, FaultKind::FailFirst, FaultKind::FailTwice] {
+            for f in FaultKind::ALL {
                 let plan = f.plan(n);
                 let total = plan.fail_first_attempt.len() as u64 + 2 * plan.fail_twice.len() as u64;
                 assert_eq!(total, f.expected_retries(n), "{f:?} n={n}");

@@ -3,6 +3,7 @@
 
 use std::path::PathBuf;
 
+use symple_core::frame::fnv1a;
 use symple_core::rng::Rng64;
 
 use crate::artifact::{Artifact, ReproKind};
@@ -35,21 +36,12 @@ pub struct OracleOptions {
     pub artifact_dir: PathBuf,
     /// Whether findings are persisted to disk.
     pub write_artifacts: bool,
-    /// Stop sweeping a case after this many findings (shrinking is the
-    /// expensive part; duplicates of one bug add nothing).
-    pub max_findings_per_case: usize,
     /// Run the static analyzer over each case first and skip matrix cells
     /// whose engine config the analysis predicts will be refused
     /// (`--analyze-first`). A predicted refusal carries no differential
     /// signal — the engine gives up instead of answering — so those cells
     /// only burn time growing paths up to the bound before erroring.
     pub analyze_first: bool,
-    /// Override the swept matrix (`None` uses the depth's standard
-    /// matrix). The fuzzer sweeps each generated case against a small
-    /// focused matrix instead of the full smoke/deep grid.
-    pub matrix: Option<Vec<Cell>>,
-    /// Override the swept input lengths (`None` uses the depth defaults).
-    pub lens: Option<Vec<usize>>,
 }
 
 impl OracleOptions {
@@ -63,10 +55,7 @@ impl OracleOptions {
             sabotage: Sabotage::None,
             artifact_dir: PathBuf::from("target/oracle"),
             write_artifacts: true,
-            max_findings_per_case: 2,
             analyze_first: false,
-            matrix: None,
-            lens: None,
         }
     }
 }
@@ -104,21 +93,15 @@ impl OracleReport {
     }
 }
 
+/// A registry sweep stops sweeping a case after this many findings
+/// (shrinking is the expensive part; duplicates of one bug add nothing).
+const MAX_FINDINGS_PER_CASE: usize = 2;
+
 fn input_lens(depth: Depth) -> &'static [usize] {
     match depth {
         Depth::Smoke => &[0, 24, 72],
         Depth::Deep => &[0, 1, 9, 48, 160, 384],
     }
-}
-
-/// FNV-1a, used to give every case an independent input-seed stream.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 fn probe_cells(matrix: &[Cell]) -> (Vec<Cell>, Vec<Cell>) {
@@ -157,23 +140,32 @@ fn probe_cells(matrix: &[Cell]) -> (Vec<Cell>, Vec<Cell>) {
 /// Runs the sweep over the registry cases. Deterministic: same options →
 /// same report.
 pub fn run_oracle(opts: &OracleOptions) -> OracleReport {
-    run_oracle_on(&all_cases(), opts)
-}
-
-/// Runs the sweep over an explicit case list — the pluggable entry point
-/// the fuzzer uses to sweep generated cases through the same driver,
-/// shrinker, and artifact machinery as the registry.
-pub fn run_oracle_on(cases: &[Box<dyn DynCase>], opts: &OracleOptions) -> OracleReport {
-    let mut report = OracleReport::default();
-    let matrix = opts.matrix.clone().unwrap_or_else(|| match opts.depth {
+    let matrix = match opts.depth {
         Depth::Smoke => smoke_matrix(),
         Depth::Deep => deep_matrix(),
-    });
-    let lens = opts
-        .lens
-        .clone()
-        .unwrap_or_else(|| input_lens(opts.depth).to_vec());
-    let (summary_cells, fault_cells) = probe_cells(&matrix);
+    };
+    run_oracle_on(
+        &all_cases(),
+        opts,
+        &matrix,
+        input_lens(opts.depth),
+        MAX_FINDINGS_PER_CASE,
+    )
+}
+
+/// Sweeps `cases` over `matrix` at each of `lens`, stopping a case once
+/// it has `max_findings_per_case` findings — the registry sweep above,
+/// and the fuzzer's sweep of each generated case through the same
+/// driver, shrinker and artifact machinery.
+pub(crate) fn run_oracle_on(
+    cases: &[Box<dyn DynCase>],
+    opts: &OracleOptions,
+    matrix: &[Cell],
+    lens: &[usize],
+    max_findings_per_case: usize,
+) -> OracleReport {
+    let mut report = OracleReport::default();
+    let (summary_cells, fault_cells) = probe_cells(matrix);
 
     for case in cases {
         if let Some(filter) = &opts.case_filter {
@@ -187,18 +179,19 @@ pub fn run_oracle_on(cases: &[Box<dyn DynCase>], opts: &OracleOptions) -> Oracle
         } else {
             None
         };
-        let mut rng = Rng64::seed_from_u64(opts.seed ^ fnv1a(case.id()));
+        // FNV-1a of the id gives every case an independent input-seed stream.
+        let mut rng = Rng64::seed_from_u64(opts.seed ^ fnv1a(case.id().as_bytes()));
         let mut case_findings = 0usize;
 
-        for &len in &lens {
-            if case_findings >= opts.max_findings_per_case {
+        for &len in lens {
+            if case_findings >= max_findings_per_case {
                 break;
             }
             let input = CaseInput::full(rng.gen::<u64>(), len);
             let expected = case.run_reference(&input);
 
-            for cell in &matrix {
-                if case_findings >= opts.max_findings_per_case {
+            for cell in matrix {
+                if case_findings >= max_findings_per_case {
                     break;
                 }
                 if !case.supports(cell) {
@@ -228,34 +221,29 @@ pub fn run_oracle_on(cases: &[Box<dyn DynCase>], opts: &OracleOptions) -> Oracle
 
             // Determinism probes (independent of sabotage, which only
             // affects the oracle's own chunked executor).
-            for cell in &summary_cells {
-                report.probes += 1;
-                if let Some(violation) = case.summary_nondet(&input, cell) {
-                    report.findings.push(build_finding(
-                        case.as_ref(),
-                        ReproKind::SummaryNondet,
-                        &input,
-                        cell,
-                        opts,
-                        "byte-identical summaries".into(),
-                        violation,
-                    ));
-                    case_findings += 1;
-                }
-            }
-            for cell in &fault_cells {
-                report.probes += 1;
-                if let Some(violation) = case.fault_nondet(&input, cell) {
-                    report.findings.push(build_finding(
-                        case.as_ref(),
-                        ReproKind::FaultNondet,
-                        &input,
-                        cell,
-                        opts,
-                        "deterministic fault recovery".into(),
-                        violation,
-                    ));
-                    case_findings += 1;
+            let probes = [
+                (ReproKind::SummaryNondet, &summary_cells),
+                (ReproKind::FaultNondet, &fault_cells),
+            ];
+            for (kind, cells) in probes {
+                for cell in cells {
+                    if case_findings >= max_findings_per_case {
+                        break;
+                    }
+                    report.probes += 1;
+                    let (invariant, violation) = kind.probe(case.as_ref(), &input, cell);
+                    if let Some(violation) = violation {
+                        report.findings.push(build_finding(
+                            case.as_ref(),
+                            kind,
+                            &input,
+                            cell,
+                            opts,
+                            invariant.into(),
+                            violation,
+                        ));
+                        case_findings += 1;
+                    }
                 }
             }
         }
@@ -307,14 +295,9 @@ fn build_finding(
             };
             shrink_case(input, cell, &fails)
         }
-        ReproKind::SummaryNondet => {
-            let fails = |i: &CaseInput, c: &Cell| case.summary_nondet(i, c).is_some();
-            shrink_case(input, cell, &fails)
-        }
-        ReproKind::FaultNondet => {
-            let fails = |i: &CaseInput, c: &Cell| case.fault_nondet(i, c).is_some();
-            shrink_case(input, cell, &fails)
-        }
+        _ => shrink_case(input, cell, &|i: &CaseInput, c: &Cell| {
+            kind.probe(case, i, c).1.is_some()
+        }),
     };
 
     // Re-render the evidence on the minimized pair so the artifact shows
@@ -324,13 +307,9 @@ fn build_finding(
             case.run_reference(&min_input),
             case.run_cell(&min_input, &min_cell, sabotage),
         ),
-        ReproKind::SummaryNondet => (
+        _ => (
             expected,
-            case.summary_nondet(&min_input, &min_cell).unwrap_or(actual),
-        ),
-        ReproKind::FaultNondet => (
-            expected,
-            case.fault_nondet(&min_input, &min_cell).unwrap_or(actual),
+            kind.probe(case, &min_input, &min_cell).1.unwrap_or(actual),
         ),
     };
 
@@ -374,7 +353,7 @@ fn write_artifact(
         artifact.case,
         artifact.kind.as_str(),
         artifact.input.seed,
-        fnv1a(&text) as u32
+        fnv1a(text.as_bytes()) as u32
     );
     let path = opts.artifact_dir.join(name);
     if std::fs::create_dir_all(&opts.artifact_dir).is_err() {
@@ -389,7 +368,9 @@ fn write_artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversarial::{OverflowState, OverflowSumUda};
     use crate::case::UdaCase;
+    use std::sync::atomic::{AtomicI64, Ordering};
     use symple_core::ctx::SymCtx;
     use symple_core::engine::MergePolicy;
     use symple_core::impl_sym_state;
@@ -449,12 +430,18 @@ mod tests {
             ("OVF", Sabotage::DropLastEvent),
             ("VEC", Sabotage::ReorderChunks),
         ] {
-            let report = run_oracle(&OracleOptions {
+            let opts = OracleOptions {
                 sabotage,
                 case_filter: Some(case.into()),
-                matrix: Some(vec![tree]),
                 ..quick_opts()
-            });
+            };
+            let report = run_oracle_on(
+                &all_cases(),
+                &opts,
+                &[tree],
+                input_lens(Depth::Smoke),
+                MAX_FINDINGS_PER_CASE,
+            );
             assert!(
                 report
                     .findings
@@ -630,6 +617,60 @@ mod tests {
         assert!(!predicted_refused(Some(&analysis), &rescued));
         // Cases without variants (GPS) are never skipped.
         assert!(!predicted_refused(None, &doomed));
+    }
+
+    /// OVF's sum plus `counter % 5` from state the engine cannot see: the
+    /// same events answer differently on every run, so comparisons and
+    /// both determinism probes all flag it. (With `% 3`, runs of 24 or 72
+    /// events would hide it: any 24 consecutive counter values sum alike.)
+    #[derive(Default)]
+    struct HiddenCounterUda(AtomicI64);
+
+    impl Uda for HiddenCounterUda {
+        type State = OverflowState;
+        type Event = i64;
+        type Output = i64;
+        fn init(&self) -> OverflowState {
+            OverflowSumUda.init()
+        }
+        fn update(&self, s: &mut OverflowState, ctx: &mut SymCtx, e: &i64) {
+            let hidden = self.0.fetch_add(1, Ordering::Relaxed) % 5;
+            OverflowSumUda.update(s, ctx, &(e + hidden));
+        }
+        fn result(&self, s: &OverflowState, ctx: &mut SymCtx) -> i64 {
+            OverflowSumUda.result(s, ctx)
+        }
+    }
+
+    /// Sweeps a fresh hidden-counter case over `matrix` at smoke lengths.
+    fn sweep_hidden_counter(matrix: &[Cell]) -> OracleReport {
+        let case = UdaCase::new("HIDDEN", HiddenCounterUda::default(), |seed, len| {
+            (0..len as i64).map(|i| (seed as i64 ^ i) & 0xff).collect()
+        });
+        let opts = OracleOptions {
+            write_artifacts: false,
+            ..OracleOptions::new(Depth::Smoke)
+        };
+        let cases: [Box<dyn DynCase>; 1] = [Box::new(case)];
+        let lens = input_lens(Depth::Smoke);
+        run_oracle_on(&cases, &opts, matrix, lens, MAX_FINDINGS_PER_CASE)
+    }
+
+    #[test]
+    fn the_summary_probe_sees_hidden_state() {
+        // No matrix cells: only the determinism probes run.
+        let report = sweep_hidden_counter(&[]);
+        assert_eq!(report.comparisons, 0);
+        let kinds: Vec<ReproKind> = report.findings.iter().map(|f| f.artifact.kind).collect();
+        assert!(kinds.contains(&ReproKind::SummaryNondet), "{kinds:?}");
+    }
+
+    #[test]
+    fn the_finding_cap_bounds_the_probes_too() {
+        // Comparisons, summary probes and fault probes all flag this case;
+        // the cap must hold across all three loops.
+        let found = sweep_hidden_counter(&smoke_matrix()).findings.len();
+        assert!((1..=MAX_FINDINGS_PER_CASE).contains(&found), "{found}");
     }
 
     #[test]

@@ -11,8 +11,7 @@
 use symple_core::rng::Rng64;
 
 use crate::ast::{AstUda, Program};
-use crate::case::{CaseInput, DynCase, Sabotage, UdaCase};
-use crate::cell::Cell;
+use crate::case::{DynCase, UdaCase};
 
 /// Case id shared by every generated case (the program token, not the
 /// id, is what identifies a fuzz case).
@@ -146,59 +145,9 @@ impl InputKind {
     }
 }
 
-type BoxedGen = Box<dyn Fn(u64, usize) -> Vec<i64> + Send + Sync>;
-
-/// A generated case: an [`AstUda`] behind the standard [`UdaCase`]
-/// machinery, plus the two artifact tokens that make it replayable.
-struct FuzzCase {
-    inner: UdaCase<AstUda, BoxedGen>,
-    token: String,
-    kind: InputKind,
-}
-
-impl DynCase for FuzzCase {
-    fn id(&self) -> &'static str {
-        self.inner.id()
-    }
-
-    fn supports(&self, cell: &Cell) -> bool {
-        self.inner.supports(cell)
-    }
-
-    fn analyze(&self) -> Option<symple_core::UdaAnalysis> {
-        self.inner.analyze()
-    }
-
-    fn run_reference(&self, input: &CaseInput) -> String {
-        self.inner.run_reference(input)
-    }
-
-    fn run_cell(&self, input: &CaseInput, cell: &Cell, sabotage: Sabotage) -> String {
-        self.inner.run_cell(input, cell, sabotage)
-    }
-
-    fn summary_nondet(&self, input: &CaseInput, cell: &Cell) -> Option<String> {
-        self.inner.summary_nondet(input, cell)
-    }
-
-    fn fault_nondet(&self, input: &CaseInput, cell: &Cell) -> Option<String> {
-        self.inner.fault_nondet(input, cell)
-    }
-
-    fn events_debug(&self, input: &CaseInput) -> String {
-        self.inner.events_debug(input)
-    }
-
-    fn program_token(&self) -> Option<String> {
-        Some(self.token.clone())
-    }
-
-    fn input_kind_token(&self) -> Option<String> {
-        Some(self.kind.as_str().to_string())
-    }
-}
-
-/// Wraps a generated program and input shape as a sweepable case.
+/// Wraps a generated program and input shape as a sweepable case: an
+/// [`AstUda`] behind the standard [`UdaCase`] machinery, carrying the two
+/// artifact tokens that make it replayable.
 ///
 /// The tree-composition opt-out is decided *deterministically from the
 /// program itself* (via the static analyzer): any program whose abstract
@@ -216,12 +165,13 @@ pub fn program_case(
     let variants = program.variants();
     let uda = AstUda::new(program);
     let analysis = symple_core::analyze_uda(&uda, &variants);
-    let generate: BoxedGen = Box::new(move |seed, len| kind.generate(seed, len));
-    let mut inner = UdaCase::new(FUZZ_CASE_ID, uda, generate).with_variants(variants);
+    let mut case = UdaCase::new(FUZZ_CASE_ID, uda, move |seed, len| kind.generate(seed, len))
+        .with_variants(variants)
+        .with_tokens(token, kind.as_str());
     if analysis.max_branching() > 1 || analysis.any_exploded() {
-        inner = inner.without_tree_compose();
+        case = case.without_tree_compose();
     }
-    Ok(Box::new(FuzzCase { inner, token, kind }))
+    Ok(Box::new(case))
 }
 
 /// Rebuilds a fuzz case from artifact tokens (`program:` plus optional
@@ -241,7 +191,7 @@ pub fn replay_case(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::ExecutorKind;
+    use crate::cell::{Cell, ExecutorKind};
 
     #[test]
     fn input_kind_tokens_round_trip() {

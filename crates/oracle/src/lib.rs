@@ -20,14 +20,19 @@
 //! * [`artifact`] serializes reproducers as self-contained text files
 //!   that replay against any future tree.
 //! * [`ast`] is the bounded, serializable UDA language the fuzzer
-//!   (`symple-fuzz`) generates — [`ast::Program`], its [`ast::AstUda`]
-//!   adapter and an independent concrete interpreter — and [`fuzz_case`]
-//!   rebuilds a case from the `program:` token an artifact embeds.
+//!   generates — [`ast::Program`], its [`ast::AstUda`] adapter and an
+//!   independent concrete interpreter — and [`fuzz_case`] rebuilds a case
+//!   from the `program:` token an artifact embeds.
+//! * [`fuzz`] generates and mutates programs, steers by a behavior-class
+//!   coverage map, and sweeps each one through the same driver, shrinker
+//!   and artifacts as the registry cases.
 //!
-//! The `symple-oracle` binary fronts all of this: `--smoke` is the CI
-//! gate, `--deep --seed <s>` the fuzzing loop, `--replay <file>` the
-//! regression check, and `--sabotage <kind>` a self-test proving the
-//! oracle actually detects, shrinks, and replays real soundness breaks.
+//! Two binaries front all of this over one command-line front end. In
+//! `symple-oracle`, `--smoke` is the CI gate and `--deep --seed <s>` the
+//! full-matrix sweep; `symple-fuzz --smoke` is the fuzzing gate. In both,
+//! `--replay <file>` is the regression check, and `--sabotage <kind>` a
+//! self-test proving the sweep actually detects, shrinks, and replays
+//! real soundness breaks.
 
 pub mod adversarial;
 pub mod artifact;
@@ -36,6 +41,7 @@ pub mod case;
 pub mod cases;
 pub mod cell;
 pub mod driver;
+pub mod fuzz;
 pub mod fuzz_case;
 pub mod shrink;
 
@@ -43,6 +49,6 @@ pub use artifact::{Artifact, ReplayOutcome, ReproKind};
 pub use case::{CaseInput, DynCase, Sabotage, NO_GROUPS};
 pub use cases::{all_cases, case_by_id};
 pub use cell::{deep_matrix, smoke_matrix, Cell, ExecutorKind, FaultKind};
-pub use driver::{run_oracle, run_oracle_on, Depth, Finding, OracleOptions, OracleReport};
+pub use driver::{run_oracle, Depth, Finding, OracleOptions, OracleReport};
 pub use fuzz_case::{program_case, replay_case, InputKind, FUZZ_CASE_ID};
 pub use shrink::shrink_case;

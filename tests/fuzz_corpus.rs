@@ -18,7 +18,7 @@
 
 use std::path::PathBuf;
 
-use symple_fuzz::{run_fuzz, FuzzOptions};
+use symple_oracle::fuzz::{run_fuzz, FuzzOptions};
 use symple_oracle::{Artifact, ReplayOutcome, Sabotage};
 
 fn corpus_dir() -> PathBuf {
