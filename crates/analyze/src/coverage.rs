@@ -5,20 +5,20 @@
 //! program that lights up a lint code no earlier program reached (say,
 //! the first overflow-prone accumulator, or the first unmergeable-path
 //! shape) is *novel* and worth keeping in the mutation corpus even if its
-//! engine metrics look ordinary. Eight codes fit in a `u8`, so coverage
-//! union and novelty checks are single instructions.
+//! engine metrics look ordinary. Eight codes fit in a `u8`, so the set
+//! is one byte of the fuzzer's coverage key.
 
 use crate::{lint_analysis, Diagnostic, CODES};
 use symple_core::UdaAnalysis;
 
 /// Bit index of a stable diagnostic code (`SY001` → 0 … `SY008` → 7),
 /// or `None` for an unknown code.
-pub fn code_bit(code: &str) -> Option<u8> {
+fn code_bit(code: &str) -> Option<u8> {
     CODES.iter().position(|c| c.code == code).map(|i| i as u8)
 }
 
 /// A set of exercised diagnostic codes, one bit per [`CODES`] entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DiagCoverage(u8);
 
 impl DiagCoverage {
@@ -51,21 +51,6 @@ impl DiagCoverage {
     /// Set union.
     pub fn union(self, other: DiagCoverage) -> DiagCoverage {
         DiagCoverage(self.0 | other.0)
-    }
-
-    /// Whether `other` exercises a code this set has not seen.
-    pub fn misses(self, other: DiagCoverage) -> bool {
-        other.0 & !self.0 != 0
-    }
-
-    /// Number of exercised codes.
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
-
-    /// Whether no code is exercised.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
     }
 
     /// The exercised codes, in code order.
@@ -108,15 +93,13 @@ mod tests {
     }
 
     #[test]
-    fn union_and_novelty() {
+    fn union_and_codes() {
         let a = DiagCoverage::from_diagnostics(&[diag("SY001"), diag("SY004")]);
         let b = DiagCoverage::from_diagnostics(&[diag("SY004"), diag("SY008")]);
-        assert_eq!(a.len(), 2);
-        assert!(a.misses(b), "SY008 is new to a");
-        assert!(!a.union(b).misses(b));
+        assert_eq!(a.codes(), vec!["SY001", "SY004"]);
         assert_eq!(a.union(b).codes(), vec!["SY001", "SY004", "SY008"]);
-        assert!(DiagCoverage::EMPTY.is_empty());
-        assert!(!DiagCoverage::EMPTY.misses(DiagCoverage::EMPTY));
+        assert_eq!(DiagCoverage::from_bits(a.bits()), a);
+        assert!(DiagCoverage::EMPTY.codes().is_empty());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 pub mod coverage;
 
-pub use coverage::{code_bit, diag_signature, DiagCoverage};
+pub use coverage::{diag_signature, DiagCoverage};
 
 use symple_core::{EngineConfig, MergePolicy, UdaAnalysis};
 use symple_obs::json::{obj, Json};

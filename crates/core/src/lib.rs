@@ -89,7 +89,6 @@ pub mod state;
 pub mod summary;
 pub mod types;
 pub mod uda;
-pub mod validate;
 pub mod wire;
 
 pub use analysis::{analyze_uda, FieldReport, UdaAnalysis, VariantAnalysis};
@@ -113,7 +112,6 @@ pub use types::{
     sym_vector::SymVector,
 };
 pub use uda::{run_chunked_symbolic, run_sequential, Uda};
-pub use validate::{validate_uda, UdaViolation};
 
 /// Convenience re-exports for UDA authors.
 pub mod prelude {

@@ -68,7 +68,6 @@
 //! ```
 
 pub mod baseline;
-pub mod chain;
 pub mod dataset;
 pub mod fault;
 pub mod groupby;
@@ -83,7 +82,6 @@ pub mod store_io;
 pub mod symple_job;
 
 pub use baseline::{run_baseline, run_baseline_sorted};
-pub use chain::{fold_metrics, run_two_stage};
 pub use dataset::Dataset;
 pub use fault::{FaultInjector, FaultPlan};
 pub use groupby::{GroupBy, Key};

@@ -6,7 +6,7 @@
 //!   models of Figures 4 and 5.
 //!
 //! [`JobMetrics`] is the one record of what a job did; [`JobMetrics::rows`]
-//! lists its values, each with a report name and a [`Fold`] rule.
+//! lists its values, each with a report name.
 
 use std::time::Duration;
 
@@ -98,33 +98,8 @@ pub struct JobMetrics {
     pub explore: ExploreStats,
 }
 
-/// How one value of a multi-stage plan combines across its stages
-/// ([`crate::fold_metrics`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fold {
-    /// Every stage's work counts once: volumes, counts, times.
-    Sum,
-    /// A bound: the worst stage defines it.
-    Max,
-    /// The first stage owns it (the raw input is the job's input).
-    First,
-    /// The last stage owns it (its groups are the job's output).
-    Last,
-}
-
-impl Fold {
-    fn apply<T: Ord + std::ops::Add<Output = T>>(self, first: T, later: T) -> T {
-        match self {
-            Fold::Sum => first + later,
-            Fold::Max => first.max(later),
-            Fold::First => first,
-            Fold::Last => later,
-        }
-    }
-}
-
 /// One reported reading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Value {
     /// A count or a byte volume.
     Count(u64),
@@ -150,26 +125,18 @@ impl From<Duration> for Value {
     }
 }
 
-/// The table: each `JobMetrics` value's field, report name and fold rule,
-/// listed once. The generated destructuring is exhaustive on purpose — a
-/// new field does not compile until it has a row here, and with the row
-/// it is folded ([`crate::fold_metrics`]), property-tested
-/// (`mapreduce_props`) and printed (`symple-cli` under `SYMPLE_OBS=1`).
+/// The table: each `JobMetrics` value's field and report name, listed
+/// once. The generated destructuring is exhaustive on purpose — a new
+/// field does not compile until it has a row here, and with the row it is
+/// printed (`symple-cli` under `SYMPLE_OBS=1`, checked by `cli_obs`).
 macro_rules! table {
-    ({ $($f:ident $name:literal $fold:ident,)* } explore { $($ef:ident $ename:literal $efold:ident,)* }) => {
+    ({ $($f:ident $name:literal,)* } explore { $($ef:ident $ename:literal,)* }) => {
         impl JobMetrics {
-            /// Every value this record holds as `(report name, fold rule,
-            /// reading)`, in declaration order.
-            pub fn rows(&self) -> [(&'static str, Fold, Value); 34] {
+            /// Every value this record holds as `(report name, reading)`,
+            /// in declaration order.
+            pub fn rows(&self) -> [(&'static str, Value); 34] {
                 let JobMetrics { $($f,)* explore: ExploreStats { $($ef,)* } } = *self;
-                [$(($name, Fold::$fold, $f.into()),)* $(($ename, Fold::$efold, $ef.into()),)*]
-            }
-
-            /// Folds a later stage's record into this one, each value by
-            /// its row's rule.
-            pub(crate) fn fold(&mut self, later: &JobMetrics) {
-                $(self.$f = Fold::$fold.apply(self.$f, later.$f);)*
-                $(self.explore.$ef = Fold::$efold.apply(self.explore.$ef, later.explore.$ef);)*
+                [$(($name, $f.into()),)* $(($ename, $ef.into()),)*]
             }
         }
     };
@@ -177,42 +144,42 @@ macro_rules! table {
 
 table! {
     {
-        input_records "input.records" First,
-        input_bytes "input.bytes" First,
-        map_wall "map.wall" Sum,
-        map_cpu "map.cpu" Sum,
-        map_max_task "map.max_task" Max,
-        reduce_max_task "reduce.max_task" Max,
-        shuffle_bytes "shuffle.bytes" Sum,
-        shuffle_records "shuffle.records" Sum,
-        summary_bytes "summary.bytes" Sum,
-        reduce_wall "reduce.wall" Sum,
-        reduce_cpu "reduce.cpu" Sum,
-        groups "job.groups" Last,
-        attempts "sched.attempts" Sum,
-        speculative_launches "sched.speculative_launches" Sum,
-        speculative_wins "sched.speculative_wins" Sum,
-        retry_wasted_cpu "sched.retry_wasted_cpu" Sum,
-        checkpoint_hits "checkpoint.hits" Sum,
-        checkpoint_misses "checkpoint.misses" Sum,
-        checkpoint_corrupt "checkpoint.corrupt" Sum,
-        cache_hits "cache.hits" Sum,
-        cache_misses "cache.misses" Sum,
-        cache_corrupt "cache.corrupt" Sum,
-        cache_bytes_saved "cache.bytes_saved" Sum,
-        chunks_salvaged_concrete "salvage.chunks" Sum,
-        io_retries "job.io_retries" Sum,
-        io_gave_up "job.io_gave_up" Sum,
-        io_errors "job.io_errors" Sum,
-        store_demoted "job.store_demoted" Sum,
+        input_records "input.records",
+        input_bytes "input.bytes",
+        map_wall "map.wall",
+        map_cpu "map.cpu",
+        map_max_task "map.max_task",
+        reduce_max_task "reduce.max_task",
+        shuffle_bytes "shuffle.bytes",
+        shuffle_records "shuffle.records",
+        summary_bytes "summary.bytes",
+        reduce_wall "reduce.wall",
+        reduce_cpu "reduce.cpu",
+        groups "job.groups",
+        attempts "sched.attempts",
+        speculative_launches "sched.speculative_launches",
+        speculative_wins "sched.speculative_wins",
+        retry_wasted_cpu "sched.retry_wasted_cpu",
+        checkpoint_hits "checkpoint.hits",
+        checkpoint_misses "checkpoint.misses",
+        checkpoint_corrupt "checkpoint.corrupt",
+        cache_hits "cache.hits",
+        cache_misses "cache.misses",
+        cache_corrupt "cache.corrupt",
+        cache_bytes_saved "cache.bytes_saved",
+        chunks_salvaged_concrete "salvage.chunks",
+        io_retries "job.io_retries",
+        io_gave_up "job.io_gave_up",
+        io_errors "job.io_errors",
+        store_demoted "job.store_demoted",
     }
     explore {
-        records "explore.records" Sum,
-        runs "explore.runs" Sum,
-        forks "explore.forks" Sum,
-        merges "explore.merges" Sum,
-        restarts "explore.restarts" Sum,
-        max_live_paths "explore.max_live_paths" Max,
+        records "explore.records",
+        runs "explore.runs",
+        forks "explore.forks",
+        merges "explore.merges",
+        restarts "explore.restarts",
+        max_live_paths "explore.max_live_paths",
     }
 }
 

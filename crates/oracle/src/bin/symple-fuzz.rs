@@ -68,11 +68,11 @@ fn main() -> ExitCode {
         report.coverage.len(),
         report.corpus_size,
     );
-    let diag = report.coverage.diag_union();
+    let codes = report.coverage.diag_union().codes();
     println!(
         "diagnostic coverage: {}/8 codes [{}]",
-        diag.len(),
-        diag.codes().join(", ")
+        codes.len(),
+        codes.join(", ")
     );
     if report.clean() {
         println!("PASS: every generated case agreed with the sequential reference");

@@ -642,9 +642,34 @@ mod tests {
         }
     }
 
-    /// Sweeps a fresh hidden-counter case over `matrix` at smoke lengths.
-    fn sweep_hidden_counter(matrix: &[Cell]) -> OracleReport {
-        let case = UdaCase::new("HIDDEN", HiddenCounterUda::default(), |seed, len| {
+    /// OVF's sum, but `result` adds `counter % 5` from state the engine
+    /// cannot see. `update` is deterministic, so every summary is too and
+    /// the summary probe is blind; the comparisons (and the fault probe,
+    /// which compares outputs) are what catch an impure `result`.
+    #[derive(Default)]
+    struct ImpureResultUda(AtomicI64);
+
+    impl Uda for ImpureResultUda {
+        type State = OverflowState;
+        type Event = i64;
+        type Output = i64;
+        fn init(&self) -> OverflowState {
+            OverflowSumUda.init()
+        }
+        fn update(&self, s: &mut OverflowState, ctx: &mut SymCtx, e: &i64) {
+            OverflowSumUda.update(s, ctx, e);
+        }
+        fn result(&self, s: &OverflowState, ctx: &mut SymCtx) -> i64 {
+            OverflowSumUda.result(s, ctx) + self.0.fetch_add(1, Ordering::Relaxed) % 5
+        }
+    }
+
+    /// Sweeps `uda` as a fresh case over `matrix` at smoke lengths.
+    fn sweep_smoke<U: Uda<Event = i64, Output = i64> + 'static>(
+        uda: U,
+        matrix: &[Cell],
+    ) -> OracleReport {
+        let case = UdaCase::new("HIDDEN", uda, |seed, len| {
             (0..len as i64).map(|i| (seed as i64 ^ i) & 0xff).collect()
         });
         let opts = OracleOptions {
@@ -659,17 +684,26 @@ mod tests {
     #[test]
     fn the_summary_probe_sees_hidden_state() {
         // No matrix cells: only the determinism probes run.
-        let report = sweep_hidden_counter(&[]);
+        let report = sweep_smoke(HiddenCounterUda::default(), &[]);
         assert_eq!(report.comparisons, 0);
         let kinds: Vec<ReproKind> = report.findings.iter().map(|f| f.artifact.kind).collect();
         assert!(kinds.contains(&ReproKind::SummaryNondet), "{kinds:?}");
     }
 
     #[test]
+    fn the_comparisons_see_an_impure_result() {
+        let report = sweep_smoke(ImpureResultUda::default(), &smoke_matrix());
+        let kinds: Vec<ReproKind> = report.findings.iter().map(|f| f.artifact.kind).collect();
+        assert!(kinds.contains(&ReproKind::Mismatch), "{kinds:?}");
+    }
+
+    #[test]
     fn the_finding_cap_bounds_the_probes_too() {
         // Comparisons, summary probes and fault probes all flag this case;
         // the cap must hold across all three loops.
-        let found = sweep_hidden_counter(&smoke_matrix()).findings.len();
+        let found = sweep_smoke(HiddenCounterUda::default(), &smoke_matrix())
+            .findings
+            .len();
         assert!((1..=MAX_FINDINGS_PER_CASE).contains(&found), "{found}");
     }
 

@@ -1,20 +1,14 @@
-//! Extending SYMPLE with a user-defined symbolic data type (§4.5) and
-//! verifying a UDA's behavioural contracts (§5.3).
+//! Extending SYMPLE with a user-defined symbolic data type (§4.5).
 //!
 //! `SymMinMax` gives running extrema their own canonical form
 //! (`lb ≤ x ≤ ub ⇒ v = max(x, c)`), turning the branching `Max` UDA into a
-//! zero-fork, single-path summary. `validate_uda` then demonstrates the
-//! runtime verifier catching a UDA that smuggles state outside its
-//! `SymState` struct.
+//! zero-fork, single-path summary.
 //!
 //! ```text
 //! cargo run --example custom_type
 //! ```
 
-use std::sync::atomic::{AtomicI64, Ordering};
-
 use symple::core::prelude::*;
-use symple::core::validate::validate_uda;
 use symple::core::{Extremum, SymMinMax};
 
 /// `Max` over the custom type: no `if`, no forks.
@@ -43,36 +37,7 @@ impl Uda for MaxUda {
     }
 }
 
-/// A buggy UDA: it keeps a counter *outside* the aggregation state,
-/// violating §2.1's "capture all side effects in the state".
-struct LeakyUda {
-    hidden: AtomicI64,
-}
-
-#[derive(Clone, Debug)]
-struct LeakyState {
-    v: SymInt,
-}
-symple::core::impl_sym_state!(LeakyState { v });
-
-impl Uda for LeakyUda {
-    type State = LeakyState;
-    type Event = i64;
-    type Output = i64;
-    fn init(&self) -> LeakyState {
-        LeakyState { v: SymInt::new(0) }
-    }
-    fn update(&self, s: &mut LeakyState, ctx: &mut SymCtx, _e: &i64) {
-        let h = self.hidden.fetch_add(1, Ordering::Relaxed);
-        s.v.add(ctx, h % 2);
-    }
-    fn result(&self, s: &LeakyState, _ctx: &mut SymCtx) -> i64 {
-        s.v.concrete_value().unwrap_or(0)
-    }
-}
-
 fn main() {
-    // 1. The custom type at work.
     let input: Vec<i64> = (0..100_000)
         .map(|i: i64| (i.wrapping_mul(2_654_435_761)) % 1_000_003)
         .collect();
@@ -92,20 +57,4 @@ fn main() {
         chain.wire_len()
     );
     println!("  (the same UDA over a branching SymInt explores 2 paths and forks once per chunk)");
-
-    // 2. The verifier approves the clean UDA…
-    let verdict = validate_uda(&uda, &input[..5_000], &EngineConfig::default()).unwrap();
-    println!("\nvalidate_uda(MaxUda) → {verdict:?}");
-    assert!(verdict.is_none());
-
-    // 3. …and catches the leaky one.
-    let leaky = LeakyUda {
-        hidden: AtomicI64::new(0),
-    };
-    let verdict = validate_uda(&leaky, &input[..100], &EngineConfig::default()).unwrap();
-    println!(
-        "validate_uda(LeakyUda) → {}",
-        verdict.as_ref().map(|v| v.to_string()).unwrap_or_default()
-    );
-    assert!(verdict.is_some());
 }

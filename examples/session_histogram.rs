@@ -1,7 +1,9 @@
 //! A multi-stage query plan (the paper's §8 future work): stage 1 runs
 //! B3 ("number of queries in a session per user"), stage 2 re-groups the
 //! per-user session lengths into a global histogram — both stages
-//! parallelized by SYMPLE.
+//! parallelized by SYMPLE. The plan is two `run_symple` calls: stage 1's
+//! `(user, lengths)` rows, already ordered by key, are re-segmented as
+//! stage 2's input records.
 //!
 //! ```text
 //! cargo run --example session_histogram --release
@@ -10,7 +12,7 @@
 use symple::core::prelude::*;
 use symple::datagen::{generate_bing, raw_sizes, BingConfig};
 use symple::mapreduce::segment::split_into_segments;
-use symple::mapreduce::{run_two_stage, GroupBy, JobConfig};
+use symple::mapreduce::{run_symple, GroupBy, JobConfig};
 use symple::queries::bing_q::{B3Group, B3Uda};
 
 /// Stage 2 groupby: fan each user's session-length list out into
@@ -63,8 +65,9 @@ fn main() {
 
     let segments = split_into_segments(&records, 8, raw_sizes::BING);
     let cfg = JobConfig::default();
-    let out = run_two_stage(&B3Group, &B3Uda, &segments, &ByLength, &CountUda, &cfg)
-        .expect("two-stage plan");
+    let stage1 = run_symple(&B3Group, &B3Uda, &segments, &cfg).expect("stage 1");
+    let rows = split_into_segments(&stage1.results, cfg.map_workers, 64);
+    let out = run_symple(&ByLength, &CountUda, &rows, &cfg).expect("stage 2");
 
     println!(
         "stage 2: histogram of session lengths ({} buckets)\n",
@@ -79,8 +82,13 @@ fn main() {
         println!("  … {} longer buckets elided", out.results.len() - 20);
     }
     println!(
-        "\nend-to-end: {} input records, {} shuffle bytes across both stages, \
-         {} symbolic runs",
-        out.metrics.input_records, out.metrics.shuffle_bytes, out.metrics.explore.runs
+        "\nstage 1: {} input records, {} shuffle bytes, {} symbolic runs",
+        stage1.metrics.input_records, stage1.metrics.shuffle_bytes, stage1.metrics.explore.runs
+    );
+    println!(
+        "stage 2: {} user rows, {} shuffle bytes, {} symbolic runs",
+        stage1.results.len(),
+        out.metrics.shuffle_bytes,
+        out.metrics.explore.runs
     );
 }

@@ -268,7 +268,7 @@ fn cmd_run(args: &Args) -> ExitCode {
             // `SYMPLE_OBS` set to anything but `0`/empty: the job's whole
             // metrics record follows the report, on stderr.
             if std::env::var("SYMPLE_OBS").is_ok_and(|v| !v.is_empty() && v != "0") {
-                for (name, _, value) in m.rows() {
+                for (name, value) in m.rows() {
                     match value {
                         Value::Count(n) => eprintln!("{name:<32} {n:>12}"),
                         Value::Time(d) => eprintln!("{name:<32} {d:>12.3?}"),

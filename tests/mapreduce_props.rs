@@ -2,18 +2,14 @@
 //! streams and key distributions through every backend must agree, with
 //! order preserved per key however the shuffle slices it.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 
-use symple::core::engine::ExploreStats;
 use symple::core::prelude::*;
-use symple::mapreduce::metrics::{Fold, Value};
 use symple::mapreduce::segment::split_into_segments;
 use symple::mapreduce::{
-    fold_metrics, run_baseline, run_baseline_sorted, run_scheduled, run_sequential_job, run_symple,
-    CheckpointCtx, ChunkStore, GroupBy, JobConfig, JobMetrics, MemStore, SchedulerConfig,
-    SummaryCacheCtx, SympleJob,
+    run_baseline, run_baseline_sorted, run_scheduled, run_sequential_job, run_symple,
+    CheckpointCtx, ChunkStore, GroupBy, JobConfig, MemStore, SchedulerConfig, SummaryCacheCtx,
+    SympleJob,
 };
 
 /// Records are `(key, value)` pairs; order within a key is load-bearing.
@@ -146,98 +142,7 @@ proptest! {
     }
 }
 
-// ------------------------------------------------------- metric folding
-
-/// A fully synthetic [`JobMetrics`] from 34 generated raw values, so the
-/// additivity property exercises every field without wall clocks.
-fn metrics_from(raw: &[u64]) -> JobMetrics {
-    let ms = |v: u64| Duration::from_millis(v);
-    JobMetrics {
-        input_records: raw[0],
-        input_bytes: raw[1],
-        map_wall: ms(raw[2]),
-        map_cpu: ms(raw[3]),
-        map_max_task: ms(raw[4]),
-        reduce_max_task: ms(raw[5]),
-        shuffle_bytes: raw[6],
-        shuffle_records: raw[7],
-        summary_bytes: raw[8],
-        reduce_wall: ms(raw[9]),
-        reduce_cpu: ms(raw[10]),
-        groups: raw[11],
-        attempts: raw[18],
-        speculative_launches: raw[19],
-        speculative_wins: raw[20],
-        retry_wasted_cpu: ms(raw[21]),
-        checkpoint_hits: raw[22],
-        checkpoint_misses: raw[23],
-        checkpoint_corrupt: raw[24],
-        chunks_salvaged_concrete: raw[25],
-        cache_hits: raw[26],
-        cache_misses: raw[27],
-        cache_corrupt: raw[28],
-        cache_bytes_saved: raw[29],
-        io_retries: raw[30],
-        io_gave_up: raw[31],
-        io_errors: raw[32],
-        store_demoted: raw[33],
-        explore: ExploreStats {
-            records: raw[12],
-            runs: raw[13],
-            forks: raw[14],
-            merges: raw[15],
-            restarts: raw[16],
-            max_live_paths: raw[17] as usize,
-        },
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// `fold_metrics` is exactly additive: each stage's volumes and times
-    /// are counted once — never dropped, never double counted.
-    #[test]
-    fn fold_metrics_is_additive(
-        a_raw in prop::collection::vec(0u64..1_000_000, 34..35),
-        b_raw in prop::collection::vec(0u64..1_000_000, 34..35),
-        c_raw in prop::collection::vec(0u64..1_000_000, 34..35),
-    ) {
-        let (a, b) = (metrics_from(&a_raw), metrics_from(&b_raw));
-        let f = fold_metrics(a, b);
-        // Every value folds by the rule its row declares, and the rules
-        // are these: stage-1-owned, stage-2-owned, bounds, else summed.
-        let rule_of = |name: &str| match name {
-            "input.records" | "input.bytes" => Fold::First,
-            "job.groups" => Fold::Last,
-            "map.max_task" | "reduce.max_task" | "explore.max_live_paths" => Fold::Max,
-            _ => Fold::Sum,
-        };
-        for ((f, a), b) in f.rows().into_iter().zip(a.rows()).zip(b.rows()) {
-            let (name, rule, folded) = f;
-            prop_assert_eq!(rule, rule_of(name), "row `{}`", name);
-            let want = match (rule, a.2, b.2) {
-                (Fold::Sum, Value::Count(x), Value::Count(y)) => Value::Count(x + y),
-                (Fold::Sum, Value::Time(x), Value::Time(y)) => Value::Time(x + y),
-                (Fold::Max, x, y) => x.max(y),
-                (Fold::First, x, _) => x,
-                (Fold::Last, _, y) => y,
-                (Fold::Sum, x, y) => panic!("`{name}` mixes kinds: {x:?} + {y:?}"),
-            };
-            prop_assert_eq!(folded, want, "row `{}` ({:?})", name, rule);
-        }
-        // Folding in an idle stage changes nothing additive, and the fold
-        // is associative — longer plan chains count each stage once too.
-        let idle = fold_metrics(a, JobMetrics::default());
-        prop_assert_eq!(idle.total_cpu(), a.total_cpu());
-        prop_assert_eq!(idle.shuffle_bytes, a.shuffle_bytes);
-        let c = metrics_from(&c_raw);
-        prop_assert_eq!(
-            format!("{:?}", fold_metrics(fold_metrics(a, b), c)),
-            format!("{:?}", fold_metrics(a, fold_metrics(b, c)))
-        );
-    }
-}
+// -------------------------------------------------------- store ledgers
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
