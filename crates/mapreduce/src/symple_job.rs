@@ -8,6 +8,12 @@
 //! apply them in order to the UDA's initial state — the data-parallel
 //! reduction that matches the sequential semantics exactly.
 //!
+//! A map task runs one executor over all its keys, reset between them,
+//! and memoizes its short cells: a cell whose events repeat an earlier
+//! short cell of the same task copies that cell's payload and stats
+//! instead of running (`CellMemo`, scoped to the task, so a retried or
+//! cached task computes the same bytes).
+//!
 //! There is one job description, [`SympleJob`], and one way to run it;
 //! [`run_symple`] is its store-less, fault-less spelling. Two robustness
 //! layers ride on the same shuffle:
@@ -25,11 +31,15 @@
 //!   content; both save *inside* the map task, so whatever a killed run
 //!   finished is there for the next one.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher, RandomState};
+use std::ops::Range;
+
 use symple_core::compose::apply_encoded_chain;
 use symple_core::ctx::SymCtx;
 use symple_core::engine::{ExploreStats, SymbolicExecutor};
 use symple_core::error::{Error, Result};
-use symple_core::frame::FrameMeta;
+use symple_core::frame::{FrameMeta, KeyedWordHasher};
 use symple_core::summary::SummaryChain;
 use symple_core::uda::{extract_result, run_concrete_state, Uda};
 use symple_core::wire::{get_bytes, get_len, get_uvarint, put_slice, put_uvarint, Wire, WireError};
@@ -489,12 +499,102 @@ fn decode_checkpoint_payload<K: Key>(
     Ok((emits, stats, salvaged))
 }
 
+/// A cell of at most this many events is memoized; a longer one is never
+/// looked up, so a task of long cells pays one length check per cell.
+const MEMO_MAX_EVENTS: usize = 16;
+
+/// Distinct cells one task's memo holds at most.
+const MEMO_MAX_CELLS: usize = 4096;
+
+/// Key and payload bytes one task's memo holds at most.
+const MEMO_MAX_BYTES: usize = 1 << 20;
+
+/// One task's memo of short cells: a cell's events, in the wire form a
+/// refused cell ships them in (their count, then their [`Wire`]
+/// encodings), to the payload and [`ExploreStats`] they produced.
+///
+/// After [`SymbolicExecutor::reset`] a cell's payload depends on its
+/// events alone, so a repeated cell is a lookup. The key is exact: the
+/// reducer decodes refused cells from the same bytes, so two cells share
+/// a key only if they hold the same events, and a hit compares the whole
+/// key — the hasher only places it. The count matters: an event type may
+/// encode in no bytes at all (`()` does).
+///
+/// Refused cells are never remembered. The memo lives for one
+/// [`compute_chunk`] call, so a retried, speculated or cached task
+/// computes the same bytes, and it stops growing when full.
+struct CellMemo<S = KeyedWordHasher> {
+    table: HashMap<Box<[u8]>, (Range<usize>, ExploreStats), S>,
+    /// Every remembered payload, back to back.
+    payloads: Vec<u8>,
+    /// Key and payload bytes held.
+    bytes: usize,
+    /// The key of the cell last looked up.
+    key: Vec<u8>,
+    /// Whether that cell qualifies and is not remembered yet.
+    staged: bool,
+}
+
+impl CellMemo {
+    /// An empty memo whose table is hashed under a fresh random key.
+    fn new() -> CellMemo {
+        let seed = RandomState::new().build_hasher().finish();
+        CellMemo::with_hasher(KeyedWordHasher::new(seed))
+    }
+}
+
+impl<S: BuildHasher> CellMemo<S> {
+    fn with_hasher(hasher: S) -> CellMemo<S> {
+        CellMemo {
+            table: HashMap::with_hasher(hasher),
+            payloads: Vec::new(),
+            bytes: 0,
+            key: Vec::new(),
+            staged: false,
+        }
+    }
+
+    /// The payload and stats `events` produced earlier in this task, if
+    /// they qualify and were remembered. Either way `events` become the
+    /// cell a following [`CellMemo::remember`] files under.
+    fn lookup<E: Wire>(&mut self, events: &[E]) -> Option<(&[u8], ExploreStats)> {
+        self.key.clear();
+        self.staged = events.len() <= MEMO_MAX_EVENTS;
+        if !self.staged {
+            return None;
+        }
+        put_slice(&mut self.key, events);
+        let (range, stats) = self.table.get(self.key.as_slice())?;
+        Some((&self.payloads[range.clone()], *stats))
+    }
+
+    /// Files `payload` and `stats` under the cell last looked up, unless
+    /// it does not qualify or the memo is full.
+    fn remember(&mut self, payload: &[u8], stats: ExploreStats) {
+        let bytes = self.bytes + self.key.len() + payload.len();
+        if !std::mem::take(&mut self.staged)
+            || self.table.len() >= MEMO_MAX_CELLS
+            || bytes > MEMO_MAX_BYTES
+        {
+            return;
+        }
+        self.bytes = bytes;
+        let start = self.payloads.len();
+        self.payloads.extend_from_slice(payload);
+        let range = start..self.payloads.len();
+        self.table
+            .insert(self.key.as_slice().into(), (range, stats));
+    }
+}
+
 /// Executes one chunk's per-key aggregation: concrete for the globally
 /// first segment, symbolic otherwise, salvaging engine refusals as
 /// `NeedsConcrete` event payloads when the config allows. One executor
 /// serves every key, [`SymbolicExecutor::reset`] between them, and writes
-/// each chain straight into the emit arena: the task allocates per segment,
-/// not per `(key, chunk)` cell.
+/// each chain straight into the emit arena; a cell that repeats an earlier
+/// short cell of the task copies that cell's payload and stats from a
+/// [`CellMemo`] instead of running. The task allocates per segment and
+/// per distinct short cell, not per `(key, chunk)` cell.
 fn compute_chunk<U, K>(
     uda: &U,
     seg_id: usize,
@@ -510,7 +610,13 @@ where
     let mut stats = ExploreStats::default();
     let mut salvaged = 0u64;
     let mut exec = SymbolicExecutor::new(uda, cfg.engine);
+    let mut memo = CellMemo::new();
     for (key, events) in groups.iter() {
+        if let Some((payload, cell_stats)) = memo.lookup(events) {
+            stats.absorb(cell_stats);
+            emits.emit(key.clone(), |buf| buf.extend_from_slice(payload));
+            continue;
+        }
         if seg_id == 0 && cfg.first_segment_concrete {
             // The globally first segment holds every present key's first
             // chunk: run concretely from the true initial state (§2.2).
@@ -518,8 +624,10 @@ where
             // they propagate rather than salvage.
             let state = run_concrete_state(uda, events)?;
             emits.emit(key.clone(), |buf| {
+                let start = buf.len();
                 buf.push(PAYLOAD_CHAIN);
                 SummaryChain::encode_singleton(&state, buf);
+                memo.remember(&buf[start..], ExploreStats::default());
             });
             continue;
         }
@@ -529,10 +637,13 @@ where
         // (executor tests pin this), so summaries and caches are unaffected.
         match exec.feed_slice(events) {
             Ok(()) => {
-                stats.absorb(exec.stats());
+                let cell_stats = exec.stats();
+                stats.absorb(cell_stats);
                 emits.emit(key.clone(), |buf| {
+                    let start = buf.len();
                     buf.push(PAYLOAD_CHAIN);
                     exec.encode_chain(buf);
+                    memo.remember(&buf[start..], cell_stats);
                 });
             }
             Err(e) if cfg.salvage_refused_chunks && is_engine_refusal(&e) => {
@@ -598,6 +709,8 @@ mod tests {
     use crate::baseline::run_baseline;
     use crate::segment::split_into_segments;
     use crate::store::MemStore;
+    use std::hash::BuildHasherDefault;
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
     use symple_core::compose::apply_chain;
     use symple_core::ctx::SymCtx;
     use symple_core::impl_sym_state;
@@ -1067,6 +1180,45 @@ mod tests {
         );
     }
 
+    /// The reference [`compute_chunk`] must match: every cell on its own,
+    /// with a fresh executor and an owned chain, or a concrete state for a
+    /// concrete first segment.
+    fn fresh_per_cell<U: Uda<Event = i64>>(
+        uda: &U,
+        seg_id: usize,
+        cfg: &JobConfig,
+        groups: &Groups<u8, i64>,
+    ) -> (Vec<(u8, Vec<u8>)>, ExploreStats, u64) {
+        let mut cells = Vec::new();
+        let mut stats = ExploreStats::default();
+        let mut salvaged = 0;
+        for (key, events) in groups.iter() {
+            if seg_id == 0 && cfg.first_segment_concrete {
+                let state = run_concrete_state(uda, events).unwrap();
+                let chain = SummaryChain::single(Summary::singleton(state));
+                cells.push((*key, chain_payload(&chain)));
+                continue;
+            }
+            let mut exec = SymbolicExecutor::new(uda, cfg.engine);
+            cells.push(match exec.feed_slice(events) {
+                Ok(()) => {
+                    let (chain, cell_stats) = exec.finish();
+                    stats.absorb(cell_stats);
+                    (*key, chain_payload(&chain))
+                }
+                Err(_) => {
+                    salvaged += 1;
+                    (*key, events_payload(events))
+                }
+            });
+        }
+        (cells, stats, salvaged)
+    }
+
+    fn cells_of(emits: &Emits<u8>) -> Vec<(u8, Vec<u8>)> {
+        emits.cells().map(|(k, p)| (*k, p.to_vec())).collect()
+    }
+
     #[test]
     fn a_refused_cell_leaves_its_neighbours_and_the_task_stats_alone() {
         // Keys 0 and 2 fork once (evens, then an odd); key 1 opens on an
@@ -1078,25 +1230,12 @@ mod tests {
         let groups = sorted_groups(&ByMod, &records);
         let (emits, stats, salvaged) = compute_chunk(&RunsUda, 1, &cfg, &groups).unwrap();
 
-        // Every cell on its own: a fresh executor, an owned chain.
-        let mut want = Vec::new();
-        let mut want_stats = ExploreStats::default();
-        for (key, events) in groups.iter() {
-            let mut exec = SymbolicExecutor::new(&RunsUda, cfg.engine);
-            want.push(match exec.feed_slice(events) {
-                Ok(()) => {
-                    let (chain, cell_stats) = exec.finish();
-                    want_stats.absorb(cell_stats);
-                    (*key, chain_payload(&chain))
-                }
-                Err(_) => (*key, events_payload(events)),
-            });
-        }
+        let (want, want_stats, want_salvaged) = fresh_per_cell(&RunsUda, 1, &cfg, &groups);
         let tags: Vec<u8> = want.iter().map(|(_, payload)| payload[0]).collect();
         assert_eq!(tags, [PAYLOAD_CHAIN, PAYLOAD_EVENTS, PAYLOAD_CHAIN]);
-        let got: Vec<_> = emits.cells().map(|(k, p)| (*k, p.to_vec())).collect();
-        assert_eq!(got, want);
-        assert_eq!((stats, salvaged), (want_stats, 1));
+        assert_eq!(cells_of(&emits), want);
+        assert_eq!((stats, salvaged), (want_stats, want_salvaged));
+        assert_eq!(salvaged, 1);
         assert!(stats.forks > 0, "the ordinary cells must fork");
 
         // And through the job: segment 0 concrete, segment 1 as above.
@@ -1106,6 +1245,190 @@ mod tests {
         assert_eq!(sym.results, base.results);
         assert_eq!(sym.metrics.chunks_salvaged_concrete, 1);
         assert_eq!(sym.metrics.explore, stats);
+    }
+
+    /// `(key, event)` records: the key does not shape the event, so any
+    /// two keys may hold the same cell.
+    struct Pairs;
+    impl GroupBy for Pairs {
+        type Record = (u8, i64);
+        type Key = u8;
+        type Event = i64;
+        fn extract(&self, r: &(u8, i64)) -> Option<(u8, i64)> {
+            Some(*r)
+        }
+    }
+
+    /// Cell `k` of `cells` under key `k`, each a run of records.
+    fn pairs_records(cells: &[Vec<i64>]) -> Vec<(u8, i64)> {
+        let mut records = Vec::new();
+        for (k, events) in cells.iter().enumerate() {
+            records.extend(events.iter().map(|e| (k as u8, *e)));
+        }
+        records
+    }
+
+    /// `len` events of [`RunsUda`] that never fork three ways: runs of
+    /// evens closed by an odd.
+    fn calm_cell(len: usize) -> Vec<i64> {
+        (0..len).map(|i| [2, 4, 6, 1][i % 4]).collect()
+    }
+
+    #[test]
+    fn memoized_cells_are_byte_identical_to_fresh_ones() {
+        let refused = vec![1, 6, 11];
+        let limit = calm_cell(MEMO_MAX_EVENTS);
+        let mut limit_other_last = limit.clone();
+        limit_other_last[MEMO_MAX_EVENTS - 1] = 8;
+        let over = calm_cell(MEMO_MAX_EVENTS + 1);
+        let cells = [
+            vec![2, 4, 6],
+            vec![2, 4, 6],
+            vec![2, 4, 7],
+            refused.clone(),
+            limit.clone(),
+            refused,
+            limit,
+            limit_other_last,
+            over.clone(),
+            over,
+            vec![2, 4, 7],
+        ];
+        let records = pairs_records(&cells);
+        let groups = sorted_groups(&Pairs, &records);
+        let mut cfg = JobConfig::default();
+        cfg.engine.max_paths_per_record = 2;
+        for seg_id in [0, 1] {
+            let (emits, stats, salvaged) = compute_chunk(&RunsUda, seg_id, &cfg, &groups).unwrap();
+            let (want, want_stats, want_salvaged) = fresh_per_cell(&RunsUda, seg_id, &cfg, &groups);
+            assert_eq!(cells_of(&emits), want, "segment {seg_id}");
+            assert_eq!((stats, salvaged), (want_stats, want_salvaged));
+            // Cells that differ in their last event only differ in payload.
+            assert_ne!(want[0].1, want[2].1);
+            assert_ne!(want[4].1, want[7].1);
+            if seg_id == 1 {
+                assert_eq!(salvaged, 2, "each refused cell salvages");
+                assert!(stats.forks > 0);
+            }
+        }
+
+        // And through the job: segment 0 concrete, segment 1 symbolic.
+        let segments = split_into_segments(&[records.clone(), records].concat(), 2, 64);
+        let sym = run_symple(&Pairs, &RunsUda, &segments, &cfg).unwrap();
+        let base = run_baseline(&Pairs, &RunsUda, &segments, &cfg).unwrap();
+        assert_eq!(sym.results, base.results);
+        assert_eq!(sym.metrics.chunks_salvaged_concrete, 2);
+    }
+
+    /// [`RunsUda`] counting its `update` calls.
+    struct CountingUda(AtomicUsize);
+    impl Uda for CountingUda {
+        type State = RunsState;
+        type Event = i64;
+        type Output = Vec<i64>;
+        fn init(&self) -> RunsState {
+            RunsUda.init()
+        }
+        fn update(&self, s: &mut RunsState, ctx: &mut SymCtx, e: &i64) {
+            self.0.fetch_add(1, AtomicOrdering::Relaxed);
+            RunsUda.update(s, ctx, e);
+        }
+        fn result(&self, s: &RunsState, ctx: &mut SymCtx) -> Vec<i64> {
+            RunsUda.result(s, ctx)
+        }
+    }
+
+    #[test]
+    fn a_repeated_short_cell_runs_once_per_task() {
+        let cfg = JobConfig::default();
+        let updates = |cells: &[Vec<i64>], seg_id| {
+            let uda = CountingUda(AtomicUsize::new(0));
+            let groups = sorted_groups(&Pairs, &pairs_records(cells));
+            compute_chunk(&uda, seg_id, &cfg, &groups).unwrap();
+            uda.0.into_inner()
+        };
+        const N: usize = 20;
+        for seg_id in [0, 1] {
+            for len in [3, MEMO_MAX_EVENTS, MEMO_MAX_EVENTS + 1] {
+                let cell = calm_cell(len);
+                let once = updates(std::slice::from_ref(&cell), seg_id);
+                let want = if len <= MEMO_MAX_EVENTS {
+                    once
+                } else {
+                    N * once
+                };
+                assert!(once >= len);
+                assert_eq!(
+                    updates(&vec![cell; N], seg_id),
+                    want,
+                    "segment {seg_id}, {len} events"
+                );
+            }
+        }
+    }
+
+    /// Hashes every key alike.
+    #[derive(Default)]
+    struct Collide;
+    impl Hasher for Collide {
+        fn write(&mut self, _: &[u8]) {}
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_memo_hit_compares_the_whole_key() {
+        let mut memo = CellMemo::with_hasher(BuildHasherDefault::<Collide>::default());
+        let stats = |runs| ExploreStats {
+            runs,
+            ..ExploreStats::default()
+        };
+        let cells: [(&[i64], &[u8]); 3] = [(&[1, 2], b"a"), (&[1, 3], b"bb"), (&[2, 1], b"c")];
+        for (i, (events, payload)) in cells.iter().enumerate() {
+            assert_eq!(memo.lookup(events), None);
+            memo.remember(payload, stats(i as u64));
+        }
+        for (i, (events, payload)) in cells.iter().enumerate() {
+            assert_eq!(memo.lookup(events), Some((*payload, stats(i as u64))));
+        }
+        assert_eq!(memo.lookup(&[1i64]), None);
+        assert_eq!(memo.lookup(&[1i64, 2, 3]), None);
+
+        // Events that encode in no bytes differ in number alone.
+        let mut memo = CellMemo::new();
+        assert_eq!(memo.lookup(&[(); 1]), None);
+        memo.remember(b"one", stats(1));
+        assert_eq!(memo.lookup(&[(); 2]), None);
+        assert_eq!(memo.lookup(&[(); 1]), Some((&b"one"[..], stats(1))));
+    }
+
+    #[test]
+    fn a_full_memo_keeps_serving_and_stops_growing() {
+        let mut memo = CellMemo::new();
+        for i in 0..MEMO_MAX_CELLS as i64 + 10 {
+            assert_eq!(memo.lookup(&[i]), None);
+            memo.remember(&[7], ExploreStats::default());
+        }
+        assert_eq!(memo.table.len(), MEMO_MAX_CELLS);
+        assert!(memo.lookup(&[0i64]).is_some());
+        assert!(memo.lookup(&[MEMO_MAX_CELLS as i64]).is_none());
+
+        let mut memo = CellMemo::new();
+        let half = vec![7; MEMO_MAX_BYTES / 2];
+        for i in 0..2i64 {
+            memo.lookup(&[i]);
+            memo.remember(&half, ExploreStats::default());
+        }
+        assert!(memo.lookup(&[0i64]).is_some());
+        assert!(memo.lookup(&[1i64]).is_none(), "its key overflows the cap");
+        assert!(memo.bytes <= MEMO_MAX_BYTES);
+
+        // A cell over the event limit is neither served nor remembered.
+        let over = calm_cell(MEMO_MAX_EVENTS + 1);
+        memo.lookup(&over);
+        memo.remember(&[7], ExploreStats::default());
+        assert_eq!(memo.lookup(&over), None);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! a repro artifact that records those three values is fully
 //! self-contained and immune to serialization drift of the event types.
 
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
@@ -320,6 +321,26 @@ impl<E: Clone + Debug + Send + Sync + Wire + 'static> GroupBy for SingleKey<E> {
     type Event = E;
     fn extract(&self, r: &WireRecord<E>) -> Option<(u8, E)> {
         Some((0, r.0.clone()))
+    }
+}
+
+/// The key a multi-key cell deals the record at position `i` to: the top
+/// three bits of a Fibonacci hash of `i`. Cells then vary in length from
+/// task to task, so the per-key errors of a wrong cell do not cancel out
+/// over a key's tasks, as they can under a round-robin deal.
+fn dealt_key(i: usize) -> u8 {
+    ((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61) as u8
+}
+
+/// Groups by the key the record carries (see [`dealt_key`]).
+struct Dealt<E>(PhantomData<fn() -> E>);
+
+impl<E: Clone + Debug + Send + Sync + Wire + 'static> GroupBy for Dealt<E> {
+    type Record = (u8, WireRecord<E>);
+    type Key = u8;
+    type Event = E;
+    fn extract(&self, (key, r): &(u8, WireRecord<E>)) -> Option<(u8, E)> {
+        Some((*key, r.0.clone()))
     }
 }
 
@@ -640,6 +661,54 @@ where
         result
     }
 
+    /// The multi-key executor ([`ExecutorKind::MultiKey`]). It judges
+    /// itself: every key's output must agree ([`outputs_agree`]) with the
+    /// sequential run over that key's events, and a failed job with the
+    /// reference of some key. Then it renders the whole stream's
+    /// reference, which the sweep's comparison accepts; otherwise the
+    /// first disagreement, which no reference renders.
+    fn run_multi_key(&self, events: &[U::Event], cell: &Cell, input: &CaseInput) -> String {
+        let records: Vec<(u8, WireRecord<U::Event>)> = (0..)
+            .map(dealt_key)
+            .zip(events.iter().cloned().map(WireRecord))
+            .collect();
+        let segments = split_into_segments(&records, cell.chunks.max(1), 8);
+        let out = SympleJob::new(cell.job()).run(&Dealt(PhantomData), &self.uda, &segments);
+        let mut keyed: BTreeMap<u8, Vec<&U::Event>> = BTreeMap::new();
+        for (key, WireRecord(e)) in &records {
+            keyed.entry(*key).or_default().push(e);
+        }
+        let references: Vec<(u8, String)> = keyed
+            .into_iter()
+            .map(|(key, own)| (key, render(run_sequential(&self.uda, own))))
+            .collect();
+        let disagreement = match out {
+            Ok(job) => {
+                let keys: Vec<u8> = job.results.iter().map(|(k, _)| *k).collect();
+                if keys.iter().ne(references.iter().map(|(k, _)| k)) {
+                    Some(format!("BadKeys({keys:?})"))
+                } else {
+                    job.results
+                        .iter()
+                        .zip(&references)
+                        .find_map(|((k, output), (_, r))| {
+                            let actual = format!("Ok({output:?})");
+                            (!outputs_agree(r, &actual, input))
+                                .then(|| format!("KeyMismatch(key {k}: {actual}, expected {r})"))
+                        })
+                }
+            }
+            Err(e) => {
+                let actual = format!("Err({})", error_variant(&e));
+                let explained = references
+                    .iter()
+                    .any(|(_, r)| outputs_agree(r, &actual, input));
+                (!explained).then(|| format!("KeyMismatch({actual}, expected {references:?})"))
+            }
+        };
+        disagreement.unwrap_or_else(|| render(run_sequential(&self.uda, events.iter())))
+    }
+
     fn run_mapreduce(&self, events: Vec<U::Event>, cell: &Cell, sabotage: Sabotage) -> String {
         if events.is_empty() {
             return NO_GROUPS.to_string();
@@ -702,10 +771,10 @@ where
 
     fn run_cell(&self, input: &CaseInput, cell: &Cell, sabotage: Sabotage) -> String {
         let events = self.events(input);
-        if cell.executor.is_mapreduce() {
-            self.run_mapreduce(events, cell, sabotage)
-        } else {
-            render(self.run_chunked(&events, cell, sabotage))
+        match cell.executor {
+            ExecutorKind::MultiKey => self.run_multi_key(&events, cell, input),
+            kind if kind.is_mapreduce() => self.run_mapreduce(events, cell, sabotage),
+            _ => render(self.run_chunked(&events, cell, sabotage)),
         }
     }
 

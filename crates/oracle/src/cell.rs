@@ -42,17 +42,23 @@ pub enum ExecutorKind {
     /// balances the injector's counters, so an injector bug that hides an
     /// error (the `dropped-tear` sabotage) surfaces as a finding.
     FaultedStore,
+    /// The MapReduce job with records dealt over several keys by
+    /// position, so every map task holds many short `(key, chunk)` cells
+    /// where the other MapReduce columns hold one. Each key's output is
+    /// held against the sequential run over that key's events.
+    MultiKey,
 }
 
 impl ExecutorKind {
     /// Every executor, in matrix column order.
-    pub const ALL: [ExecutorKind; 6] = [
+    pub const ALL: [ExecutorKind; 7] = [
         ExecutorKind::ChunkedSymbolic,
         ExecutorKind::ChunkedTree,
         ExecutorKind::MapReduce,
         ExecutorKind::CrashResume,
         ExecutorKind::WarmResweep,
         ExecutorKind::FaultedStore,
+        ExecutorKind::MultiKey,
     ];
 
     /// Stable artifact token.
@@ -64,6 +70,7 @@ impl ExecutorKind {
             ExecutorKind::CrashResume => "crash-resume",
             ExecutorKind::WarmResweep => "warm-resweep",
             ExecutorKind::FaultedStore => "faulted-store",
+            ExecutorKind::MultiKey => "multi-key",
         }
     }
 
@@ -306,6 +313,13 @@ pub fn smoke_matrix() -> Vec<Cell> {
             chunks: 4,
             ..base
         },
+        // Many short cells per map task, each key against its own
+        // sequential run.
+        Cell {
+            executor: ExecutorKind::MultiKey,
+            chunks: 3,
+            ..base
+        },
     ]
 }
 
@@ -364,6 +378,7 @@ pub fn deep_matrix() -> Vec<Cell> {
         ExecutorKind::CrashResume,
         ExecutorKind::WarmResweep,
         ExecutorKind::FaultedStore,
+        ExecutorKind::MultiKey,
     ] {
         for &chunks in &[1usize, 4, 6] {
             for &first_segment_concrete in &[true, false] {

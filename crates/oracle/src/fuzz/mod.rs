@@ -126,7 +126,7 @@ impl FuzzReport {
 /// The focused matrix generated cases sweep against: one representative
 /// cell per executor but the faulted store, plus the knobs that
 /// historically disagree first (restart-heavy `Never`, all-symbolic,
-/// crash-resume). Tree cells are
+/// crash-resume) and many short cells per map task (multi-key). Tree cells are
 /// included but branching programs opt out via
 /// [`program_case`]'s supports() decision.
 fn fuzz_matrix() -> Vec<Cell> {
@@ -162,6 +162,11 @@ fn fuzz_matrix() -> Vec<Cell> {
         Cell {
             executor: ExecutorKind::WarmResweep,
             chunks: 4,
+            ..base
+        },
+        Cell {
+            executor: ExecutorKind::MultiKey,
+            chunks: 3,
             ..base
         },
     ]
