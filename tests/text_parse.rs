@@ -7,7 +7,11 @@
 //! edit: [`unsigned`] refuses the leading sign `str::parse` takes, which
 //! the byte cursor never accepted. The lines are generator output — a
 //! quarter of them with full-width ids, so overflow is in reach of a single
-//! inserted digit — under 1–3 byte-level mutations.
+//! inserted digit — under 1–3 byte-level mutations. Each mutated line is
+//! parsed right after its clean original, so it meets `Cursor::datetime`'s
+//! per-thread minute cache holding its own minute: a mutation in the stamp's
+//! `:SS` tail is read by the cache-hit path, one in its first 16 bytes by a
+//! miss.
 
 use std::fmt::Debug;
 use std::ops::Range;
@@ -287,6 +291,14 @@ fn agrees_with_reference<R: Reference>(seed: u64) -> TestCaseResult {
     for r in &records {
         line.clear();
         r.to_line(&mut line);
+        // The clean line first, so the mutated one meets a minute cache
+        // primed with its own minute.
+        prop_assert_eq!(
+            &R::parse_line(&line),
+            &R::reference(&line),
+            "parse_line (left) against the reference (right) on {:?}",
+            line
+        );
         let mutated = mutate(&line, &alphabet, &mut rng);
         let parsed = R::parse_line(&mutated);
         prop_assert_eq!(
