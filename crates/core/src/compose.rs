@@ -9,11 +9,18 @@
 //! Both operations reduce to one primitive, `compose_state`: rewriting a
 //! later path (a function of its input `y`) in terms of an earlier path's
 //! input `x`, per field, discarding infeasible cross-products.
+//!
+//! The in-order reducer applies chains straight from their bytes instead
+//! ([`apply_encoded_chain`]): it composes each path's scalars as it reads
+//! them, validates each path's vectors without building them, and appends
+//! only the holding path's output, in place, to the running state's. The
+//! owned functions above stay its reference.
 
 use crate::engine::merge::merge_paths;
 use crate::error::{Error, Result};
-use crate::state::{transfers_of, FieldId, SymState};
+use crate::state::{transfers_of, AggregateSpan, FieldId, Skimmed, SymState};
 use crate::summary::{Summary, SummaryChain};
+use crate::types::scalar::ScalarTransfer;
 use crate::wire;
 
 /// Composes one later path onto one earlier path.
@@ -70,16 +77,42 @@ pub fn apply_chain<S: SymState>(chain: &SummaryChain<S>, state: &S) -> Result<S>
     Ok(cur)
 }
 
+/// Reusable storage of [`apply_encoded_chain`]: two path states and what
+/// it keeps of the summary being applied, so that a warm apply allocates
+/// nothing but the output it appends.
+pub struct WireScratch<S> {
+    /// The path being read, and the path that held.
+    paths: [S; 2],
+    /// The running state's scalar transfers, taken once per summary.
+    transfers: Vec<Option<ScalarTransfer>>,
+    /// Every aggregate of every path read so far, path by path.
+    spans: Vec<AggregateSpan>,
+}
+
+impl<S: SymState> WireScratch<S> {
+    /// Scratch for chains of `template`'s shape: the UDA's initial state,
+    /// so that what the wire does not carry (predicate closures, enum
+    /// domains) is in place.
+    pub fn new(template: &S) -> WireScratch<S> {
+        WireScratch {
+            paths: [template.clone(), template.clone()],
+            transfers: Vec::with_capacity(template.field_count()),
+            spans: Vec::new(),
+        }
+    }
+}
+
 /// [`apply_chain`] straight from a chain's wire bytes: the in-order
 /// reducer's tier, which never builds the owned [`SummaryChain`].
 ///
-/// Against a concrete `state` exactly one path of each summary holds, so
-/// each path is decoded field by field into one of three reused `scratch`
-/// states (clones of the UDA's initial state; whatever they hold is
-/// overwritten) and composed onto `state`'s field in the same step. One slot
-/// is being written, one keeps the previous path as its back-reference base,
-/// one keeps the path that held; at the end of a summary that one is swapped
-/// with `state`.
+/// Against a concrete `state` exactly one path of each summary holds. Each
+/// path's scalar fields are decoded into one of `scratch`'s two states
+/// (whatever it holds is overwritten) and composed onto `state`'s in the
+/// same step; the path that held keeps its slot to the end of the summary,
+/// when it is swapped with `state`. Aggregates (vectors) are parsed and
+/// validated but not built: each leaves an [`AggregateSpan`], and only the
+/// holding path's elements are appended, in place, to `state`'s own
+/// aggregate once the summary is over.
 ///
 /// The outcome — the final `state`, the error, and where `buf` ends on
 /// success — is that of [`SummaryChain::decode`] followed by
@@ -92,13 +125,16 @@ pub fn apply_chain<S: SymState>(chain: &SummaryChain<S>, state: &S) -> Result<S>
 /// * no path holding is [`Error::IncompleteSummary`], a second one
 ///   [`Error::OverlappingSummary`];
 /// * as in `compose_state`, a scalar field that rules a path out stops
-///   the composition of the scalars after it, and an aggregate's error —
-///   met in field order here, before a later scalar has had its say — is
-///   held until the scalars have let the path through.
+///   the composition of the scalars after it, and a path whose scalars
+///   hold has its aggregates checked, in field order, before the next path
+///   is read ([`SymField::check_aggregate`]): an aggregate's error takes
+///   the place in path order that composing it would.
+///
+/// [`SymField::check_aggregate`]: crate::state::SymField::check_aggregate
 ///
 /// On `Err`, `state` is what the summaries before the failing one left.
 pub fn apply_encoded_chain<S: SymState>(
-    scratch: &mut [S; 3],
+    scratch: &mut WireScratch<S>,
     buf: &mut &[u8],
     state: &mut S,
 ) -> Result<()> {
@@ -106,53 +142,76 @@ pub fn apply_encoded_chain<S: SymState>(
         crate::state::state_is_concrete(state),
         "apply_encoded_chain requires a fully concrete running state"
     );
+    let chain = *buf;
+    let WireScratch {
+        paths,
+        transfers,
+        spans,
+    } = scratch;
     let n_fields = state.field_count();
+    let stride = (0..n_fields)
+        .filter(|&i| state.field_ref_at(i).is_aggregate())
+        .count();
     let mut failed: Option<Error> = None;
     for _ in 0..wire::get_len(buf)? {
-        let transfers = transfers_of(&*state);
-        let mut matched = None;
-        let (mut cur, mut prev) = (0, None);
-        for _ in 0..wire::get_len(buf)? {
-            let (path, before) = match prev {
-                None => (&mut scratch[cur], None),
-                Some(prev) => {
-                    let [path, before] = scratch
-                        .get_disjoint_mut([cur, prev])
-                        .expect("a path is never decoded over its predecessor");
-                    (path, Some(&*before))
-                }
-            };
-            let (mut scalars, mut aggregates) = (Ok(failed.is_none()), Ok(true));
+        transfers.clear();
+        transfers.extend((0..n_fields).map(|i| state.field_ref_at(i).transfer()));
+        let transfers = |i: usize| transfers.get(i).copied().flatten();
+        spans.clear();
+        // The slot being written, and the holding path's slot and first span.
+        let (mut cur, mut matched) = (0, None);
+        for at in 0..wire::get_len(buf)? {
+            let path = &mut paths[cur];
+            let first = spans.len();
+            let mut scalars = Ok(failed.is_none());
             for i in 0..n_fields {
-                let (f, id) = (path.field_mut_at(i), FieldId(i as u16));
-                let (before, base) = (before.map(|s| s.field_ref_at(i)), state.field_ref_at(i));
+                let f = path.field_mut_at(i);
                 if f.is_aggregate() {
-                    // Always stitched, so that it can be the next path's base.
-                    let stitched = f.decode_onto(buf, id, before, base, &transfers)?;
-                    if matches!(aggregates, Ok(true)) {
-                        aggregates = stitched;
-                    }
-                } else if matches!(scalars, Ok(true)) {
-                    scalars = f.decode_onto(buf, id, before, base, &transfers)?;
+                    let before = (at > 0).then(|| spans[spans.len() - stride]);
+                    spans.push(f.skim_aggregate(chain, buf, before.as_ref())?);
                 } else {
-                    f.decode_field(buf, id, before)?;
+                    f.decode_field(buf, FieldId(i as u16), None)?;
+                    if matches!(scalars, Ok(true)) {
+                        scalars = f.compose_onto(state.field_ref_at(i), &transfers);
+                    }
                 }
             }
-            match scalars.and_then(|holds| if holds { aggregates } else { Ok(false) }) {
+            // A path the scalars let through has its aggregates checked
+            // now, before the next path is read.
+            let holds = scalars.and_then(|holds| {
+                if holds {
+                    let fields = (0..n_fields).map(|i| path.field_ref_at(i));
+                    for (a, f) in fields.filter(|f| f.is_aggregate()).enumerate() {
+                        let skimmed = Skimmed::new(chain, &spans[a..=first + a], stride);
+                        f.check_aggregate(skimmed, &transfers)?;
+                    }
+                }
+                Ok(holds)
+            });
+            match holds {
                 Ok(false) => {}
-                Ok(true) if matched.is_none() => matched = Some(cur),
+                Ok(true) if matched.is_none() => matched = Some((cur, first)),
                 Ok(true) => failed = Some(Error::OverlappingSummary),
                 Err(e) => failed = Some(e),
             }
-            prev = Some(cur);
-            cur = (0..3)
-                .find(|&slot| slot != cur && Some(slot) != matched)
-                .expect("three slots, at most two of them kept");
+            if matched.is_some_and(|(slot, _)| slot == cur) {
+                cur ^= 1;
+            }
         }
-        drop(transfers);
         match matched {
             _ if failed.is_some() => {}
-            Some(slot) => std::mem::swap(state, &mut scratch[slot]),
+            Some((slot, first)) => {
+                std::mem::swap(state, &mut paths[slot]);
+                let mut a = 0;
+                for i in 0..n_fields {
+                    let f = state.field_mut_at(i);
+                    if f.is_aggregate() {
+                        let skimmed = Skimmed::new(chain, &spans[a..=first + a], stride);
+                        f.append_aggregate(paths[slot].field_mut_at(i), skimmed, &transfers);
+                        a += 1;
+                    }
+                }
+            }
             None => failed = Some(Error::IncompleteSummary),
         }
     }

@@ -38,11 +38,19 @@
 //! instead. Every holder of a cell therefore sees all of it, for as long as
 //! it holds it: no per-handle "visible length" is needed, and two handles at
 //! the same cell hold equal lists.
+//!
+//! The reducer's running output is the list that gains most from the rule:
+//! the wire tier never clones it, so it is its one handle's, and each apply
+//! appends the holding path's elements to its tail cell
+//! ([`SymField::append_aggregate`]). The other paths of a summary are only
+//! parsed ([`SymField::skim_aggregate`]) and, when their scalars hold,
+//! checked ([`SymField::check_aggregate`]); no list is built for them.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::state::{downcast, FieldFacts, FieldId, SymField, Transfers};
+use crate::state::{downcast, AggregateSpan, FieldFacts, FieldId, Skimmed, SymField, Transfers};
 use crate::types::scalar::{ScalarTransfer, SymScalar};
 use crate::types::sym_enum::SymEnum;
 use crate::types::sym_int::SymInt;
@@ -503,77 +511,75 @@ fn substitute<T: VecElem>(s: SymScalar, transfers: &Transfers<'_>) -> Result<Ele
     })
 }
 
+/// Reads one element of a run: an affine `(field, a, b)` triple in a
+/// symbolic run, a `T` in a concrete one.
+fn read_elem<T: VecElem>(buf: &mut &[u8], symbolic: bool) -> Result<Elem<T>, WireError> {
+    if symbolic {
+        SymScalar::decode_affine(buf).map(Elem::Sym)
+    } else {
+        T::decode(buf).map(Elem::Concrete)
+    }
+}
+
+/// Reads a tail back-reference: how many trailing elements of the previous
+/// path's vector follow, which holds `available` (`None` in a summary's
+/// first path, where there is nothing to refer back to).
+fn back_reference(buf: &mut &[u8], available: Option<usize>) -> Result<usize, WireError> {
+    let n = wire::get_uvarint(buf)?;
+    match available {
+        Some(a) if n <= a as u64 => Ok(n as usize),
+        _ => Err(WireError::BackReference {
+            len: n,
+            available: available.map_or(0, |a| a as u64),
+        }),
+    }
+}
+
+/// A path's own elements read back off runs [`SymField::skim_aggregate`]
+/// has validated.
+fn own_elems<T: VecElem>(mut bytes: &[u8]) -> impl Iterator<Item = Elem<T>> + '_ {
+    const VALIDATED: &str = "skim_aggregate validated these bytes";
+    let (mut left, mut symbolic) = (0, false);
+    std::iter::from_fn(move || {
+        while left == 0 {
+            if bytes.is_empty() {
+                return None;
+            }
+            let run = wire::get_len(&mut bytes).expect(VALIDATED);
+            (left, symbolic) = (run >> 1, run & 1 != 0);
+        }
+        left -= 1;
+        Some(read_elem(&mut bytes, symbolic).expect(VALIDATED))
+    })
+}
+
 impl<T: VecElem> SymVector<T> {
-    /// Replaces `self` with `base`'s list followed by one path's vector read
-    /// off the wire — the one element loop behind both decoders.
-    ///
-    /// [`SymField::decode_field`] passes an empty `base` and no `transfers`
-    /// and gets the path's own vector. [`SymField::decode_onto`] passes the
-    /// running state's vector and its transfers: every symbolic element is
-    /// substituted as it is pushed, so the list is allocated once, already
-    /// stitched. `prev` is the previous path's vector as this function left
-    /// it over the same `base`, so its own elements — all a back-reference
-    /// may name — are whatever follows `base`'s.
-    ///
-    /// The inner result is the first substitution failure. The element that
-    /// failed is pushed as it was read, so the list keeps its length and a
-    /// sibling whose back-reference covers it fails the same way.
-    fn decode_after(
-        &mut self,
-        buf: &mut &[u8],
-        prev: Option<&dyn SymField>,
-        base: &SymVector<T>,
-        transfers: Option<&Transfers<'_>>,
-    ) -> Result<Result<()>, WireError> {
-        let header = wire::get_len(buf)?;
-        let mut out = base.clone();
-        let mut held = Ok(());
-        let mut stitch = |e: Elem<T>| match (e, transfers) {
-            (Elem::Sym(s), Some(t)) => substitute(s, t).unwrap_or_else(|err| {
-                if held.is_ok() {
-                    held = Err(err);
+    /// Appends `n` elements drawn from `next` to a list this handle keeps
+    /// growing: the reducer's running output. A cell it opens, or grows in
+    /// place, is given room for `NODE_CAP` elements at once, so the list
+    /// costs two allocations (a cell and its buffer) per `NODE_CAP`
+    /// elements however few each apply brings.
+    fn grow(&mut self, n: usize, mut next: impl FnMut() -> Elem<T>) {
+        let mut left = n;
+        while left > 0 {
+            match self.tail.as_mut().and_then(Arc::get_mut) {
+                Some(cell) if cell.len() < NODE_CAP => {
+                    let fill = left.min(NODE_CAP - cell.len());
+                    cell.rest.reserve_exact(NODE_CAP - cell.len());
+                    for _ in 0..fill {
+                        let elem = next();
+                        self.sym_len += usize::from(elem.is_sym());
+                        self.len += 1;
+                        cell.rest.push(elem);
+                    }
+                    left -= fill;
                 }
-                Elem::Sym(s)
-            }),
-            (e, _) => e,
-        };
-        for _ in 0..header >> 1 {
-            let run = wire::get_len(buf)?;
-            // An element is a byte on the wire at least: a run header sizes
-            // no reservation beyond what is left of the buffer.
-            let (n, room) = (run >> 1, buf.len());
-            if run & 1 != 0 {
-                out.extend(n, room, || {
-                    SymScalar::decode_affine(buf).map(|s| stitch(Elem::Sym(s)))
-                })?;
-            } else {
-                out.extend(n, room, || T::decode(buf).map(Elem::Concrete))?;
+                _ => {
+                    self.push_sized(next(), NODE_CAP);
+                    left -= 1;
+                }
             }
         }
-        if header & 1 != 0 {
-            let n = wire::get_uvarint(buf)?;
-            let prev = prev.and_then(downcast::<SymVector<T>>);
-            let available = prev.map_or(0, |p| p.len.saturating_sub(base.len) as u64);
-            let Some(prev) = prev.filter(|_| n <= available) else {
-                return Err(WireError::BackReference { len: n, available });
-            };
-            // Under `transfers` a symbolic element past `base`'s is one that
-            // failed to substitute; only a clean sibling is shared.
-            let clean = transfers.is_none() || prev.sym_len == base.sym_len;
-            if out.len == base.len && n == available && clean {
-                // The whole of it: share the list instead of copying it.
-                out = prev.clone();
-            } else {
-                let n = n as usize; // at most `prev.len`
-                let mut shared = Cursor::new(&prev.tail).oldest_first(n);
-                out.extend(n, n, || {
-                    let elem = shared.next().expect("checked against prev.len above");
-                    Ok::<_, WireError>(stitch(elem.clone()))
-                })?;
-            }
-        }
-        *self = out;
-        Ok(held)
     }
 }
 
@@ -700,24 +706,102 @@ impl<T: VecElem> SymField for SymVector<T> {
         id: FieldId,
         prev: Option<&dyn SymField>,
     ) -> Result<(), WireError> {
-        let mut empty = SymVector::new();
-        empty.id = Some(id);
-        self.decode_after(buf, prev, &empty, None).map(drop)
+        let header = wire::get_len(buf)?;
+        let mut out = SymVector::new();
+        out.id = Some(id);
+        for _ in 0..header >> 1 {
+            let run = wire::get_len(buf)?;
+            // An element is a byte on the wire at least: a run header sizes
+            // no reservation beyond what is left of the buffer.
+            let (n, symbolic, room) = (run >> 1, run & 1 != 0, buf.len());
+            out.extend(n, room, || read_elem(buf, symbolic))?;
+        }
+        if header & 1 != 0 {
+            let prev = prev.and_then(downcast::<SymVector<T>>);
+            let n = back_reference(buf, prev.map(|p| p.len))?;
+            let prev = prev.expect("a back-reference is accepted only after a previous path");
+            if out.len == 0 && n == prev.len {
+                // The whole of it: share the list instead of copying it.
+                out = prev.clone();
+            } else {
+                let mut shared = Cursor::new(&prev.tail).oldest_first(n);
+                out.extend(n, n, || {
+                    Ok::<_, WireError>(shared.next().expect("n ≤ prev.len").clone())
+                })?;
+            }
+        }
+        *self = out;
+        Ok(())
     }
 
-    fn decode_onto(
-        &mut self,
+    /// Runs as [`SymField::decode_field`] reads them, each element through
+    /// `T::decode` (or the affine decoder), so that a path the reducer does
+    /// not build fails where the owned decoder would.
+    fn skim_aggregate(
+        &self,
+        chain: &[u8],
         buf: &mut &[u8],
-        _id: FieldId,
-        prev: Option<&dyn SymField>,
-        base: &dyn SymField,
-        transfers: &Transfers<'_>,
-    ) -> Result<Result<bool>, WireError> {
-        let Some(base) = downcast::<SymVector<T>>(base) else {
-            return Ok(Err(Error::Uda("field type mismatch".into())));
+        before: Option<&AggregateSpan>,
+    ) -> Result<AggregateSpan, WireError> {
+        let header = wire::get_len(buf)?;
+        let start = chain.len() - buf.len();
+        let (mut own, mut symbolic) = (0, 0);
+        for _ in 0..header >> 1 {
+            let run = wire::get_len(buf)?;
+            let (n, sym) = (run >> 1, run & 1 != 0);
+            for _ in 0..n {
+                read_elem::<T>(buf, sym)?;
+            }
+            own += n;
+            if sym && n > 0 {
+                symbolic = own;
+            }
+        }
+        let end = chain.len() - buf.len();
+        let tail = match header & 1 {
+            0 => 0,
+            _ => back_reference(buf, before.map(|b| b.own + b.tail))?,
         };
-        let stitched = self.decode_after(buf, prev, base, Some(transfers))?;
-        Ok(stitched.map(|()| true))
+        Ok(AggregateSpan {
+            start,
+            end,
+            own,
+            symbolic,
+            tail,
+        })
+    }
+
+    fn check_aggregate(&self, path: Skimmed<'_>, transfers: &Transfers<'_>) -> Result<()> {
+        for (span, skip) in path.pieces().filter(|(span, skip)| *skip < span.symbolic) {
+            let elems = own_elems::<T>(path.own_bytes(span)).take(span.symbolic);
+            for elem in elems.skip(skip) {
+                if let Elem::Sym(s) = elem {
+                    substitute::<T>(s, transfers)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn append_aggregate(
+        &mut self,
+        running: &mut dyn SymField,
+        path: Skimmed<'_>,
+        transfers: &Transfers<'_>,
+    ) {
+        let running = (running as &mut dyn Any)
+            .downcast_mut::<SymVector<T>>()
+            .expect("paired SymField has mismatched concrete type");
+        std::mem::swap(self, running);
+        for (span, skip) in path.pieces() {
+            let mut elems = own_elems::<T>(path.own_bytes(span)).skip(skip);
+            self.grow(span.own - skip, || match elems.next() {
+                Some(Elem::Sym(s)) => substitute(s, transfers)
+                    .expect("check_aggregate passed this path under these transfers"),
+                Some(concrete) => concrete,
+                None => unreachable!("a span holds `own` elements"),
+            });
+        }
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -1,18 +1,23 @@
-//! The reducer's apply allocates nothing per summary.
+//! The reducer's apply allocates nothing per summary but the output it
+//! appends.
 //!
 //! `apply_encoded_chain` runs once per `(key, chunk)` cell at the reducer,
-//! and `SymField::decode_onto` / `compose_onto` once per field, per path,
-//! per summary inside it. Once its three scratch states exist, a chain
-//! whose paths carry no vector elements must apply without touching the
-//! heap. A counting global allocator makes an allocating apply a failing
-//! test; it lives in its own test binary so no other test shares it.
+//! and `decode_field` / `compose_onto` (a scalar) or `skim_aggregate` (a
+//! vector) once per field, per path, per summary inside it. Once its
+//! `WireScratch` is warm, a chain whose paths carry no vector elements must
+//! apply without touching the heap, and one whose holding path appends to
+//! the running output must grow that list in place, a cell per 64
+//! elements, whatever its ruled-out siblings hold. A counting global
+//! allocator makes an allocating apply a failing test; it lives in its own
+//! test binary so no other test shares it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use symple_core::compose::apply_encoded_chain;
+use symple_core::compose::{apply_encoded_chain, WireScratch};
 use symple_core::engine::{EngineConfig, SymbolicExecutor};
 use symple_core::impl_sym_state;
+use symple_core::state::make_state_symbolic;
 use symple_core::summary::{Summary, SummaryChain};
 use symple_core::types::sym_minmax::{Extremum, SymMinMax};
 use symple_core::types::{
@@ -112,7 +117,7 @@ fn chain_of(events: &[i64]) -> (Vec<u8>, usize) {
 fn allocs_per_apply(bytes: &[u8], run: u32) -> f64 {
     let mut state = Runs.init();
     state.e.assign(&mut SymCtx::concrete(), run);
-    let mut scratch = [Runs.init(), Runs.init(), Runs.init()];
+    let mut scratch = WireScratch::new(&Runs.init());
     apply_encoded_chain(&mut scratch, &mut &bytes[..], &mut state).unwrap();
     let rounds = 64;
     let before = allocs();
@@ -150,5 +155,79 @@ fn a_six_path_apply_allocates_nothing() {
     assert_eq!(paths, 6);
     for run in 0..6 {
         assert_eq!(allocs_per_apply(&bytes, run), 0.0, "run {run}");
+    }
+}
+
+#[derive(Clone, Debug)]
+struct Out {
+    i: SymInt,
+    v: SymVector<i64>,
+}
+impl_sym_state!(Out { i, v });
+
+/// A path that holds for `i < 11` (`low`) or `i ≥ 11`, leaving `i` as it
+/// was and appending `elems`.
+fn out_path(low: bool, elems: &[i64]) -> Out {
+    let mut s = Out {
+        i: SymInt::new(0),
+        v: SymVector::new(),
+    };
+    make_state_symbolic(&mut s);
+    let mut ctx = SymCtx::symbolic();
+    assert!(if low {
+        s.i.lt(&mut ctx, 11)
+    } else {
+        s.i.ge(&mut ctx, 11)
+    });
+    for &e in elems {
+        s.v.push(e);
+    }
+    s
+}
+
+#[test]
+fn a_running_list_grows_in_place() {
+    // The holding path appends three elements. Its ruled-out sibling
+    // refers back to them (it comes after, ending in the same three), or
+    // they to it (it comes first, ending in the same last two).
+    let holding_first = Summary::new(vec![
+        out_path(true, &[1, 2, 3]),
+        out_path(false, &[9, 1, 2, 3]),
+    ]);
+    let holding_last = Summary::new(vec![
+        out_path(false, &[9, 2, 3]),
+        out_path(true, &[1, 2, 3]),
+    ]);
+    for summary in [holding_first, holding_last] {
+        let apart: usize = (summary.paths().iter())
+            .map(|p| Summary::singleton(p.clone()).to_bytes().len() - 1)
+            .sum();
+        let bytes = SummaryChain::from(summary).to_bytes();
+        assert!(bytes.len() < 1 + 1 + apart, "a back-reference is written");
+        let template = Out {
+            i: SymInt::new(0),
+            v: SymVector::new(),
+        };
+        let mut state = Out {
+            i: SymInt::new(5),
+            v: SymVector::new(),
+        };
+        let mut scratch = WireScratch::new(&template);
+        apply_encoded_chain(&mut scratch, &mut &bytes[..], &mut state).unwrap();
+        let n = 200;
+        let before = allocs();
+        for _ in 0..n {
+            let mut rd = &bytes[..];
+            apply_encoded_chain(&mut scratch, &mut rd, &mut state).unwrap();
+            assert!(rd.is_empty());
+        }
+        let made = allocs() - before;
+        // A cell is two allocations, the node and its element buffer.
+        let cells = (3 * n as u64).div_ceil(64);
+        assert!(made <= 2 * cells + 1, "{made} allocations for {n} applies");
+        let elems = state.v.concrete_elems().unwrap();
+        assert_eq!(elems.len(), 3 * (n + 1));
+        assert!(elems.chunks(3).all(|c| c == [1, 2, 3]), "{:?}", &elems[..6]);
+        assert!(state.v.cells() as u64 <= cells + 1, "{}", state.v.cells());
     }
 }

@@ -4,11 +4,13 @@
 
 use proptest::prelude::*;
 
-use symple_core::compose::{apply_chain, apply_encoded_chain};
+use symple_core::compose::{apply_chain, apply_encoded_chain, WireScratch};
 use symple_core::engine::{EngineConfig, SymbolicExecutor};
 use symple_core::error::Error;
 use symple_core::impl_sym_state;
+use symple_core::state::{make_state_symbolic, FieldId, SymState};
 use symple_core::summary::{Summary, SummaryChain};
+use symple_core::types::scalar::SymScalar;
 use symple_core::types::{
     sym_bool::SymBool, sym_enum::SymEnum, sym_int::SymInt, sym_pred::SymPred, sym_vector::SymVector,
 };
@@ -63,20 +65,188 @@ impl Uda for K {
     fn result(&self, _s: &Kitchen, _ctx: &mut SymCtx) {}
 }
 
+/// The field-order fixtures: a state with the vector declared before its
+/// scalars, and one with two vectors (one of strings, one of `u32`s that a
+/// substitution can push out of range) around them. A reducer that defers
+/// aggregates to the end of a summary must still raise each path's errors
+/// in path order.
+#[derive(Clone, Debug)]
+struct Front {
+    v: SymVector<i64>,
+    e: SymEnum,
+    i: SymInt,
+    p: SymPred<i64>,
+    b: SymBool,
+}
+impl_sym_state!(Front { v, e, i, p, b });
+
+/// [`K`]'s update over [`Front`].
+struct F;
+impl Uda for F {
+    type State = Front;
+    type Event = i64;
+    type Output = ();
+    fn init(&self) -> Front {
+        Front::template()
+    }
+    fn update(&self, s: &mut Front, ctx: &mut SymCtx, e: &i64) {
+        if s.b.get(ctx) {
+            s.i.add(ctx, *e);
+        }
+        if s.e.eq_c(ctx, 3) {
+            s.v.push_int(&s.i);
+        }
+        if s.p.eval(ctx, e) {
+            s.b.assign(true);
+        }
+        s.p.set(*e);
+        s.v.push(*e);
+        let _ = s.e.ne_c(ctx, (e % 12).unsigned_abs() as u32);
+    }
+    fn result(&self, _s: &Front, _ctx: &mut SymCtx) {}
+}
+
+#[derive(Clone, Debug)]
+struct Pair {
+    i: SymInt,
+    u: SymVector<u32>,
+    e: SymEnum,
+    s: SymVector<String>,
+}
+impl_sym_state!(Pair { i, u, e, s });
+
+/// Forks on the enum, and writes both vectors differently on each side.
+struct P;
+impl Uda for P {
+    type State = Pair;
+    type Event = i64;
+    type Output = ();
+    fn init(&self) -> Pair {
+        Pair::template()
+    }
+    fn update(&self, s: &mut Pair, ctx: &mut SymCtx, e: &i64) {
+        if s.e.eq_c(ctx, 3) {
+            s.u.push_int(&s.i);
+            s.s.push(format!("three {e}"));
+        }
+        s.i.add(ctx, e.abs());
+        s.u.push(e.unsigned_abs() as u32);
+        if s.e.ne_c(ctx, (e % 12).unsigned_abs() as u32) {
+            s.s.push(e.to_string());
+        }
+    }
+    fn result(&self, _s: &Pair, _ctx: &mut SymCtx) {}
+}
+
+/// A state the tier properties run over: its UDA's initial state, and the
+/// cell count of each of its vectors.
+trait Fixture: SymState {
+    fn template() -> Self;
+    fn cells(&self) -> Vec<usize>;
+    /// The integer field the hand-built paths of
+    /// `wire_apply_matches_owned_on_aggregate_errors` are constrained on.
+    fn int(&mut self) -> &mut SymInt;
+    /// Appends one element to each vector: a concrete value, or an affine
+    /// `(field, a, b)` where the vector can hold one.
+    fn push(&mut self, elem: &Spec);
+}
+
+/// A vector element to build: `Ok(value)` or `Err((field, a, b))`.
+type Spec = Result<i64, (u16, i64, i64)>;
+
+fn affine(&(field, a, b): &(u16, i64, i64)) -> SymScalar {
+    SymScalar::Affine {
+        field: FieldId(field),
+        a,
+        b,
+    }
+}
+
+impl Fixture for Kitchen {
+    fn template() -> Kitchen {
+        template()
+    }
+    fn cells(&self) -> Vec<usize> {
+        vec![self.v.cells()]
+    }
+    fn int(&mut self) -> &mut SymInt {
+        &mut self.i
+    }
+    fn push(&mut self, elem: &Spec) {
+        match elem {
+            Ok(v) => self.v.push(*v),
+            Err(sym) => self.v.push_scalar(affine(sym)),
+        }
+    }
+}
+
+impl Fixture for Front {
+    fn template() -> Front {
+        Front {
+            v: SymVector::new(),
+            e: SymEnum::new(12, 0),
+            i: SymInt::new(0),
+            p: SymPred::new(|a: &i64, b: &i64| a < b),
+            b: SymBool::new(false),
+        }
+    }
+    fn cells(&self) -> Vec<usize> {
+        vec![self.v.cells()]
+    }
+    fn int(&mut self) -> &mut SymInt {
+        &mut self.i
+    }
+    fn push(&mut self, elem: &Spec) {
+        match elem {
+            Ok(v) => self.v.push(*v),
+            Err(sym) => self.v.push_scalar(affine(sym)),
+        }
+    }
+}
+
+impl Fixture for Pair {
+    fn template() -> Pair {
+        Pair {
+            i: SymInt::new(0),
+            u: SymVector::new(),
+            e: SymEnum::new(12, 0),
+            s: SymVector::new(),
+        }
+    }
+    fn cells(&self) -> Vec<usize> {
+        vec![self.u.cells(), self.s.cells()]
+    }
+    fn int(&mut self) -> &mut SymInt {
+        &mut self.i
+    }
+    fn push(&mut self, elem: &Spec) {
+        match elem {
+            Ok(v) => {
+                self.u.push(*v as u32);
+                self.s.push(v.to_string());
+            }
+            Err(sym) => {
+                self.u.push_scalar(affine(sym));
+                self.s.push(format!("{sym:?}"));
+            }
+        }
+    }
+}
+
 /// Wire tier ≡ owned tier: `apply_encoded_chain` over `bytes` from `start`
 /// must return what `SummaryChain::decode` followed by `apply_chain`
 /// returns — the same final state (compared through its encoding) or the
 /// same error, a wire error outranking every other — and leave the cursor
 /// where the owned decoder leaves it. `scratch` arrives holding whatever an
 /// earlier call left in it.
-fn assert_tiers_agree(
+fn assert_tiers_agree<S: Fixture>(
     bytes: &[u8],
-    start: &Kitchen,
-    scratch: &mut [Kitchen; 3],
+    start: &S,
+    scratch: &mut WireScratch<S>,
 ) -> Result<(), TestCaseError> {
-    let encoded = |s: Kitchen| Summary::singleton(s).to_bytes();
+    let encoded = |s: S| Summary::singleton(s).to_bytes();
     let mut owned_rd = bytes;
-    let decoded = SummaryChain::decode(&template(), &mut owned_rd);
+    let decoded = SummaryChain::decode(&S::template(), &mut owned_rd);
     let consumed = bytes.len() - owned_rd.len();
     // The allocation ceiling: whatever lengths the bytes claim, a decoded
     // vector is chained from no more cells than bytes were read (+ 1).
@@ -85,7 +255,9 @@ fn assert_tiers_agree(
         .flat_map(|c| c.summaries())
         .flat_map(|s| s.paths())
     {
-        prop_assert!(path.v.cells() <= consumed + 1);
+        for cells in path.cells() {
+            prop_assert!(cells <= consumed + 1);
+        }
     }
     let owned = decoded
         .map_err(Error::Wire)
@@ -94,10 +266,103 @@ fn assert_tiers_agree(
     let mut state = start.clone();
     let applied = apply_encoded_chain(scratch, &mut wire_rd, &mut state);
     let consumed = bytes.len() - wire_rd.len();
-    prop_assert!(state.v.cells() <= start.v.cells() + consumed + 1);
+    for (cells, before) in state.cells().into_iter().zip(start.cells()) {
+        prop_assert!(cells <= before + consumed + 1);
+    }
     let wire = applied.map(|()| state);
     prop_assert_eq!(wire.map(encoded), owned.map(encoded));
     prop_assert_eq!(wire_rd, owned_rd);
+    Ok(())
+}
+
+/// The body of `wire_apply_matches_owned_on_real_and_mutated_chains` for
+/// any fixture: a real chain of `uda` over `events`, applied intact and
+/// then byte-flipped and truncated, from the initial state and from the
+/// state `prefix` ends in.
+fn tiers_agree_on_real_and_mutated<U>(
+    uda: &U,
+    events: &[i64],
+    prefix: &[i64],
+    flips: &[(usize, u8)],
+    cut: usize,
+) -> Result<(), TestCaseError>
+where
+    U: Uda<Event = i64>,
+    U::State: Fixture,
+{
+    let (chain, _) = {
+        let mut exec = SymbolicExecutor::new(uda, EngineConfig::default());
+        exec.feed_all(events.iter()).unwrap();
+        exec.finish()
+    };
+    let mut buf = chain.to_bytes();
+    let mut scratch = WireScratch::new(&U::State::template());
+    let starts = [
+        U::State::template(),
+        run_concrete_state(uda, prefix.iter()).unwrap(),
+    ];
+    for start in &starts {
+        assert_tiers_agree(&buf, start, &mut scratch)?;
+    }
+    for &(at, xor) in flips {
+        let i = at % buf.len();
+        buf[i] ^= xor;
+    }
+    if cut.is_multiple_of(2) {
+        buf.truncate(cut / 2 % (buf.len() + 1));
+    }
+    for start in &starts {
+        assert_tiers_agree(&buf, start, &mut scratch)?;
+    }
+    Ok(())
+}
+
+/// A chain of hand-built summaries over `S`: in each, path `j` holds for
+/// `int` in `lo..=lo + len` (so a summary may have no path, one, or two
+/// that hold), leaves `int` as it was, and appends its own elements and
+/// then `common`, which the encoder writes once and sibling paths refer
+/// back to. Applied from `int = x`, with elements that reference fields
+/// with no transfer, overflow, or (as a `u32`) leave their type's range.
+fn tiers_agree_on_built_chain<S: Fixture>(
+    summaries: &[Vec<(i64, i64, Vec<Spec>)>],
+    common: &[Spec],
+    x: i64,
+) -> Result<(), TestCaseError> {
+    let path = |(lo, len, own): &(i64, i64, Vec<Spec>)| {
+        let mut s = S::template();
+        make_state_symbolic(&mut s);
+        assert!(s.int().ge(&mut SymCtx::symbolic(), *lo));
+        assert!(s.int().le(&mut SymCtx::symbolic(), lo + len));
+        own.iter().chain(common).for_each(|e| s.push(e));
+        s
+    };
+    let chain = SummaryChain::new(
+        (summaries.iter())
+            .map(|paths| Summary::new(paths.iter().map(path).collect()))
+            .collect(),
+    );
+    let mut start = S::template();
+    *start.int() = SymInt::new(x);
+    assert_tiers_agree(
+        &chain.to_bytes(),
+        &start,
+        &mut WireScratch::new(&S::template()),
+    )
+}
+
+/// … and over arbitrary byte soup.
+fn tiers_agree_on_byte_soup<U>(uda: &U, bytes: &[u8], prefix: &[i64]) -> Result<(), TestCaseError>
+where
+    U: Uda<Event = i64>,
+    U::State: Fixture,
+{
+    let mut scratch = WireScratch::new(&U::State::template());
+    for start in [
+        U::State::template(),
+        run_concrete_state(uda, prefix.iter()).unwrap(),
+    ] {
+        assert_tiers_agree(bytes, &start, &mut scratch)?;
+    }
     Ok(())
 }
 
@@ -245,7 +510,7 @@ proptest! {
             exec.finish()
         };
         let mut buf = chain.to_bytes();
-        let mut scratch = [template(), template(), template()];
+        let mut scratch = WireScratch::new(&template());
         let starts = [template(), run_concrete_state(&K, prefix.iter()).unwrap()];
         for start in &starts {
             assert_tiers_agree(&buf, start, &mut scratch)?;
@@ -268,10 +533,61 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..256),
         prefix in prop::collection::vec(-3i64..13, 0..7),
     ) {
-        let mut scratch = [template(), template(), template()];
+        let mut scratch = WireScratch::new(&template());
         for start in [template(), run_concrete_state(&K, prefix.iter()).unwrap()] {
             assert_tiers_agree(&bytes, &start, &mut scratch)?;
         }
+    }
+
+    /// Field order, on real and mutated chains: the vector declared before
+    /// the scalars …
+    #[test]
+    fn wire_apply_matches_owned_with_the_vector_first(
+        events in prop::collection::vec(-3i64..13, 2..9),
+        prefix in prop::collection::vec(-3i64..13, 0..7),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+        cut in any::<usize>(),
+    ) {
+        tiers_agree_on_real_and_mutated(&F, &events, &prefix, &flips, cut)?;
+    }
+
+    /// … and two vectors, one of them of strings.
+    #[test]
+    fn wire_apply_matches_owned_with_two_vectors(
+        events in prop::collection::vec(-3i64..13, 2..9),
+        prefix in prop::collection::vec(-3i64..13, 0..7),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+        cut in any::<usize>(),
+    ) {
+        tiers_agree_on_real_and_mutated(&P, &events, &prefix, &flips, cut)?;
+    }
+
+    /// Both field orders over arbitrary byte soup.
+    #[test]
+    fn wire_apply_matches_owned_on_byte_soup_in_any_field_order(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        prefix in prop::collection::vec(-3i64..13, 0..7),
+    ) {
+        tiers_agree_on_byte_soup(&F, &bytes, &prefix)?;
+        tiers_agree_on_byte_soup(&P, &bytes, &prefix)?;
+    }
+
+    /// Aggregate errors keep their place in path order: hand-built chains
+    /// whose vectors fail to substitute on paths that hold, on paths the
+    /// scalars rule out, and in elements a sibling refers back to, over
+    /// all three field orders.
+    #[test]
+    fn wire_apply_matches_owned_on_aggregate_errors(
+        summaries in prop::collection::vec(
+            prop::collection::vec((-3i64..3, 0i64..3, prop::collection::vec(spec(), 0..4)), 1..5),
+            1..3,
+        ),
+        common in prop::collection::vec(spec(), 0..4),
+        x in prop_oneof![-4i64..6, Just(1i64 << 40)],
+    ) {
+        tiers_agree_on_built_chain::<Kitchen>(&summaries, &common, x)?;
+        tiers_agree_on_built_chain::<Front>(&summaries, &common, x)?;
+        tiers_agree_on_built_chain::<Pair>(&summaries, &common, x)?;
     }
 
     /// The key types that do travel the wire — a `String` and a composite
@@ -307,4 +623,12 @@ proptest! {
             decode_stays_inside::<(u64, String, bool)>(&buf)?;
         }
     }
+}
+
+fn spec() -> impl Strategy<Value = Spec> {
+    let coeff = || prop_oneof![-3i64..4, any::<i64>()];
+    prop_oneof![
+        (0i64..1000).prop_map(Ok),
+        (0u16..6, coeff(), coeff()).prop_map(Err),
+    ]
 }

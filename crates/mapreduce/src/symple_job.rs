@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
 use std::ops::Range;
 
-use symple_core::compose::apply_encoded_chain;
+use symple_core::compose::{apply_encoded_chain, WireScratch};
 use symple_core::ctx::SymCtx;
 use symple_core::engine::{ExploreStats, SymbolicExecutor};
 use symple_core::error::{Error, Result};
@@ -369,8 +369,8 @@ fn run_events_from<U: Uda>(uda: &U, mut state: U::State, events: &[U::Event]) ->
 /// Folds one key's mapper-ordered payload sequence into a final state.
 ///
 /// A running concrete state starts at `template`: chains are applied to it
-/// straight from their bytes ([`apply_encoded_chain`], with scratch states
-/// cloned once per key), event payloads are re-executed concretely in
+/// straight from their bytes ([`apply_encoded_chain`], with one
+/// [`WireScratch`] per key), event payloads are re-executed concretely in
 /// place. The §3.6 tree reduction is not a way the job runs: the oracle's
 /// `chunked-tree` column holds it against the sequential result.
 fn compose_payloads<U>(uda: &U, template: &U::State, payloads: &[&[u8]]) -> Result<U::State>
@@ -379,7 +379,7 @@ where
     U::Event: Wire,
 {
     let mut state = template.clone();
-    let mut scratch = [(); 3].map(|()| template.clone());
+    let mut scratch = WireScratch::new(template);
     for payload in payloads {
         match payload.split_first() {
             // The wire tier: a chain is applied as it is parsed.
@@ -1040,7 +1040,7 @@ mod tests {
         );
 
         // A back-reference is measured against the sibling's own two
-        // elements, not the three the stitched list holds by then.
+        // elements, not the three the output holds once they are appended.
         let too_long = after_salvaged_cell(whole, |bytes| {
             let n = bytes.len() - 3;
             bytes[n] = 3;
@@ -1059,7 +1059,7 @@ mod tests {
         let fine = |s: &mut VecFirst| s.out.push(7);
         let unresolvable = |r: Result<Vec<i64>>| matches!(r, Err(Error::Uda(_)));
 
-        // On the path the scalars rule out — after its vector was stitched.
+        // On the path the scalars rule out — after its vector was read.
         let paths = vec![
             vec_first_path(true, push_unresolvable),
             vec_first_path(false, fine),
