@@ -19,7 +19,6 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use crate::scheduler::{Attempt, Crashed};
 
@@ -43,13 +42,6 @@ pub struct FaultPlan {
     /// Segment ids whose first attempt panics mid-flight (isolated by the
     /// scheduler's `catch_unwind`, then retried).
     pub panic_first_attempt: HashSet<usize>,
-    /// Segment ids whose first attempt is delayed by [`straggle_delay`] —
-    /// raw material for speculation tests.
-    ///
-    /// [`straggle_delay`]: FaultPlan::straggle_delay
-    pub straggle_first_attempt: HashSet<usize>,
-    /// Extra latency injected into straggling first attempts.
-    pub straggle_delay: Duration,
     /// Simulated process death: once this many map tasks have *committed*
     /// (and, when checkpointing is enabled, persisted their summaries),
     /// every subsequent map task dies with
@@ -112,25 +104,15 @@ impl FaultInjector {
     }
 
     /// Runs `body` as one attempt at `segment`'s task with the plan's
-    /// faults around it: the straggler delay and the panic come before the
-    /// body, the crash after it — the work is done, then lost with the
-    /// attempt, as when a mapper node dies. A speculative clone models
-    /// re-execution on another machine, outside the plan's attempt slots,
-    /// so it runs the bare body — which also keeps the injected counts
-    /// independent of host timing.
+    /// faults around it: the panic comes before the body, the crash after
+    /// it — the work is done, then lost with the attempt, as when a mapper
+    /// node dies.
     pub fn around<R>(
         &self,
         segment: usize,
         attempt: Attempt,
         body: impl FnOnce() -> R,
     ) -> Result<R, Crashed> {
-        if attempt.speculative {
-            return Ok(body());
-        }
-        let delay = self.attempt_delay(segment, attempt.number);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
         if self.attempt_panics(segment, attempt.number) {
             panic!(
                 "injected panic: segment {segment} attempt {}",
@@ -168,15 +150,6 @@ impl FaultInjector {
             self.panics.fetch_add(1, Ordering::Relaxed);
         }
         panics
-    }
-
-    /// Extra latency for this `(segment, attempt)`.
-    fn attempt_delay(&self, segment: usize, attempt: u32) -> Duration {
-        if attempt == 1 && self.plan.straggle_first_attempt.contains(&segment) {
-            self.plan.straggle_delay
-        } else {
-            Duration::ZERO
-        }
     }
 
     /// Re-executions triggered so far (injected crashes, not panics).

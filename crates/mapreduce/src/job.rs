@@ -6,7 +6,7 @@
 //! `run_phases` is the only place a job's skeleton is written down:
 //!
 //! 1. **Parallel extraction.** Map tasks run under the fault-tolerant
-//!    scheduler ([`run_scheduled`]): retried, speculated, panic-isolated.
+//!    scheduler ([`run_scheduled`]): retried and panic-isolated.
 //!    A task may touch only its own segment and whatever its closure
 //!    captured by shared reference — which includes the job's chunk store:
 //!    under either keying policy a task saves the chunk it computed before
@@ -78,8 +78,7 @@ pub struct JobConfig {
     /// [`JobMetrics::chunks_salvaged_concrete`] as a measured sequential
     /// barrier. Disable to restore hard-failure semantics.
     pub salvage_refused_chunks: bool,
-    /// Fault-tolerance knobs for the task scheduler: retry cap and
-    /// straggler speculation.
+    /// Fault-tolerance knobs for the task scheduler: the retry cap.
     pub scheduler: SchedulerConfig,
 }
 
@@ -228,8 +227,8 @@ fn payload_slices<'a, K: Key>(
 /// output carries into the metrics and hands its emits to the shuffle (the
 /// driver charges their tallied volume itself); `reduce` turns one key's
 /// mapper-ordered payloads into its output. With `faults` attached, each
-/// map attempt runs inside [`FaultInjector::around`] — the plan's crashes,
-/// panics and stragglers — and once its kill budget is spent every further
+/// map attempt runs inside [`FaultInjector::around`] — the plan's crashes
+/// and panics — and once its kill budget is spent every further
 /// map task dies with [`Error::JobKilled`] instead of running.
 pub(crate) fn run_phases<R, M, K, O>(
     segments: &[Segment<R>],

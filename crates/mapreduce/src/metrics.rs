@@ -44,12 +44,14 @@ pub struct JobMetrics {
     pub groups: u64,
     /// Task attempts executed across phases (clean runs: one per task).
     pub attempts: u64,
-    /// Speculative clones launched against straggler tasks.
+    /// Always 0: the scheduler no longer launches speculative clones. Kept
+    /// because the benchmark's trace (`benchmark/src/trace.rs`) reads it.
     pub speculative_launches: u64,
-    /// Speculative clones whose result won the race.
+    /// Always 0, for the same reason as
+    /// [`speculative_launches`](JobMetrics::speculative_launches).
     pub speculative_wins: u64,
-    /// Busy time of attempts whose work was discarded — injected failures,
-    /// isolated panics, and speculation race losers.
+    /// Busy time of attempts whose work was discarded — injected failures
+    /// and isolated panics.
     pub retry_wasted_cpu: Duration,
     /// Map chunks whose summaries were loaded from a valid checkpoint
     /// frame instead of recomputed (checkpointed runs only).
@@ -220,8 +222,6 @@ impl JobMetrics {
     /// Accumulates scheduler attempt accounting from one phase.
     pub fn absorb_scheduler(&mut self, s: &crate::scheduler::SchedulerStats) {
         self.attempts += s.attempts;
-        self.speculative_launches += s.speculative_launches;
-        self.speculative_wins += s.speculative_wins;
         self.retry_wasted_cpu += s.retry_wasted_cpu;
     }
 

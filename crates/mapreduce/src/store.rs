@@ -429,10 +429,9 @@ impl FrameStore for MemStore {
 /// Layout: `<root>/<namespace:016x>/<id:016x>.sum`, written as
 /// `….sum.tmp.<pid>.<n>` then renamed into place so a crash mid-write
 /// leaves either the old frame or none — never a torn one. The tmp name is
-/// unique per save: two writers of one key (a task and its speculative
-/// clone, two chunks of identical content) each rename only a file they
-/// finished writing, and the last complete frame wins. Quarantine renames
-/// the frame to
+/// unique per save: two writers of one key (two chunks of identical
+/// content) each rename only a file they finished writing, and the last
+/// complete frame wins. Quarantine renames the frame to
 /// `<id>.sum.quarantined` (`.quarantined.1`, `.2`, … for repeat offenders)
 /// and records the reason alongside in `….quarantined.reason`; quarantined
 /// bytes are kept for post-mortem. The directory-per-namespace layout

@@ -215,7 +215,7 @@ pub struct SympleJob<'a> {
     pub cfg: JobConfig,
     /// Where completed map chunks are looked up and persisted.
     pub store: ChunkStore<'a>,
-    /// Injected map-attempt crashes, panics, stragglers and the simulated
+    /// Injected map-attempt crashes, panics and the simulated
     /// process kill — the drills that prove re-execution and resume are
     /// byte-identical to a clean run.
     pub faults: Option<&'a FaultInjector>,
@@ -521,7 +521,7 @@ const MEMO_MAX_BYTES: usize = 1 << 20;
 /// encode in no bytes at all (`()` does).
 ///
 /// Refused cells are never remembered. The memo lives for one
-/// [`compute_chunk`] call, so a retried, speculated or cached task
+/// [`compute_chunk`] call, so a retried or cached task
 /// computes the same bytes, and it stops growing when full.
 struct CellMemo<S = KeyedWordHasher> {
     table: HashMap<Box<[u8]>, (Range<usize>, ExploreStats), S>,

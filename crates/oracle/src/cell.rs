@@ -236,8 +236,8 @@ impl Cell {
             // re-execution in every executor: the matrix then compares
             // Ok-vs-Ok instead of skipping the cell on a refusal.
             salvage_refused_chunks: true,
-            // Oracle tasks run in microseconds; default speculation knobs
-            // (25 ms floor) never trigger, keeping retry counts exact.
+            // A task runs once, plus once per attempt its fault plan fails:
+            // retry counts are exact by construction.
             scheduler: symple_mapreduce::SchedulerConfig::default(),
         }
     }

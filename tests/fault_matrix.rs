@@ -102,12 +102,7 @@ proptest! {
         };
 
         let segs = split_into_segments(&records, n_seg, 32);
-        // Attempt arithmetic is the property here, so speculation is off:
-        // an isolated panic in a debug build outlasts the 25 ms
-        // speculation floor, and a speculative clone is one more attempt.
-        // Speculation has its own test below.
-        let mut cfg = JobConfig::default();
-        cfg.scheduler.speculation = false;
+        let cfg = JobConfig::default();
         let clean = run_symple(&ByKey, &Resets, &segs, &cfg).unwrap();
         let injector = FaultInjector::new(plan);
         let faulty = SympleJob::new(cfg).with_faults(&injector).run(&ByKey, &Resets, &segs).unwrap();
@@ -302,49 +297,6 @@ fn transient_panic_recovers_byte_identically() {
     assert_eq!(clean.results, faulty.results);
     assert_eq!(clean.metrics.shuffle_bytes, faulty.metrics.shuffle_bytes);
     assert_eq!(faulty.metrics.attempts, clean.metrics.attempts + 2);
-}
-
-/// Straggler speculation: an injected slow first attempt gets raced by a
-/// speculative clone, and whoever wins, the output is byte-identical to
-/// the clean run (tasks are deterministic — the whole point).
-#[test]
-fn straggler_speculation_preserves_output() {
-    if std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        < 2
-    {
-        return; // Speculation needs a second worker to go idle.
-    }
-    let records: Vec<(u8, i64)> = (0..300)
-        .map(|i| ((i % 5) as u8, (i * 13 % 83) as i64))
-        .collect();
-    let segs = split_into_segments(&records, 6, 32);
-    let mut cfg = JobConfig {
-        map_workers: 2,
-        ..JobConfig::default()
-    };
-    cfg.scheduler.speculation_min = Duration::from_millis(5);
-    cfg.scheduler.speculation_factor = 2;
-    let clean = run_symple(&ByKey, &Resets, &segs, &cfg).unwrap();
-    let plan = FaultPlan {
-        straggle_first_attempt: [0].into_iter().collect(),
-        straggle_delay: Duration::from_millis(250),
-        ..FaultPlan::default()
-    };
-    let injector = FaultInjector::new(plan);
-    let faulty = SympleJob::new(cfg)
-        .with_faults(&injector)
-        .run(&ByKey, &Resets, &segs)
-        .unwrap();
-    assert_eq!(clean.results, faulty.results);
-    assert_eq!(clean.metrics.shuffle_bytes, faulty.metrics.shuffle_bytes);
-    assert!(
-        faulty.metrics.speculative_launches >= 1,
-        "expected a speculative clone against the 250 ms straggler: {:?}",
-        faulty.metrics
-    );
-    assert_eq!(injector.retries(), 0, "stragglers are slow, not crashed");
 }
 
 /// A mid-map kill with *either* store attached: both policies save a
