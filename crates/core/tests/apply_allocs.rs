@@ -1,8 +1,9 @@
 //! The reducer's apply allocates nothing per summary but the output it
 //! appends.
 //!
-//! `apply_encoded_chain` runs once per `(key, chunk)` cell at the reducer,
-//! and `decode_field` / `compose_onto` (a scalar) or `skim_aggregate` (a
+//! `apply_encoded_chain` runs once per `(key, chunk)` cell at the reducer
+//! (through the task's `ChainMemo` when the chain is short), and
+//! `decode_field` / `compose_onto` (a scalar) or `skim_aggregate` (a
 //! vector) once per field, per path, per summary inside it. Once its
 //! `WireScratch` is warm, a chain whose paths carry no vector elements must
 //! apply without touching the heap, and one whose holding path appends to
@@ -14,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use symple_core::compose::{apply_encoded_chain, WireScratch};
+use symple_core::compose::{apply_encoded_chain, ChainMemo, WireScratch};
 use symple_core::engine::{EngineConfig, SymbolicExecutor};
 use symple_core::impl_sym_state;
 use symple_core::state::make_state_symbolic;
@@ -156,6 +157,29 @@ fn a_six_path_apply_allocates_nothing() {
     for run in 0..6 {
         assert_eq!(allocs_per_apply(&bytes, run), 0.0, "run {run}");
     }
+}
+
+#[test]
+fn a_memoized_one_path_apply_allocates_nothing() {
+    // The first application parses the chain into the memo; every later
+    // one replays that parse and composes it onto the running state.
+    let (bytes, paths) = chain_of(&[0, 1, 0]);
+    assert_eq!(paths, 1);
+    let mut state = Runs.init();
+    state.e.assign(&mut SymCtx::concrete(), 3);
+    let mut scratch = WireScratch::new(&Runs.init());
+    let mut memo = ChainMemo::new();
+    memo.apply(&mut scratch, &mut &bytes[..], &mut state)
+        .unwrap();
+    assert_eq!(memo.len(), 1);
+    let before = allocs();
+    for _ in 0..64 {
+        let mut rd = &bytes[..];
+        memo.apply(&mut scratch, &mut rd, &mut state).unwrap();
+        assert!(rd.is_empty());
+    }
+    assert_eq!(allocs() - before, 0);
+    assert_eq!(state.i.concrete_value(), Some(2 * 65));
 }
 
 #[derive(Clone, Debug)]

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use symple_core::compose::{apply_chain, apply_encoded_chain, WireScratch};
+use symple_core::compose::{apply_chain, apply_encoded_chain, ChainMemo, WireScratch};
 use symple_core::engine::{EngineConfig, SymbolicExecutor};
 use symple_core::error::Error;
 use symple_core::impl_sym_state;
@@ -154,6 +154,10 @@ trait Fixture: SymState {
 /// A vector element to build: `Ok(value)` or `Err((field, a, b))`.
 type Spec = Result<i64, (u16, i64, i64)>;
 
+/// A summary to build: for each path, `lo` and `len` of the constraint
+/// `lo..=lo + len` on the integer field, and the path's own elements.
+type BuiltSummary = Vec<(i64, i64, Vec<Spec>)>;
+
 fn affine(&(field, a, b): &(u16, i64, i64)) -> SymScalar {
     SymScalar::Affine {
         field: FieldId(field),
@@ -275,6 +279,110 @@ fn assert_tiers_agree<S: Fixture>(
     Ok(())
 }
 
+/// Memo tier ≡ wire tier ≡ owned tier: `memo.apply` over `bytes` from
+/// `start` — a parse the first time the memo meets `bytes`, a replay of
+/// that parse after — must return what `apply_encoded_chain` and
+/// `SummaryChain::decode` followed by `apply_chain` return (the final state
+/// through its encoding, or the same error) and leave the cursor where they
+/// leave it. `scratch` and `memo` arrive as earlier calls left them.
+fn assert_memo_agrees<S: Fixture>(
+    bytes: &[u8],
+    start: &S,
+    scratch: &mut WireScratch<S>,
+    memo: &mut ChainMemo<S>,
+) -> Result<(), TestCaseError> {
+    let encoded = |s: S| Summary::singleton(s).to_bytes();
+    let mut owned_rd = bytes;
+    let owned = SummaryChain::decode(&S::template(), &mut owned_rd)
+        .map_err(Error::Wire)
+        .and_then(|chain| apply_chain(&chain, start))
+        .map(encoded);
+    let mut wire_rd = bytes;
+    let mut state = start.clone();
+    let wire = apply_encoded_chain(scratch, &mut wire_rd, &mut state).map(|()| encoded(state));
+    let mut memo_rd = bytes;
+    let mut state = start.clone();
+    let memoized = memo
+        .apply(scratch, &mut memo_rd, &mut state)
+        .map(|()| encoded(state));
+    prop_assert_eq!(&wire, &owned);
+    prop_assert_eq!(wire_rd, owned_rd);
+    prop_assert_eq!(memoized, owned);
+    prop_assert_eq!(memo_rd, owned_rd);
+    Ok(())
+}
+
+/// A pool of chains that the memo property applies again and again: for
+/// each hand-built chain (see [`built_chain`]) and each real chain of `uda`
+/// over one of `cells`, the chain itself, a byte-flipped copy, its first
+/// half, and the chain followed by a stray byte.
+fn chain_pool<U>(
+    uda: &U,
+    built: &[Vec<BuiltSummary>],
+    common: &[Spec],
+    cells: &[Vec<i64>],
+    flips: &[(usize, u8)],
+) -> Vec<Vec<u8>>
+where
+    U: Uda<Event = i64>,
+    U::State: Fixture,
+{
+    let real = cells.iter().map(|events| {
+        let mut exec = SymbolicExecutor::new(uda, EngineConfig::default());
+        exec.feed_all(events.iter()).unwrap();
+        exec.finish().0.to_bytes()
+    });
+    let built = built.iter().map(|b| built_chain::<U::State>(b, common));
+    let mut pool = Vec::new();
+    for chain in built.chain(real) {
+        let mut flipped = chain.clone();
+        for &(at, xor) in flips {
+            let i = at % flipped.len();
+            flipped[i] ^= xor;
+        }
+        let cut = chain[..chain.len() / 2].to_vec();
+        let trailing = [chain.as_slice(), &[0]].concat();
+        pool.extend([chain, flipped, cut, trailing]);
+    }
+    pool
+}
+
+/// The body of `memo_apply_matches_the_tiers_on_repeated_chains` for any
+/// fixture: the pool's chains applied as `order` picks them — a chain and
+/// a running state, so that each chain repeats, intact or not, under
+/// states it holds under, fails under and is ruled out by — through one
+/// memo. The running states have their integer at one of `xs`, or are
+/// the state `prefix` ends in.
+fn memo_agrees_on_repeated_chains<U>(
+    uda: &U,
+    pool: &[Vec<u8>],
+    xs: &[i64],
+    prefix: &[i64],
+    order: &[(usize, usize)],
+) -> Result<(), TestCaseError>
+where
+    U: Uda<Event = i64>,
+    U::State: Fixture,
+{
+    let mut starts = vec![run_concrete_state(uda, prefix.iter()).unwrap()];
+    starts.extend(xs.iter().map(|&x| {
+        let mut start = U::State::template();
+        *start.int() = SymInt::new(x);
+        start
+    }));
+    let mut scratch = WireScratch::new(&U::State::template());
+    let mut memo = ChainMemo::new();
+    for &(chain, start) in order {
+        let (chain, start) = (&pool[chain % pool.len()], &starts[start % starts.len()]);
+        assert_memo_agrees(chain, start, &mut scratch, &mut memo)?;
+    }
+    // Every chain of at most 64 bytes was memoized, and no other.
+    let short = order.iter().map(|&(chain, _)| &pool[chain % pool.len()]);
+    let short: std::collections::HashSet<_> = short.filter(|c| c.len() <= 64).collect();
+    prop_assert_eq!(memo.len(), short.len());
+    Ok(())
+}
+
 /// The body of `wire_apply_matches_owned_on_real_and_mutated_chains` for
 /// any fixture: a real chain of `uda` over `events`, applied intact and
 /// then byte-flipped and truncated, from the initial state and from the
@@ -324,10 +432,21 @@ where
 /// back to. Applied from `int = x`, with elements that reference fields
 /// with no transfer, overflow, or (as a `u32`) leave their type's range.
 fn tiers_agree_on_built_chain<S: Fixture>(
-    summaries: &[Vec<(i64, i64, Vec<Spec>)>],
+    summaries: &[BuiltSummary],
     common: &[Spec],
     x: i64,
 ) -> Result<(), TestCaseError> {
+    let mut start = S::template();
+    *start.int() = SymInt::new(x);
+    assert_tiers_agree(
+        &built_chain::<S>(summaries, common),
+        &start,
+        &mut WireScratch::new(&S::template()),
+    )
+}
+
+/// The bytes of `tiers_agree_on_built_chain`'s chain.
+fn built_chain<S: Fixture>(summaries: &[BuiltSummary], common: &[Spec]) -> Vec<u8> {
     let path = |(lo, len, own): &(i64, i64, Vec<Spec>)| {
         let mut s = S::template();
         make_state_symbolic(&mut s);
@@ -336,18 +455,12 @@ fn tiers_agree_on_built_chain<S: Fixture>(
         own.iter().chain(common).for_each(|e| s.push(e));
         s
     };
-    let chain = SummaryChain::new(
+    SummaryChain::new(
         (summaries.iter())
             .map(|paths| Summary::new(paths.iter().map(path).collect()))
             .collect(),
-    );
-    let mut start = S::template();
-    *start.int() = SymInt::new(x);
-    assert_tiers_agree(
-        &chain.to_bytes(),
-        &start,
-        &mut WireScratch::new(&S::template()),
     )
+    .to_bytes()
 }
 
 /// … and over arbitrary byte soup.
@@ -588,6 +701,34 @@ proptest! {
         tiers_agree_on_built_chain::<Kitchen>(&summaries, &common, x)?;
         tiers_agree_on_built_chain::<Front>(&summaries, &common, x)?;
         tiers_agree_on_built_chain::<Pair>(&summaries, &common, x)?;
+    }
+
+    /// Memo tier ≡ wire tier ≡ owned tier on chains that repeat: short
+    /// hand-built ones whose aggregate errors depend on the running state,
+    /// and real ones, each also byte-flipped, cut short and trailed by a
+    /// stray byte, over all three field orders.
+    #[test]
+    fn memo_apply_matches_the_tiers_on_repeated_chains(
+        built in prop::collection::vec(
+            prop::collection::vec(
+                prop::collection::vec((-3i64..3, 0i64..3, prop::collection::vec(spec(), 0..3)), 1..3),
+                1..3,
+            ),
+            1..4,
+        ),
+        common in prop::collection::vec(spec(), 0..2),
+        cells in prop::collection::vec(prop::collection::vec(-3i64..13, 1..4), 0..2),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 1..3),
+        xs in prop::collection::vec(prop_oneof![-4i64..6, Just(1i64 << 40)], 1..4),
+        prefix in prop::collection::vec(-3i64..13, 0..7),
+        order in prop::collection::vec((any::<usize>(), any::<usize>()), 1..32),
+    ) {
+        let pool = chain_pool(&K, &built, &common, &cells, &flips);
+        memo_agrees_on_repeated_chains(&K, &pool, &xs, &prefix, &order)?;
+        let pool = chain_pool(&F, &built, &common, &cells, &flips);
+        memo_agrees_on_repeated_chains(&F, &pool, &xs, &prefix, &order)?;
+        let pool = chain_pool(&P, &built, &common, &cells, &flips);
+        memo_agrees_on_repeated_chains(&P, &pool, &xs, &prefix, &order)?;
     }
 
     /// The key types that do travel the wire — a `String` and a composite

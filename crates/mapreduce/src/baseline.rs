@@ -43,12 +43,14 @@ where
         // (`summary_bytes` stays zero: event lists are not summaries).
         |_, out| out,
         // Reduce: decode, stitch in mapper order, run the UDA.
-        |chunks| {
-            let mut events: Vec<G::Event> = Vec::new();
-            for mut payload in chunks.iter().copied() {
-                events.extend(Vec::<G::Event>::decode(&mut payload).map_err(Error::Wire)?);
+        || {
+            |chunks: &[&[u8]]| {
+                let mut events: Vec<G::Event> = Vec::new();
+                for mut payload in chunks.iter().copied() {
+                    events.extend(Vec::<G::Event>::decode(&mut payload).map_err(Error::Wire)?);
+                }
+                run_sequential(uda, events.iter())
             }
-            run_sequential(uda, events.iter())
         },
     )
 }
@@ -95,12 +97,14 @@ where
         // (`summary_bytes` stays zero: event lists are not summaries).
         |_, out| out,
         // Reduce: merge per-key event streams in mapper order, run the UDA.
-        |chunks| {
-            let mut events: Vec<G::Event> = Vec::with_capacity(chunks.len());
-            for mut payload in chunks.iter().copied() {
-                events.push(G::Event::decode(&mut payload).map_err(Error::Wire)?);
+        || {
+            |chunks: &[&[u8]]| {
+                let mut events: Vec<G::Event> = Vec::with_capacity(chunks.len());
+                for mut payload in chunks.iter().copied() {
+                    events.push(G::Event::decode(&mut payload).map_err(Error::Wire)?);
+                }
+                run_sequential(uda, events.iter())
             }
-            run_sequential(uda, events.iter())
         },
     )
 }

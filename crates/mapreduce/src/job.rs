@@ -37,7 +37,10 @@
 //!
 //! A reduce task k-way merges its mappers' indexes
 //! (`shuffle::MergeRuns`) and hands each key's payload slices to
-//! the job's `reduce` in mapper order, and within a mapper in emit order.
+//! the job's reducer in mapper order, and within a mapper in emit order.
+//! Each attempt of a reduce task starts a fresh reducer, so what a reducer
+//! keeps from key to key (the SYMPLE job's chain memo) lives for that
+//! attempt only and a retry computes the same thing.
 //!
 //! `shuffle_bytes` / `shuffle_records` count cells only — key wire length
 //! plus payload length, tallied at emit time — never the indexes.
@@ -225,24 +228,27 @@ fn payload_slices<'a, K: Key>(
 ///
 /// `map` is a segment's task; `commit` folds whatever else one task's
 /// output carries into the metrics and hands its emits to the shuffle (the
-/// driver charges their tallied volume itself); `reduce` turns one key's
-/// mapper-ordered payloads into its output. With `faults` attached, each
+/// driver charges their tallied volume itself); `reducer` starts a reduce
+/// task attempt, and what it returns turns each of the task's keys'
+/// mapper-ordered payloads into its output, keeping whatever it likes from
+/// key to key for that attempt only. With `faults` attached, each
 /// map attempt runs inside [`FaultInjector::around`] — the plan's crashes
 /// and panics — and once its kill budget is spent every further
 /// map task dies with [`Error::JobKilled`] instead of running.
-pub(crate) fn run_phases<R, M, K, O>(
+pub(crate) fn run_phases<R, M, K, O, F>(
     segments: &[Segment<R>],
     cfg: &JobConfig,
     faults: Option<&FaultInjector>,
     map: impl Fn(&Segment<R>) -> Result<M> + Sync,
     mut commit: impl FnMut(&mut JobMetrics, M) -> Emits<K>,
-    reduce: impl Fn(&[&[u8]]) -> Result<O> + Sync,
+    reducer: impl Fn() -> F + Sync,
 ) -> Result<JobOutput<K, O>>
 where
     R: Sync,
     M: Send,
     K: Key,
     O: Send,
+    F: FnMut(&[&[u8]]) -> Result<O>,
 {
     let mut metrics = JobMetrics {
         input_records: segments.iter().map(|s| s.len() as u64).sum(),
@@ -282,6 +288,7 @@ where
 
     let reducer_inputs = transpose(mapper_runs, cfg.num_reducers.max(1));
     let reduce_task = |runs: &Vec<ArenaRun<K>>| -> Result<Vec<(K, O)>> {
+        let mut reduce = reducer();
         let mut out: Vec<(K, O)> = Vec::new();
         let runs = runs.iter().map(|(index, arena)| (index, arena));
         let mut cells = payload_slices(runs).peekable();

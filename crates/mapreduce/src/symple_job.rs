@@ -14,6 +14,12 @@
 //! instead of running (`CellMemo`, scoped to the task, so a retried or
 //! cached task computes the same bytes).
 //!
+//! A reduce task keeps one [`WireScratch`] and one [`ChainMemo`] from key
+//! to key: a short chain that repeats across the task's keys is parsed
+//! once and composed onto each key's running state every time it comes
+//! (`Reducer`, scoped to the task attempt as `CellMemo` is to the map
+//! task, so a retried reduce task computes the same thing).
+//!
 //! There is one job description, [`SympleJob`], and one way to run it;
 //! [`run_symple`] is its store-less, fault-less spelling. Two robustness
 //! layers ride on the same shuffle:
@@ -35,11 +41,12 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
 use std::ops::Range;
 
-use symple_core::compose::{apply_encoded_chain, WireScratch};
+use symple_core::compose::{ChainMemo, WireScratch};
 use symple_core::ctx::SymCtx;
 use symple_core::engine::{ExploreStats, SymbolicExecutor};
 use symple_core::error::{Error, Result};
 use symple_core::frame::{FrameMeta, KeyedWordHasher};
+use symple_core::state::SymState;
 use symple_core::summary::SummaryChain;
 use symple_core::uda::{extract_result, run_concrete_state, Uda};
 use symple_core::wire::{get_bytes, get_len, get_uvarint, put_slice, put_uvarint, Wire, WireError};
@@ -279,9 +286,12 @@ impl<'a> SympleJob<'a> {
                 }
                 task.emits
             },
-            |payloads| {
-                let state = compose_payloads(uda, &template, payloads)?;
-                extract_result(uda, &state)
+            || {
+                let mut reducer = Reducer::new(&template);
+                move |payloads: &[&[u8]]| {
+                    let state = compose_payloads(uda, &mut reducer, payloads)?;
+                    extract_result(uda, &state)
+                }
             },
         )?;
 
@@ -366,25 +376,48 @@ fn run_events_from<U: Uda>(uda: &U, mut state: U::State, events: &[U::Event]) ->
     Ok(state)
 }
 
+/// What one reduce task attempt keeps from key to key: the wire tier's
+/// scratch, which holds the UDA's initial state, and the memo of the
+/// short chains the task has parsed.
+struct Reducer<S> {
+    scratch: WireScratch<S>,
+    memo: ChainMemo<S>,
+}
+
+impl<S: SymState> Reducer<S> {
+    fn new(template: &S) -> Reducer<S> {
+        Reducer {
+            scratch: WireScratch::new(template),
+            memo: ChainMemo::new(),
+        }
+    }
+}
+
 /// Folds one key's mapper-ordered payload sequence into a final state.
 ///
-/// A running concrete state starts at `template`: chains are applied to it
-/// straight from their bytes ([`apply_encoded_chain`], with one
-/// [`WireScratch`] per key), event payloads are re-executed concretely in
-/// place. The §3.6 tree reduction is not a way the job runs: the oracle's
-/// `chunked-tree` column holds it against the sequential result.
-fn compose_payloads<U>(uda: &U, template: &U::State, payloads: &[&[u8]]) -> Result<U::State>
+/// A running concrete state starts at the UDA's initial state: chains are
+/// applied to it straight from their bytes, a short one through the
+/// task's [`ChainMemo`] so that it is parsed once per task
+/// ([`symple_core::compose::apply_encoded_chain`] otherwise), and event
+/// payloads are re-executed concretely in place. The §3.6 tree reduction
+/// is not a way the job runs: the oracle's `chunked-tree` column holds it
+/// against the sequential result.
+fn compose_payloads<U>(
+    uda: &U,
+    reducer: &mut Reducer<U::State>,
+    payloads: &[&[u8]],
+) -> Result<U::State>
 where
     U: Uda,
     U::Event: Wire,
 {
-    let mut state = template.clone();
-    let mut scratch = WireScratch::new(template);
+    let Reducer { scratch, memo } = reducer;
+    let mut state = scratch.template().clone();
     for payload in payloads {
         match payload.split_first() {
-            // The wire tier: a chain is applied as it is parsed.
+            // The wire tier: a chain is parsed whole, then applied.
             Some((&PAYLOAD_CHAIN, mut rd)) => {
-                let applied = apply_encoded_chain(&mut scratch, &mut rd, &mut state);
+                let applied = memo.apply(scratch, &mut rd, &mut state);
                 // Leftover bytes are refused ahead of any error the apply
                 // reported, unless the chain itself did not parse.
                 if !matches!(applied, Err(Error::Wire(_))) && !rd.is_empty() {
@@ -868,7 +901,7 @@ mod tests {
 
         // Empty chain first, then the salvaged chunk.
         let payloads: Vec<&[u8]> = vec![&empty_chain, &events_payload];
-        let state = compose_payloads(&uda, &template, &payloads).unwrap();
+        let state = compose_payloads(&uda, &mut Reducer::new(&template), &payloads).unwrap();
         assert_eq!(
             extract_result(&uda, &state).unwrap(),
             expect,
@@ -877,7 +910,7 @@ mod tests {
 
         // Salvaged chunk first, then the empty chain.
         let payloads: Vec<&[u8]> = vec![&events_payload, &empty_chain];
-        let state = compose_payloads(&uda, &template, &payloads).unwrap();
+        let state = compose_payloads(&uda, &mut Reducer::new(&template), &payloads).unwrap();
         assert_eq!(
             extract_result(&uda, &state).unwrap(),
             expect,
@@ -916,7 +949,7 @@ mod tests {
         let middle_events = events_payload(&middle);
 
         let payloads: Vec<&[u8]> = vec![&prefix_chain, &middle_events, &suffix_chain];
-        let state = compose_payloads(&uda, &template, &payloads).unwrap();
+        let state = compose_payloads(&uda, &mut Reducer::new(&template), &payloads).unwrap();
         assert_eq!(extract_result(&uda, &state).unwrap(), expect);
     }
 
@@ -982,7 +1015,7 @@ mod tests {
         let mut chain = chain_payload(&SummaryChain::single(Summary::new(paths)));
         edit(&mut chain);
         let payloads: [&[u8]; 2] = [&events_payload(&salvaged), &chain];
-        let wire = compose_payloads(&uda, &uda.init(), &payloads)
+        let wire = compose_payloads(&uda, &mut Reducer::new(&uda.init()), &payloads)
             .and_then(|state| extract_result(&uda, &state));
 
         let owned = run_concrete_state(&uda, &salvaged).and_then(|state| {
@@ -1105,16 +1138,108 @@ mod tests {
         );
     }
 
+    /// Each `(prefix events, chain payload)` key through one reducer, as a
+    /// reduce task meets them: the salvaged prefix sets the key's running
+    /// state, then the chain is applied to it.
+    fn reduce_keys(keys: &[(&[i64], &[u8])]) -> (Vec<Result<Vec<i64>>>, usize) {
+        let uda = VecFirstUda;
+        let mut reducer = Reducer::new(&uda.init());
+        let outputs = keys
+            .iter()
+            .map(|(prefix, chain)| {
+                let payloads: [&[u8]; 2] = [&events_payload(prefix), chain];
+                compose_payloads(&uda, &mut reducer, &payloads)
+                    .and_then(|state| extract_result(&uda, &state))
+            })
+            .collect();
+        (outputs, reducer.memo.len())
+    }
+
+    #[test]
+    fn a_memoized_chain_holds_on_the_path_each_key_selects() {
+        // Two paths: `len < 3` appends 1, `len ≥ 3` appends `len`.
+        let chain = chain_payload(&SummaryChain::single(Summary::new(vec![
+            vec_first_path(true, |s| s.out.push(1)),
+            vec_first_path(false, |s| s.out.push_int(&s.len)),
+        ])));
+        let (outputs, memoized) = reduce_keys(&[
+            (&[-5, 1], &chain),
+            (&[-6, 4], &chain),
+            (&[-7, 2], &chain),
+            (&[-8, 9], &chain),
+        ]);
+        assert_eq!(memoized, 1, "one parse serves every key");
+        assert_eq!(
+            outputs,
+            [
+                Ok(vec![-5, 1]),
+                Ok(vec![-6, 4]),
+                Ok(vec![-7, 1]),
+                Ok(vec![-8, 9])
+            ]
+        );
+    }
+
+    #[test]
+    fn a_memoized_chain_fails_only_under_the_state_it_fails_under() {
+        // One path appending `4·len`: a substitution that overflows only
+        // where the running `len` is large, after the parse was memoized.
+        let mut path = VecFirstUda.init();
+        symple_core::state::make_state_symbolic(&mut path);
+        let mut four_len = path.len;
+        four_len.mul(&mut SymCtx::symbolic(), 4);
+        path.out.push_int(&four_len);
+        let chain = chain_payload(&SummaryChain::single(Summary::singleton(path)));
+        let (outputs, memoized) =
+            reduce_keys(&[(&[1], &chain), (&[i64::MAX / 2], &chain), (&[2], &chain)]);
+        assert_eq!(memoized, 1);
+        assert_eq!(
+            outputs,
+            [
+                Ok(vec![4]),
+                Err(Error::ArithmeticOverflow { op: "mul_add" }),
+                Ok(vec![8])
+            ]
+        );
+    }
+
+    #[test]
+    fn a_memoized_refusal_is_the_same_refusal_every_time() {
+        let path = |low| vec_first_path(low, |s| s.out.push(7));
+        let chain = chain_payload(&SummaryChain::single(Summary::new(vec![
+            path(true),
+            path(false),
+        ])));
+        // The second path's `len` constraint cut short, and the chain with
+        // a byte after it.
+        let cut = chain[..chain.len() - 1].to_vec();
+        let trailing = [chain.as_slice(), &[0]].concat();
+        let (outputs, memoized) = reduce_keys(&[
+            (&[1], &cut),
+            (&[4], &trailing),
+            (&[4], &cut),
+            (&[1], &trailing),
+            (&[4], &chain),
+        ]);
+        assert_eq!(memoized, 3);
+        let eof = Err(Error::Wire(WireError::UnexpectedEof));
+        let trailing = Err(Error::Wire(WireError::TrailingBytes));
+        assert_eq!(
+            outputs,
+            [eof.clone(), trailing.clone(), eof, trailing, Ok(vec![7])]
+        );
+    }
+
     #[test]
     fn payloads_with_trailing_bytes_are_refused() {
         let uda = RunsUda;
         let template = uda.init();
         let chain = SummaryChain::single(Summary::singleton(template.clone()));
         for mut payload in [chain_payload(&chain), events_payload(&[2, 4, 1])] {
-            assert!(compose_payloads(&uda, &template, &[&payload]).is_ok());
+            assert!(compose_payloads(&uda, &mut Reducer::new(&template), &[&payload]).is_ok());
             payload.push(0);
             assert!(matches!(
-                compose_payloads(&uda, &template, &[&payload]),
+                compose_payloads(&uda, &mut Reducer::new(&template), &[&payload]),
                 Err(Error::Wire(WireError::TrailingBytes))
             ));
         }

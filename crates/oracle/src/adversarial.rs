@@ -1,10 +1,11 @@
 //! Adversarial synthetic UDAs: aggregations engineered to stress the
 //! engine's failure paths rather than model real queries.
 //!
-//! The Table 1 queries are well-behaved by construction. These three are
+//! The Table 1 queries are well-behaved by construction. These four are
 //! not: one overflows, one forks unmergeably on every record (forcing the
-//! §5.2 restart fallback), and one funnels symbolic scalars through
-//! `SymVector` on data-dependent branches. Soundness must hold anyway —
+//! §5.2 restart fallback), one funnels symbolic scalars through
+//! `SymVector` on data-dependent branches, and one reports values whose
+//! substitution overflows at the reducer. Soundness must hold anyway —
 //! same output, or the same error, as the sequential run.
 
 use symple_core::ctx::SymCtx;
@@ -173,6 +174,71 @@ pub fn vector_ints(seed: u64, len: usize) -> Vec<i64> {
     (0..len).map(|_| rng.gen_range(0i64..7)).collect()
 }
 
+/// Reports four times a running sum on every record: the report can
+/// overflow `i64` where the sum itself cannot. In a symbolic chunk each
+/// report is the element `4·x + b` of the chunk's one path, so the
+/// overflow surfaces only at the reducer, when that path holds and its
+/// elements are substituted with the running sum — the check the wire
+/// tier makes before it appends (`SymField::check_aggregate`), and
+/// nowhere else.
+///
+/// Events are non-negative (see [`scaled_ints`]), so whether a report
+/// overflows is a property of the input alone, as in [`OverflowSumUda`].
+pub struct ScaledReportUda;
+
+/// State of [`ScaledReportUda`].
+#[derive(Clone, Debug)]
+pub struct ScaledState {
+    /// The running sum.
+    pub n: SymInt,
+    /// Four times the running sum after each record.
+    pub out: SymVector<i64>,
+}
+impl_sym_state!(ScaledState { n, out });
+
+impl Uda for ScaledReportUda {
+    type State = ScaledState;
+    type Event = i64;
+    type Output = Vec<i64>;
+    fn init(&self) -> ScaledState {
+        ScaledState {
+            n: SymInt::new(0),
+            out: SymVector::new(),
+        }
+    }
+    fn update(&self, s: &mut ScaledState, ctx: &mut SymCtx, e: &i64) {
+        s.n.add(ctx, *e);
+        let mut report = s.n;
+        report.mul(ctx, 4);
+        s.out.push_int(&report);
+    }
+    fn result(&self, s: &ScaledState, _ctx: &mut SymCtx) -> Vec<i64> {
+        s.out.concrete_elems().unwrap_or_default()
+    }
+}
+
+/// Analyzer event variants for [`ScaledReportUda`]: the two regimes of
+/// [`scaled_ints`].
+pub fn scaled_variants() -> Vec<(&'static str, i64)> {
+    vec![("small", 7), ("giant", i64::MAX / 10)]
+}
+
+/// Non-negative events for [`ScaledReportUda`]: mostly small, with ~5%
+/// giants, so that a stream with three of them overflows a report while
+/// its sum still fits.
+pub fn scaled_ints(seed: u64, len: usize) -> Vec<i64> {
+    let mut rng = Rng64::seed_from_u64(seed);
+    (0..len)
+        .map(|_| {
+            if rng.gen_bool(0.05) {
+                i64::MAX / 10
+            } else {
+                rng.gen_range(0i64..1_000)
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +279,33 @@ mod tests {
         let (chain, stats) = exec.finish();
         assert!(stats.restarts > 0, "expected restarts, got {stats:?}");
         assert!(chain.len() > 1, "expected a multi-summary chain");
+    }
+
+    #[test]
+    fn scaled_reports_overflow_only_in_the_report() {
+        // Three giants: the sum fits, four times it does not.
+        let events = [5, i64::MAX / 10, 7, i64::MAX / 10, i64::MAX / 10, 1];
+        let seq = run_sequential(&ScaledReportUda, events.iter());
+        assert!(
+            matches!(seq, Err(Error::ArithmeticOverflow { .. })),
+            "{seq:?}"
+        );
+        assert!(events
+            .iter()
+            .try_fold(0i64, |n, e| n.checked_add(*e))
+            .is_some());
+        for chunks in [2, 3, 6] {
+            let par =
+                run_chunked_symbolic(&ScaledReportUda, &events, chunks, &EngineConfig::default());
+            assert!(
+                matches!(par, Err(Error::ArithmeticOverflow { .. })),
+                "chunks={chunks}: {par:?}"
+            );
+        }
+        let fine = [5, i64::MAX / 10, 7, 1];
+        let seq = run_sequential(&ScaledReportUda, fine.iter()).unwrap();
+        let par = run_chunked_symbolic(&ScaledReportUda, &fine, 2, &EngineConfig::default());
+        assert_eq!(par, Ok(seq));
     }
 
     #[test]

@@ -19,7 +19,7 @@ USAGE:
     symple-oracle --replay <ARTIFACT>       re-run a repro artifact";
 
 const OPTIONS: &str = "    --case <ID>           sweep a single case (G1..G4, B1..B3, T1,
-                          R1..R4, F1, GPS, OVF, RST, VEC)
+                          R1..R4, F1, GPS, OVF, RST, VEC, SUB)
     --analyze-first       run the static analyzer over each case first and
                           skip matrix cells it predicts the engine will
                           refuse (PathExplosion) — no differential signal

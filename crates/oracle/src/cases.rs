@@ -14,8 +14,8 @@ use symple_queries::sessions::GpsSessionsUda;
 use symple_queries::twitter_q::{t1_variants, T1Uda};
 
 use crate::adversarial::{
-    overflow_ints, overflow_variants, restart_ints, restart_variants, vector_ints, vector_variants,
-    OverflowSumUda, RestartProneUda, VectorHeavyUda,
+    overflow_ints, overflow_variants, restart_ints, restart_variants, scaled_ints, scaled_variants,
+    vector_ints, vector_variants, OverflowSumUda, RestartProneUda, ScaledReportUda, VectorHeavyUda,
 };
 use crate::case::{DynCase, UdaCase};
 
@@ -62,6 +62,9 @@ pub fn all_cases() -> Vec<Box<dyn DynCase>> {
                 .with_variants(restart_variants()),
         ),
         Box::new(UdaCase::new("VEC", VectorHeavyUda, vector_ints).with_variants(vector_variants())),
+        Box::new(
+            UdaCase::new("SUB", ScaledReportUda, scaled_ints).with_variants(scaled_variants()),
+        ),
     ]
 }
 
